@@ -4,6 +4,9 @@ The package is organized bottom-up:
 
 * :mod:`cayleymaps.groups` -- multiplication tables, named families,
   conjugacy classes;
+* :mod:`cayleymaps.perm` -- permutations and permutation groups as
+  integer arrays: cycles, orders, powers, conjugacy classes, and the
+  per-element statistics the census formulas read;
 * :mod:`cayleymaps.cayley` -- connection-set validation, Cayley graphs,
   and the flag space with its two fixed involutions;
 * :mod:`cayleymaps.maps` -- flag permutations as maps: validation,

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .maps import MapPermutation
+from .perm import cycle_labels, semi_regular
 from .rotations import (
     DartStructure,
     RotationSystem,
@@ -294,37 +295,16 @@ def extend_to_flags(theta: GraphAutomorphism, F: FlagSpace) -> ExtendedAutomorph
 
 
 def is_semi_regular(theta: GraphAutomorphism) -> bool:
-    vm = theta.vertex_map
-    lengths = set()
-    seen = [False] * len(vm)
-    for v in range(len(vm)):
-        if seen[v]:
-            continue
-        length = 0
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            length += 1
-            w = vm[w]
-        lengths.add(length)
-    return len(lengths) == 1
+    """All vertex orbits of theta have the same length."""
+    return bool(semi_regular(theta.vertex_map))
 
 
 def vertex_orbits(theta: GraphAutomorphism) -> list[list[int]]:
-    vm = theta.vertex_map
-    seen = [False] * len(vm)
-    orbits = []
-    for v in range(len(vm)):
-        if seen[v]:
-            continue
-        orbit = []
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            orbit.append(w)
-            w = vm[w]
-        orbits.append(orbit)
-    return orbits
+    """Orbits of theta on the vertices, each sorted, ordered by least vertex."""
+    orbits: dict[int, list[int]] = {}
+    for v, least in enumerate(cycle_labels(theta.vertex_map).tolist()):
+        orbits.setdefault(least, []).append(v)
+    return list(orbits.values())
 
 
 def conjugate_flag_permutation(

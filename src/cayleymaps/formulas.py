@@ -18,15 +18,9 @@ from math import factorial
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
-from .autaction import (
-    GraphAutomorphism,
-    compose_vertex_maps,
-    invert_vertex_map,
-    is_semi_regular,
-    product_group,
-    right_regular,
-)
+from .autaction import GraphAutomorphism, product_group, right_regular
 from .cayley import CayleySet
 from .errors import (
     BadParameter,
@@ -36,6 +30,13 @@ from .errors import (
     NotSemiRegular,
 )
 from .groups import FiniteGroup
+from .perm import (
+    ElementStats,
+    PermGroup,
+    check_table_size,
+    conjugacy_classes_of,
+    element_stats,
+)
 
 THETA = "Theta"
 DELTA = "Delta"
@@ -102,91 +103,30 @@ def make_report(exact: int, mode: str, prime: int | None = None) -> CountReport:
     return CountReport(mode="modp", residue=exact % p, prime=p)
 
 
-def permutation_order(vm: Sequence[int]) -> int:
-    seen = [False] * len(vm)
-    order = 1
-    for v in range(len(vm)):
-        if seen[v]:
-            continue
-        length = 0
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            length += 1
-            w = vm[w]
-        g = _gcd(order, length)
-        order = order // g * length
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def permutation_power(vm: Sequence[int], k: int) -> tuple[int, ...]:
-    out = tuple(range(len(vm)))
-    base = tuple(vm)
-    while k:
-        if k & 1:
-            out = compose_vertex_maps(base, out)
-        base = compose_vertex_maps(base, base)
-        k >>= 1
-    return out
-
-
-def conjugacy_classes_of(maps: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Conjugacy classes of a permutation group given as a closed element list."""
-    pool = set(maps)
-    n = len(maps[0])
-    if tuple(range(n)) not in pool:
-        raise BadParameter("acting set lacks the identity")
-    for a in pool:
-        for b in pool:
-            if compose_vertex_maps(a, b) not in pool:
-                raise BadParameter("acting set is not closed under composition")
-    classes = []
-    remaining = set(pool)
-    for x in sorted(pool):
-        if x not in remaining:
-            continue
-        cls = {compose_vertex_maps(a, compose_vertex_maps(x, invert_vertex_map(a))) for a in pool}
-        classes.append(sorted(cls))
-        remaining -= cls
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # Per-class statistics
 # ---------------------------------------------------------------------------
 
-def class_stats(
-    G: FiniteGroup,
-    S: CayleySet,
-    acting: Sequence[GraphAutomorphism],
-    xi: GraphAutomorphism,
-) -> ClassStats:
-    vm = xi.vertex_map
-    if not is_semi_regular(xi):
+def acting_stats(G: FiniteGroup, S: CayleySet, acting: Sequence[GraphAutomorphism]) -> ElementStats:
+    """Per-element statistics of ``acting`` on Cay(G : S), whose edges
+    join t to s*t for s in S."""
+    group = PermGroup([a.vertex_map for a in acting])
+    adjacency = np.zeros((G.order, G.order), dtype=bool)
+    table = np.asarray(G.table)
+    adjacency[np.arange(G.order), table[list(S.members)]] = True
+    return element_stats(group, adjacency)
+
+
+def class_stats(G: FiniteGroup, S: CayleySet, stats: ElementStats, i: int) -> ClassStats:
+    """Checked statistics of the class of element ``i`` of ``stats.group``."""
+    vm = stats.group.element(i)
+    if not stats.semi_regular[i]:
         raise NotSemiRegular(f"representative {vm} has unequal orbit lengths")
     nu = G.order
     k = len(S.members)
     eps = nu * k // 2
-    o = permutation_order(vm)
-
-    pool = {a.vertex_map for a in acting}
-    cls = {
-        compose_vertex_maps(a, compose_vertex_maps(vm, invert_vertex_map(a)))
-        for a in pool
-    }
-
-    if o % 2 == 0:
-        half = permutation_power(vm, o // 2)
-        neighbors = [frozenset(G.table[s][t] for s in S.members) for t in range(nu)]
-        l_value = sum(1 for t in range(nu) if half[t] in neighbors[t])
-    else:
-        l_value = 0
+    o = int(stats.order[i])
+    l_value = int(stats.l_value[i])
 
     branch = DELTA if (o % 2 == 0 and l_value > 0) else THETA
     if branch == DELTA and l_value % (o // 2):
@@ -194,21 +134,9 @@ def class_stats(
             f"inverted count {l_value} not divisible by half order {o // 2}"
         )
 
-    edges = sorted(
-        {tuple(sorted((t, G.table[s][t]))) for t in range(nu) for s in S.members}
-    )
-    index = {e: i for i, e in enumerate(edges)}
-    eperm = [index[tuple(sorted((vm[u], vm[v])))] for (u, v) in edges]
-    seen = [False] * len(edges)
-    edge_orbits = 0
-    for i in range(len(edges)):
-        if seen[i]:
-            continue
-        edge_orbits += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = eperm[j]
+    edge_orbits = int(stats.edge_orbits[i])
+    if edge_orbits < 0:
+        raise BadParameter(f"acting element {vm} is not a graph automorphism")
     if edge_orbits * 2 * o != 2 * eps + l_value:
         raise InternalInconsistency(
             f"edge orbit count {edge_orbits} disagrees with (2e+l)/2o = "
@@ -221,8 +149,8 @@ def class_stats(
             f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
         )
     return ClassStats(
-        representative=xi,
-        class_size=len(cls),
+        representative=GraphAutomorphism(vm),
+        class_size=stats.group.class_size(i),
         order=o,
         semi_regular=True,
         l_value=l_value,
@@ -253,23 +181,24 @@ def phi_formula(stats: ClassStats, surface: str, k: int, mode: str = "exact") ->
 # ---------------------------------------------------------------------------
 
 def _assert_constant_stats(
-    G: FiniteGroup, S: CayleySet, acting: Sequence[GraphAutomorphism],
-    cls: Sequence[tuple[int, ...]], rep_stats: ClassStats,
+    stats: ElementStats, cls: np.ndarray, rep_stats: ClassStats, eps: int, nu: int
 ) -> None:
-    for vm in cls:
-        st = class_stats(G, S, acting, GraphAutomorphism(vm))
-        same = (
-            st.order == rep_stats.order
-            and st.l_value == rep_stats.l_value
-            and st.branch == rep_stats.branch
-            and st.alpha_exponent == rep_stats.alpha_exponent
-            and st.edge_orbits == rep_stats.edge_orbits
+    """Every member's own statistics equal the representative's."""
+    o, l_value, eo = stats.order[cls], stats.l_value[cls], stats.edge_orbits[cls]
+    delta = (o % 2 == 0) & (l_value > 0)
+    same = (
+        (o == rep_stats.order)
+        & (l_value == rep_stats.l_value)
+        & (delta == (rep_stats.branch == DELTA))
+        & ((eps + l_value - nu) // o == rep_stats.alpha_exponent)
+        & (eo == rep_stats.edge_orbits)
+    )
+    if not same.all():
+        vm = stats.group.element(cls[np.argmin(same)])
+        raise InternalInconsistency(
+            f"class statistics not constant: {vm} differs from "
+            f"{rep_stats.representative.vertex_map}"
         )
-        if not same:
-            raise InternalInconsistency(
-                f"class statistics not constant: {vm} differs from "
-                f"{rep_stats.representative.vertex_map}"
-            )
 
 
 def census(
@@ -278,21 +207,21 @@ def census(
     H: Sequence[GraphAutomorphism] | None = None,
     surface: str = "O",
     mode: str = "exact",
-    check_class_constancy: bool = True,
 ) -> CensusResult:
     if surface not in ("O", "N", "L"):
         raise BadParameter(f"unknown surface {surface!r}")
     kind, p = parse_mode(mode)
     k = len(S.members)
-    regular = right_regular(G)
     if H is None:
         H = [GraphAutomorphism(tuple(range(G.order)))]
-    acting = product_group(regular, H)
+    check_table_size(G.order * len(H), G.order)
+    acting = product_group(right_regular(G), H)
     acting_size = len(acting)
     if acting_size != G.order * len(H):
         raise InternalInconsistency("acting group size is not |G||H|")
 
-    classes = conjugacy_classes_of([a.vertex_map for a in acting])
+    stats = acting_stats(G, S, acting)
+    classes = conjugacy_classes_of(stats.group)
     if sum(len(c) for c in classes) != acting_size:
         raise InternalInconsistency("class sizes do not sum to the group order")
 
@@ -300,12 +229,10 @@ def census(
     phis: list[int] = []
     total = 0
     for cls in classes:
-        rep = GraphAutomorphism(cls[0])
-        st = class_stats(G, S, acting, rep)
+        st = class_stats(G, S, stats, cls[0])
         if st.class_size != len(cls):
             raise InternalInconsistency("class size mismatch")
-        if check_class_constancy:
-            _assert_constant_stats(G, S, acting, cls, st)
+        _assert_constant_stats(stats, cls, st, G.order * k // 2, G.order)
         phi = phi_exact(st, surface, k)
         stats_list.append(st)
         phis.append(phi)

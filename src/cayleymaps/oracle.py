@@ -38,7 +38,7 @@ from .errors import (
     InternalInconsistency,
     NonIntegralBurnside,
 )
-from .formulas import CensusResult, ClassStats, census, class_stats, phi_exact
+from .formulas import CensusResult, ClassStats, census, phi_exact
 from .groups import FiniteGroup
 from .maps import MapInventory, MapPermutation, inventory, is_orientable, validate_map
 from .rotations import (

@@ -40,12 +40,14 @@ from .errors import (
 )
 from .formulas import (
     CountReport,
+    acting_stats,
     class_stats,
     log2_of_int,
     parse_mode,
     phi_exact,
 )
 from .groups import FiniteGroup, conjugacy_classes, element_order, subgroup_closure
+from .perm import cycle_type
 
 # A partition of n as cycle-type multiplicities: entry i-1 counts i-cycles.
 Partition = tuple[int, ...]
@@ -127,22 +129,6 @@ def power_type(part: Partition, j: int) -> Partition:
             g = gcd(i, j)
             out[i // g - 1] += k * g
     return tuple(out)
-
-
-def partition_of_permutation(vm) -> Partition:
-    counts = [0] * len(vm)
-    seen = [False] * len(vm)
-    for v in range(len(vm)):
-        if seen[v]:
-            continue
-        length = 0
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            length += 1
-            w = vm[w]
-        counts[length - 1] += 1
-    return tuple(counts)
 
 
 def representative_of_type(part: Partition) -> tuple[int, ...]:
@@ -427,10 +413,10 @@ def build_b1_b2(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     m_ = [0] * n
     m_[0], m_[1] = 3, 3 * m - 1
-    if partition_of_permutation(b1) != tuple(m_):
+    if cycle_type(b1) != tuple(m_):
         raise InternalInconsistency("b_1 does not have cycle type [1^3 2^{3m-1}]")
     m_[0], m_[1] = 5, 3 * m - 2
-    if partition_of_permutation(b2) != tuple(m_):
+    if cycle_type(b2) != tuple(m_):
         raise InternalInconsistency("b_2 does not have cycle type [1^5 2^{3m-2}]")
     return b1, b2
 
@@ -561,11 +547,12 @@ def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
     members = _three_involution_set(G, S)
     cayset = validate_cayley_set(G, members)
     acting = right_regular(G)
+    stats = acting_stats(G, cayset, acting)
     n = G.order
     rows = []
     for cls in conjugacy_classes(G):
         xi = acting[cls.representative]
-        st = class_stats(G, cayset, acting, xi)
+        st = class_stats(G, cayset, stats, int(stats.group.find([xi.vertex_map])[0]))
         assumed_l = n if st.order % 2 == 0 else 0
         assumed_alpha = (
             Fraction(3 * n, 2 * st.order) if st.order % 2 == 0 else Fraction(n, 2 * st.order)

@@ -33,8 +33,9 @@ from cayleymaps.autaction import (
     right_regular,
 )
 from cayleymaps.errors import CapExceeded
-from cayleymaps.formulas import permutation_order, phi_exact
+from cayleymaps.formulas import phi_exact
 from cayleymaps.oracle import DART, RAW, SIGMA, extend_group, fixed_count
+from cayleymaps.perm import cycle_type, order
 from cayleymaps.rotations import (
     build_dart_structure,
     build_twist_classes,
@@ -46,7 +47,6 @@ from cayleymaps.rotations import (
 from cayleymaps.special import (
     build_b1_b2,
     class_size,
-    partition_of_permutation,
     partitions,
     sym_locally_census,
 )
@@ -88,7 +88,7 @@ def test_criterion_03_per_class_orientable_fixed_counts():
         gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
         for theta in right_regular(fx.group):
             xi = extend_to_flags(theta, fx.flag_space)
-            o = permutation_order(theta.vertex_map)
+            o = order(theta.vertex_map)
             assert fixed_count(xi, gs) == factorial(k - 1) ** (fx.group.order // o)
 
 
@@ -231,7 +231,7 @@ def test_criterion_10_symmetric_group_machinery():
         assert sum(class_size(n, p) for p in partitions(n)) == factorial(n)
 
     brute = sum(
-        1 << (6 // permutation_order(vm))
+        1 << (6 // order(vm))
         for vm in itertools.permutations(range(3))
     ) // 6
     assert sym_orientable_census(3).total.exact_value == brute
@@ -247,7 +247,7 @@ def test_criterion_10_symmetric_group_machinery():
     for n in (13, 19, 25):
         m = (n - 1) // 6
         b1, b2 = build_b1_b2(n)
-        p1, p2 = partition_of_permutation(b1), partition_of_permutation(b2)
+        p1, p2 = cycle_type(b1), cycle_type(b2)
         assert (p1[0], p1[1], sum(p1)) == (3, 3 * m - 1, 3 * m + 2)
         assert (p2[0], p2[1], sum(p2)) == (5, 3 * m - 2, 3 * m + 3)
 

@@ -5,11 +5,12 @@ from math import factorial
 
 import pytest
 
-from cayleymaps import census, fixture, grr_census, named_group, validate_cayley_set
+from cayleymaps import census, fixture, formulas, grr_census, named_group, perm, validate_cayley_set
 from cayleymaps.autaction import GraphAutomorphism, compose_vertex_maps, right_regular
 from cayleymaps.groups import element_order
 from cayleymaps.errors import (
     BadParameter,
+    CapExceeded,
     NonIntegralExponent,
     NotSemiRegular,
 )
@@ -17,16 +18,15 @@ from cayleymaps.formulas import (
     DELTA,
     MODE_PRIMES,
     THETA,
+    acting_stats,
     class_stats,
-    conjugacy_classes_of,
     log2_of_int,
     make_report,
     parse_mode,
-    permutation_order,
-    permutation_power,
     phi_exact,
     phi_formula,
 )
+from cayleymaps.perm import PermGroup, conjugacy_classes_of, order, power
 
 import mpmath as mp
 
@@ -83,41 +83,41 @@ def test_permutation_order_and_power_match_brute_force():
         vm = list(range(8))
         rng.shuffle(vm)
         vm = tuple(vm)
-        assert permutation_order(vm) == _brute_order(vm)
+        assert order(vm) == _brute_order(vm)
         acc = tuple(range(8))
         for k in range(12):
-            assert permutation_power(vm, k) == acc
+            assert tuple(power(vm, k)) == acc
             acc = compose_vertex_maps(vm, acc)
-    assert permutation_order(tuple(range(6))) == 1
-    assert permutation_power((1, 0, 2), 0) == (0, 1, 2)
+    assert order(tuple(range(6))) == 1
+    assert tuple(power((1, 0, 2), 0)) == (0, 1, 2)
 
 
 def test_conjugacy_classes_of_regular_representations():
     d6 = named_group("dihedral", 12)
     maps = [a.vertex_map for a in right_regular(d6)]
-    sizes = sorted(len(c) for c in conjugacy_classes_of(maps))
+    sizes = sorted(len(c) for c in conjugacy_classes_of(PermGroup(maps)))
     assert sizes == [1, 1, 2, 2, 3, 3]
 
     s3 = named_group("symmetric", 3)
     maps = [a.vertex_map for a in right_regular(s3)]
-    sizes = sorted(len(c) for c in conjugacy_classes_of(maps))
+    sizes = sorted(len(c) for c in conjugacy_classes_of(PermGroup(maps)))
     assert sizes == [1, 2, 3]
 
 
 def test_conjugacy_classes_of_rejects_bad_pools():
     with pytest.raises(BadParameter):
-        conjugacy_classes_of([(1, 0, 2)])  # no identity
+        conjugacy_classes_of(PermGroup([(1, 0, 2)]))  # no identity
     with pytest.raises(BadParameter):
-        conjugacy_classes_of([(0, 1, 2), (1, 2, 0)])  # not closed
+        conjugacy_classes_of(PermGroup([(0, 1, 2), (1, 2, 0)]))  # not closed
 
 
 def test_class_stats_cube_table():
     fx = fixture("CUBE")
     G, S = fx.group, fx.cayset
-    acting = right_regular(G)
-    # nu = 8, eps = 12, k = 3; every class is a singleton.
+    stats = acting_stats(G, S, right_regular(G))
+    # nu = 8, eps = 12, k = 3; every class is a singleton; R(g) is row g.
     for g in range(8):
-        st = class_stats(G, S, acting, acting[g])
+        st = class_stats(G, S, stats, g)
         assert st.class_size == 1
         assert st.semi_regular
         if g == 0:
@@ -242,10 +242,19 @@ def test_census_with_non_semi_regular_h_raises():
         census(fx.group, fx.cayset, H=[identity, swap])
 
 
-def test_class_constancy_toggle_keeps_totals():
-    fx = fixture("CUBE")
-    fast = census(fx.group, fx.cayset, surface="L", check_class_constancy=False)
-    assert fast.count.exact_value == 928
+def test_census_refuses_over_the_table_cap_before_building_anything(monkeypatch):
+    fx = fixture("CUBE")  # |A| = 8 on 8 vertices: 512 composed points
+
+    def unreachable(*args):
+        raise AssertionError("the acting group was built")
+
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 511)
+    monkeypatch.setattr(formulas, "product_group", unreachable)
+    with pytest.raises(CapExceeded, match="512 composed points"):
+        census(fx.group, fx.cayset)
+    monkeypatch.undo()
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 512)
+    assert census(fx.group, fx.cayset).count.exact_value == 46
 
 
 def test_phi_formula_wraps_report():

@@ -1,0 +1,266 @@
+"""The array permutation kernel against plain per-element recomputation."""
+
+import random
+from math import factorial, lcm
+
+import numpy as np
+import pytest
+
+from cayleymaps import census, fixture, named_group, validate_cayley_set
+from cayleymaps.autaction import GraphAutomorphism
+from cayleymaps.errors import (
+    BadParameter,
+    CayleymapsError,
+    InternalInconsistency,
+    NonIntegralExponent,
+    NonIntegralSum,
+    NotSemiRegular,
+)
+from cayleymaps.groups import direct_product, element_order
+from cayleymaps.perm import PermGroup, cycle_labels, cycle_lengths, element_stats
+
+
+# ---------------------------------------------------------------------------
+# Reference: tuples, cycle walks and brute-force conjugation
+# ---------------------------------------------------------------------------
+
+def _after(a, b):
+    return tuple(a[v] for v in b)
+
+
+def _inverse(a):
+    out = [0] * len(a)
+    for v, w in enumerate(a):
+        out[w] = v
+    return tuple(out)
+
+
+def _cycles(p):
+    seen, cycles = set(), []
+    for v in range(len(p)):
+        if v not in seen:
+            cycle = [v]
+            seen.add(v)
+            while p[cycle[-1]] not in seen:
+                cycle.append(p[cycle[-1]])
+                seen.add(cycle[-1])
+            cycles.append(cycle)
+    return cycles
+
+
+def _element_row(G, S, x):
+    """(semi-regular, order, l, edge orbits) of one vertex map, by walking."""
+    n = G.order
+    lengths = {len(c) for c in _cycles(x)}
+    o = lcm(*lengths)
+    neighbors = [{G.table[s][t] for s in S.members} for t in range(n)]
+    l_value = 0
+    if o % 2 == 0:
+        half = tuple(range(n))
+        for _ in range(o // 2):
+            half = _after(x, half)
+        l_value = sum(half[t] in neighbors[t] for t in range(n))
+    edges = sorted({tuple(sorted((t, u))) for t in range(n) for u in neighbors[t]})
+    index = {e: i for i, e in enumerate(edges)}
+    eperm = [index[tuple(sorted((x[u], x[v])))] for u, v in edges]
+    return len(lengths) == 1, o, l_value, len(_cycles(eperm))
+
+
+def reference_census(G, S, H, surface):
+    """(class rows, total) of the census, recomputed element by element."""
+    n, k = G.order, len(S.members)
+    eps = n * k // 2
+    regular = [tuple(G.table[t][h] for t in range(n)) for h in range(n)]
+    pool = {_after(r, h.vertex_map) for r in regular for h in H}
+    if len(pool) != n * len(H):
+        raise InternalInconsistency("regular part and complement overlap")
+    if tuple(range(n)) not in pool:
+        raise BadParameter("acting set lacks the identity")
+    if any(_after(a, b) not in pool for a in pool for b in pool):
+        raise BadParameter("acting set is not closed under composition")
+
+    rows, total, done = [], 0, set()
+    for x in sorted(pool):
+        if x in done:
+            continue
+        cls = {_after(a, _after(x, _inverse(a))) for a in pool}
+        done |= cls
+        semi, o, l_value, edge_orbits = _element_row(G, S, x)
+        if not semi:
+            raise NotSemiRegular(f"representative {x} has unequal orbit lengths")
+        branch = "Delta" if o % 2 == 0 and l_value > 0 else "Theta"
+        if branch == "Delta" and l_value % (o // 2):
+            raise InternalInconsistency(
+                f"inverted count {l_value} not divisible by half order {o // 2}")
+        if edge_orbits * 2 * o != 2 * eps + l_value:
+            raise InternalInconsistency(
+                f"edge orbit count {edge_orbits} disagrees with (2e+l)/2o = "
+                f"({2 * eps}+{l_value})/{2 * o}")
+        num = eps + l_value - n
+        if num < 0 or num % o:
+            raise NonIntegralExponent(
+                f"alpha = ({eps}+{l_value}-{n})/{o} is not a non-negative integer"
+            )
+        rows.append((x, len(cls), o, l_value, branch, edge_orbits, num // o))
+    for x in pool:  # the class sum, taken over elements instead of classes
+        _, o, l_value, _ = _element_row(G, S, x)
+        alpha = (eps + l_value - n) // o
+        base = factorial(k - 1) ** (n // o)
+        total += base * {"O": 1, "L": 2**alpha, "N": 2**alpha - 1}[surface]
+    if total % len(pool):
+        raise NonIntegralSum(f"class sum {total} not divisible by |G||H| = {len(pool)}")
+    return rows, total // len(pool)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except CayleymapsError as e:
+        return type(e).__name__, str(e)
+
+
+def kernel_census(G, S, H, surface):
+    res = census(G, S, H, surface)
+    rows = [
+        (st.representative.vertex_map, st.class_size, st.order, st.l_value,
+         st.branch, st.edge_orbits, st.alpha_exponent)
+        for st in res.classes
+    ]
+    return rows, res.count.exact_value
+
+
+# ---------------------------------------------------------------------------
+# Seeded instances
+# ---------------------------------------------------------------------------
+
+def _random_group(rng):
+    family = rng.choice(("cyclic", "dihedral", "product"))
+    if family == "cyclic":
+        return named_group("cyclic", rng.randint(3, 24))
+    if family == "dihedral":
+        return named_group("dihedral", 2 * rng.randint(3, 12))
+    a = rng.choice((named_group("cyclic", 2), named_group("cyclic", 3), named_group("dihedral", 6)))
+    return direct_product(a, named_group("cyclic", rng.randint(2, 24 // a.order)))
+
+
+def _random_cayset(rng, G):
+    members = set()
+    while True:
+        g = rng.randrange(1, G.order)
+        members |= {g, G.inverses[g]}
+        try:
+            return validate_cayley_set(G, tuple(sorted(members)))
+        except CayleymapsError:
+            if len(members) > 6:
+                members.clear()
+
+
+def _semi_regular_complement(rng, G, S):
+    """A nontrivial H of semi-regular graph automorphisms outside R(G):
+    left multiplication by a non-central g normalizing S, or for abelian G
+    t -> t^-1 a with a not a square (a fixed-point-free involution).
+
+    R(G)H is transitive and larger than |G|, so some element other than the
+    identity fixes a vertex: the census refuses with NotSemiRegular, and
+    both sides must name the same class."""
+    n, members = G.order, set(S.members)
+    left = [
+        g for g in range(n)
+        if any(G.table[g][t] != G.table[t][g] for t in range(n))
+        and {G.table[G.table[g][s]][G.inverses[g]] for s in members} == members
+    ]
+    if left:
+        g = rng.choice(left)
+        powers, p = [0], g
+        while p:
+            powers.append(p)
+            p = G.table[p][g]
+        return [GraphAutomorphism(tuple(G.table[h][t] for t in range(n))) for h in powers]
+    if all(G.table[t][s] == G.table[s][t] for t in range(n) for s in range(n)):
+        squares = {G.table[t][t] for t in range(n)}
+        non_squares = [a for a in range(n) if a not in squares]
+        if non_squares:
+            a = rng.choice(non_squares)
+            flip = tuple(G.table[G.inverses[t]][a] for t in range(n))
+            return [GraphAutomorphism(tuple(range(n))), GraphAutomorphism(flip)]
+    return None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_census_matches_element_by_element_recomputation(seed):
+    rng = random.Random(seed)
+    G = _random_group(rng)
+    S = _random_cayset(rng, G)
+    complement = _semi_regular_complement(rng, G, S)
+    for H in ([GraphAutomorphism(tuple(range(G.order)))], complement):
+        if H is None:
+            continue
+        for surface in "ONL":
+            expected = outcome(lambda: reference_census(G, S, H, surface))
+            assert outcome(lambda: kernel_census(G, S, H, surface)) == expected
+
+
+def test_refusals_keep_their_type_and_message():
+    fx = fixture("CUBE")
+    identity = GraphAutomorphism(tuple(range(8)))
+    swap = GraphAutomorphism(tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8)))
+    assert outcome(lambda: census(fx.group, fx.cayset, H=[identity, swap])) == (
+        "NotSemiRegular", "representative (0, 2, 1, 3, 4, 6, 5, 7) has unequal orbit lengths")
+
+    z5 = named_group("cyclic", 5)
+    doubling = GraphAutomorphism(tuple(2 * t % 5 for t in range(5)))
+    H = [GraphAutomorphism(tuple(range(5))), doubling]
+    assert outcome(lambda: census(z5, validate_cayley_set(z5, (1, 4)), H=H)) == (
+        "BadParameter", "acting set is not closed under composition")
+
+    s3 = named_group("symmetric", 3)
+    S = validate_cayley_set(s3, tuple(g for g in range(6) if element_order(s3, g) == 2))
+    for surface in "ONL":
+        assert outcome(lambda: census(s3, S, surface=surface)) == (
+            "NonIntegralExponent", "alpha = (9+6-6)/2 is not a non-negative integer")
+
+
+# ---------------------------------------------------------------------------
+# Kernel pieces
+# ---------------------------------------------------------------------------
+
+def test_cycle_labels_and_lengths_match_walks():
+    rng = random.Random(3)
+    perms = []
+    for n in (1, 2, 7, 16, 33):
+        for _ in range(5):
+            p = list(range(n))
+            rng.shuffle(p)
+            perms.append(tuple(p))
+    for p in perms:
+        labels, lengths = cycle_labels(p), cycle_lengths(p)
+        for cycle in _cycles(p):
+            assert all(labels[v] == min(cycle) and lengths[v] == len(cycle) for v in cycle)
+
+
+def test_find_is_exact():
+    d6 = named_group("dihedral", 12)
+    maps = sorted(tuple(d6.table[t][h] for t in range(12)) for h in range(12))
+    group = PermGroup(maps)
+    assert list(group.find(maps)) == list(range(12))
+    strangers = [tuple(reversed(m)) for m in maps] + [(1, 0) + tuple(range(2, 12))]
+    assert all(i == -1 for i in group.find([s for s in strangers if s not in maps]))
+    for a in range(12):
+        for b in range(12):
+            assert maps[group.table[a, b]] == _after(maps[a], maps[b])
+        assert maps[group.inverse[a]] == _inverse(maps[a])
+
+
+def test_elements_that_break_edges_are_flagged():
+    # the rotations of Z_4 on the graph with edges 02, 13, 01: only the
+    # identity maps edges to edges; the half-order power t -> t+2 of every
+    # other rotation moves each vertex to a neighbor
+    rotations = [tuple((t + h) % 4 for t in range(4)) for h in range(4)]
+    graph = np.zeros((4, 4), dtype=bool)
+    for u, v in ((0, 2), (1, 3), (0, 1)):
+        graph[u, v] = graph[v, u] = True
+    stats = element_stats(PermGroup(rotations), graph)
+    assert list(stats.edge_orbits) == [3, -1, -1, -1]
+    assert list(stats.order) == [1, 4, 2, 4]
+    assert list(stats.l_value) == [0, 4, 4, 4]
+    assert list(stats.semi_regular) == [True] * 4

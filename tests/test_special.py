@@ -15,7 +15,7 @@ from cayleymaps.errors import (
     NonIntegralExponent,
     NotInvolutions,
 )
-from cayleymaps.formulas import permutation_order, permutation_power
+from cayleymaps.perm import cycle_type, order, power
 from cayleymaps.special import (
     build_b1_b2,
     centralizer_order,
@@ -23,7 +23,6 @@ from cayleymaps.special import (
     double_factorial,
     elementary_abelian_census,
     lcm_of_partition,
-    partition_of_permutation,
     partitions,
     power_type,
     representative_of_type,
@@ -58,10 +57,10 @@ def test_power_type_matches_actual_powers():
     for n in range(1, 8):
         for part in partitions(n):
             rep = representative_of_type(part)
-            assert partition_of_permutation(rep) == part
-            assert permutation_order(rep) == lcm_of_partition(part)
+            assert cycle_type(rep) == part
+            assert order(rep) == lcm_of_partition(part)
             for j in (1, 2, 3, 4):
-                assert partition_of_permutation(permutation_power(rep, j)) == \
+                assert cycle_type(power(rep, j)) == \
                     power_type(part, j)
 
 
@@ -83,9 +82,9 @@ def test_b1_b2_constructions():
         b1, b2 = build_b1_b2(n)
         for vm in (b1, b2):
             assert all(vm[vm[i]] == i for i in range(n))
-        p1 = partition_of_permutation(b1)
+        p1 = cycle_type(b1)
         assert (p1[0], p1[1]) == (3, 3 * m - 1)
-        p2 = partition_of_permutation(b2)
+        p2 = cycle_type(b2)
         assert (p2[0], p2[1]) == (5, 3 * m - 2)
         # b2 is b1 with one transposition dropped
         diff = [i for i in range(n) if b1[i] != b2[i]]
@@ -97,7 +96,7 @@ def test_b1_b2_constructions():
 def test_sym_orientable_small_values():
     res = sym_orientable_census(3)
     brute = sum(
-        1 << (6 // permutation_order(vm))
+        1 << (6 // order(vm))
         for vm in itertools.permutations(range(3))
     )
     assert brute % 6 == 0
