@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every subcommand assembles its whole report as a list of lines and prints
-it once, so identical inputs give byte-identical output no matter how many
-workers ran underneath.  ``--kv`` switches the same data to line-oriented
-``key=value`` form for scripting.  Failures print their message and end
-with ``error-token: <Token>``; exit codes are 0 (ok), 1 (validation),
-2 (cap exceeded), 3 (internal invariant broke), 64 (usage).
+it once, so identical inputs give byte-identical output.  ``--kv`` switches
+the same data to line-oriented ``key=value`` form for scripting.  Failures
+print their message and end with ``error-token: <Token>``; exit codes are
+0 (ok), 1 (validation), 2 (cap exceeded), 3 (internal invariant broke),
+64 (usage).
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ def cmd_census_formula(args) -> list[str]:
 def cmd_census_oracle(args) -> list[str]:
     G, S = _load_pair(args.source)
     F = build_flag_space(G, S)
-    gs = enumerate_embeddings(F, args.semantics, args.surface, args.cap, args.workers)
+    gs = enumerate_embeddings(F, args.semantics, args.surface, args.cap)
     acting = extend_group(acting_group(G, S, args.acting), F)
-    oc = burnside_count(acting, gs, args.workers)
+    oc = burnside_count(acting, gs)
     R = Report(args.kv)
     R.field("surface", args.surface)
     R.field("semantics", args.semantics)
@@ -271,7 +271,7 @@ def cmd_verify(args) -> list[str]:
     H = None
     if args.h_file is not None:
         H = load_automorphisms(args.h_file, vertex_count=G.order)
-    rep = compare_with_formula(G, S, H, args.surface, args.semantics, args.cap, args.workers)
+    rep = compare_with_formula(G, S, H, args.surface, args.semantics, args.cap)
     R = Report(args.kv)
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
@@ -297,9 +297,9 @@ def cmd_verify(args) -> list[str]:
 
 def cmd_sym_grr(args) -> list[str]:
     if args.surface == "O":
-        res = sym_orientable_census(args.n, args.mode, args.workers)
+        res = sym_orientable_census(args.n, args.mode)
     else:
-        res = sym_locally_census(args.n, args.mode, args.workers)
+        res = sym_locally_census(args.n, args.mode)
     R = Report(args.kv)
     R.field("n", res.n)
     R.field("surface", res.surface)
@@ -479,7 +479,6 @@ def build_parser() -> _Parser:
     po.add_argument("--semantics", choices=("raw", "sigma", "dart"), default=SIGMA)
     po.add_argument("--acting", choices=("rg", "rgxh", "full"), default="rgxh")
     po.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    po.add_argument("--workers", type=int, default=None)
     po.add_argument("--dump", metavar="DIR")
     po.set_defaults(func=cmd_census_oracle)
 
@@ -489,14 +488,12 @@ def build_parser() -> _Parser:
     p.add_argument("--surface", choices=("O", "N", "L"), default="O")
     p.add_argument("--semantics", choices=("raw", "sigma", "dart"), default=SIGMA)
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sym-grr", parents=[common], help="symmetric-group cubic censuses")
     p.add_argument("n", type=int)
     p.add_argument("--surface", choices=("O", "L"), default="L")
     p.add_argument("--mode", default="exact")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sym_grr)
 
     p = subs.add_parser(

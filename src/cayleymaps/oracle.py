@@ -8,23 +8,43 @@ Ground sets are keyed, not stored as raw permutations:
   DART   rotation system alone (single-dart side exchanges reach every
          twist pattern, so only the cyclic orders survive).
 
-Every key realizes to a representative map; automorphisms act by
-transporting keys, which agrees with conjugating representatives and
-re-canonicalizing but is far cheaper.
+Key codes.  A key is stored as one integer: a mixed-radix number over the
+vertices (vertex 0 most significant) whose digit is the vertex's local
+choice -- a canonical rotation, and for RAW also the signs of its darts
+with the first dart anchored to plus -- times the number of twist classes
+plus the class position for SIGMA.  Codes ascend in the order
+``itertools.product`` lists the keys, so the key order, each orbit's least
+member and the output are those of plain enumeration.  Every code is
+realized as a flag row (a gather from a table of local flag images),
+validated (permutation, axioms i-iii) and given its surface, in chunks of
+int16 rows; RAW keeps the codes on the requested surface, a sorted array
+searched to find a transported key.
+
+Compiled action.  An automorphism acts on a vertex's local choices, so it
+compiles once into a ``(V, choices)`` table of weighted image digits
+(transporting each local choice, not each key) and, for SIGMA, a table of
+twist-class images built from the images of the free twist bits.  The
+image of a whole chunk of codes is then a few gathers and one sum, and a
+fixed count is one array comparison.
+
+Min-image orbits.  The acting set is checked to be a group, so the least
+image of a key over the group is the least member of its orbit: a running
+minimum over the elements labels every orbit, with no union-find and no
+array of all images.  Keys and representatives are decoded on demand.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .autaction import (
     ExtendedAutomorphism,
     GraphAutomorphism,
-    compose_vertex_maps,
     decompose,
     extend_to_flags,
     graph_automorphism_group,
@@ -40,7 +60,16 @@ from .errors import (
 )
 from .formulas import CensusResult, ClassStats, census, phi_exact
 from .groups import FiniteGroup
-from .maps import MapInventory, MapPermutation, inventory, is_orientable, validate_map
+from .maps import (
+    MapInventory,
+    MapPermutation,
+    axiom_failures,
+    inventories,
+    inventory,
+    surface_rows,
+    validate_map,
+)
+from .perm import PermGroup, row_dtype
 from .rotations import (
     DartStructure,
     TwistClasses,
@@ -48,9 +77,7 @@ from .rotations import (
     build_twist_classes,
     dart_map_of_flag_map,
     edge_map_of_dart_map,
-    realize,
     realize_signed,
-    rotation_system_count,
     transport_rotation_system,
     transport_twists,
     vertex_rotations,
@@ -63,26 +90,260 @@ SEMANTICS = (RAW, SIGMA, DART)
 
 DEFAULT_ORACLE_CAP = 1 << 22
 
+# Keys realized and checked at once as (ROW_CHUNK, flags) rows, and keys
+# whose images are taken at once.
+ROW_CHUNK = 1 << 9
+IMAGE_CHUNK = 1 << 14
+
+
+# ---------------------------------------------------------------------------
+# Key codes
+# ---------------------------------------------------------------------------
+
+class KeySpace:
+    """The key codes of one semantics and surface on a Cayley flag space."""
+
+    def __init__(self, D: DartStructure, T: TwistClasses, semantics: str, surface: str):
+        self.D, self.T, self.semantics = D, T, semantics
+        k, V = D.degree, D.vertex_count
+        self.flag_count = D.flag_space.flag_count
+        rotations = [tuple(rot) for rot in vertex_rotations(D, 0)]
+        self.patterns = rotations  # at vertex v, add v*k to every dart
+        self.pattern_index = {rot: r for r, rot in enumerate(rotations)}
+
+        # Flag images of vertex 0's 2k flags for every rotation and sign
+        # pattern (bit i is the sign of dart i); realize_signed only reads
+        # the darts of the cycles it is given.  Vertex v's block is the same
+        # plus 2*k*v.
+        dtype = row_dtype(self.flag_count)
+        self.local = np.array([
+            [realize_signed(D, (rot,), [(s >> i) & 1 for i in range(k)]).P[:2 * k]
+             for s in range(1 << k)]
+            for rot in rotations
+        ], dtype=dtype)
+        self.block_offset = (2 * k * np.arange(V, dtype=dtype))[:, None]
+
+        # The untwisted sign pattern at each vertex: the upper end dart of
+        # every edge is minus.  A twisted free edge turns its upper end plus.
+        upper = [d2 for _d1, d2 in D.edge_ends]
+        self.base_signs = np.zeros(V, dtype=np.int64)
+        for d in upper:
+            self.base_signs[d // k] |= 1 << (d % k)
+        pivots = set(T.pivots)
+        self.free = [e for e in range(D.edge_count) if e not in pivots]
+        self.twist_flips = np.zeros((len(self.free), V), dtype=np.int64)
+        for j, e in enumerate(self.free):
+            d = upper[e]
+            self.twist_flips[j, d // k] = 1 << (d % k)
+
+        if semantics == RAW:
+            anchored = 1 << (k - 1)
+            c = np.arange(len(rotations) * anchored)
+            self.raw_rotation = c // anchored
+            # product order over darts 1..k-1: dart 1's bit is the highest
+            bits = c % anchored
+            self.raw_signs = sum(((bits >> (k - 1 - i)) & 1) << i for i in range(1, k))
+            self.choices = len(c)
+            self.raw_index = {
+                self.local[r, s].tobytes(): i
+                for i, (r, s) in enumerate(zip(self.raw_rotation, self.raw_signs))
+            }
+        else:
+            self.choices = len(rotations)
+        if semantics != SIGMA or surface == "O":
+            self.twists, self.twist_offset = 1, 0
+        elif surface == "N":
+            self.twists, self.twist_offset = T.class_count - 1, 1
+        else:
+            self.twists, self.twist_offset = T.class_count, 0
+        self.size = 0 if semantics == DART and surface == "N" else self.choices ** V * self.twists
+        self.weights = np.array([self.choices ** (V - 1 - v) for v in range(V)], dtype=np.int64)
+
+    def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex digits ``(m, V)`` and twist positions of codes."""
+        rot, twist = np.divmod(codes, self.twists)
+        return (rot[:, None] // self.weights) % self.choices, twist
+
+    def signs(self, digits: np.ndarray, twist: np.ndarray) -> np.ndarray:
+        """Sign pattern at every vertex of every key, ``(m, V)``."""
+        if self.semantics == RAW:
+            return self.raw_signs[digits]
+        nf = len(self.free)
+        bits = ((twist + self.twist_offset)[:, None] >> np.arange(nf - 1, -1, -1)) & 1
+        return self.base_signs ^ (bits @ self.twist_flips)
+
+    def realize(self, codes: np.ndarray) -> np.ndarray:
+        """The flag permutation of every code, as ``(m, flags)`` rows."""
+        digits, twist = self.split(codes)
+        rot = self.raw_rotation[digits] if self.semantics == RAW else digits
+        blocks = self.local[rot, self.signs(digits, twist)] + self.block_offset
+        return blocks.reshape(len(codes), self.flag_count)
+
+    def twist_mask(self, cls: int) -> int:
+        """The reduced twist mask of class ``cls``, whose bits are the free
+        edges in ascending order, the first one highest."""
+        nf = len(self.free)
+        return sum(1 << e for j, e in enumerate(self.free) if (cls >> (nf - 1 - j)) & 1)
+
+    def key(self, code: int) -> Hashable:
+        """The key of a code: the flag permutation (RAW), the rotation
+        system and twist mask (SIGMA), or the rotation system (DART)."""
+        codes = np.array([code], dtype=np.int64)
+        if self.semantics == RAW:
+            return tuple(self.realize(codes)[0].tolist())
+        digits, twist = self.split(codes)
+        k = self.D.degree
+        rho = tuple(
+            tuple(v * k + d for d in self.patterns[r])
+            for v, r in enumerate(digits[0].tolist())
+        )
+        if self.semantics == DART:
+            return rho
+        return rho, self.twist_mask(int(twist[0]) + self.twist_offset)
+
+    def compile(self, flag_map: Sequence[int]) -> "CompiledAction":
+        """The action of a sign-preserving flag bijection on codes."""
+        D, k, V = self.D, self.D.degree, self.D.vertex_count
+        dart_map = dart_map_of_flag_map(D, flag_map)
+        target = [dart_map[v * k] // k for v in range(V)]
+        image = np.empty((V, self.choices), dtype=np.int64)
+        if self.semantics == RAW:
+            fm = np.asarray(flag_map)
+            blocks = self.local[self.raw_rotation, self.raw_signs]
+            for v, w in enumerate(target):
+                # conjugate every local choice: image[fm[f]] = fm[P[f]]
+                conj = np.empty_like(blocks)
+                conj[:, fm[2 * k * v + np.arange(2 * k)] - 2 * k * w] = (
+                    fm[blocks + 2 * k * v] - 2 * k * w
+                )
+                for c, block in enumerate(conj):
+                    found = self.raw_index.get(block.tobytes())
+                    if found is None:
+                        raise InternalInconsistency("transported local choice is not a choice")
+                    image[v, c] = found
+        else:
+            for r, rot in enumerate(self.patterns):
+                rho = tuple(tuple(v * k + d for d in rot) for v in range(V))
+                moved = transport_rotation_system(D, dart_map, rho)
+                for v, w in enumerate(target):
+                    image[v, r] = self.pattern_index[tuple(d - w * k for d in moved[w])]
+        digit_values = image * self.weights[target][:, None]
+
+        twist_image = np.zeros(1, dtype=np.int64)
+        if self.twists > 1:
+            # twist transport and reduction are GF(2)-linear, so a class's
+            # image is the xor of the images of its free bits
+            edge_map = edge_map_of_dart_map(D, dart_map)
+            nf = len(self.free)
+            for e in self.free:
+                mask = self.T.reduce(transport_twists(D, edge_map, 1 << e))
+                cls = sum(1 << (nf - 1 - j) for j, f in enumerate(self.free) if (mask >> f) & 1)
+                twist_image = (twist_image[:, None] ^ np.array([0, cls])).ravel()
+            if np.bincount(twist_image, minlength=len(twist_image)).min() != 1:
+                raise InternalInconsistency("twist-class transport is not a bijection")
+            twist_image = twist_image[self.twist_offset:] - self.twist_offset
+        return CompiledAction(digit_values, twist_image, self.twists)
+
 
 @dataclass(frozen=True)
+class CompiledAction:
+    """``digit_values[v, c]``: the code weight, at its image vertex, of the
+    image of choice ``c`` at vertex ``v``; ``twist_image``: the image of
+    every twist position."""
+
+    digit_values: np.ndarray
+    twist_image: np.ndarray
+    twists: int
+
+    def image(self, digits: np.ndarray, twist: np.ndarray) -> np.ndarray:
+        rot = self.digit_values[np.arange(len(self.digit_values)), digits].sum(axis=1)
+        return rot * self.twists + self.twist_image[twist]
+
+
+class _Decoded(SequenceABC):
+    """A read-only sequence whose items are decoded on access, a chunk of
+    positions at a time when iterated; nothing decoded is kept."""
+
+    def __init__(self, size: int, decode: Callable[[np.ndarray], list]):
+        self._size, self._decode = size, decode
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        picked = range(self._size)[i]
+        if isinstance(picked, range):
+            return tuple(self._decode(np.arange(picked.start, picked.stop, picked.step)))
+        return self._decode(np.array([picked]))[0]
+
+    def __iter__(self):
+        for lo in range(0, self._size, ROW_CHUNK):
+            yield from self._decode(np.arange(lo, min(lo + ROW_CHUNK, self._size)))
+
+
+@dataclass(frozen=True, eq=False)
 class GroundSet:
+    """The keys of one semantics and surface, as ascending codes, with the
+    Euler characteristic and orientability of each realized key."""
+
     flag_space: FlagSpace
     semantics: str
     surface: str
-    keys: tuple[Hashable, ...]
-    representatives: tuple[MapPermutation, ...]
     dart_structure: DartStructure
     twist_classes: TwistClasses
+    space: KeySpace
+    codes: np.ndarray
+    euler_characteristic: np.ndarray
+    orientable: np.ndarray
+
+    @property
+    def keys(self) -> Sequence[Hashable]:
+        return _Decoded(len(self.codes), lambda pos: [self.space.key(c) for c in self.codes[pos].tolist()])
+
+    @property
+    def representatives(self) -> Sequence[MapPermutation]:
+        return _Decoded(len(self.codes), lambda pos: self.representatives_of(self.codes[pos]))
+
+    def representatives_of(self, codes: np.ndarray) -> list[MapPermutation]:
+        """The maps of some codes, each built by ``validate_map``."""
+        return [validate_map(self.flag_space, row) for row in self.space.realize(codes).tolist()]
+
+    def index_of(self, codes: np.ndarray) -> np.ndarray:
+        """Position of each code in the ground set."""
+        if len(self.codes) and self.codes[-1] == len(self.codes) - 1:
+            return codes  # every code is present
+        pos = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        if (self.codes[pos] != codes).any():
+            raise InternalInconsistency("a transported key is missing from the ground set")
+        return pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitCensus:
+    """Burnside's count with its explicit orbits.  Representatives (each
+    orbit's least key) and their inventories are decoded on access."""
+
     acting_size: int
     fixed_counts: tuple[int, ...]
     orbit_count: int
-    orbit_representatives: tuple[MapPermutation, ...]
-    orbit_inventories: tuple[MapInventory, ...]
     orbit_sizes: tuple[int, ...]
+    ground_set: GroundSet
+    leads: np.ndarray
+
+    @property
+    def orbit_representatives(self) -> Sequence[MapPermutation]:
+        gs = self.ground_set
+        return _Decoded(len(self.leads), lambda pos: gs.representatives_of(gs.codes[self.leads[pos]]))
+
+    @property
+    def orbit_inventories(self) -> Sequence[MapInventory]:
+        gs = self.ground_set
+
+        def decode(pos):
+            maps = gs.representatives_of(gs.codes[self.leads[pos]])
+            return inventories(gs.flag_space, [M.P for M in maps])
+
+        return _Decoded(len(self.leads), decode)
 
 
 # ---------------------------------------------------------------------------
@@ -106,44 +367,18 @@ def ground_set_bound(F: FlagSpace, semantics: str) -> int:
     raise BadParameter(f"unknown semantics {semantics!r}")
 
 
-def _raw_vertex_choices(D: DartStructure, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(rotation, per-dart signs) with the first dart anchored to plus; the
-    anchor kills the reversal double count, so choices biject with the local
-    flag permutations."""
-    darts = list(D.darts_at(v))
-    out = []
-    for rot in vertex_rotations(D, v):
-        for bits in itertools.product((0, 1), repeat=len(darts) - 1):
-            signs = dict(zip(darts[1:], bits))
-            signs[darts[0]] = 0
-            out.append((rot, tuple(signs[d] for d in darts)))
-    return out
-
-
-def _enumerate_keys(D: DartStructure, T: TwistClasses, semantics: str, surface: str):
-    if semantics == RAW:
-        per_vertex = [_raw_vertex_choices(D, v) for v in range(D.vertex_count)]
-        for combo in itertools.product(*per_vertex):
-            rho = tuple(c[0] for c in combo)
-            signs = tuple(s for c in combo for s in c[1])
-            yield rho, signs
-    elif semantics == SIGMA:
-        per_vertex = [tuple(vertex_rotations(D, v)) for v in range(D.vertex_count)]
-        if surface == "O":
-            twist_reps: tuple[int, ...] = (0,)
-        elif surface == "N":
-            twist_reps = tuple(t for t in T.representatives() if t)
-        else:
-            twist_reps = tuple(T.representatives())
-        for rho in itertools.product(*per_vertex):
-            for t in twist_reps:
-                yield rho, t
-    else:  # DART
-        per_vertex = [tuple(vertex_rotations(D, v)) for v in range(D.vertex_count)]
-        if surface == "N":
-            return
-        for rho in itertools.product(*per_vertex):
-            yield rho
+def _checked_surfaces(F: FlagSpace, rows: np.ndarray):
+    """Validates every row as a map and returns its ``surface_rows``; a
+    failing row is handed to the one-row check, which names the fault."""
+    fail = axiom_failures(F, rows)
+    if fail.any():
+        validate_map(F, rows[np.flatnonzero(fail)[0]].tolist())
+    surfaces = surface_rows(F, rows)
+    if not surfaces.consistent.all():
+        row = rows[np.flatnonzero(~surfaces.consistent)[0]]
+        inventory(MapPermutation(flag_space=F, P=tuple(row.tolist())))
+        raise InternalInconsistency("map inventory invariants violated")
+    return surfaces
 
 
 def enumerate_embeddings(
@@ -151,7 +386,6 @@ def enumerate_embeddings(
     semantics: str = SIGMA,
     surface: str = "L",
     cap: int = DEFAULT_ORACLE_CAP,
-    workers: int | None = None,
 ) -> GroundSet:
     """All embedding classes under the semantics, realized and validated.
 
@@ -166,146 +400,87 @@ def enumerate_embeddings(
         raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
     D = build_dart_structure(F)
     T = build_twist_classes(D)
+    space = KeySpace(D, T, semantics, surface)
 
-    keys: list[Hashable] = []
-    reps: list[MapPermutation] = []
-    items = _enumerate_keys(D, T, semantics, surface)
-    if workers and workers > 1:
-        chunks = _parallel_realize(D, T, semantics, surface, list(items), workers)
-        for key, P in chunks:
-            keys.append(key)
-            reps.append(MapPermutation(flag_space=F, P=P))
-    else:
-        for item in items:
-            key, M = _realize_item(D, T, semantics, surface, item)
-            if M is None:
-                continue
-            keys.append(key)
-            reps.append(M)
-    for M in reps:
-        validate_map(F, M.P)
-    _check_surface(reps, surface)
+    codes, chi, orientable = [], [], []
+    want = surface == "O"
+    for lo in range(0, space.size, ROW_CHUNK):
+        chunk = np.arange(lo, min(lo + ROW_CHUNK, space.size), dtype=np.int64)
+        surfaces = _checked_surfaces(F, space.realize(chunk))
+        keep = slice(None)
+        if surface != "L":
+            on_surface = surfaces.orientable == want
+            if semantics == RAW:
+                keep = on_surface
+            elif not on_surface.all():
+                raise InternalInconsistency("surface filter violated by a representative")
+        codes.append(chunk[keep])
+        chi.append(surfaces.euler_characteristic[keep].astype(np.int32))
+        orientable.append(surfaces.orientable[keep])
     return GroundSet(
         flag_space=F,
         semantics=semantics,
         surface=surface,
-        keys=tuple(keys),
-        representatives=tuple(reps),
         dart_structure=D,
         twist_classes=T,
+        space=space,
+        codes=np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64),
+        euler_characteristic=np.concatenate(chi) if chi else np.zeros(0, dtype=np.int32),
+        orientable=np.concatenate(orientable) if orientable else np.zeros(0, dtype=bool),
     )
-
-
-def _realize_item(D, T, semantics, surface, item):
-    if semantics == RAW:
-        rho, signs = item
-        M = realize_signed(D, rho, signs)
-        if surface != "L" and is_orientable(M) != (surface == "O"):
-            return None, None
-        return M.P, M
-    if semantics == SIGMA:
-        rho, t = item
-        return (rho, t), realize(D, rho, t)
-    return item, realize(D, item, 0)
-
-
-def _worker_realize(args):
-    D, T, semantics, surface, chunk = args
-    out = []
-    for item in chunk:
-        key, M = _realize_item(D, T, semantics, surface, item)
-        if M is not None:
-            out.append((key, M.P))
-    return out
-
-
-def _parallel_realize(D, T, semantics, surface, items, workers):
-    size = max(1, (len(items) + workers - 1) // workers)
-    chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_worker_realize, [(D, T, semantics, surface, c) for c in chunks])
-    return [pair for part in parts for pair in part]
-
-
-def _check_surface(reps: Sequence[MapPermutation], surface: str) -> None:
-    if surface == "L":
-        return
-    want = surface == "O"
-    for M in reps:
-        if is_orientable(M) != want:
-            raise InternalInconsistency("surface filter violated by a representative")
 
 
 # ---------------------------------------------------------------------------
 # Group action on keys
 # ---------------------------------------------------------------------------
 
-def _key_transport(gs: GroundSet, xi: ExtendedAutomorphism):
-    """Key-level action of an extended automorphism; returns a callable."""
-    D, T = gs.dart_structure, gs.twist_classes
-    dart_map = dart_map_of_flag_map(D, xi.flag_map)
-    if gs.semantics == RAW:
-        fm = xi.flag_map
-        n = len(fm)
-
-        def act_raw(key):
-            out = [0] * n
-            for f in range(n):
-                out[fm[f]] = fm[key[f]]
-            return tuple(out)
-
-        return act_raw
-    edge_map = edge_map_of_dart_map(D, dart_map)
-    if gs.semantics == SIGMA:
-        def act_sigma(key):
-            rho, t = key
-            return (
-                transport_rotation_system(D, dart_map, rho),
-                T.reduce(transport_twists(D, edge_map, t)),
-            )
-
-        return act_sigma
-
-    def act_dart(key):
-        return transport_rotation_system(D, dart_map, key)
-
-    return act_dart
+def _image_sweep(gs: GroundSet, actions: Sequence[CompiledAction]):
+    """For each chunk of keys: their positions and an iterator over the
+    positions of their images under each action, in turn."""
+    for lo in range(0, len(gs.codes), IMAGE_CHUNK):
+        codes = gs.codes[lo:lo + IMAGE_CHUNK]
+        digits, twist = gs.space.split(codes)
+        index = np.arange(lo, lo + len(codes))
+        yield index, (gs.index_of(act.image(digits, twist)) for act in actions)
 
 
 def fixed_count(xi: ExtendedAutomorphism, gs: GroundSet) -> int:
-    act = _key_transport(gs, xi)
-    return sum(1 for key in gs.keys if act(key) == key)
+    act = gs.space.compile(xi.flag_map)
+    count = 0
+    for index, images in _image_sweep(gs, [act]):
+        count += int(np.count_nonzero(next(images) == index))
+    return count
 
 
 def burnside_count(
     acting: Sequence[ExtendedAutomorphism],
     gs: GroundSet,
-    workers: int | None = None,
 ) -> OrbitCensus:
     """Orbit count via Burnside, cross-checked by an explicit partition."""
-    flag_maps = {xi.flag_map for xi in acting}
-    for a in flag_maps:
-        for b in flag_maps:
-            if tuple(a[b[f]] for f in range(len(a))) not in flag_maps:
-                raise BadParameter("acting set is not closed under composition")
+    flag_maps = [xi.flag_map for xi in acting]
+    try:
+        group = PermGroup(flag_maps)
+    except BadParameter:
+        # a finite set closed under composition holds the identity, so a set
+        # lacking it fails closure as well
+        raise BadParameter("acting set is not closed under composition") from None
+    actions = [gs.space.compile(row) for row in group.rows.tolist()]
 
-    if workers and workers > 1 and len(acting) > 1:
-        with multiprocessing.Pool(min(workers, len(acting))) as pool:
-            fixed = pool.starmap(fixed_count, [(xi, gs) for xi in acting])
-        fixed = list(fixed)
-    else:
-        fixed = [fixed_count(xi, gs) for xi in acting]
+    # One sweep gives every element's fixed count and, as the least image
+    # over the group, every key's orbit label (its orbit's least member).
+    fixed_by_row = np.zeros(len(group), dtype=np.int64)
+    lead = np.empty(len(gs.codes), dtype=np.int64)
+    for index, images in _image_sweep(gs, actions):
+        least = index.copy()
+        for a, image in enumerate(images):
+            fixed_by_row[a] += np.count_nonzero(image == index)
+            np.minimum(least, image, out=least)
+        lead[index] = least
 
-    counts = {xi.flag_map: c for xi, c in zip(acting, fixed)}
-    for pi in acting:
-        pm = pi.flag_map
-        pinv = [0] * len(pm)
-        for f, g in enumerate(pm):
-            pinv[g] = f
-        for xi, c in zip(acting, fixed):
-            conj = tuple(pm[xi.flag_map[pinv[f]]] for f in range(len(pm)))
-            if counts.get(conj) != c:
-                raise InternalInconsistency("fixed count is not a class function")
+    conjugates = group.table[group.table, group.inverse[:, None]]  # p x p^-1
+    if (fixed_by_row[conjugates] != fixed_by_row).any():
+        raise InternalInconsistency("fixed count is not a class function")
+    fixed = fixed_by_row[group.find(np.array(flag_maps))].tolist()
 
     total = sum(fixed)
     q, r = divmod(total, len(acting))
@@ -314,62 +489,37 @@ def burnside_count(
             f"fixed-point sum {total} not divisible by group order {len(acting)}"
         )
 
-    index = {key: i for i, key in enumerate(gs.keys)}
-    parent = list(range(len(gs.keys)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for xi in acting:
-        act = _key_transport(gs, xi)
-        for i, key in enumerate(gs.keys):
-            j = index[act(key)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
-    orbits: dict[int, list[int]] = {}
-    for i in range(len(gs.keys)):
-        orbits.setdefault(find(i), []).append(i)
-    if len(orbits) != q:
+    leads = np.flatnonzero(lead == np.arange(len(lead)))
+    if len(leads) != q:
         raise InternalInconsistency(
-            f"Burnside count {q} disagrees with explicit orbit count {len(orbits)}"
+            f"Burnside count {q} disagrees with explicit orbit count {len(leads)}"
         )
 
-    reps, invs, sizes = [], [], []
-    for root in sorted(orbits, key=lambda r: min(orbits[r])):
-        members = orbits[root]
-        lead = min(members)
-        M = gs.representatives[lead]
-        inv = inventory(M)
-        # Orientability is carried by the key, so it is a true orbit
-        # invariant; the canonical realization's chi additionally is one
-        # except on twisted SIGMA classes at degree >= 3, where members of
-        # one twist coset realize different faces.
-        check_chi = (
-            gs.semantics != SIGMA
-            or gs.dart_structure.degree <= 2
-            or all(gs.keys[i][1] == 0 for i in members)
-        )
-        for i in members:
-            other = inventory(gs.representatives[i])
-            if other.orientable != inv.orientable:
-                raise InternalInconsistency("orbit mixes orientable and not")
-            if check_chi and other.euler_characteristic != inv.euler_characteristic:
-                raise InternalInconsistency("orbit mixes distinct surfaces")
-        reps.append(M)
-        invs.append(inv)
-        sizes.append(len(members))
+    # Orientability is carried by the key, so it is a true orbit invariant;
+    # the canonical realization's chi additionally is one except on twisted
+    # SIGMA classes at degree >= 3, where members of one twist coset realize
+    # different faces.
+    mixed_sides = gs.orientable != gs.orientable[lead]
+    check_chi = np.ones(len(lead), dtype=bool)
+    if gs.semantics == SIGMA and gs.dart_structure.degree > 2:
+        twisted = (gs.codes % gs.space.twists) + gs.space.twist_offset != 0
+        check_chi = np.bincount(lead, weights=twisted, minlength=len(lead))[lead] == 0
+    mixed_chi = check_chi & (gs.euler_characteristic != gs.euler_characteristic[lead])
+    bad = mixed_sides | mixed_chi
+    if bad.any():
+        first = lead[bad].min()
+        i = np.flatnonzero(bad & (lead == first))[0]
+        if mixed_sides[i]:
+            raise InternalInconsistency("orbit mixes orientable and not")
+        raise InternalInconsistency("orbit mixes distinct surfaces")
+
     return OrbitCensus(
         acting_size=len(acting),
         fixed_counts=tuple(fixed),
         orbit_count=q,
-        orbit_representatives=tuple(reps),
-        orbit_inventories=tuple(invs),
-        orbit_sizes=tuple(sizes),
+        orbit_sizes=tuple(np.bincount(lead, minlength=len(lead))[leads].tolist()),
+        ground_set=gs,
+        leads=leads,
     )
 
 
@@ -430,12 +580,11 @@ def compare_with_formula(
     surface: str = "O",
     semantics: str = SIGMA,
     cap: int = DEFAULT_ORACLE_CAP,
-    workers: int | None = None,
 ) -> ComparisonReport:
     """Side-by-side per-class fixed counts and totals, with exact ratios."""
     F = _flag_space_of(G, S)
     cres = census(G, S, H, surface, "exact")
-    gs = enumerate_embeddings(F, semantics, surface, cap, workers)
+    gs = enumerate_embeddings(F, semantics, surface, cap)
     k = len(S.members)
 
     lines = []
@@ -449,7 +598,7 @@ def compare_with_formula(
     if H is None:
         H = [GraphAutomorphism(tuple(range(G.order)))]
     acting = extend_group(product_group(right_regular(G), H), F)
-    oc = burnside_count(acting, gs, workers)
+    oc = burnside_count(acting, gs)
     if surface == "O":
         # every element of R(G)xH stabilizes some orientable embedding
         for xi, c in zip(acting, oc.fixed_counts):

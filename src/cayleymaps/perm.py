@@ -3,8 +3,9 @@
 A permutation of ``0..n-1`` is a length-``n`` array ``p`` sending ``v`` to
 ``p[v]``; "``a`` after ``b``" is ``a[b]``.  The batch functions take one
 permutation or a stack of them (shape ``(..., n)``) and never walk a cycle
-step by step: cycles are labelled by pointer doubling (``log2 n`` rounds)
-and powers are taken by repeated squaring.
+step by step: cycles are labelled by pointer doubling (``log2 n`` rounds),
+the orbits of several permutations by least-label propagation with
+shortcuts, and powers are taken by repeated squaring.
 
 :class:`PermGroup` holds a finite group of permutations as an
 ``(|A|, n)`` array whose rows are in lexicographic order (the order of
@@ -37,18 +38,53 @@ def check_table_size(size: int, degree: int) -> None:
         )
 
 
+def _flat(perms: np.ndarray) -> np.ndarray:
+    """Indices into the flattened ``(m, n)`` stack: row ``r``, point ``v``
+    becomes ``r*n + perms[r, v]``, so one gather applies every row."""
+    m, n = perms.shape
+    return (perms.astype(np.intp) + n * np.arange(m, dtype=np.intp)[:, None]).ravel()
+
+
 def cycle_labels(perms) -> np.ndarray:
     """The least point of the cycle through every point, row by row."""
     perms = np.asarray(perms)
     n = perms.shape[-1]
-    label = np.broadcast_to(np.arange(n, dtype=perms.dtype), perms.shape).copy()
-    step = perms.copy()
+    step = _flat(perms.reshape(-1, n))
+    label = np.tile(np.arange(n, dtype=perms.dtype), len(step) // n)
     span = 1
     while span < n:  # label[v] = min of the first 2*span points from v
-        label = np.minimum(label, np.take_along_axis(label, step, -1))
-        step = np.take_along_axis(step, step, -1)
+        label = np.minimum(label, label[step])
+        step = step[step]
         span *= 2
-    return label
+    return label.reshape(perms.shape)
+
+
+def orbit_labels(gens, labels=None) -> np.ndarray:
+    """The least point of the orbit through every point under the group
+    generated by ``gens``, row by row.  The first generator is a stack
+    ``(m, n)``; the others are shared ``(n,)`` permutations or stacks.
+    ``labels``, if given, are the first generator's ``cycle_labels``.
+
+    Each round lowers every label to the least label one generator step
+    away, then shortcuts it through the label of its label (itself a point
+    of the same orbit); the labels are final once a round changes none.
+    """
+    first = np.asarray(gens[0])
+    m, n = first.shape
+    shared = [np.asarray(g) for g in gens[1:] if np.ndim(g) == 1]
+    stacked = [_flat(first)] + [_flat(np.asarray(g)) for g in gens[1:] if np.ndim(g) == 2]
+    offset = n * np.arange(m, dtype=np.intp)[:, None]
+    label = cycle_labels(first) if labels is None else labels
+    while True:
+        new = label
+        for g in shared:
+            new = np.minimum(new, new[:, g])
+        for g in stacked:
+            new = np.minimum(new, new.ravel()[g].reshape(m, n))
+        new = new.ravel()[(new + offset).ravel()].reshape(m, n)
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def cycle_lengths(perms) -> np.ndarray:
@@ -93,7 +129,8 @@ def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple((np.bincount(lengths, minlength=n + 1)[1:] // np.arange(1, n + 1)).tolist())
 
 
-def _row_dtype(n: int):
+def row_dtype(n: int):
+    """The narrowest integer type holding the points of ``n``-point rows."""
     return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
@@ -115,7 +152,7 @@ class PermGroup:
         check_table_size(len(maps), len(maps[0]))
         pool = sorted(set(map(tuple, maps)))
         m, n = len(pool), len(pool[0])
-        self.rows = rows = np.array(pool, dtype=_row_dtype(n))
+        self.rows = rows = np.array(pool, dtype=row_dtype(n))
         if not (rows[0] == np.arange(n)).all():  # the identity sorts first
             raise BadParameter("acting set lacks the identity")
 

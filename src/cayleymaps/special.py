@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from multiprocessing import Pool
 
 import mpmath as mp
 
@@ -319,7 +318,7 @@ def _sym_exact_possible(n: int) -> bool:
     return n <= SYM_EXACT_CAP
 
 
-def sym_orientable_census(n: int, mode: str = "exact", workers: int | None = None) -> SymCensusResult:
+def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
     """Partition sum for maps of a cubic graph of Sigma_n on orientable
     surfaces: sum of 2^{n!/lcm} / prod(i^{k_i} k_i!)."""
     kind, p = parse_mode(mode)
@@ -334,11 +333,11 @@ def sym_orientable_census(n: int, mode: str = "exact", workers: int | None = Non
         info = SymClassInfo(part, size, o, None, "A")
         rows.append(SymClassRow(info, 0, None, e))
         terms.append((e, size, 1))
-    total = _sym_total(terms, nf, kind, p, mode, workers)
+    total = _sym_total(terms, nf, kind, p, mode)
     return SymCensusResult(n, "O", None, tuple(rows), None, total, _sym_label(n))
 
 
-def sym_locally_census(n: int, mode: str = "exact", workers: int | None = None) -> SymCensusResult:
+def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
     """Partition sum for maps of the cubic graph of Sigma_n, n = 6m+1, on all
     surfaces: sum of 2^{alpha_1 + n!/lcm} / prod(i^{k_i} k_i!), the branch of
     alpha_1 decided by whether the half-order power of the class lies in the
@@ -362,24 +361,14 @@ def sym_locally_census(n: int, mode: str = "exact", workers: int | None = None) 
         e = alpha + nf // info.order
         rows.append(SymClassRow(info, _printed_l(n, part), alpha, e))
         terms.append((e, info.class_size, 1))
-    total = _sym_total(terms, nf, kind, p, mode, workers)
+    total = _sym_total(terms, nf, kind, p, mode)
     return SymCensusResult(n, "L", special, tuple(rows), sym_l_table(n), total, _sym_label(n))
 
 
-def _sym_term_int(args) -> int:
-    e, num, den = args
-    return num * (1 << e) // den
-
-
-def _sym_total(terms, nf: int, kind: str, p, mode: str, workers) -> CountReport:
+def _sym_total(terms, nf: int, kind: str, p, mode: str) -> CountReport:
     exact_cross = None
     if _sym_exact_possible_from_terms(terms):
-        if workers and workers > 1:
-            with Pool(workers) as pool:
-                parts = pool.map(_sym_term_int, terms)
-            total = sum(parts)
-        else:
-            total = sum(_sym_term_int(t) for t in terms)
+        total = sum(num * (1 << e) // den for e, num, den in terms)
         q, r = divmod(total, nf)
         if r:
             raise NonIntegralSum(f"census sum {total} not divisible by {nf}")

@@ -193,7 +193,6 @@ def test_cli_output_is_deterministic(capsys):
     runs = [
         run_cli(capsys, "verify", "fixtures:CUBE", "--surface", "O"),
         run_cli(capsys, "verify", "fixtures:CUBE", "--surface", "O"),
-        run_cli(capsys, "verify", "fixtures:CUBE", "--surface", "O", "--workers", "2"),
     ]
     assert all(code == 0 for code, _, _ in runs)
     assert len({out for _, out, _ in runs}) == 1

@@ -67,6 +67,36 @@ def test_axiom_iii_identity_is_not_transitive():
     assert ei.value.axiom == "iii"
 
 
+def test_axiom_witnesses_are_pinned():
+    # Crafted breaks of a valid cube map; the batch kernel finds the first
+    # failing check and the one-row walk names the same witness and message
+    # as a flag-by-flag check.
+    F = fixture("CUBE").flag_space
+    D = build_dart_structure(F)
+    P = list(realize(D, default_rotation(D), 0).P)
+    swapped = P[:]
+    swapped[30], swapped[31] = swapped[31], swapped[30]
+    # P = alpha on vertex 3's flags keeps axiom (ii) and puts the first
+    # alpha-pair inside one cycle at flag 18
+    alpha_at_3 = P[:18] + list(F.alpha[18:24]) + P[24:]
+    cases = [
+        (swapped, "ii", 30, "map axiom (ii) fails at flag 30"),
+        (alpha_at_3, "i", 18, "map axiom (i) fails at flag 18"),
+        (list(range(F.flag_count)), "iii", 0, "group <alpha,beta,P> is not transitive"),
+    ]
+    for Q, axiom, witness, message in cases:
+        with pytest.raises(AxiomViolation) as ei:
+            validate_map(F, Q)
+        assert (ei.value.axiom, ei.value.witness, str(ei.value)) == (axiom, witness, message)
+    duplicated = P[:]
+    duplicated[5] = duplicated[4]
+    with pytest.raises(BadParameter, match="^P is not a permutation of the flags$"):
+        validate_map(F, duplicated)
+    out_of_range = P[:-1] + [F.flag_count]
+    with pytest.raises(BadParameter, match="^P is not a permutation of the flags$"):
+        validate_map(F, out_of_range)
+
+
 def test_non_permutation_rejected():
     F = k3_space()
     with pytest.raises(BadParameter):
