@@ -14,16 +14,19 @@ alpha = (epsilon + l - nu)/o and the true edge-orbit count is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .autaction import GraphAutomorphism, product_group, right_regular
 from .cayley import CayleySet
 from .errors import (
     BadParameter,
+    CapExceeded,
     InternalInconsistency,
     NonIntegralExponent,
     NonIntegralSum,
@@ -86,21 +89,155 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
 
 
 def log2_of_int(n: int) -> mp.mpf:
+    """log2(n) at 60 digits: the log of n rounded to 60 digits."""
     if n < 0:
         raise BadParameter("log2 of negative count")
     if n == 0:
         return mp.ninf
     with mp.workdps(60):
-        return mp.log(mp.mpf(n), 2)
+        return mp.log(mpf_of_int(n), 2)
 
 
-def make_report(exact: int, mode: str, prime: int | None = None) -> CountReport:
-    kind, p = (mode, prime) if prime is not None else parse_mode(mode)
+def mpf_of_int(n: int) -> mp.mpf:
+    """``mp.mpf(n)`` for n >= 0, n rounded to the working precision, read
+    from the top bits of n only: rounding the top prec+8 bits, with the
+    lowest one set when any dropped bit is, gives the same mpf as rounding
+    all of n.  ``mp.mpf(n)`` itself first converts the whole integer
+    exactly."""
+    prec = mp.mp.prec
+    shift = n.bit_length() - (prec + 8)
+    if shift <= 0:
+        return mp.mpf(n)
+    man = n >> shift
+    if man << shift != n:
+        man |= 1
+    return mp.mp.make_mpf(from_man_exp(man, shift, prec, round_nearest))
+
+
+def make_report(exact: int, mode: str) -> CountReport:
+    """The report of a known exact count in ``mode``."""
+    kind, p = parse_mode(mode)
     if kind == "exact":
         return CountReport(mode="exact", exact_value=exact, log2_value=log2_of_int(exact))
     if kind == "log2":
         return CountReport(mode="log2", log2_value=log2_of_int(exact))
     return CountReport(mode="modp", residue=exact % p, prime=p)
+
+
+# ---------------------------------------------------------------------------
+# Term sums
+# ---------------------------------------------------------------------------
+#
+# Every closed form is a sum of terms num * base^b * 2^e / den over a common
+# divisor, one term per class (two on the N side); a term is the tuple
+# (e, b, num, den) with den >= 1, and ``base`` is shared by the whole sum.
+
+Term = tuple[int, int, int, int]
+
+
+def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1) -> int:
+    """The exact sum of ``terms`` divided by ``divisor``; a sum that is not an
+    integer multiple of ``divisor`` is refused."""
+    den = lcm(*(t[3] for t in terms))
+    powers = {b: base**b for b in {t[1] for t in terms}}
+    total = sum(num * powers[b] * (den // d) << e for e, b, num, d in terms)
+    if total % den:
+        raise NonIntegralSum(f"census sum {Fraction(total, den)} is not an integer")
+    total //= den
+    q, r = divmod(total, divisor)
+    if r:
+        raise NonIntegralSum(f"census sum {total} not divisible by {divisor}")
+    return q
+
+
+def term_report(
+    terms: Sequence[Term], divisor: int, mode: str, *, base: int = 1, exact: int | None = None
+) -> CountReport:
+    """The count sum(terms) / divisor in ``mode``.
+
+    ``exact`` is the exact count where the caller has formed it
+    (``exact_quotient``).  Exact and log2 mode then report it, and modular
+    mode, which always sums the terms mod p, is cross-checked against it.
+    Without it exact mode is refused and log2 mode sums the terms' logs.
+    """
+    kind, p = parse_mode(mode)
+    if kind == "modp":
+        residue = _residue(terms, divisor, p, base)
+        if exact is not None and residue != exact % p:
+            raise InternalInconsistency(
+                f"modular path {residue} disagrees with exact value mod {p}"
+            )
+        return CountReport(mode="modp", residue=residue, prime=p)
+    if exact is not None:
+        return make_report(exact, kind)
+    if kind == "exact":
+        raise CapExceeded("exact mode unavailable at this size")
+    return CountReport(mode="log2", log2_value=_log2_sum(terms, divisor, base))
+
+
+def _residue(terms: Sequence[Term], divisor: int, p: int, base: int) -> int:
+    if divisor % p == 0:
+        raise BadParameter(f"modulus {p} divides the normalizer {divisor}")
+    pow2: dict[int, int] = {}
+    powb = {b: pow(base, b, p) for b in {t[1] for t in terms}}
+    acc = 0
+    for e, b, num, den in terms:
+        if den % p == 0:
+            raise BadParameter(f"modulus {p} divides a census term")
+        t = pow2.get(e)
+        if t is None:
+            t = pow2[e] = pow(2, e, p)
+        acc = (acc + t * powb[b] * num * pow(den, -1, p)) % p
+    return acc * pow(divisor, -1, p) % p
+
+
+def _log2_sum(terms: Sequence[Term], divisor: int, base: int) -> mp.mpf:
+    """log2 of sum(terms) / divisor, relative to the largest term ("star"):
+    log2(star) + log2(1 + sum of the others / star).
+
+    Integer bounds lo < log2|term| < hi from bit lengths decide which terms
+    need mpmath at all.  Only terms whose hi comes within 4 of the largest
+    lo can be the star.  In a sum of positive terms, a term whose hi lies
+    more than prec + 8 below the star's leaves the accumulator (>= 1)
+    unchanged under correctly rounded addition, so it is skipped; the result
+    is the same mpf as summing every term.
+    """
+    live = [t for t in terms if t[2]]
+    b_lo = base.bit_length() - 1
+    b_hi = b_lo if base & (base - 1) == 0 else b_lo + 1
+    lo, hi = [], []
+    for e, b, num, den in live:
+        nb, db = abs(num).bit_length(), den.bit_length()
+        lo.append(e + b * b_lo + nb - 1 - db)
+        hi.append(e + b * b_hi + nb - db + 1)
+    positive = all(t[2] > 0 for t in live)
+    with mp.workdps(60 + len(str(max(t[0] for t in live)))):
+        log_base = mp.log(mp.mpf(base), 2) if any(t[1] for t in live) else None
+        f: dict[int, mp.mpf] = {}
+
+        def frac(i):
+            if i not in f:
+                _, b, num, den = live[i]
+                v = mp.log(mp.mpf(abs(num)), 2) - mp.log(mp.mpf(den), 2)
+                f[i] = v + b * log_base if b else v
+            return f[i]
+
+        floor = max(lo) - 4
+        star, key0 = -1, None
+        for i, t in enumerate(live):
+            if hi[i] >= floor:
+                key = mp.mpf(t[0]) + frac(i)
+                if key0 is None or key > key0:
+                    star, key0 = i, key
+        e0, f0 = live[star][0], f[star]
+        skip_below = e0 + int(mp.floor(f0)) - (mp.mp.prec + 8) if positive else None
+        acc = mp.mpf(1 if live[star][2] > 0 else -1)
+        for i, (e, _, num, _) in enumerate(live):
+            if i == star or (skip_below is not None and hi[i] < skip_below):
+                continue
+            t = mp.power(2, mp.mpf(e - e0) + (frac(i) - f0))
+            acc += t if num > 0 else -t
+        return mp.mpf(e0) + f0 + mp.log(acc, 2) - mp.log(mp.mpf(divisor), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +347,7 @@ def census(
 ) -> CensusResult:
     if surface not in ("O", "N", "L"):
         raise BadParameter(f"unknown surface {surface!r}")
-    kind, p = parse_mode(mode)
+    parse_mode(mode)
     k = len(S.members)
     if H is None:
         H = [GraphAutomorphism(tuple(range(G.order)))]
@@ -227,6 +364,8 @@ def census(
 
     stats_list: list[ClassStats] = []
     phis: list[int] = []
+    # the same class sum as terms, which modular mode sums independently
+    terms: list[Term] = []
     total = 0
     for cls in classes:
         st = class_stats(G, S, stats, cls[0])
@@ -237,29 +376,17 @@ def census(
         stats_list.append(st)
         phis.append(phi)
         total += len(cls) * phi
+        b = G.order // st.order
+        terms.append((0 if surface == "O" else st.alpha_exponent, b, len(cls), 1))
+        if surface == "N":
+            terms.append((0, b, -len(cls), 1))
 
     q, r = divmod(total, acting_size)
     if r:
         raise NonIntegralSum(
             f"class sum {total} not divisible by |G||H| = {acting_size}"
         )
-    if kind == "modp":
-        # Independent modular evaluation, cross-checked against the exact path.
-        residue = 0
-        for st, cls in zip(stats_list, classes):
-            base = factorial(k - 1) % p
-            term = pow(base, len(st.representative.vertex_map) // st.order, p)
-            if surface == "L":
-                term = term * pow(2, st.alpha_exponent, p) % p
-            elif surface == "N":
-                term = term * ((pow(2, st.alpha_exponent, p) - 1) % p) % p
-            residue = (residue + len(cls) * term) % p
-        residue = residue * pow(acting_size, -1, p) % p
-        if residue != q % p:
-            raise InternalInconsistency("modular census disagrees with exact census")
-        report = CountReport(mode="modp", residue=residue, prime=p)
-    else:
-        report = make_report(q, mode)
+    report = term_report(terms, acting_size, mode, base=factorial(k - 1), exact=q)
     return CensusResult(
         surface=surface,
         count=report,

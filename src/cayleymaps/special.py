@@ -34,16 +34,17 @@ from .errors import (
     CaySetInvalid,
     InternalInconsistency,
     NonIntegralExponent,
-    NonIntegralSum,
     NotInvolutions,
 )
 from .formulas import (
     CountReport,
     acting_stats,
     class_stats,
-    log2_of_int,
+    exact_quotient,
+    make_report,
     parse_mode,
     phi_exact,
+    term_report,
 )
 from .groups import FiniteGroup, conjugacy_classes, element_order, subgroup_closure
 from .perm import cycle_type
@@ -56,64 +57,74 @@ SYM_BIG_CAP = 60
 ELEM2_EXACT_CAP = 16
 ELEM2_BIG_CAP = 64
 
-# The Hetzel/Godsil classification: every group outside these families has
-# a graphical regular representation.  Reference data only; nothing below
-# consults it.
-GRR_EXCEPTIONS = (
-    "abelian groups of exponent greater than 2",
-    "generalized dicyclic groups",
-    "Z_2^2",
-    "Z_2^3",
-    "Z_2^4",
-    "D_6",
-    "D_8",
-    "D_10",
-    "A_4",
-    "<a,b,c | a2=b2=c2=1, abc=bca=cab>",
-    "<a,b | a8=b2=1, bab=b5>",
-    "<a,b,c | a3=c3=b2=1, ac=ca, (ab)2=(cb)2=1>",
-    "<a,b,c | a3=b3=c3=1, ac=ca, bc=cb, c=[a,b]>",
-    "Q_8 x Z_3",
-    "Q_8 x Z_4",
-)
-
-
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n as multiplicity vectors, largest first part first."""
     if n < 1:
         raise BadParameter(f"partitions of {n} undefined; need n >= 1")
     if n > SYM_BIG_CAP:
         raise CapExceeded(f"n = {n} exceeds the partition cap {SYM_BIG_CAP}")
-    return tuple(_iter_partitions(n))
+    return tuple(part for part, _ in _iter_partitions(n))
 
 
 def _iter_partitions(n: int):
+    """(multiplicity vector, ((part, multiplicity), ...) over the nonzero
+    multiplicities, largest part first) for every partition of n, in
+    reverse lexicographic order: [n], [n-1, 1], [n-2, 2], [n-2, 1, 1], ...
+
+    Each step takes the ones off the end, lowers the last part x > 1 by
+    one and refills the freed amount greedily with parts x-1 and one
+    remainder part.
+    """
     counts = [0] * n
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield tuple(counts)
+    counts[n - 1] = 1
+    parts = [(n, 1)]  # (part, multiplicity), parts descending
+    while True:
+        yield tuple(counts), tuple(parts)
+        freed = 0
+        if parts[-1][0] == 1:
+            freed = parts.pop()[1]
+            counts[0] = 0
+        if not parts:
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            counts[part - 1] += 1
-            yield from rec(remaining - part, part)
-            counts[part - 1] -= 1
+        x, k = parts.pop()
+        if k > 1:
+            parts.append((x, k - 1))
+        counts[x - 1] = k - 1
+        # x - 1 and the remainder are below every part left, so their
+        # multiplicities were 0
+        q, r = divmod(freed + x, x - 1)
+        parts.append((x - 1, q))
+        counts[x - 2] = q
+        if r:
+            parts.append((r, 1))
+            counts[r - 1] = 1
 
-    yield from rec(n, n)
+
+def _pairs(part: Partition) -> list[tuple[int, int]]:
+    return [(i, k) for i, k in enumerate(part, start=1) if k]
+
+
+def _centralizer(pairs) -> int:
+    out = 1
+    for i, k in pairs:
+        out *= i**k * factorial(k)
+    return out
+
+
+def _power_type(pairs, j: int, n: int) -> Partition:
+    out = [0] * n
+    for i, k in pairs:
+        g = gcd(i, j)
+        out[i // g - 1] += k * g
+    return tuple(out)
 
 
 def class_size(n: int, part: Partition) -> int:
-    den = 1
-    for i, k in enumerate(part, start=1):
-        den *= i**k * factorial(k)
-    return factorial(n) // den
+    return factorial(n) // centralizer_order(part)
 
 
 def centralizer_order(part: Partition) -> int:
-    out = 1
-    for i, k in enumerate(part, start=1):
-        out *= i**k * factorial(k)
-    return out
+    return _centralizer(_pairs(part))
 
 
 def lcm_of_partition(part: Partition) -> int:
@@ -122,12 +133,7 @@ def lcm_of_partition(part: Partition) -> int:
 
 def power_type(part: Partition, j: int) -> Partition:
     """Cycle type of g^j for g of cycle type ``part``."""
-    out = [0] * len(part)
-    for i, k in enumerate(part, start=1):
-        if k:
-            g = gcd(i, j)
-            out[i // g - 1] += k * g
-    return tuple(out)
+    return _power_type(_pairs(part), j, len(part))
 
 
 def representative_of_type(part: Partition) -> tuple[int, ...]:
@@ -153,11 +159,13 @@ def special_involution_type(n: int) -> Partition:
     """The class holding the cubic generator x for n = 6m+1: [1^3 2^{3m-1}]
     when m is odd, [1^5 2^{3m-2}] when m is even."""
     m = _m_of(n)
+    return _involution_type(n, m % 2 == 1)
+
+
+def _involution_type(n: int, first: bool) -> Partition:
+    """[1^3 2^{3m-1}] (first) or [1^5 2^{3m-2}], n = 6m+1."""
     out = [0] * n
-    if m % 2:
-        out[0], out[1] = 3, 3 * m - 1
-    else:
-        out[0], out[1] = 5, 3 * m - 2
+    out[0], out[1] = (3, (n - 3) // 2) if first else (5, (n - 5) // 2)
     return tuple(out)
 
 
@@ -175,15 +183,6 @@ class SymClassInfo:
     order: int
     half_power_type: Partition | None
     bucket: str  # "A" or "B"
-
-
-def sym_class_info(n: int, part: Partition, special: Partition) -> SymClassInfo:
-    o = lcm_of_partition(part)
-    if o % 2:
-        return SymClassInfo(part, class_size(n, part), o, None, "A")
-    half = power_type(part, o // 2)
-    bucket = "B" if half == special else "A"
-    return SymClassInfo(part, class_size(n, part), o, half, bucket)
 
 
 @dataclass(frozen=True)
@@ -225,18 +224,6 @@ def _sym_label(n: int) -> str | None:
     return None if n >= 19 else "formula value only"
 
 
-def _printed_l(n: int, part: Partition) -> int:
-    m = _m_of(n)
-    t1, t2 = [0] * n, [0] * n
-    t1[0], t1[1] = 3, 3 * m - 1
-    t2[0], t2[1] = 5, 3 * m - 2
-    if part == tuple(t1):
-        return 6 * double_factorial(n - 3)
-    if part == tuple(t2):
-        return 120 * double_factorial(n - 2)  # (n-2)!! as published
-    return 0
-
-
 def sym_l_table(n: int) -> tuple[LTableRow, ...]:
     """The published inverted-edge counts next to their recomputation.
 
@@ -246,76 +233,13 @@ def sym_l_table(n: int) -> tuple[LTableRow, ...]:
     special classes.  The first line does; the second does not, and both
     values are reported.
     """
-    rows = []
-    for part in _iter_partitions(n):
-        printed = _printed_l(n, part)
-        if printed:
-            rows.append(LTableRow(part, printed, centralizer_order(part)))
-    return tuple(rows)
-
-
-def _exact_from_terms(terms, divisor: int) -> int:
-    total = sum(Fraction(num * (1 << e), den) for e, num, den in terms)
-    if total.denominator != 1:
-        raise NonIntegralSum(f"census sum {total} is not an integer")
-    q, r = divmod(total.numerator, divisor)
-    if r:
-        raise NonIntegralSum(f"census sum {total} not divisible by {divisor}")
-    return q
-
-
-def _report_from_terms(terms, divisor: int, mode: str, exact_cross=None) -> CountReport:
-    """Sum of num*2^e/den terms over a common divisor, in the given mode.
-
-    ``terms`` is a list of (e, num, den); the sum (not each term) must be an
-    integer multiple of ``divisor``.
-    """
-    kind, p = parse_mode(mode)
-    if kind == "exact":
-        if exact_cross is None:
-            exact_cross = _exact_from_terms(terms, divisor)
-        return CountReport(mode="exact", exact_value=exact_cross, log2_value=log2_of_int(exact_cross))
-    if kind == "log2":
-        if exact_cross is not None:
-            return CountReport(mode="log2", log2_value=log2_of_int(exact_cross))
-        return CountReport(mode="log2", log2_value=_log2_sum(terms, divisor))
-    if p < 3:
-        raise BadParameter(f"modulus {p} must be an odd prime")
-    if divisor % p == 0:
-        raise BadParameter(f"modulus {p} divides the normalizer {divisor}")
-    acc = 0
-    for e, num, den in terms:
-        if num % p == 0 or den % p == 0:
-            raise BadParameter(f"modulus {p} divides a census term")
-        t = pow(2, e % (p - 1), p) * (num % p) * pow(den % p, -1, p)
-        acc = (acc + t) % p
-    residue = acc * pow(divisor % p, -1, p) % p
-    if exact_cross is not None and residue != exact_cross % p:
-        raise InternalInconsistency(
-            f"modular path {residue} disagrees with exact value mod {p}"
-        )
-    return CountReport(mode="modp", residue=residue, prime=p)
-
-
-def _log2_sum(terms, divisor: int) -> mp.mpf:
-    e_max = max(e for e, num, den in terms if num)
-    with mp.workdps(60 + len(str(e_max))):
-        keyed = []
-        for e, num, den in terms:
-            if num:
-                f = mp.log(mp.mpf(num), 2) - mp.log(mp.mpf(den), 2)
-                keyed.append((e, f))
-        star = max(range(len(keyed)), key=lambda i: mp.mpf(keyed[i][0]) + keyed[i][1])
-        e0, f0 = keyed[star]
-        acc = mp.mpf(1)
-        for i, (e, f) in enumerate(keyed):
-            if i != star:
-                acc += mp.power(2, mp.mpf(e - e0) + (f - f0))
-        return mp.mpf(e0) + f0 + mp.log(acc, 2) - mp.log(mp.mpf(divisor), 2)
-
-
-def _sym_exact_possible(n: int) -> bool:
-    return n <= SYM_EXACT_CAP
+    _m_of(n)
+    t1, t2 = _involution_type(n, True), _involution_type(n, False)
+    return (
+        LTableRow(t1, 6 * double_factorial(n - 3), centralizer_order(t1)),
+        # (n-2)!! as published
+        LTableRow(t2, 120 * double_factorial(n - 2), centralizer_order(t2)),
+    )
 
 
 def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
@@ -326,14 +250,13 @@ def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
     nf = factorial(n)
     rows = []
     terms = []
-    for part in _iter_partitions(n):
-        o = lcm_of_partition(part)
-        size = class_size(n, part)
+    for part, pairs in _iter_partitions(n):
+        o = lcm(*[i for i, _ in pairs])
+        size = nf // _centralizer(pairs)
         e = nf // o
-        info = SymClassInfo(part, size, o, None, "A")
-        rows.append(SymClassRow(info, 0, None, e))
-        terms.append((e, size, 1))
-    total = _sym_total(terms, nf, kind, p, mode)
+        rows.append(SymClassRow(SymClassInfo(part, size, o, None, "A"), 0, None, e))
+        terms.append((e, 0, size, 1))
+    total = _sym_report(terms, nf, mode)
     return SymCensusResult(n, "O", None, tuple(rows), None, total, _sym_label(n))
 
 
@@ -347,42 +270,42 @@ def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
     m = _m_of(n)
     special = special_involution_type(n)
     extra = 12 * double_factorial(n - 3) if m % 2 else 240 * double_factorial(n - 5)
+    l_table = sym_l_table(n)
+    printed = {r.partition: r.printed for r in l_table}
     nf = factorial(n)
     rows = []
     terms = []
-    for part in _iter_partitions(n):
-        info = sym_class_info(n, part, special)
-        num = nf if info.bucket == "A" else nf + extra
-        alpha, r = divmod(num, 2 * info.order)
+    for part, pairs in _iter_partitions(n):
+        o = lcm(*[i for i, _ in pairs])
+        size = nf // _centralizer(pairs)
+        half = None if o % 2 else _power_type(pairs, o // 2, n)
+        bucket = "B" if half == special else "A"
+        num = nf if bucket == "A" else nf + extra
+        alpha, r = divmod(num, 2 * o)
         if r:
             raise NonIntegralExponent(
-                f"alpha_1 = {num}/{2 * info.order} is not an integer on {part}"
+                f"alpha_1 = {num}/{2 * o} is not an integer on {part}"
             )
-        e = alpha + nf // info.order
-        rows.append(SymClassRow(info, _printed_l(n, part), alpha, e))
-        terms.append((e, info.class_size, 1))
-    total = _sym_total(terms, nf, kind, p, mode)
-    return SymCensusResult(n, "L", special, tuple(rows), sym_l_table(n), total, _sym_label(n))
+        e = alpha + nf // o
+        info = SymClassInfo(part, size, o, half, bucket)
+        rows.append(SymClassRow(info, printed.get(part, 0), alpha, e))
+        terms.append((e, 0, size, 1))
+    total = _sym_report(terms, nf, mode)
+    return SymCensusResult(n, "L", special, tuple(rows), l_table, total, _sym_label(n))
 
 
-def _sym_total(terms, nf: int, kind: str, p, mode: str) -> CountReport:
-    exact_cross = None
-    if _sym_exact_possible_from_terms(terms):
-        total = sum(num * (1 << e) // den for e, num, den in terms)
-        q, r = divmod(total, nf)
-        if r:
-            raise NonIntegralSum(f"census sum {total} not divisible by {nf}")
-        exact_cross = q
-    if kind == "exact":
-        if exact_cross is None:
-            raise CapExceeded("exact mode unavailable at this size")
-        return CountReport(mode="exact", exact_value=exact_cross, log2_value=log2_of_int(exact_cross))
-    return _report_from_terms(terms, nf, mode, exact_cross=exact_cross)
+def _sym_report(terms, nf: int, mode: str) -> CountReport:
+    _check_odd_modulus(mode)
+    # 2^22 bits per term is still cheap; beyond that the exact sum is not
+    # formed and exact mode is refused
+    exact = exact_quotient(terms, nf) if max(t[0] for t in terms) <= 1 << 22 else None
+    return term_report(terms, nf, mode, exact=exact)
 
 
-def _sym_exact_possible_from_terms(terms) -> bool:
-    # 2^22 bits per term is still cheap; beyond that exact mode is refused
-    return max(e for e, _, _ in terms) <= (1 << 22)
+def _check_odd_modulus(mode: str) -> None:
+    kind, p = parse_mode(mode)
+    if kind == "modp" and p < 3:
+        raise BadParameter(f"modulus {p} must be an odd prime")
 
 
 def build_b1_b2(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -523,8 +446,13 @@ def _fractional_power_report(terms, divisor: int, mode: str) -> CountReport:
                 ex = mp.mpf(e.numerator) / e.denominator
                 acc += size * mp.power(2, ex)
             return CountReport(mode="log2", log2_value=mp.log(acc, 2) - mp.log(divisor, 2))
-    int_terms = [(int(e), size, 1) for e, size in terms]
-    return _report_from_terms(int_terms, divisor, mode)
+    int_terms = [(int(e), 0, size, 1) for e, size in terms]
+    _check_odd_modulus(mode)
+    # The displayed exponents need not give an integral sum, so the exact
+    # sum is formed (and refused if fractional) in exact mode only; modular
+    # mode reports the residue of the displayed expression as it stands.
+    exact = exact_quotient(int_terms, divisor) if kind == "exact" else None
+    return term_report(int_terms, divisor, mode, exact=exact)
 
 
 def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
@@ -586,81 +514,34 @@ def elementary_abelian_census(
 
     if surface not in ("O", "N", "L"):
         raise BadParameter(f"unknown surface {surface!r}")
+    fact = factorial(k - 1)
+    # terms (2-exponent, factorial exponent, multiplier, 1): m * 2^a * (k-1)!^b,
+    # summed then divided by 2^n
+    o_terms = [(0, order, 1, 1), (0, order // 2, order - 1, 1)]
+    l_terms = [
+        (k * order // 4, order // 2, k, 1),
+        ((k - 2) * order // 4, order // 2, order - k - 1, 1),
+        ((k - 2) * order // 2, order, 1, 1),
+    ]
     if n == 1:
+        # the orientable sum 1 + 1 over |G| = 2, in any mode and modulus
         if surface != "O":
             raise BadParameter("only the orientable count is defined at n = 1")
-        return Elem2Result(1, k, "O", _elem2_report(2, order, mode), grr_valid, label)
+        report = make_report(exact_quotient(o_terms, order, fact), mode)
+        return Elem2Result(1, k, "O", report, grr_valid, label)
     if k < 2:
         raise CaySetInvalid([(TOO_SMALL, f"|S| = {k} < 2")])
-
-    fact = factorial(k - 1)
-    # terms as (2-exponent, factorial-exponent, multiplier): value
-    # m * 2^a * (k-1)!^b, summed then divided by 2^n
-    o_terms = [(0, order, 1), (0, order // 2, order - 1)]
-    l_terms = [
-        (k * order // 4, order // 2, k),
-        ((k - 2) * order // 4, order // 2, order - k - 1),
-        ((k - 2) * order // 2, order, 1),
-    ]
     if surface == "O":
         terms = o_terms
     elif surface == "L":
         terms = l_terms
     else:
-        terms = l_terms + [(a, b, -m) for a, b, m in o_terms]
-
-    if kind == "exact" or (kind == "log2" and n <= ELEM2_EXACT_CAP):
-        total = sum(m * (1 << a) * fact**b for a, b, m in terms)
-        q, r = divmod(total, order)
-        if r:
-            raise NonIntegralSum(f"census sum {total} not divisible by {order}")
-        if kind == "exact":
-            report = CountReport(mode="exact", exact_value=q, log2_value=log2_of_int(q))
-        else:
-            report = CountReport(mode="log2", log2_value=log2_of_int(q))
-    elif kind == "log2":
-        # m * 2^a * F^b has log2 = a + b*log2(F) + log2(m)
-        with mp.workdps(80):
-            keyed = [
-                (a, b * mp.log(mp.mpf(fact), 2) + mp.log(mp.mpf(abs(m)), 2), 1 if m > 0 else -1)
-                for a, b, m in terms
-                if m
-            ]
-            star = max(range(len(keyed)), key=lambda i: mp.mpf(keyed[i][0]) + keyed[i][1])
-            a0, f0, _ = keyed[star]
-            acc = mp.mpf(0)
-            for a, f, sgn in keyed:
-                acc += sgn * mp.power(2, mp.mpf(a - a0) + (f - f0))
-            value = mp.mpf(a0) + f0 + mp.log(acc, 2) - mp.log(mp.mpf(order), 2)
-        report = CountReport(mode="log2", log2_value=value)
-    else:
-        if p < 3 or p <= k:
-            raise BadParameter(f"modulus {p} must be an odd prime above k = {k}")
-        acc = 0
-        for a, b, m in terms:
-            t = pow(2, a % (p - 1), p) * pow(fact % p, b % (p - 1), p) * (m % p)
-            acc = (acc + t) % p
-        residue = acc * pow(order % p, -1, p) % p
-        if n <= ELEM2_EXACT_CAP:
-            exact = sum(m * (1 << a) * fact**b for a, b, m in terms) // order
-            if residue != exact % p:
-                raise InternalInconsistency(
-                    f"modular path {residue} disagrees with exact value mod {p}"
-                )
-        report = CountReport(mode="modp", residue=residue, prime=p)
+        terms = l_terms + [(a, b, -m, 1) for a, b, m, _ in o_terms]
+    if kind == "modp" and (p < 3 or p <= k):
+        raise BadParameter(f"modulus {p} must be an odd prime above k = {k}")
+    exact = exact_quotient(terms, order, fact) if n <= ELEM2_EXACT_CAP else None
+    report = term_report(terms, order, mode, base=fact, exact=exact)
     return Elem2Result(n, k, surface, report, grr_valid, label)
-
-
-def _elem2_report(value: int, divisor: int, mode: str) -> CountReport:
-    q, r = divmod(value, divisor)
-    if r:
-        raise NonIntegralSum(f"census sum {value} not divisible by {divisor}")
-    kind, p = parse_mode(mode)
-    if kind == "exact":
-        return CountReport(mode="exact", exact_value=q, log2_value=log2_of_int(q))
-    if kind == "log2":
-        return CountReport(mode="log2", log2_value=log2_of_int(q))
-    return CountReport(mode="modp", residue=q % p, prime=p)
 
 
 def _elem2_set(n: int, S) -> tuple[int, ...]:
