@@ -2,11 +2,13 @@
 
 The package is organized bottom-up:
 
-* :mod:`cayleymaps.groups` -- multiplication tables, named families,
-  conjugacy classes;
-* :mod:`cayleymaps.perm` -- permutations and permutation groups as
-  integer arrays: cycles, orders, powers, conjugacy classes, and the
-  per-element statistics the census formulas read;
+* :mod:`cayleymaps.groups` -- validated multiplication tables as
+  read-only arrays, named families, subgroup closure; row ``g`` of a
+  table is the left-regular permutation ``t -> g t`` read by ``perm``;
+* :mod:`cayleymaps.perm` -- the one permutation kernel: permutations,
+  permutation groups and group tables as integer arrays, with cycles,
+  orders, powers, conjugacy classes, and the per-element statistics the
+  census formulas read;
 * :mod:`cayleymaps.cayley` -- connection-set validation, Cayley graphs,
   and the flag space with its two fixed involutions;
 * :mod:`cayleymaps.maps` -- flag permutations as maps: validation,
@@ -41,9 +43,10 @@ from .cayley import (
 from .errors import CayleymapsError
 from .fixtures import FIXTURE_NAMES, fixture, run_fixture_checks
 from .formulas import census, grr_census, make_report
-from .groups import build_group_from_table, conjugacy_classes, named_group
+from .groups import build_group_from_table, named_group
 from .maps import inventory, map_automorphisms, validate_map
 from .oracle import burnside_count, compare_with_formula, enumerate_embeddings
+from .perm import conjugacy_classes_of
 from .rotations import all_rotation_systems, realize, realize_signed
 from .special import (
     elementary_abelian_census,
@@ -65,7 +68,7 @@ __all__ = [
     "burnside_count",
     "census",
     "compare_with_formula",
-    "conjugacy_classes",
+    "conjugacy_classes_of",
     "construct_stable_map",
     "decompose",
     "elementary_abelian_census",

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cayley import FlagSpace, Graph, flag_id
+import numpy as np
+
+from .cayley import FlagSpace, Graph
 from .errors import (
     BadParameter,
     CapExceeded,
@@ -72,18 +74,6 @@ class StableMap:
     signs: tuple[int, ...]
     twists: int
     commutes: bool
-
-
-def compose_vertex_maps(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a after b."""
-    return tuple(a[b[v]] for v in range(len(a)))
-
-
-def invert_vertex_map(a: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for v, w in enumerate(a):
-        out[w] = v
-    return tuple(out)
 
 
 def is_graph_automorphism(graph: Graph, vm: Sequence[int]) -> bool:
@@ -160,13 +150,13 @@ def graph_automorphism_group(
 
 
 def right_regular(G: FiniteGroup, graph: Graph | None = None) -> list[GraphAutomorphism]:
-    """The |G| translations t ↦ th, optionally checked against a graph."""
+    """The |G| translations t ↦ th (the columns of the table), optionally
+    checked against a graph."""
     out = []
-    for h in range(G.order):
-        vm = tuple(G.table[t][h] for t in range(G.order))
+    for h, vm in enumerate(G.table.T.tolist()):
         if graph is not None and not is_graph_automorphism(graph, vm):
             raise InternalInconsistency(f"right translation by {h} breaks adjacency")
-        out.append(GraphAutomorphism(vm))
+        out.append(GraphAutomorphism(tuple(vm)))
     return out
 
 
@@ -175,19 +165,19 @@ def right_regular(G: FiniteGroup, graph: Graph | None = None) -> list[GraphAutom
 # ---------------------------------------------------------------------------
 
 def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozenset]:
-    """All subgroups of exact order m inside a (small) permutation group."""
-    n = len(elements[0])
-    identity = tuple(range(n))
-    elems = set(elements)
+    """All subgroups of exact order m inside a (small) group of left
+    translations t ↦ xt.  A translation is known by its image x of the
+    identity, and x after y is the translation by (the map of x)[y]."""
+    maps = {vm[0]: vm for vm in elements}
     found: set[frozenset] = set()
 
     def close(gens: frozenset) -> frozenset | None:
-        group = {identity}
-        frontier = [identity]
+        group = {0}
+        frontier = [0]
         while frontier:
             a = frontier.pop()
             for g in gens:
-                b = compose_vertex_maps(a, g)
+                b = maps[a][g]
                 if b not in group:
                     if len(group) >= m:
                         return None
@@ -195,9 +185,9 @@ def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozens
                     frontier.append(b)
         return frozenset(group)
 
-    def grow(current: frozenset, pool: list[tuple[int, ...]]) -> None:
+    def grow(current: frozenset, pool: list[int]) -> None:
         if len(current) == m:
-            found.add(current)
+            found.add(frozenset(maps[x] for x in current))
             return
         for i, g in enumerate(pool):
             if g in current:
@@ -207,20 +197,21 @@ def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozens
                 continue
             grow(closed, pool[i + 1:])
 
-    ordered = sorted(elems - {identity})
-    grow(frozenset({identity}), ordered)
+    # the map of x starts with x, so sorting the x sorts the maps
+    grow(frozenset({0}), sorted(set(maps) - {0}))
     return [s for s in found if len(s) == m]
 
 
 def decompose(full: list[GraphAutomorphism], G: FiniteGroup) -> AutDecomposition:
     """Search for a complement H with full = R(G) × H (commuting, trivial
     intersection); H is sought inside the centralizer of R(G), where the
-    direct-product hypothesis forces it to live."""
+    direct-product hypothesis forces it to live.  A map commuting with every
+    right translation is the left translation t ↦ xt by its image x of the
+    identity, so the centralizer is read off the rows of the table."""
     full_maps = [a.vertex_map for a in full]
     full_set = set(full_maps)
     regular = right_regular(G)
-    reg_maps = [a.vertex_map for a in regular]
-    reg_set = set(reg_maps)
+    reg_set = {a.vertex_map for a in regular}
     if not reg_set <= full_set:
         raise BadParameter("supplied group does not contain the right translations")
     if len(full_set) % G.order:
@@ -238,10 +229,8 @@ def decompose(full: list[GraphAutomorphism], G: FiniteGroup) -> AutDecomposition
         )
 
     m = len(full_set) // G.order
-    centralizer = [
-        a for a in full_maps
-        if all(compose_vertex_maps(a, r) == compose_vertex_maps(r, a) for r in reg_maps)
-    ]
+    rows = G.table.tolist()
+    centralizer = [a for a in full_maps if list(a) == rows[a[0]]]
     complement = None
     if len(centralizer) % m == 0:
         for sub in _subgroups_of_order(centralizer, m):
@@ -260,15 +249,14 @@ def decompose(full: list[GraphAutomorphism], G: FiniteGroup) -> AutDecomposition
 def product_group(
     regular: Sequence[GraphAutomorphism], complement: Sequence[GraphAutomorphism]
 ) -> list[GraphAutomorphism]:
-    """All products r∘h; distinct when the intersection is trivial."""
-    out = {
-        compose_vertex_maps(r.vertex_map, h.vertex_map)
-        for r in regular
-        for h in complement
-    }
-    if len(out) != len(regular) * len(complement):
+    """All products r∘h, in sorted order; distinct when the intersection is
+    trivial."""
+    R = np.array([r.vertex_map for r in regular])
+    H = np.array([h.vertex_map for h in complement])
+    products = set(map(tuple, R[:, H].reshape(-1, R.shape[1]).tolist()))  # (r, h): r[h[v]]
+    if len(products) != len(regular) * len(complement):
         raise InternalInconsistency("regular part and complement overlap")
-    return [GraphAutomorphism(vm) for vm in sorted(out)]
+    return [GraphAutomorphism(vm) for vm in sorted(products)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +264,24 @@ def product_group(
 # ---------------------------------------------------------------------------
 
 def extend_to_flags(theta: GraphAutomorphism, F: FlagSpace) -> ExtendedAutomorphism:
-    """Canonical sign-preserving lift of a Cayley-graph automorphism."""
-    G, S = F.group, F.cayset
-    vm = theta.vertex_map
-    rank = {s: j for j, s in enumerate(S.members)}
-    fm = [0] * F.flag_count
-    for g in range(G.order):
-        for s in S.members:
-            s_img = G.table[vm[G.table[s][g]]][G.inverses[vm[g]]]
-            if s_img not in rank:
-                raise InternalInconsistency(
-                    f"image of generator {s} at vertex {g} leaves the "
-                    f"connection set: {s_img}"
-                )
-            for sign in (0, 1):
-                fm[flag_id(F, g, s, sign)] = flag_id(F, vm[g], s_img, sign)
-    return ExtendedAutomorphism(source=theta, flag_map=tuple(fm))
+    """Canonical sign-preserving lift of a Cayley-graph automorphism: flag
+    (g, s, sign) goes to (θ(g), θ(sg)θ(g)^{-1}, sign)."""
+    G, members = F.group, np.array(F.cayset.members)
+    T = G.table
+    vm = np.array(theta.vertex_map)
+    images = T[vm[T[members]], G.inverses[vm]]  # (s, g) -> image of s at g
+    rank = np.full(G.order, -1)
+    rank[members] = np.arange(len(members))
+    image_rank = rank[images].T  # (g, j)
+    if (image_rank < 0).any():
+        g, j = (int(x) for x in np.argwhere(image_rank < 0)[0])
+        raise InternalInconsistency(
+            f"image of generator {int(members[j])} at vertex {g} leaves the "
+            f"connection set: {int(images[j, g])}"
+        )
+    darts = vm[:, None] * len(members) + image_rank  # flag id = 2*dart + sign
+    flag_map = (2 * darts[:, :, None] + np.arange(2)).ravel()
+    return ExtendedAutomorphism(source=theta, flag_map=tuple(flag_map.tolist()))
 
 
 def is_semi_regular(theta: GraphAutomorphism) -> bool:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     CONTAINS_IDENTITY,
     NOT_GENERATING,
@@ -80,8 +82,8 @@ def validate_cayley_set(G: FiniteGroup, S: Sequence[int]) -> CayleySet:
     if 0 in members:
         violations.append((CONTAINS_IDENTITY, "identity element 0 in S"))
     for s in members:
-        if G.inverses[s] not in members:
-            violations.append((NOT_INVERSE_CLOSED, f"inverse of {s} is {G.inverses[s]}, not in S"))
+        if G.inv(s) not in members:
+            violations.append((NOT_INVERSE_CLOSED, f"inverse of {s} is {G.inv(s)}, not in S"))
             break
     generated = subgroup_closure(G, members)
     if len(generated) != G.order:
@@ -93,29 +95,22 @@ def validate_cayley_set(G: FiniteGroup, S: Sequence[int]) -> CayleySet:
 
 def build_cayley_graph(G: FiniteGroup, S: CayleySet) -> Graph:
     """Vertices G, edges {g, s*g}: connected |S|-regular simple graph."""
-    adjacency = tuple(
-        tuple(sorted(G.table[s][g] for s in S.members)) for g in range(G.order)
-    )
-    return Graph(vertex_count=G.order, adjacency=adjacency)
+    neighbors = np.sort(G.table[list(S.members)], axis=0).T  # row g: the s*g
+    return Graph(vertex_count=G.order, adjacency=tuple(map(tuple, neighbors.tolist())))
 
 
 def build_flag_space(G: FiniteGroup, S: CayleySet) -> FlagSpace:
     k = len(S.members)
     n = 2 * G.order * k
-    alpha = [0] * n
-    beta = [0] * n
-    for g in range(G.order):
-        for j, s in enumerate(S.members):
-            sg = G.table[s][g]
-            j_rev = S.rank(G.inverses[s])
-            for sign in (PLUS, MINUS):
-                f = 2 * (g * k + j) + sign
-                alpha[f] = 2 * (g * k + j) + (1 - sign)
-                beta[f] = 2 * (sg * k + j_rev) + sign
+    members = list(S.members)
+    j_rev = [S.rank(G.inv(s)) for s in members]
+    # dart g*k + j (generator j at g) meets dart (s_j g)*k + rank(s_j^-1)
+    beta_darts = G.table[members].T.astype(np.int64) * k + j_rev
+    beta = (2 * beta_darts[:, :, None] + np.array([PLUS, MINUS])).ravel()
     F = FlagSpace(
         flag_count=n,
-        alpha=tuple(alpha),
-        beta=tuple(beta),
+        alpha=tuple((np.arange(n) ^ 1).tolist()),  # the other sign, PLUS = 0 and MINUS = 1
+        beta=tuple(beta.tolist()),
         group=G,
         cayset=S,
         source="cayley",

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import numpy as np
 from mpmath import mp
 
 from .autaction import decompose, graph_automorphism_group
@@ -33,7 +34,7 @@ from .fileio import (
 )
 from .fixtures import FIXTURE_DESCRIPTIONS, FIXTURE_NAMES, fixture, run_fixture_checks
 from .formulas import CountReport, census
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup
 from .maps import inventory, map_automorphisms, orientation_preserving_automorphisms
 from .oracle import (
     DEFAULT_ORACLE_CAP,
@@ -44,6 +45,7 @@ from .oracle import (
     enumerate_embeddings,
     extend_group,
 )
+from .perm import conjugacy_classes_of, order
 from .special import (
     elementary_abelian_census,
     sym_locally_census,
@@ -156,7 +158,7 @@ def _count_fields(R: Report, prefix: str, rep: CountReport) -> None:
 
 def _rep_label(G: FiniteGroup, vm) -> str:
     g = vm[0]
-    if tuple(vm) == tuple(G.table[t][g] for t in range(G.order)):
+    if np.array_equal(G.table[:, g], vm):  # the right translation by g
         return G.name_of(g)
     return "[" + " ".join(str(x) for x in vm) + "]"
 
@@ -191,10 +193,11 @@ def _load_pair(source: list[str]):
 def cmd_group(args) -> list[str]:
     G = load_group(args.group_file)
     R = Report(args.kv)
-    classes = conjugacy_classes(G)
+    classes = conjugacy_classes_of(G.table, G.inverses)
     R.field("order", G.order)
-    R.field("abelian", _b(all(len(c.members) == 1 for c in classes)))
-    R.field("exponent", lcm(*(c.element_order for c in classes)))
+    R.field("abelian", _b(all(len(c) == 1 for c in classes)))
+    # row g of the table is t -> gt, of the order of g
+    R.field("exponent", lcm(*order(G.table[[int(c[0]) for c in classes]]).tolist()))
     R.field("conjugacy-classes", len(classes))
     R.field("valid", "true")
     return R.lines

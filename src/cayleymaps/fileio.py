@@ -31,6 +31,17 @@ def _tokens_of(path: str) -> list[str]:
     return text.split()
 
 
+def _ints(path: str, toks: list[str]) -> list[int]:
+    """The tokens as integers; the first that is not one is refused."""
+    out = []
+    try:
+        for t in toks:
+            out.append(int(t))
+    except ValueError:
+        raise BadParameter(f"{path}: {t!r} is not an integer") from None
+    return out
+
+
 def load_group(path: str) -> FiniteGroup:
     fx = resolve_fixture(path)
     if fx is not None:
@@ -38,13 +49,15 @@ def load_group(path: str) -> FiniteGroup:
             raise BadParameter(f"fixture {fx.name} has no group")
         return fx.group
     toks = _tokens_of(path)
-    if not toks or toks[0] != "group":
+    if len(toks) < 2 or toks[0] != "group":
         raise BadParameter(f"{path}: expected leading 'group <order>'")
-    n = int(toks[1])
+    (n,) = _ints(path, toks[1:2])
+    if n < 0:
+        raise BadParameter(f"{path}: group order {toks[1]!r} is negative")
     need = 2 + n * n
     if len(toks) < need:
         raise BadParameter(f"{path}: table needs {n * n} entries")
-    flat = [int(t) for t in toks[2:need]]
+    flat = _ints(path, toks[2:need])
     table = [flat[i * n : (i + 1) * n] for i in range(n)]
     names = None
     rest = toks[need:]
@@ -57,7 +70,7 @@ def load_group(path: str) -> FiniteGroup:
 
 def save_group(G: FiniteGroup, path: str) -> None:
     lines = [f"group {G.order}"]
-    lines += [" ".join(str(x) for x in row) for row in G.table]
+    lines += [" ".join(map(str, row)) for row in G.table.tolist()]
     # the format is whitespace-separated, so labels with spaces cannot ride along
     if G.names is not None and all(n and not any(c.isspace() for c in n) for n in G.names):
         lines.append("names " + " ".join(G.names))
@@ -72,12 +85,12 @@ def load_cayset_members(path: str) -> tuple[int, ...]:
             raise BadParameter(f"fixture {fx.name} has no connection set")
         return fx.cayset.members
     toks = _tokens_of(path)
-    if not toks or toks[0] != "cayset":
+    if len(toks) < 2 or toks[0] != "cayset":
         raise BadParameter(f"{path}: expected leading 'cayset <k>'")
-    k = int(toks[1])
+    (k,) = _ints(path, toks[1:2])
     if len(toks) != 2 + k:
         raise BadParameter(f"{path}: expected exactly {k} element indices")
-    return tuple(int(t) for t in toks[2:])
+    return tuple(_ints(path, toks[2:]))
 
 
 def load_cayset(G: FiniteGroup, path: str) -> CayleySet:
@@ -101,10 +114,10 @@ def load_map(path: str, flag_space: FlagSpace | None = None) -> MapPermutation:
             raise BadParameter(f"fixture {fx.name} has no pinned map")
         return fx.map
     toks = _tokens_of(path)
-    if not toks or toks[0] != "map":
+    if len(toks) < 2 or toks[0] != "map":
         raise BadParameter(f"{path}: expected leading 'map <flag_count>'")
-    n = int(toks[1])
-    body = [int(t) for t in toks[2:]]
+    (n,) = _ints(path, toks[1:2])
+    body = _ints(path, toks[2:])
     if len(body) == n:
         if flag_space is None:
             raise BadParameter(
@@ -138,7 +151,7 @@ def load_automorphisms(path: str, vertex_count: int | None = None) -> list[Graph
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        vm = tuple(int(t) for t in line.split())
+        vm = tuple(_ints(f"{path}:{ln}", line.split()))
         if vertex_count is not None and len(vm) != vertex_count:
             raise BadParameter(f"{path}:{ln}: expected {vertex_count} vertex images")
         if sorted(vm) != list(range(len(vm))):

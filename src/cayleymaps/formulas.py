@@ -39,6 +39,7 @@ from .perm import (
     check_table_size,
     conjugacy_classes_of,
     element_stats,
+    power,
 )
 
 THETA = "Theta"
@@ -81,7 +82,11 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
     if mode in ("exact", "log2"):
         return mode, None
     if mode.startswith("modp:"):
-        p = int(mode.split(":", 1)[1])
+        text = mode.split(":", 1)[1]
+        try:
+            p = int(text)
+        except ValueError:
+            raise BadParameter(f"mode {mode!r}: modulus {text!r} is not an integer") from None
         if p < 2:
             raise BadParameter(f"modulus {p} is not a prime candidate")
         return "modp", p
@@ -249,8 +254,7 @@ def acting_stats(G: FiniteGroup, S: CayleySet, acting: Sequence[GraphAutomorphis
     join t to s*t for s in S."""
     group = PermGroup([a.vertex_map for a in acting])
     adjacency = np.zeros((G.order, G.order), dtype=bool)
-    table = np.asarray(G.table)
-    adjacency[np.arange(G.order), table[list(S.members)]] = True
+    adjacency[np.arange(G.order), G.table[list(S.members)]] = True
     return element_stats(group, adjacency)
 
 
@@ -309,10 +313,6 @@ def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
     raise BadParameter(f"unknown surface {surface!r}")
 
 
-def phi_formula(stats: ClassStats, surface: str, k: int, mode: str = "exact") -> CountReport:
-    return make_report(phi_exact(stats, surface, k), mode)
-
-
 # ---------------------------------------------------------------------------
 # Census totals
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def census(
         raise InternalInconsistency("acting group size is not |G||H|")
 
     stats = acting_stats(G, S, acting)
-    classes = conjugacy_classes_of(stats.group)
+    classes = conjugacy_classes_of(stats.group.table, stats.group.inverse)
     if sum(len(c) for c in classes) != acting_size:
         raise InternalInconsistency("class sizes do not sum to the group order")
 
@@ -403,16 +403,12 @@ def grr_census(
     inverted-edge count is double checked in its conjugation form
     #{t : t g^{o/2} t^{-1} in S}."""
     result = census(G, S, None, surface, mode)
-    members = set(S.members)
+    T = G.table
     for st in result.classes:
         g = st.representative.vertex_map[0]
         if st.order % 2 == 0:
-            gh = G.power(g, st.order // 2)
-            alt = sum(
-                1
-                for t in range(G.order)
-                if G.table[G.table[t][gh]][G.inverses[t]] in members
-            )
+            gh = power(T[g], st.order // 2)[0]  # row g is t -> gt
+            alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
             if alt != st.l_value:
                 raise InternalInconsistency(
                     f"conjugation form of l gives {alt}, abstract form {st.l_value}"

@@ -2,44 +2,48 @@
 
 Element 0 is always the identity; every downstream id convention (flag ids,
 file formats) leans on that. Tables are validated on construction: Latin
-square, identity row/column, two-sided inverses, and associativity via
-Light's test over a greedily chosen generating set (naive triple checking is
-cubic and hopeless near the order cap).
+square, identity row/column, associativity via Light's test over a greedily
+chosen generating set (naive triple checking is cubic and hopeless near the
+order cap), and two-sided inverses.
+
+The validated table is the group: ``table[a, b]`` is the product a*b, a
+read-only integer array of ``perm.row_dtype`` width.  Row ``g`` is the
+left-regular permutation ``t -> g t`` read by :mod:`cayleymaps.perm`
+(its order, powers and cycles are those of g) and column ``h`` is the right
+translation ``t -> t h``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadParameter, CapExceeded, NotAGroup
+from .perm import PermGroup, cycle_labels, cycles, row_dtype
 
 DEFAULT_GROUP_CAP = 5040
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
+    """``table`` and ``inverses`` are read-only arrays, so groups are
+    compared by identity."""
+
     order: int
-    table: tuple[tuple[int, ...], ...]
-    inverses: tuple[int, ...]
+    table: np.ndarray
+    inverses: np.ndarray
     names: tuple[str, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         """Product a*b (row a, column b)."""
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverses[g], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][g]
-        return acc
+        return int(self.inverses[a])
 
     def name_of(self, g: int) -> str:
         if self.names is not None:
@@ -47,32 +51,24 @@ class FiniteGroup:
         return str(g)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: int
-    members: tuple[int, ...]
-    element_order: int
-
-
 def _greedy_generators(table: np.ndarray) -> list[int]:
-    """Small generating set: keep adding the least element outside the closure."""
-    n = table.shape[0]
+    """Small generating set: keep adding the least element outside the
+    closure.  The table is not yet known to be associative, so the closure
+    is taken under all pairwise products (a generating set of the magma)."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[0] = True
     gens: list[int] = []
-    closure = {0}
-    while len(closure) < n:
-        g = min(set(range(n)) - closure)
+    while not inside.all():
+        g = int(np.argmin(inside))
         gens.append(g)
-        frontier = [g]
-        closure.add(g)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closure):
-                    for c in (int(table[a, b]), int(table[b, a])):
-                        if c not in closure:
-                            closure.add(c)
-                            nxt.append(c)
-            frontier = nxt
+        inside[g] = True
+        members = np.flatnonzero(inside)
+        while True:
+            inside[table[np.ix_(members, members)]] = True
+            grown = np.flatnonzero(inside)
+            if len(grown) == len(members):
+                break
+            members = grown
     return gens
 
 
@@ -97,6 +93,7 @@ def build_group_from_table(
             f"entry out of range at ({bad[0]},{bad[1]})",
             witness=(int(bad[0]), int(bad[1])),
         )
+    T = T.astype(row_dtype(n))
 
     # Latin square: each row and column is a permutation of 0..n-1.
     idx = np.arange(n)
@@ -127,84 +124,17 @@ def build_group_from_table(
             )
 
     # Two-sided inverses (Latin square guarantees the solve; check both sides).
-    inverses = [0] * n
-    for g in range(n):
-        j = int(np.flatnonzero(T[g] == 0)[0])
-        if T[j, g] != 0:
-            raise NotAGroup(f"one-sided inverse at {g}", witness=(g, j))
-        inverses[g] = j
+    inverses = np.argmax(T == 0, axis=1).astype(T.dtype)
+    one_sided = np.flatnonzero(T[inverses, idx] != 0)
+    if len(one_sided):
+        g = int(one_sided[0])
+        raise NotAGroup(f"one-sided inverse at {g}", witness=(g, int(inverses[g])))
 
     names_t = tuple(names) if names is not None else None
     if names_t is not None and len(names_t) != n:
         raise BadParameter(f"expected {n} names, got {len(names_t)}")
-    return FiniteGroup(
-        order=n,
-        table=tuple(tuple(int(x) for x in row) for row in T),
-        inverses=tuple(inverses),
-        names=names_t,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Construction from permutation generators
-# ---------------------------------------------------------------------------
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """p∘q: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def _cycle_name(p: tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
-
-
-def build_group_from_permutation_generators(
-    generators: Iterable[Sequence[int]],
-    cap: int = DEFAULT_GROUP_CAP,
-) -> FiniteGroup:
-    """Close the generators under composition; elements in BFS discovery order."""
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if not gens:
-        raise BadParameter("at least one generator required")
-    degree = len(gens[0])
-    for g in gens:
-        if len(g) != degree or sorted(g) != list(range(degree)):
-            raise BadParameter(f"not a permutation of degree {degree}: {g}")
-
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(g, p)
-                if q not in index:
-                    if len(elems) >= cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-
-    n = len(elems)
-    table = [[index[_compose(a, b)] for b in elems] for a in elems]
-    return build_group_from_table(table, names=[_cycle_name(p) for p in elems], cap=cap)
+    T.flags.writeable = inverses.flags.writeable = False
+    return FiniteGroup(order=n, table=T, inverses=inverses, names=names_t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,45 +146,38 @@ def _cyclic(n: int, cap: int) -> FiniteGroup:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
     if n > cap:
         raise CapExceeded(f"cyclic({n}) has order {n} > cap {cap}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return build_group_from_table(table, names=[f"g{a}" for a in range(n)], cap=cap)
+    a = np.arange(n)
+    return build_group_from_table((a[:, None] + a) % n, names=[f"g{i}" for i in range(n)], cap=cap)
 
 
 def _dihedral(order: int, cap: int) -> FiniteGroup:
-    # Elements (i, f): rotation r^i for f=0, reflection r^i s for f=1.
+    # Element i + m*f: rotation r^i for f=0, reflection r^i s for f=1.
     if order < 2 or order % 2:
         raise BadParameter(f"dihedral order must be even and >= 2, got {order}")
     if order > cap:
         raise CapExceeded(f"dihedral({order}) has order {order} > cap {cap}")
     m = order // 2
-
-    def code(i: int, f: int) -> int:
-        return i + m * f
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(m):
-        for f in (0, 1):
-            for j in range(m):
-                for g in (0, 1):
-                    # (i,f)*(j,g) applies (j,g) first: r^i s^f r^j s^g.
-                    k = (i + (j if f == 0 else -j)) % m
-                    table[code(i, f)][code(j, g)] = code(k, f ^ g)
+    i, f = np.arange(order) % m, np.arange(order) // m
+    # (i,f)*(j,g) applies (j,g) first: r^i s^f r^j s^g = r^(i + (-1)^f j) s^(f+g).
+    k = (i[:, None] + np.where(f[:, None] == 0, i, -i)) % m
     names = [f"r{i}" for i in range(m)] + [f"s{i}" for i in range(m)]
-    return build_group_from_table(table, names=names, cap=cap)
+    return build_group_from_table(k + m * (f[:, None] ^ f), names=names, cap=cap)
+
+
+def _cycle_name(p, labels) -> str:
+    """Cycle notation of a permutation, fixed points omitted."""
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(p, labels) if len(c) > 1]
+    return "".join(parts) if parts else "()"
 
 
 def _symmetric(n: int, cap: int) -> FiniteGroup:
-    import itertools
-    import math
-
     if n < 1:
         raise BadParameter(f"symmetric degree must be >= 1, got {n}")
     if math.factorial(n) > cap:
         raise CapExceeded(f"symmetric({n}) has order {math.factorial(n)} > cap {cap}")
-    elems = list(itertools.permutations(range(n)))  # identity sorts first
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[_compose(a, b)] for b in elems] for a in elems]
-    return build_group_from_table(table, names=[_cycle_name(p) for p in elems], cap=cap)
+    group = PermGroup(list(itertools.permutations(range(n))))  # identity sorts first
+    names = [_cycle_name(p, labels) for p, labels in zip(group.rows.tolist(), cycle_labels(group.rows))]
+    return build_group_from_table(group.table, names=names, cap=cap)
 
 
 def _elementary_abelian_2(n: int, cap: int) -> FiniteGroup:
@@ -263,9 +186,9 @@ def _elementary_abelian_2(n: int, cap: int) -> FiniteGroup:
     order = 1 << n
     if order > cap:
         raise CapExceeded(f"elementary_abelian_2({n}) has order {order} > cap {cap}")
-    table = [[a ^ b for b in range(order)] for a in range(order)]
-    names = [format(a, f"0{n}b") for a in range(order)]
-    return build_group_from_table(table, names=names, cap=cap)
+    a = np.arange(order)
+    names = [format(i, f"0{n}b") for i in range(order)]
+    return build_group_from_table(a[:, None] ^ a, names=names, cap=cap)
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -274,13 +197,10 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, cap: int = DEFAULT_GROUP_CAP)
     if n > cap:
         raise CapExceeded(f"product order {n} > cap {cap}")
     nb = B.order
-    table = [
-        [A.table[a1][a2] * nb + B.table[b1][b2] for a2 in range(A.order) for b2 in range(nb)]
-        for a1 in range(A.order)
-        for b1 in range(nb)
-    ]
+    # entry ((a1, b1), (a2, b2)) = a1a2 * |B| + b1b2, formed in int64
+    table = A.table.astype(np.int64)[:, None, :, None] * nb + B.table[None, :, None, :]
     names = [f"({A.name_of(a)},{B.name_of(b)})" for a in range(A.order) for b in range(nb)]
-    return build_group_from_table(table, names=names, cap=cap)
+    return build_group_from_table(table.reshape(n, n), names=names, cap=cap)
 
 
 def named_group(family: str, params, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -309,61 +229,16 @@ def named_group(family: str, params, cap: int = DEFAULT_GROUP_CAP) -> FiniteGrou
 # Structure queries
 # ---------------------------------------------------------------------------
 
-def element_order(G: FiniteGroup, g: int) -> int:
-    if not 0 <= g < G.order:
-        raise BadParameter(f"element {g} out of range")
-    k, acc = 1, g
-    while acc != 0:
-        acc = G.table[acc][g]
-        k += 1
-    return k
-
-
-def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
-    """Partition into conjugacy classes; representative = least member."""
-    T = np.asarray(G.table, dtype=np.int64)
-    inv = np.asarray(G.inverses, dtype=np.int64)
-    n = G.order
-    seen = np.zeros(n, dtype=bool)
-    out: list[ConjugacyClass] = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        members = np.unique(T[T[:, g], inv])  # a*g*a^{-1} over all a
-        seen[members] = True
-        out.append(
-            ConjugacyClass(
-                representative=int(members.min()),
-                members=tuple(int(x) for x in members),
-                element_order=element_order(G, g),
-            )
-        )
-    return out
-
-
-def centralizer(G: FiniteGroup, subset: Sequence[int]) -> list[int]:
-    """All g commuting with every member of subset."""
-    T = np.asarray(G.table, dtype=np.int64)
-    mask = np.ones(G.order, dtype=bool)
-    for s in subset:
-        if not 0 <= s < G.order:
-            raise BadParameter(f"element {s} out of range")
-        mask &= T[:, s] == T[s, :]
-    return [int(g) for g in np.flatnonzero(mask)]
-
-
 def subgroup_closure(G: FiniteGroup, gens: Sequence[int]) -> list[int]:
-    """Subgroup generated by gens, as a sorted element list."""
-    closure = {0}
-    frontier = [0]
-    gset = [g for g in gens]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gset:
-                b = G.table[a][g]
-                if b not in closure:
-                    closure.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return sorted(closure)
+    """Subgroup generated by gens, as a sorted element list: a breadth-first
+    search under right multiplication by the generators."""
+    gens = np.asarray(gens, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        reached = np.zeros(G.order, dtype=bool)
+        reached[G.table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+        inside[frontier] = True
+    return np.flatnonzero(inside).tolist()

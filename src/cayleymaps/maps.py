@@ -104,7 +104,7 @@ def validate_map(F: FlagSpace, P: Sequence[int]) -> MapPermutation:
         f = next(f for f in range(n) if P[F.alpha[P[f]]] != F.alpha[f])
         raise AxiomViolation("ii", f)
     if fail == AXIOM_I:
-        for cyc in _cycle_tuples(P, perm.cycle_labels(np.array(P))):
+        for cyc in perm.cycles(P, perm.cycle_labels(P)):
             cset = set(cyc)
             for f in cyc:
                 if F.alpha[f] in cset:
@@ -112,20 +112,6 @@ def validate_map(F: FlagSpace, P: Sequence[int]) -> MapPermutation:
     if fail == AXIOM_III:
         raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
     return MapPermutation(flag_space=F, P=P)
-
-
-def _cycle_tuples(p: Sequence[int], labels: np.ndarray) -> list[tuple[int, ...]]:
-    """The cycles of ``p`` from its ``perm.cycle_labels``: ordered by least
-    point, each starting there."""
-    out = []
-    for start in np.flatnonzero(labels == np.arange(len(labels))).tolist():
-        cyc = [start]
-        j = p[start]
-        while j != start:
-            cyc.append(j)
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
 
 
 def face_permutation(M: MapPermutation) -> tuple[int, ...]:
@@ -226,10 +212,10 @@ def inventories(F: FlagSpace, rows) -> list[MapInventory]:
     surfaces = surface_rows(F, rows)
     out = []
     for i, row in enumerate(rows.tolist()):
-        vertex_cycles = _cycle_tuples(row, surfaces.vertex_labels[i])
+        vertex_cycles = perm.cycles(row, surfaces.vertex_labels[i])
         vertices = _conjugate_cycle_pairs(vertex_cycles, F.alpha, "vertex")
 
-        face_cycles = _cycle_tuples([row[f] for f in alpha_beta], surfaces.face_labels[i])
+        face_cycles = perm.cycles([row[f] for f in alpha_beta], surfaces.face_labels[i])
         faces = _conjugate_cycle_pairs(face_cycles, F.beta, "face")
         face_lengths = tuple(sorted(len(pair[0]) for pair in faces))
 

@@ -11,6 +11,11 @@ shortcuts, and powers are taken by repeated squaring.
 ``(|A|, n)`` array whose rows are in lexicographic order (the order of
 ``sorted`` on the tuples), together with its multiplication table, which
 also proves the rows closed under composition.
+
+An abstract group is read the same way: row ``g`` of a multiplication
+table (``table[g, t] = g t``) is the left-regular permutation
+``t -> g t``, whose order, powers and cycles are those of ``g``, and
+:func:`conjugacy_classes_of` takes any group table with its inverses.
 """
 
 from __future__ import annotations
@@ -85,6 +90,20 @@ def orbit_labels(gens, labels=None) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def cycles(p: Sequence[int], labels: np.ndarray) -> list[tuple[int, ...]]:
+    """The cycles of one permutation from its ``cycle_labels``, fixed points
+    included: ordered by least point, each starting there."""
+    out = []
+    for start in np.flatnonzero(labels == np.arange(len(labels))).tolist():
+        cyc = [start]
+        j = p[start]
+        while j != start:
+            cyc.append(j)
+            j = p[j]
+        out.append(tuple(cyc))
+    return out
 
 
 def cycle_lengths(perms) -> np.ndarray:
@@ -195,16 +214,17 @@ class PermGroup:
         return len(self) // commuting
 
 
-def conjugacy_classes_of(group: PermGroup) -> list[np.ndarray]:
-    """Conjugacy classes as sorted arrays of row indices, ordered by their
-    least member (so by the least permutation in each class)."""
-    table, inverse = group.table, group.inverse
-    seen = np.zeros(len(group), dtype=bool)
+def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:
+    """Conjugacy classes of the group with multiplication ``table`` and
+    ``inverse`` (a :class:`PermGroup`'s, or a ``FiniteGroup``'s), as sorted
+    arrays of element indices ordered by their least member."""
+    m = len(table)
+    seen = np.zeros(m, dtype=bool)
     classes = []
-    for x in range(len(group)):
+    for x in range(m):
         if seen[x]:
             continue
-        cls = np.flatnonzero(np.bincount(table[table[:, x], inverse], minlength=len(group)))
+        cls = np.flatnonzero(np.bincount(table[table[:, x], inverse], minlength=m))
         seen[cls] = True
         classes.append(cls)
     return classes

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import mpmath as mp
+import numpy as np
 
 from .cayley import validate_cayley_set
 from .errors import (
@@ -46,8 +47,8 @@ from .formulas import (
     phi_exact,
     term_report,
 )
-from .groups import FiniteGroup, conjugacy_classes, element_order, subgroup_closure
-from .perm import cycle_type
+from .groups import FiniteGroup, subgroup_closure
+from .perm import conjugacy_classes_of, cycle_type, order
 
 # A partition of n as cycle-type multiplicities: entry i-1 counts i-cycles.
 Partition = tuple[int, ...]
@@ -376,24 +377,23 @@ def three_involution_census(
     and the value is still computed from the displayed formulas."""
     members = _three_involution_set(G, S)
     n = G.order
+    T = G.table
     violations = tuple(
         (t, x)
         for x in members
-        for t in range(n)
-        if t not in (0, x) and G.table[t][x] == G.table[x][t]
+        for t in np.flatnonzero(T[:, x] == T[x]).tolist()
+        if t not in (0, x)
     )
 
     rows = []
-    for cls in conjugacy_classes(G):
-        g = cls.representative
-        o = element_order(G, g)
+    classes = conjugacy_classes_of(T, G.inverses)
+    reps = [int(cls[0]) for cls in classes]
+    for g, cls, o in zip(reps, classes, order(T[reps]).tolist()):  # row g is t -> gt
         base = Fraction(n, o)
         if base.denominator != 1:
             raise InternalInconsistency("element order does not divide group order")
         alpha = Fraction(3 * n, 2 * o) if o % 2 == 0 else Fraction(n, 2 * o)
-        rows.append(
-            ThreeInvolutionRow(g, len(cls.members), o, o % 2 == 0, int(base), alpha)
-        )
+        rows.append(ThreeInvolutionRow(g, len(cls), o, o % 2 == 0, int(base), alpha))
 
     terms = []
     for row in rows:
@@ -418,7 +418,7 @@ def _three_involution_set(G: FiniteGroup, S) -> tuple[int, ...]:
     members = tuple(sorted(set(int(s) for s in S)))
     if len(members) != 3:
         raise BadParameter(f"need exactly 3 distinct involutions, got {len(members)}")
-    bad = [s for s in members if not (0 <= s < G.order) or s == 0 or G.table[s][s] != 0]
+    bad = [s for s in members if not (0 <= s < G.order) or s == 0 or G.mul(s, s) != 0]
     if bad:
         raise NotInvolutions(f"elements {bad} are not involutions")
     if len(subgroup_closure(G, members)) != G.order:
@@ -467,8 +467,8 @@ def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
     stats = acting_stats(G, cayset, acting)
     n = G.order
     rows = []
-    for cls in conjugacy_classes(G):
-        xi = acting[cls.representative]
+    for cls in conjugacy_classes_of(G.table, G.inverses):
+        xi = acting[cls[0]]
         st = class_stats(G, cayset, stats, int(stats.group.find([xi.vertex_map])[0]))
         assumed_l = n if st.order % 2 == 0 else 0
         assumed_alpha = (

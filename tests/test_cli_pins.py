@@ -1,0 +1,131 @@
+"""Stdout of the group-touching commands, pinned by SHA-256.
+
+The digests were recorded from the tuple-table implementation that the
+array-backed group layer replaced, so they pin that the replacement prints
+byte-identical text (plain and ``--kv``) and exit codes.  No output may
+carry a numpy scalar repr (``np.int16(3)``), which a stray array entry in
+a tuple or an f-string repr would print.
+"""
+
+import hashlib
+
+import pytest
+
+from cayleymaps import named_group
+from cayleymaps.cli import main
+from cayleymaps.fileio import save_group
+from cayleymaps.groups import direct_product
+
+# (C_2 x D_6, {3, 7, 8}): a prism-like cubic graph whose automorphism group
+# is R(G) x H with H of order 2; H is that complement, written out.  Its
+# product with R(G) holds conjugations, which fix the identity vertex, so
+# the census refuses it (NotSemiRegular); with H = 1 it counts.
+C2D6_SET = "cayset 3\n3 7 8\n"
+C2D6_H = "0 1 2 3 4 5 6 7 8 9 10 11\n9 11 10 6 8 7 3 5 4 0 2 1\n"
+C2D6_H1 = "0 1 2 3 4 5 6 7 8 9 10 11\n"
+# the Coxeter transpositions (2 3), (1 2), (0 1) of S_4
+S4_SET = "cayset 3\n1 2 6\n"
+# a Latin square with two-sided identity 0 that is not associative
+NONASSOC = "group 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
+CASES = {
+    "group-d12": ["group", "check", "{d12}"],
+    "group-s4": ["group", "check", "{s4}"],
+    "group-nonassoc": ["group", "check", "{nonassoc}"],
+    "cayley-c2d6": ["cayley", "check", "{c2d6}", "{c2d6_set}"],
+    "formula-c2d6-h": ["census", "formula", "{c2d6}", "{c2d6_set}", "--h-file", "{c2d6_h}"],
+    "formula-c2d6-h1-L": [
+        "census", "formula", "{c2d6}", "{c2d6_set}", "--h-file", "{c2d6_h1}", "--surface", "L",
+    ],
+    "formula-c2d6-h1-N-modp": [
+        "census", "formula", "{c2d6}", "{c2d6_set}", "--h-file", "{c2d6_h1}", "--surface", "N",
+        "--mode", "modp:1000003",
+    ],
+    "three-inv-s4-compare": ["three-inv", "{s4}", "{s4_set}", "--compare"],
+    "three-inv-s4-compare-N-log2": [
+        "three-inv", "{s4}", "{s4_set}", "--compare", "--surface", "N", "--mode", "log2",
+    ],
+}
+
+# case -> (exit code, SHA-256 of stdout plain, SHA-256 of stdout with --kv)
+PINS = {
+    "cayley-c2d6": (
+        0,
+        "2d9b5b4bc9c22847d6586c8e02a7b20260fad515957b11db52b5e63a74076ca2",
+        "00ac3d77cafd8d112e323c6abc52917f13b787ca1343a189c0db28817485b47f",
+    ),
+    "formula-c2d6-h": (
+        1,
+        "469aa79d508afdc08f08d065baf91cd55fe58bb2499067f0e353bdc14a872aaa",
+        "469aa79d508afdc08f08d065baf91cd55fe58bb2499067f0e353bdc14a872aaa",
+    ),
+    "formula-c2d6-h1-L": (
+        0,
+        "6125f93f0869b75279ba4478cbd52155ec85fe548d460688293a70da04f2bad8",
+        "0fa9f69802acd351c9ead78e302651c639fa820d379a57f28abf2e21776eb668",
+    ),
+    "formula-c2d6-h1-N-modp": (
+        0,
+        "845bbf9fb70aaedd081a77f62d2148f516fba27fa58adcbc50a8a5bcdde478d1",
+        "569abb20e7e684de39112647ba40e870d77d9fc18ae84f99c4503c19cc7b5e4e",
+    ),
+    "group-d12": (
+        0,
+        "5b446b98344013bf8147d4ac790652fd39a7889c1d1e383ce2bfe29c6f400101",
+        "66a79bac79ee1ec8c3fe3a8d0994b01bebb1fa6ad81e38cde7efc4ae6d178070",
+    ),
+    "group-nonassoc": (
+        1,
+        "6116241876ba20653fc8f07b6fee4e39f88abcbdb74f2e810f289045e5716bf9",
+        "6116241876ba20653fc8f07b6fee4e39f88abcbdb74f2e810f289045e5716bf9",
+    ),
+    "group-s4": (
+        0,
+        "50aa14d8ea7ca0a248a5ca6c953205dcf735591f66e3427a066df0cc02166b8d",
+        "8f1cc1a4474ab7623d365db1adc3051f80406a4eb9484968c77369d68df718bb",
+    ),
+    "three-inv-s4-compare": (
+        0,
+        "baf15a9357fbe9354458f5007471282e062dd2ad668b221bfe7c8d51eb003f64",
+        "3f5a3d0522ad471c448c1c58f3f05a0c1285ae805bb6dc6500eb5a3db2b2b1c6",
+    ),
+    "three-inv-s4-compare-N-log2": (
+        0,
+        "696c22680da4eeb4e0449a7989ca894b2646c154ed349ab458a08ec9b722f58c",
+        "efc80254546a0272fd693b8b98d8b1dda002c084a1b437092d67e09fab10b16b",
+    ),
+}
+
+
+def write_inputs(tmp_path) -> dict[str, str]:
+    files = {
+        "d12": named_group("dihedral", 12),
+        "s4": named_group("symmetric", 4),
+        "c2d6": direct_product(named_group("cyclic", 2), named_group("dihedral", 6)),
+    }
+    paths = {}
+    for key, G in files.items():
+        paths[key] = str(tmp_path / f"{key}.group")
+        save_group(G, paths[key])
+    texts = {"c2d6_set": C2D6_SET, "c2d6_h": C2D6_H, "c2d6_h1": C2D6_H1, "s4_set": S4_SET,
+             "nonassoc": NONASSOC}
+    for key, text in texts.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(text)
+    return paths
+
+
+def run_case(capsys, paths, argv) -> tuple[int, str]:
+    rc = main([a.format(**paths) for a in argv])
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_is_pinned(case, capsys, tmp_path):
+    paths = write_inputs(tmp_path)
+    rc, plain = run_case(capsys, paths, CASES[case])
+    rc_kv, kv = run_case(capsys, paths, CASES[case] + ["--kv"])
+    assert rc == rc_kv
+    assert "np." not in plain and "np." not in kv
+    digest = (rc, hashlib.sha256(plain.encode()).hexdigest(), hashlib.sha256(kv.encode()).hexdigest())
+    assert digest == PINS[case]

@@ -1,5 +1,6 @@
 """File formats round-trip byte-identically; the CLI is deterministic text."""
 
+import numpy as np
 import pytest
 
 from cayleymaps import enumerate_embeddings, fixture, named_group, validate_cayley_set
@@ -31,7 +32,7 @@ def test_group_round_trip(tmp_path):
         path = tmp_path / "g.group"
         save_group(G, str(path))
         G2 = load_group(str(path))
-        assert G2.table == G.table
+        assert np.array_equal(G2.table, G.table)
         assert G2.names == G.names
         save_group(G2, str(tmp_path / "h.group"))
         assert (tmp_path / "h.group").read_text() == path.read_text()
@@ -44,7 +45,7 @@ def test_symmetric_group_reloads_unnamed(tmp_path):
     save_group(G, str(path))
     assert "names" not in path.read_text()
     G2 = load_group(str(path))
-    assert G2.table == G.table
+    assert np.array_equal(G2.table, G.table)
     assert G2.names is None
 
 
@@ -371,3 +372,46 @@ def test_cli_exit_codes_and_error_tokens(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sym-grr")
     assert code == 64
     assert err.rstrip("\n").endswith("error-token: Usage")
+
+
+@pytest.mark.parametrize("kind,text,token", [
+    ("group", "group x\n0\n", "'x'"),
+    ("group", "group 2\n0 1\n1 q\n", "'q'"),
+    ("group", "group\n", None),
+    ("group", "group -1\n0\n", "'-1'"),
+    ("cayset", "cayset 2\n1 q\n", "'q'"),
+    ("cayset", "cayset two\n1 2\n", "'two'"),
+    ("elem2", "cayset 2\n1 q\n", "'q'"),
+    ("map", "map 4\n1 0 z 2\n", "'z'"),
+    ("map", "map four\n1 0 3 2\n", "'four'"),
+    ("h-file", "0 1 2 3 4 5 6 7\n0 1 2 3 4 5 6 x7\n", "'x7'"),
+])
+def test_cli_malformed_numbers_refuse(capsys, tmp_path, kind, text, token):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {
+        "group": ["group", "check", str(path)],
+        "cayset": ["cayley", "check", "fixtures:CUBE", str(path)],
+        "elem2": ["elem2", "3", str(path)],
+        "map": ["map", "check", str(path)],
+        "h-file": ["census", "formula", "fixtures:CUBE", "--h-file", str(path)],
+    }[kind]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.endswith("error-token: BadParameter\n")
+    assert str(path) in out
+    if token is not None:
+        assert token in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "formula", "fixtures:CUBE", "--mode", "modp:abc"],
+    ["sym-grr", "9", "--mode", "modp:zz"],
+    ["elem2", "3", "fixtures:CUBE", "--mode", "modp:"],
+    ["three-inv", "fixtures:CUBE", "--mode", "modp:1e9"],
+])
+def test_cli_malformed_modulus_refuses(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.endswith("error-token: BadParameter\n")
+    assert repr(argv[-1].split(":", 1)[1]) in out

@@ -6,8 +6,7 @@ from math import factorial
 import pytest
 
 from cayleymaps import census, fixture, formulas, grr_census, named_group, perm, validate_cayley_set
-from cayleymaps.autaction import GraphAutomorphism, compose_vertex_maps, right_regular
-from cayleymaps.groups import element_order
+from cayleymaps.autaction import GraphAutomorphism, right_regular
 from cayleymaps.errors import (
     BadParameter,
     CapExceeded,
@@ -24,7 +23,6 @@ from cayleymaps.formulas import (
     make_report,
     parse_mode,
     phi_exact,
-    phi_formula,
 )
 from cayleymaps.perm import PermGroup, conjugacy_classes_of, order, power
 
@@ -68,11 +66,15 @@ def test_make_report_shapes():
     assert (r.mode, r.residue, r.prime) == ("modp", 928 % 7, 7)
 
 
+def _after(a, b):
+    return tuple(a[v] for v in b)
+
+
 def _brute_order(vm):
     acc = tuple(vm)
     n = 1
     while acc != tuple(range(len(vm))):
-        acc = compose_vertex_maps(vm, acc)
+        acc = _after(vm, acc)
         n += 1
     return n
 
@@ -87,28 +89,28 @@ def test_permutation_order_and_power_match_brute_force():
         acc = tuple(range(8))
         for k in range(12):
             assert tuple(power(vm, k)) == acc
-            acc = compose_vertex_maps(vm, acc)
+            acc = _after(vm, acc)
     assert order(tuple(range(6))) == 1
     assert tuple(power((1, 0, 2), 0)) == (0, 1, 2)
 
 
 def test_conjugacy_classes_of_regular_representations():
     d6 = named_group("dihedral", 12)
-    maps = [a.vertex_map for a in right_regular(d6)]
-    sizes = sorted(len(c) for c in conjugacy_classes_of(PermGroup(maps)))
+    group = PermGroup([a.vertex_map for a in right_regular(d6)])
+    sizes = sorted(len(c) for c in conjugacy_classes_of(group.table, group.inverse))
     assert sizes == [1, 1, 2, 2, 3, 3]
 
     s3 = named_group("symmetric", 3)
-    maps = [a.vertex_map for a in right_regular(s3)]
-    sizes = sorted(len(c) for c in conjugacy_classes_of(PermGroup(maps)))
+    group = PermGroup([a.vertex_map for a in right_regular(s3)])
+    sizes = sorted(len(c) for c in conjugacy_classes_of(group.table, group.inverse))
     assert sizes == [1, 2, 3]
 
 
 def test_conjugacy_classes_of_rejects_bad_pools():
     with pytest.raises(BadParameter):
-        conjugacy_classes_of(PermGroup([(1, 0, 2)]))  # no identity
+        PermGroup([(1, 0, 2)])  # no identity
     with pytest.raises(BadParameter):
-        conjugacy_classes_of(PermGroup([(0, 1, 2), (1, 2, 0)]))  # not closed
+        PermGroup([(0, 1, 2), (1, 2, 0)])  # not closed
 
 
 def test_class_stats_cube_table():
@@ -145,7 +147,7 @@ def test_l_value_equals_conjugation_count():
             if st.order % 2:
                 assert st.l_value == 0
                 continue
-            gh = G.power(g, st.order // 2)
+            gh = int(power(G.table[g], st.order // 2)[0])  # row g is t -> gt
             alt = sum(
                 1 for t in range(G.order)
                 if G.mul(G.mul(t, gh), G.inv(t)) in members
@@ -171,6 +173,8 @@ def test_phi_additivity_per_class():
             assert phi_exact(st, "O", k) == res["O"].phi_values[i]
         total = {s: res[s].count.exact_value for s in ("O", "N", "L")}
         assert total["O"] + total["N"] == total["L"]
+    with pytest.raises(BadParameter):
+        phi_exact(res["O"].classes[0], "Q", 3)
 
 
 def test_census_totals_frozen():
@@ -212,7 +216,7 @@ def test_sym3_transpositions_have_half_integer_alpha():
     # Conjugates of a transposition stay in S, so l = 6 and
     # alpha = (9 + 6 - 6)/2 is not an integer on any surface.
     G = named_group("symmetric", 3)
-    members = tuple(g for g in range(6) if element_order(G, g) == 2)
+    members = tuple(g for g in range(6) if order(G.table[g]) == 2)
     S = validate_cayley_set(G, members)
     for surface in ("O", "N", "L"):
         with pytest.raises(NonIntegralExponent, match="not a non-negative integer"):
@@ -255,12 +259,3 @@ def test_census_refuses_over_the_table_cap_before_building_anything(monkeypatch)
     monkeypatch.undo()
     monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 512)
     assert census(fx.group, fx.cayset).count.exact_value == 46
-
-
-def test_phi_formula_wraps_report():
-    fx = fixture("CUBE")
-    st = census(fx.group, fx.cayset, surface="L").classes[0]
-    r = phi_formula(st, "L", 3, "modp:7")
-    assert r.residue == phi_exact(st, "L", 3) % 7
-    with pytest.raises(BadParameter):
-        phi_exact(st, "Q", 3)

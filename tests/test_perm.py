@@ -16,8 +16,8 @@ from cayleymaps.errors import (
     NonIntegralSum,
     NotSemiRegular,
 )
-from cayleymaps.groups import direct_product, element_order
-from cayleymaps.perm import PermGroup, cycle_labels, cycle_lengths, element_stats
+from cayleymaps.groups import direct_product
+from cayleymaps.perm import PermGroup, cycle_labels, cycle_lengths, element_stats, order
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def _element_row(G, S, x):
     n = G.order
     lengths = {len(c) for c in _cycles(x)}
     o = lcm(*lengths)
-    neighbors = [{G.table[s][t] for s in S.members} for t in range(n)]
+    neighbors = [{G.mul(s, t) for s in S.members} for t in range(n)]
     l_value = 0
     if o % 2 == 0:
         half = tuple(range(n))
@@ -70,7 +70,7 @@ def reference_census(G, S, H, surface):
     """(class rows, total) of the census, recomputed element by element."""
     n, k = G.order, len(S.members)
     eps = n * k // 2
-    regular = [tuple(G.table[t][h] for t in range(n)) for h in range(n)]
+    regular = [tuple(col) for col in G.table.T.tolist()]
     pool = {_after(r, h.vertex_map) for r in regular for h in H}
     if len(pool) != n * len(H):
         raise InternalInconsistency("regular part and complement overlap")
@@ -147,7 +147,7 @@ def _random_cayset(rng, G):
     members = set()
     while True:
         g = rng.randrange(1, G.order)
-        members |= {g, G.inverses[g]}
+        members |= {g, G.inv(g)}
         try:
             return validate_cayley_set(G, tuple(sorted(members)))
         except CayleymapsError:
@@ -164,24 +164,25 @@ def _semi_regular_complement(rng, G, S):
     identity fixes a vertex: the census refuses with NotSemiRegular, and
     both sides must name the same class."""
     n, members = G.order, set(S.members)
+    T, inv = G.table.tolist(), G.inverses.tolist()
     left = [
         g for g in range(n)
-        if any(G.table[g][t] != G.table[t][g] for t in range(n))
-        and {G.table[G.table[g][s]][G.inverses[g]] for s in members} == members
+        if any(T[g][t] != T[t][g] for t in range(n))
+        and {T[T[g][s]][inv[g]] for s in members} == members
     ]
     if left:
         g = rng.choice(left)
         powers, p = [0], g
         while p:
             powers.append(p)
-            p = G.table[p][g]
-        return [GraphAutomorphism(tuple(G.table[h][t] for t in range(n))) for h in powers]
-    if all(G.table[t][s] == G.table[s][t] for t in range(n) for s in range(n)):
-        squares = {G.table[t][t] for t in range(n)}
+            p = T[p][g]
+        return [GraphAutomorphism(tuple(T[h][t] for t in range(n))) for h in powers]
+    if all(T[t][s] == T[s][t] for t in range(n) for s in range(n)):
+        squares = {T[t][t] for t in range(n)}
         non_squares = [a for a in range(n) if a not in squares]
         if non_squares:
             a = rng.choice(non_squares)
-            flip = tuple(G.table[G.inverses[t]][a] for t in range(n))
+            flip = tuple(T[inv[t]][a] for t in range(n))
             return [GraphAutomorphism(tuple(range(n))), GraphAutomorphism(flip)]
     return None
 
@@ -214,7 +215,7 @@ def test_refusals_keep_their_type_and_message():
         "BadParameter", "acting set is not closed under composition")
 
     s3 = named_group("symmetric", 3)
-    S = validate_cayley_set(s3, tuple(g for g in range(6) if element_order(s3, g) == 2))
+    S = validate_cayley_set(s3, tuple(g for g in range(6) if order(s3.table[g]) == 2))
     for surface in "ONL":
         assert outcome(lambda: census(s3, S, surface=surface)) == (
             "NonIntegralExponent", "alpha = (9+6-6)/2 is not a non-negative integer")
@@ -240,7 +241,7 @@ def test_cycle_labels_and_lengths_match_walks():
 
 def test_find_is_exact():
     d6 = named_group("dihedral", 12)
-    maps = sorted(tuple(d6.table[t][h] for t in range(12)) for h in range(12))
+    maps = sorted(tuple(col) for col in d6.table.T.tolist())
     group = PermGroup(maps)
     assert list(group.find(maps)) == list(range(12))
     strangers = [tuple(reversed(m)) for m in maps] + [(1, 0) + tuple(range(2, 12))]
