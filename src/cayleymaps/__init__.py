@@ -42,12 +42,12 @@ from .cayley import (
 )
 from .errors import CayleymapsError
 from .fixtures import FIXTURE_NAMES, fixture, run_fixture_checks
-from .formulas import census, grr_census, make_report
+from .formulas import census, make_report
 from .groups import build_group_from_table, named_group
 from .maps import inventory, map_automorphisms, validate_map
 from .oracle import burnside_count, compare_with_formula, enumerate_embeddings
 from .perm import conjugacy_classes_of
-from .rotations import all_rotation_systems, realize, realize_signed
+from .rotations import realize, realize_signed
 from .special import (
     elementary_abelian_census,
     sym_locally_census,
@@ -61,7 +61,6 @@ __all__ = [
     "CayleymapsError",
     "FIXTURE_NAMES",
     "GraphAutomorphism",
-    "all_rotation_systems",
     "build_cayley_graph",
     "build_flag_space",
     "build_group_from_table",
@@ -76,7 +75,6 @@ __all__ = [
     "fixture",
     "generic_flag_space",
     "graph_automorphism_group",
-    "grr_census",
     "inventory",
     "make_report",
     "map_automorphisms",

@@ -39,7 +39,6 @@ from .perm import (
     check_table_size,
     conjugacy_classes_of,
     element_stats,
-    power,
 )
 
 THETA = "Theta"
@@ -395,26 +394,3 @@ def census(
         acting_size=acting_size,
     )
 
-
-def grr_census(
-    G: FiniteGroup, S: CayleySet, surface: str = "O", mode: str = "exact"
-) -> CensusResult:
-    """Census with H = 1; representatives are translations R(g), so the
-    inverted-edge count is double checked in its conjugation form
-    #{t : t g^{o/2} t^{-1} in S}."""
-    result = census(G, S, None, surface, mode)
-    T = G.table
-    for st in result.classes:
-        g = st.representative.vertex_map[0]
-        if st.order % 2 == 0:
-            gh = power(T[g], st.order // 2)[0]  # row g is t -> gt
-            alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
-            if alt != st.l_value:
-                raise InternalInconsistency(
-                    f"conjugation form of l gives {alt}, abstract form {st.l_value}"
-                )
-    if all(st.order % 2 for st in result.classes):
-        # Odd order: no half powers, single-branch total must coincide.
-        if any(st.branch != THETA for st in result.classes):
-            raise InternalInconsistency("odd-order group produced a Delta class")
-    return result

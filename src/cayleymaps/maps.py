@@ -19,15 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import perm
-from .cayley import FlagSpace, quadricells
-from .errors import (
-    AxiomViolation,
-    BadParameter,
-    CapExceeded,
-    InternalInconsistency,
-)
-
-DEFAULT_SIDE_CLASS_CAP = 1 << 22
+from .cayley import FlagSpace
+from .errors import AxiomViolation, BadParameter, InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -45,14 +38,6 @@ class MapInventory:
     euler_characteristic: int
     orientable: bool
     genus: int  # orientable genus, or crosscap number when non-orientable
-
-
-@dataclass(frozen=True)
-class SideSwapGroup:
-    """One involution (x, alpha x)(beta x, alpha beta x) per quadricell."""
-
-    flag_space: FlagSpace
-    generators: tuple[tuple[int, ...], ...]
 
 
 # Codes of the first check each row fails in ``axiom_failures``.
@@ -112,11 +97,6 @@ def validate_map(F: FlagSpace, P: Sequence[int]) -> MapPermutation:
     if fail == AXIOM_III:
         raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
     return MapPermutation(flag_space=F, P=P)
-
-
-def face_permutation(M: MapPermutation) -> tuple[int, ...]:
-    F = M.flag_space
-    return tuple(M.P[F.alpha[F.beta[f]]] for f in range(F.flag_count))
 
 
 def _conjugate_cycle_pairs(
@@ -245,25 +225,22 @@ def inventories(F: FlagSpace, rows) -> list[MapInventory]:
 
 
 # ---------------------------------------------------------------------------
-# Automorphisms and isomorphism by propagation
+# Automorphisms by propagation
 # ---------------------------------------------------------------------------
 
-def _propagate(
-    M1: MapPermutation, M2: MapPermutation, image_of_0: int
-) -> tuple[int, ...] | None:
+def _propagate(M: MapPermutation, image_of_0: int) -> tuple[int, ...] | None:
     """The unique candidate bijection tau with tau(0) = image_of_0 commuting
-    with alpha, beta and carrying P1 to P2; None if propagation clashes."""
-    F1, F2 = M1.flag_space, M2.flag_space
-    n = F1.flag_count
+    with alpha, beta and P; None if propagation clashes."""
+    F = M.flag_space
+    n = F.flag_count
     tau = [-1] * n
     tau[0] = image_of_0
     stack = [0]
-    gens1 = (M1.P, F1.alpha, F1.beta)
-    gens2 = (M2.P, F2.alpha, F2.beta)
+    gens = (M.P, F.alpha, F.beta)
     while stack:
         f = stack.pop()
-        for g1, g2 in zip(gens1, gens2):
-            src, dst = g1[f], g2[tau[f]]
+        for g in gens:
+            src, dst = g[f], g[tau[f]]
             if tau[src] == -1:
                 tau[src] = dst
                 stack.append(src)
@@ -279,22 +256,10 @@ def map_automorphisms(M: MapPermutation) -> list[tuple[int, ...]]:
     n = M.flag_space.flag_count
     out = []
     for image in range(n):
-        tau = _propagate(M, M, image)
+        tau = _propagate(M, image)
         if tau is not None:
             out.append(tau)
     return out
-
-
-def is_isomorphic(M1: MapPermutation, M2: MapPermutation) -> tuple[int, ...] | None:
-    """A flag bijection tau with tau alpha = alpha tau, tau beta = beta tau,
-    tau P1 = P2 tau, or None."""
-    if M1.flag_space.flag_count != M2.flag_space.flag_count:
-        return None
-    for image in range(M2.flag_space.flag_count):
-        tau = _propagate(M1, M2, image)
-        if tau is not None:
-            return tau
-    return None
 
 
 def orientation_preserving_automorphisms(M: MapPermutation) -> list[tuple[int, ...]]:
@@ -309,63 +274,3 @@ def orientation_preserving_automorphisms(M: MapPermutation) -> list[tuple[int, .
     side = perm.orbit_labels([np.array([M.P]), alpha_beta])[0]
     return [t for t in auts if side[t[0]] == 0]
 
-
-# ---------------------------------------------------------------------------
-# Edge-side swaps
-# ---------------------------------------------------------------------------
-
-def side_swap_group(F: FlagSpace) -> SideSwapGroup:
-    gens = []
-    for x, ax, bx, abx in quadricells(F):
-        sigma = list(range(F.flag_count))
-        sigma[x], sigma[ax] = ax, x
-        sigma[bx], sigma[abx] = abx, bx
-        gens.append(tuple(sigma))
-    return SideSwapGroup(flag_space=F, generators=tuple(gens))
-
-
-def conjugate_map(M: MapPermutation, tau: Sequence[int]) -> MapPermutation:
-    """tau P tau^{-1} on the same flag space (validity is preserved when tau
-    commutes with alpha and beta; not re-checked)."""
-    n = M.flag_space.flag_count
-    P2 = [0] * n
-    for f in range(n):
-        P2[tau[f]] = tau[M.P[f]]
-    return MapPermutation(flag_space=M.flag_space, P=tuple(P2))
-
-
-def canonical_side_class(
-    M: MapPermutation, cap: int = DEFAULT_SIDE_CLASS_CAP
-) -> MapPermutation:
-    """Lexicographically least sigma P sigma over the side-swap group.
-
-    The canonical form of the map's class under exchanging both sides of any
-    subset of edges; 2^edge_count conjugations are scanned.
-    """
-    F = M.flag_space
-    eps = F.edge_count
-    if (1 << eps) > cap:
-        raise CapExceeded(f"2^{eps} side-swap conjugates exceed cap {cap}")
-    cells = quadricells(F)
-    n = F.flag_count
-    best: tuple[int, ...] | None = None
-    for mask in range(1 << eps):
-        swap = [False] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                for f in cells[idx]:
-                    swap[f] = True
-            m >>= 1
-            idx += 1
-        # sigma(f) = alpha(f) on swapped quadricells, else f.
-        P2 = [0] * n
-        for f in range(n):
-            src = F.alpha[f] if swap[f] else f
-            img = M.P[src]
-            P2[f] = F.alpha[img] if swap[img] else img
-        t = tuple(P2)
-        if best is None or t < best:
-            best = t
-    return MapPermutation(flag_space=F, P=best)

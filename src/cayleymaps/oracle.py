@@ -51,7 +51,7 @@ from .autaction import (
     product_group,
     right_regular,
 )
-from .cayley import FlagSpace, build_cayley_graph
+from .cayley import FlagSpace, build_cayley_graph, build_flag_space
 from .errors import (
     BadParameter,
     CapExceeded,
@@ -582,18 +582,10 @@ def compare_with_formula(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> ComparisonReport:
     """Side-by-side per-class fixed counts and totals, with exact ratios."""
-    F = _flag_space_of(G, S)
+    F = build_flag_space(G, S)
     cres = census(G, S, H, surface, "exact")
     gs = enumerate_embeddings(F, semantics, surface, cap)
     k = len(S.members)
-
-    lines = []
-    for st in cres.classes:
-        xi = extend_to_flags(st.representative, F)
-        oracle = fixed_count(xi, gs)
-        phi = phi_exact(st, surface, k)
-        ratio = Fraction(oracle, phi) if phi else None
-        lines.append(ClassComparison(stats=st, formula_phi=phi, oracle_fixed=oracle, ratio=ratio))
 
     if H is None:
         H = [GraphAutomorphism(tuple(range(G.order)))]
@@ -606,6 +598,15 @@ def compare_with_formula(
                 raise InternalInconsistency(
                     f"no orientable embedding fixed by {xi.source.vertex_map}"
                 )
+
+    # the class representatives are members of the acting group
+    position = {xi.source.vertex_map: i for i, xi in enumerate(acting)}
+    lines = []
+    for st in cres.classes:
+        oracle = oc.fixed_counts[position[st.representative.vertex_map]]
+        phi = phi_exact(st, surface, k)
+        ratio = Fraction(oracle, phi) if phi else None
+        lines.append(ClassComparison(stats=st, formula_phi=phi, oracle_fixed=oracle, ratio=ratio))
     total = cres.count.exact_value
     total_ratio = Fraction(oc.orbit_count, total) if total else None
     return ComparisonReport(
@@ -618,9 +619,3 @@ def compare_with_formula(
         census_result=cres,
         orbit_census=oc,
     )
-
-
-def _flag_space_of(G: FiniteGroup, S) -> FlagSpace:
-    from .cayley import build_flag_space
-
-    return build_flag_space(G, S)

@@ -128,9 +128,12 @@ def semi_regular(perms):
 
 
 def power(perms, k):
-    """Each permutation raised to ``k`` (one exponent, or one per row)."""
+    """Each permutation raised to ``k`` (one exponent, or one per row);
+    negative exponents are refused."""
     perms = np.asarray(perms)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), perms.shape[:-1]).copy()
+    if (k < 0).any():
+        raise BadParameter(f"negative exponent {int(k.min())}")
     out = np.broadcast_to(np.arange(perms.shape[-1], dtype=perms.dtype), perms.shape).copy()
     base = perms.copy()
     while k.any():

@@ -91,19 +91,6 @@ def vertex_rotations(D: DartStructure, vertex: int) -> Iterator[tuple[int, ...]]
         yield (first,) + tail
 
 
-def all_rotation_systems(D: DartStructure) -> Iterator[RotationSystem]:
-    per_vertex = [tuple(vertex_rotations(D, v)) for v in range(D.vertex_count)]
-    for combo in itertools.product(*per_vertex):
-        yield combo
-
-
-def rotation_system_count(D: DartStructure) -> int:
-    c = 1
-    for i in range(1, D.degree):
-        c *= i
-    return c ** D.vertex_count
-
-
 # ---------------------------------------------------------------------------
 # Realizing a flag permutation
 # ---------------------------------------------------------------------------
@@ -189,11 +176,6 @@ class TwistClasses:
             if (twists >> p) & 1:
                 twists ^= row
         return twists
-
-    def is_trivial(self, twists: int) -> bool:
-        """True iff the mask is a vertex-flip coboundary; the realized map
-        is orientable exactly in this case."""
-        return self.reduce(twists) == 0
 
     def representatives(self) -> Iterator[int]:
         """All canonical representatives, i.e. masks clear on every pivot."""

@@ -18,9 +18,16 @@ from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cay
 from cayleymaps.errors import CapExceeded, NotSemiRegular
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
 from cayleymaps.groups import direct_product, named_group
-from cayleymaps.maps import canonical_side_class, is_orientable, validate_map
+from cayleymaps.maps import is_orientable, validate_map
 from cayleymaps.perm import order
-from cayleymaps.rotations import build_dart_structure
+from cayleymaps.rotations import (
+    build_dart_structure,
+    build_twist_classes,
+    dart_map_of_flag_map,
+    realize_signed,
+    transport_rotation_system,
+    twists_of_signs,
+)
 
 CAYLEY_FIXTURES = tuple(n for n in FIXTURE_NAMES if n != "FIG1")
 
@@ -204,6 +211,8 @@ def test_orientable_stable_map_flags_swapped_edge_orbits():
     # sides; on the cube that happens exactly for the translations by S
     fx = fixture("CUBE")
     F = fx.flag_space
+    D = build_dart_structure(F)
+    T = build_twist_classes(D)
     for g in range(fx.group.order):
         theta = right_regular(fx.group)[g]
         sm = construct_stable_map(theta, F, orientable=True)
@@ -213,16 +222,20 @@ def test_orientable_stable_map_flags_swapped_edge_orbits():
             assert not sm.commutes
         else:
             assert sm.commutes
-        # the embedding class is fixed either way: conjugation lands in the
-        # same side-swap class
+        # the embedding class is fixed either way: the conjugate is the map
+        # of the transported signs on a rotation system that transports to
+        # itself, and its twist class is 0, so its SIGMA key is unchanged
         fm = extend_to_flags(theta, F).flag_map
         conj = [0] * len(fm)
         for f in range(len(fm)):
             conj[fm[f]] = fm[sm.map.P[f]]
-        from cayleymaps.maps import MapPermutation
-
-        conj_map = MapPermutation(flag_space=F, P=tuple(conj))
-        assert canonical_side_class(conj_map).P == canonical_side_class(sm.map).P
+        dart_map = dart_map_of_flag_map(D, fm)
+        signs = [0] * len(sm.signs)
+        for d, sign in enumerate(sm.signs):
+            signs[dart_map[d]] = sign
+        assert realize_signed(D, sm.rotation_system, signs).P == tuple(conj)
+        assert transport_rotation_system(D, dart_map, sm.rotation_system) == sm.rotation_system
+        assert T.reduce(twists_of_signs(D, signs)) == 0
 
 
 def test_orientable_stable_map_commutes_on_cycles():

@@ -3,9 +3,10 @@
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
-from cayleymaps import census, fixture, formulas, grr_census, named_group, perm, validate_cayley_set
+from cayleymaps import census, fixture, formulas, named_group, perm, validate_cayley_set
 from cayleymaps.autaction import GraphAutomorphism, right_regular
 from cayleymaps.errors import (
     BadParameter,
@@ -224,15 +225,22 @@ def test_sym3_transpositions_have_half_integer_alpha():
 
 
 def test_grr_census_cross_checks():
+    # With H = 1 every representative is a translation R(g), and l is also
+    # #{t : t g^{o/2} t^-1 in S}, read here from whole table columns.
     d6 = named_group("dihedral", 12)
-    S = validate_cayley_set(d6, (6, 7, 8))
-    plain = census(d6, S, surface="L")
-    checked = grr_census(d6, S, surface="L")
-    assert checked.count.exact_value == plain.count.exact_value
-    # Odd group order: no even-order translations, every branch is Theta.
     fx = fixture("K3")
-    res = grr_census(fx.group, fx.cayset, surface="O")
+    for G, S, surface in ((d6, validate_cayley_set(d6, (6, 7, 8)), "L"),
+                          (fx.group, fx.cayset, "O")):
+        T = G.table
+        for st in census(G, S, surface=surface).classes:
+            if st.order % 2 == 0:
+                gh = int(power(T[st.representative.vertex_map[0]], st.order // 2)[0])
+                alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
+                assert alt == st.l_value
+    # Odd group order: no even-order translations, every branch is Theta.
+    res = census(fx.group, fx.cayset, surface="O")
     assert res.count.exact_value == 1
+    assert all(st.order % 2 for st in res.classes)
     assert all(st.branch == THETA for st in res.classes)
 
 

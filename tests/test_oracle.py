@@ -1,5 +1,6 @@
 """Exhaustive enumeration, Burnside counting, and the formula comparison."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from cayleymaps import (
     compare_with_formula,
     enumerate_embeddings,
     fixture,
+    named_group,
+    validate_cayley_set,
 )
 from cayleymaps.autaction import extend_to_flags, right_regular
-from cayleymaps.errors import BadParameter, CapExceeded
+from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError
 from cayleymaps.oracle import (
     DART,
     DEFAULT_ORACLE_CAP,
@@ -211,3 +214,32 @@ def test_fixed_count_of_identity_is_ground_set_size():
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "L")
     identity = _extended_translations(fx)[0]
     assert fixed_count(identity, gs) == len(gs.keys)
+
+
+def _seeded_dihedral_degree3(seed):
+    """Cay(D_8 : S) for a seeded inverse-closed generating S of size 3."""
+    rng = random.Random(seed)
+    G = named_group("dihedral", 8)
+    while True:
+        members = set()
+        while len(members) < 3:
+            g = rng.randrange(1, G.order)
+            members |= {g, int(G.inverses[g])}
+        if len(members) == 3:
+            try:
+                return G, validate_cayley_set(G, tuple(sorted(members)))
+            except CayleymapsError:
+                pass
+
+
+def test_comparison_reads_each_class_from_the_burnside_sweep():
+    # every per-class oracle count of the comparison is the representative's
+    # own fixed count on the ground set
+    cube = fixture("CUBE")
+    for G, S in ((cube.group, cube.cayset), _seeded_dihedral_degree3(1)):
+        for surface in "ONL":
+            report = compare_with_formula(G, S, surface=surface)
+            gs = report.orbit_census.ground_set
+            for line in report.lines:
+                xi = extend_to_flags(line.stats.representative, gs.flag_space)
+                assert line.oracle_fixed == fixed_count(xi, gs), (surface, xi.source)
