@@ -24,7 +24,6 @@ from .groups import FiniteGroup
 from .maps import MapPermutation
 from .perm import cycle_labels, semi_regular
 from .rotations import (
-    DartStructure,
     RotationSystem,
     build_dart_structure,
     canonical_rotation,

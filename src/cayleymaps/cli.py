@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every subcommand assembles its whole report as a list of lines and prints
-it once, so identical inputs give byte-identical output.  ``--kv`` switches
-the same data to line-oriented ``key=value`` form for scripting.  Failures
-print their message and end with ``error-token: <Token>``; exit codes are
-0 (ok), 1 (validation), 2 (cap exceeded), 3 (internal invariant broke),
-64 (usage).
+Every subcommand computes its whole report first, with tables held as
+columns, and only then is the report rendered and written to stdout in
+chunks, so identical inputs give byte-identical output and a refusal has
+happened before the first byte: a failure prints only its message and
+ends with ``error-token: <Token>``.  ``--kv`` switches the same data to
+line-oriented ``key=value`` form for scripting.  Exit codes are 0 (ok),
+1 (validation), 2 (cap exceeded), 3 (internal invariant broke), 64
+(usage).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import decimal
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from pathlib import Path
 
@@ -47,6 +50,7 @@ from .oracle import (
 )
 from .perm import conjugacy_classes_of, order
 from .special import (
+    cycle_type_label,
     elementary_abelian_census,
     sym_locally_census,
     sym_orientable_census,
@@ -60,38 +64,57 @@ from .special import (
 # ---------------------------------------------------------------------------
 
 class Report:
-    """Accumulates either aligned plain text or key=value lines."""
+    """A report kept as items (fields, blank lines, tables with their cells
+    held as columns) and rendered only once the command has returned, as
+    aligned plain text or as ``key=value`` lines."""
+
+    ROWS_PER_CHUNK = 4096
 
     def __init__(self, kv: bool):
         self.kv = kv
-        self.lines: list[str] = []
+        self.items: list[tuple] = []
 
     def field(self, key: str, value) -> None:
-        if self.kv:
-            self.lines.append(f"{key}={value}")
-        else:
-            self.lines.append(f"{key}: {value}")
+        self.items.append(("field", key, value))
 
     def blank(self) -> None:
         if not self.kv:
-            self.lines.append("")
+            self.items.append(("blank",))
 
-    def table(self, name: str, headers: list[str], rows: list[list]) -> None:
-        cells = [[str(c) for c in row] for row in rows]
+    def table(self, name: str, headers: list[str], columns: list) -> None:
+        """``columns`` holds one sequence of cells per header, all of one
+        length; a cell prints as its ``str``."""
+        self.items.append(("table", name, headers, columns))
+
+    def chunks(self):
+        """The rendered text in pieces, each ending with a newline."""
+        sep = "=" if self.kv else ": "
+        for i, item in enumerate(self.items):
+            if item[0] == "field":
+                yield f"{item[1]}{sep}{item[2]}\n"
+            elif item[0] == "blank":
+                yield "\n"
+            else:
+                yield from self._table_chunks(*item[1:], after_text=i > 0)
+
+    def _table_chunks(self, name: str, headers: list[str], cols: list, after_text: bool):
+        nrows = len(cols[0]) if cols else 0
         if self.kv:
-            for i, row in enumerate(cells):
-                for h, c in zip(headers, row):
-                    self.lines.append(f"{name}.{i}.{h}={c}")
-            return
-        widths = [
-            max(len(h), *(len(r[j]) for r in cells)) if cells else len(h)
-            for j, h in enumerate(headers)
-        ]
-        if self.lines:
-            self.blank()
-        self.lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-        for row in cells:
-            self.lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+            fmt = "\n".join(f"{name}.{{0}}.{h}={{{j}!s}}" for j, h in enumerate(headers, 1))
+            rows = (fmt.format(i, *row) for i, row in enumerate(zip(*cols)))
+        else:
+            widths = [max(len(h), max(map(len, map(str, c)), default=0)) for h, c in zip(headers, cols)]
+            fmt = "  ".join([f"{{!s:<{w}}}" for w in widths[:-1]] + ["{!s}"])
+            if after_text:
+                yield "\n"
+            yield fmt.format(*headers).rstrip() + "\n"
+            rows = (fmt.format(*row).rstrip() for row in zip(*cols))
+        for start in range(0, nrows, self.ROWS_PER_CHUNK):
+            yield "\n".join(islice(rows, self.ROWS_PER_CHUNK)) + "\n"
+
+    def write(self, out) -> None:
+        for chunk in self.chunks():
+            out.write(chunk)
 
 
 def _b(x: bool) -> str:
@@ -163,8 +186,15 @@ def _rep_label(G: FiniteGroup, vm) -> str:
     return "[" + " ".join(str(x) for x in vm) + "]"
 
 
-def _fmt_partition(part) -> str:
-    return " ".join([str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(part, start=1) if k])
+def _columns(rows: list[tuple], width: int) -> list:
+    """The columns of a table given as ``width``-tuples, one per row."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _take(values: list, index: np.ndarray) -> list[str]:
+    """The printed form of ``values[i]`` for every i in ``index``, each
+    value converted once."""
+    return np.array([str(v) for v in values], dtype=object)[index].tolist()
 
 
 def _fmt_ratio(r: Fraction | None) -> str:
@@ -190,7 +220,7 @@ def _load_pair(source: list[str]):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_group(args) -> list[str]:
+def cmd_group(args) -> Report:
     G = load_group(args.group_file)
     R = Report(args.kv)
     classes = conjugacy_classes_of(G.table, G.inverses)
@@ -200,10 +230,10 @@ def cmd_group(args) -> list[str]:
     R.field("exponent", lcm(*order(G.table[[int(c[0]) for c in classes]]).tolist()))
     R.field("conjugacy-classes", len(classes))
     R.field("valid", "true")
-    return R.lines
+    return R
 
 
-def cmd_cayley(args) -> list[str]:
+def cmd_cayley(args) -> Report:
     G, S = _load_pair(args.source)
     graph = build_cayley_graph(G, S)
     full = graph_automorphism_group(graph, args.aut_cap)
@@ -215,10 +245,10 @@ def cmd_cayley(args) -> list[str]:
     R.field("is-grr", _b(dec.is_grr))
     R.field("is-direct-product", _b(dec.is_direct_product))
     R.field("h-order", len(dec.complement) if dec.is_direct_product else 0)
-    return R.lines
+    return R
 
 
-def cmd_map(args) -> list[str]:
+def cmd_map(args) -> Report:
     F = None
     if args.group_file is not None or args.cayset_file is not None:
         if args.group_file is None or args.cayset_file is None:
@@ -240,10 +270,10 @@ def cmd_map(args) -> list[str]:
     R.field("aut-order", len(auts))
     R.field("orientation-preserving", len(orientation_preserving_automorphisms(M)))
     R.field("valid", "true")
-    return R.lines
+    return R
 
 
-def cmd_census_formula(args) -> list[str]:
+def cmd_census_formula(args) -> Report:
     G, S = _load_pair(args.source)
     H = None
     if args.h_file is not None:
@@ -253,19 +283,18 @@ def cmd_census_formula(args) -> list[str]:
     R.field("surface", res.surface)
     R.field("acting-size", res.acting_size)
     R.field("classes", len(res.classes))
-    rows = []
-    for st, phi in zip(res.classes, res.phi_values):
-        rows.append([
-            _rep_label(G, st.representative.vertex_map),
-            st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi,
-        ])
-    R.table("class", ["class", "size", "order", "l", "branch", "alpha", "phi"], rows)
+    rows = [
+        (_rep_label(G, st.representative.vertex_map),
+         st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
+        for st, phi in zip(res.classes, res.phi_values)
+    ]
+    R.table("class", ["class", "size", "order", "l", "branch", "alpha", "phi"], _columns(rows, 7))
     R.blank()
     _count_fields(R, "total", res.count)
-    return R.lines
+    return R
 
 
-def cmd_census_oracle(args) -> list[str]:
+def cmd_census_oracle(args) -> Report:
     G, S = _load_pair(args.source)
     F = build_flag_space(G, S)
     gs = enumerate_embeddings(F, args.semantics, args.surface, args.cap)
@@ -277,21 +306,21 @@ def cmd_census_oracle(args) -> list[str]:
     R.field("ground-set", len(gs.keys))
     R.field("acting-size", oc.acting_size)
     rows = [
-        [_rep_label(G, xi.source.vertex_map), fc]
+        (_rep_label(G, xi.source.vertex_map), fc)
         for xi, fc in zip(acting, oc.fixed_counts)
     ]
-    R.table("fixed", ["element", "fixed"], rows)
-    orows = []
-    for i, (size, inv) in enumerate(zip(oc.orbit_sizes, oc.orbit_inventories)):
-        orows.append([
-            i, size, len(inv.vertices), inv.edge_count, len(inv.faces),
-            inv.euler_characteristic, _b(inv.orientable),
-            ",".join(str(x) for x in inv.face_lengths),
-        ])
+    R.table("fixed", ["element", "fixed"], _columns(rows, 2))
+    # one pass: the inventories are decoded again on every iteration
+    orows = [
+        (i, size, len(inv.vertices), inv.edge_count, len(inv.faces),
+         inv.euler_characteristic, _b(inv.orientable),
+         ",".join(str(x) for x in inv.face_lengths))
+        for i, (size, inv) in enumerate(zip(oc.orbit_sizes, oc.orbit_inventories))
+    ]
     R.table(
         "orbit",
         ["orbit", "size", "vertices", "edges", "faces", "chi", "orientable", "face-lengths"],
-        orows,
+        _columns(orows, 8),
     )
     R.blank()
     R.field("orbit-count", oc.orbit_count)
@@ -303,10 +332,10 @@ def cmd_census_oracle(args) -> list[str]:
             save_map(M, str(out / f"rep_{i:0{width}d}.map"))
         R.field("dump-dir", args.dump)
         R.field("dump-count", len(oc.orbit_representatives))
-    return R.lines
+    return R
 
 
-def cmd_verify(args) -> list[str]:
+def cmd_verify(args) -> Report:
     G, S = _load_pair(args.source)
     H = None
     if args.h_file is not None:
@@ -315,27 +344,25 @@ def cmd_verify(args) -> list[str]:
     R = Report(args.kv)
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
-    rows = []
-    for line in rep.lines:
-        st = line.stats
-        rows.append([
-            _rep_label(G, st.representative.vertex_map),
-            st.class_size, st.order, st.l_value, st.branch,
-            line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio),
-        ])
+    rows = [
+        (_rep_label(G, line.stats.representative.vertex_map),
+         line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
+         line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio))
+        for line in rep.lines
+    ]
     R.table(
         "class",
         ["class", "size", "order", "l", "branch", "formula", "oracle", "ratio"],
-        rows,
+        _columns(rows, 8),
     )
     R.blank()
     R.field("formula-total", decimal_string(rep.formula_total))
     R.field("oracle-orbits", rep.oracle_orbits)
     R.field("total-ratio", _fmt_ratio(rep.total_ratio))
-    return R.lines
+    return R
 
 
-def cmd_sym_grr(args) -> list[str]:
+def cmd_sym_grr(args) -> Report:
     if args.surface == "O":
         res = sym_orientable_census(args.n, args.mode)
     else:
@@ -344,35 +371,37 @@ def cmd_sym_grr(args) -> list[str]:
     R.field("n", res.n)
     R.field("surface", res.surface)
     if res.special_type is not None:
-        R.field("special-involution-type", _fmt_partition(res.special_type))
-    rows = []
-    for row in res.rows:
-        info = row.info
-        rows.append([
-            _fmt_partition(info.partition), info.class_size, info.order, info.bucket,
-            row.l_printed,
-            "-" if row.alpha_exponent is None else row.alpha_exponent,
-            row.term_exponent,
-        ])
+        R.field("special-involution-type", cycle_type_label(res.special_type))
+    rows = res.rows
+    orders, order_id = np.unique(rows.order, return_inverse=True)
+    exponents = _take(rows.exponents, rows.term_id)
+    alphas = ["-"] * len(rows) if rows.alphas is None else _take(rows.alphas, rows.term_id)
+    l_printed = [0] * len(rows)
+    for r, printed in rows.l_printed.items():
+        l_printed[r] = printed
     R.table(
         "class",
         ["partition", "size", "order", "bucket", "l", "alpha", "exponent"],
-        rows,
+        [
+            rows.labels, _take(rows.sizes, rows.size_id), _take(orders, order_id),
+            np.where(rows.bucket_b, "B", "A").tolist(), l_printed, alphas, exponents,
+        ],
     )
     if res.l_table:
         R.table(
             "l-table",
             ["partition", "printed", "recomputed"],
-            [[_fmt_partition(r.partition), r.printed, r.recomputed] for r in res.l_table],
+            _columns([(cycle_type_label(r.partition), r.printed, r.recomputed)
+                      for r in res.l_table], 3),
         )
     R.blank()
     _count_fields(R, "total", res.total)
     if res.label is not None:
         R.field("label", res.label)
-    return R.lines
+    return R
 
 
-def cmd_three_inv(args) -> list[str]:
+def cmd_three_inv(args) -> Report:
     G, S = _load_pair(args.source)
     res = three_involution_census(G, S.members, args.surface, args.mode)
     R = Report(args.kv)
@@ -383,39 +412,37 @@ def cmd_three_inv(args) -> list[str]:
         R.table(
             "violation",
             ["t", "x"],
-            [[G.name_of(t), G.name_of(x)] for t, x in res.violations],
+            _columns([(G.name_of(t), G.name_of(x)) for t, x in res.violations], 2),
         )
     rows = [
-        [G.name_of(r.representative), r.class_size, r.order, _b(r.even_order),
-         r.base_exponent, r.alpha_exponent]
+        (G.name_of(r.representative), r.class_size, r.order, _b(r.even_order),
+         r.base_exponent, r.alpha_exponent)
         for r in res.rows
     ]
     R.table(
         "class",
         ["class", "size", "order", "even", "base", "alpha"],
-        rows,
+        _columns(rows, 6),
     )
     if args.compare:
-        crows = []
-        for st, assumed_l, assumed_alpha, phi_true, match in three_involution_comparison(
-            G, S.members, args.surface
-        ):
-            crows.append([
-                _rep_label(G, st.representative.vertex_map),
-                assumed_l, st.l_value, assumed_alpha, st.alpha_exponent,
-                phi_true, _b(match),
-            ])
+        crows = [
+            (_rep_label(G, st.representative.vertex_map),
+             assumed_l, st.l_value, assumed_alpha, st.alpha_exponent, phi_true, _b(match))
+            for st, assumed_l, assumed_alpha, phi_true, match in three_involution_comparison(
+                G, S.members, args.surface
+            )
+        ]
         R.table(
             "compare",
             ["class", "assumed-l", "true-l", "assumed-alpha", "true-alpha", "phi", "match"],
-            crows,
+            _columns(crows, 7),
         )
     R.blank()
     _count_fields(R, "total", res.total)
-    return R.lines
+    return R
 
 
-def cmd_elem2(args) -> list[str]:
+def cmd_elem2(args) -> Report:
     members = load_cayset_members(args.cayset_file)
     res = elementary_abelian_census(args.n, members, args.surface, args.mode)
     R = Report(args.kv)
@@ -426,18 +453,18 @@ def cmd_elem2(args) -> list[str]:
     _count_fields(R, "total", res.total)
     if res.label is not None:
         R.field("label", res.label)
-    return R.lines
+    return R
 
 
-def cmd_fixtures(args) -> list[str]:
+def cmd_fixtures(args) -> Report:
     R = Report(args.kv)
     if args.action == "list":
         R.table(
             "fixture",
             ["name", "description"],
-            [[name, FIXTURE_DESCRIPTIONS[name]] for name in FIXTURE_NAMES],
+            _columns([(name, FIXTURE_DESCRIPTIONS[name]) for name in FIXTURE_NAMES], 2),
         )
-        return R.lines
+        return R
     names = [args.name] if args.name else list(FIXTURE_NAMES)
     for name in names:
         fixture(name)  # fail early on unknown names
@@ -449,10 +476,10 @@ def cmd_fixtures(args) -> list[str]:
                 failures.append(f"{name}.{label}: {detail}")
     if failures:
         raise InternalInconsistency(
-            "\n".join(R.lines + [f"{len(failures)} fixture check(s) failed"])
+            "".join(R.chunks()) + f"{len(failures)} fixture check(s) failed"
         )
     R.field("checks", "all passed")
-    return R.lines
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +604,13 @@ def main(argv=None) -> int:
         print("error-token: Usage", file=sys.stderr)
         return 64
     try:
-        lines = args.func(args)
+        report = args.func(args)
     except CayleymapsError as e:
         msg = str(e)
         body = ([msg] if msg else []) + [f"error-token: {e.token}"]
         print("\n".join(body))
         return e.exit_code
-    print("\n".join(lines))
+    report.write(sys.stdout)
     return 0
 
 

@@ -4,11 +4,12 @@ automorphism representation.
 Symmetric groups with a cubic connection set {x, y, y^-1}, x^2 = y^3 = e,
 are summed over integer partitions rather than group elements: a partition
 stands for the conjugacy class of that cycle type, with class size
-n!/prod(i^{k_i} k_i!) and element order lcm of its parts.  The locally
-orientable sum needs, per class, only whether the half-order power lands in
-one special involution class, and the power of a class is computed
-combinatorially (an i-cycle raised to the j-th power splits into gcd(i,j)
-cycles of length i/gcd(i,j)) without touching any permutation.
+n!/prod(i^{k_i} k_i!) and element order lcm of its parts.  The partitions
+are enumerated once as a multiplicity matrix and every per-class quantity
+is read off it as a numpy column; big integers are formed once per
+distinct class size and exponent.  The locally orientable sum needs, per
+class, only whether the half-order power lands in one special involution
+class, which its number of fixed points decides.
 
 The other two families (groups generated by three involutions, elementary
 abelian 2-groups) have closed forms per conjugacy class; both are evaluated
@@ -45,6 +46,7 @@ from .formulas import (
     make_report,
     parse_mode,
     phi_exact,
+    Term,
     term_report,
 )
 from .groups import FiniteGroup, subgroup_closure
@@ -64,60 +66,68 @@ def partitions(n: int) -> tuple[Partition, ...]:
         raise BadParameter(f"partitions of {n} undefined; need n >= 1")
     if n > SYM_BIG_CAP:
         raise CapExceeded(f"n = {n} exceeds the partition cap {SYM_BIG_CAP}")
-    return tuple(part for part, _ in _iter_partitions(n))
+    mult, _ = _partition_columns(n)
+    return tuple(map(tuple, mult.T.tolist()))
 
 
-def _iter_partitions(n: int):
-    """(multiplicity vector, ((part, multiplicity), ...) over the nonzero
-    multiplicities, largest part first) for every partition of n, in
-    reverse lexicographic order: [n], [n-1, 1], [n-2, 2], [n-2, 1, 1], ...
+def _partition_columns(n: int) -> tuple[np.ndarray, list[str]]:
+    """The partitions of n as an (n, p(n)) uint8 matrix whose column r
+    counts the parts of the r-th partition (entry i-1: parts equal to i),
+    and their cycle-type labels, in reverse lexicographic order:
+    [n], [n-1, 1], [n-2, 2], [n-2, 1, 1], ...
 
-    Each step takes the ones off the end, lowers the last part x > 1 by
-    one and refills the freed amount greedily with parts x-1 and one
-    remainder part.
+    In that order the partitions with largest part x of multiplicity k are
+    x^k followed by the partitions of r - kx with parts below x, larger x
+    and then larger k first, and the partitions of r with parts at most m
+    are the last ``counts[r][m]`` partitions of r.  Every r <= n/2 is
+    built whole once and copied in as such a suffix; larger remainders are
+    split again by their largest part.
     """
-    counts = [0] * n
-    counts[n - 1] = 1
-    parts = [(n, 1)]  # (part, multiplicity), parts descending
-    while True:
-        yield tuple(counts), tuple(parts)
-        freed = 0
-        if parts[-1][0] == 1:
-            freed = parts.pop()[1]
-            counts[0] = 0
-        if not parts:
+    counts = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(n)]
+    for r in range(1, n + 1):
+        for m in range(1, n + 1):
+            counts[r][m] = counts[r][m - 1] + (counts[r - m][m] if m <= r else 0)
+    tables: dict[int, tuple[np.ndarray, list[str]]] = {}
+
+    def fill(mult, labels, pos: int, r: int, m: int, suffix: str) -> None:
+        # columns pos.. receive the partitions of r with parts <= m; the
+        # larger parts already written are labelled ``suffix``
+        if r == 0:
+            labels[pos] = suffix
             return
-        x, k = parts.pop()
-        if k > 1:
-            parts.append((x, k - 1))
-        counts[x - 1] = k - 1
-        # x - 1 and the remainder are below every part left, so their
-        # multiplicities were 0
-        q, r = divmod(freed + x, x - 1)
-        parts.append((x - 1, q))
-        counts[x - 2] = q
-        if r:
-            parts.append((r, 1))
-            counts[r - 1] = 1
+        table = tables.get(r)
+        if table is not None:
+            t_mult, t_labels = table
+            c, h = counts[r][m], min(r, m)
+            mult[:h, pos:pos + c] = t_mult[:h, t_mult.shape[1] - c:]
+            tail = " " + suffix if suffix else ""
+            labels[pos:pos + c] = [s + tail for s in t_labels[len(t_labels) - c:]]
+            return
+        for x in range(min(r, m), 0, -1):
+            for k in range(r // x, 0, -1):
+                c = counts[r - k * x][x - 1]
+                if c:
+                    mult[x - 1, pos:pos + c] = k
+                    label = _token(x, k) + (" " + suffix if suffix else "")
+                    fill(mult, labels, pos, r - k * x, x - 1, label)
+                    pos += c
+
+    for r in range(1, n + 1):
+        if r <= n // 2 or r == n:
+            mult = np.zeros((r, counts[r][r]), dtype=np.uint8)
+            labels = [""] * counts[r][r]
+            fill(mult, labels, 0, r, r, "")
+            tables[r] = mult, labels
+    return tables[n]
 
 
-def _pairs(part: Partition) -> list[tuple[int, int]]:
-    return [(i, k) for i, k in enumerate(part, start=1) if k]
+def _token(i: int, k: int) -> str:
+    return str(i) if k == 1 else f"{i}^{k}"
 
 
-def _centralizer(pairs) -> int:
-    out = 1
-    for i, k in pairs:
-        out *= i**k * factorial(k)
-    return out
-
-
-def _power_type(pairs, j: int, n: int) -> Partition:
-    out = [0] * n
-    for i, k in pairs:
-        g = gcd(i, j)
-        out[i // g - 1] += k * g
-    return tuple(out)
+def cycle_type_label(part: Partition) -> str:
+    """The cycle type in exponent notation, parts ascending: ``1^3 2^2``."""
+    return " ".join([_token(i, k) for i, k in enumerate(part, start=1) if k])
 
 
 def class_size(n: int, part: Partition) -> int:
@@ -125,7 +135,10 @@ def class_size(n: int, part: Partition) -> int:
 
 
 def centralizer_order(part: Partition) -> int:
-    return _centralizer(_pairs(part))
+    out = 1
+    for i, k in enumerate(part, start=1):
+        out *= i**k * factorial(k)
+    return out
 
 
 def lcm_of_partition(part: Partition) -> int:
@@ -133,8 +146,13 @@ def lcm_of_partition(part: Partition) -> int:
 
 
 def power_type(part: Partition, j: int) -> Partition:
-    """Cycle type of g^j for g of cycle type ``part``."""
-    return _power_type(_pairs(part), j, len(part))
+    """Cycle type of g^j for g of cycle type ``part``: an i-cycle splits
+    into gcd(i, j) cycles of length i/gcd(i, j)."""
+    out = [0] * len(part)
+    for i, k in enumerate(part, start=1):
+        g = gcd(i, j)
+        out[i // g - 1] += k * g
+    return tuple(out)
 
 
 def representative_of_type(part: Partition) -> tuple[int, ...]:
@@ -178,20 +196,40 @@ def _m_of(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class SymClassInfo:
-    partition: Partition
-    class_size: int
-    order: int
-    half_power_type: Partition | None
-    bucket: str  # "A" or "B"
+class SymRows:
+    """The classes of Sigma_n as columns, one entry per cycle type in the
+    order of ``partitions``.  Class sizes and exponents are big integers
+    with few distinct values, so each is stored once and rows index it."""
 
+    labels: list[str]  # cycle-type notation, ``cycle_type_label``
+    mult: np.ndarray  # (n, rows) uint8; mult[i - 1, r] counts the i-cycles of row r
+    order: np.ndarray  # int64 element order, the lcm of the parts
+    size_id: np.ndarray  # index into ``sizes``
+    sizes: list[int]  # distinct class sizes n!/prod(i^{k_i} k_i!)
+    bucket_b: np.ndarray  # bool: the half-order power lies in the special class
+    term_id: np.ndarray  # index into ``exponents`` and ``alphas``
+    exponents: list[int]  # term exponent of each distinct (order, bucket)
+    alphas: list[int] | None  # alpha_1 of each distinct (order, bucket); None on O
+    l_printed: dict[int, int]  # row -> published inverted-edge count
 
-@dataclass(frozen=True)
-class SymClassRow:
-    info: SymClassInfo
-    l_printed: int
-    alpha_exponent: int | None  # None on the orientable side
-    term_exponent: int
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def terms(self) -> list[Term]:
+        """The class sum as one term (exponent, 0, summed class sizes, 1) per
+        distinct exponent."""
+        width = len(self.sizes)
+        pairs, count = np.unique(
+            self.term_id.astype(np.int64) * width + self.size_id, return_counts=True
+        )
+        term, size = np.divmod(pairs, width)
+        starts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
+        weighted = np.array(self.sizes, dtype=object)[size] * count.astype(object)
+        merged: dict[int, int] = {}
+        for t, s in zip(term[starts].tolist(), np.add.reduceat(weighted, starts).tolist()):
+            e = self.exponents[t]
+            merged[e] = merged.get(e, 0) + s
+        return [(e, 0, s, 1) for e, s in merged.items()]
 
 
 @dataclass(frozen=True)
@@ -206,7 +244,7 @@ class SymCensusResult:
     n: int
     surface: str
     special_type: Partition | None
-    rows: tuple[SymClassRow, ...]
+    rows: SymRows
     l_table: tuple[LTableRow, ...] | None
     total: CountReport
     label: str | None
@@ -243,22 +281,116 @@ def sym_l_table(n: int) -> tuple[LTableRow, ...]:
     )
 
 
+def _class_sizes(n: int, mult: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(size_id, sizes): the class size n!/prod(i^{k_i} k_i!) of every
+    column of ``mult`` as an index into the distinct sizes.
+
+    The centralizer order prod(i^{k_i} k_i!) is coded exactly by its
+    exponents over the primes p <= n, as one int64 in mixed radix with
+    digits 0..v_p(n!) (it divides n!); each distinct code becomes a big
+    integer once.
+    """
+    primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+    top = [_legendre(n, p) for p in primes]
+    radix = [1]
+    for t in top[:-1]:
+        radix.append(radix[-1] * (t + 1))
+    part_code = np.array(
+        [sum(_valuation(i, p) * w for p, w in zip(primes, radix)) for i in range(1, n + 1)],
+        dtype=np.int64,
+    )
+    fact_code = np.array(
+        [sum(_legendre(k, p) * w for p, w in zip(primes, radix)) for k in range(n + 1)],
+        dtype=np.int64,
+    )
+    code = np.zeros(mult.shape[1], dtype=np.int64)
+    for i in range(n):
+        code += part_code[i] * mult[i]
+        code += fact_code[mult[i]]
+    codes, size_id = np.unique(code, return_inverse=True)
+    sizes = np.ones(len(codes), dtype=object)
+    for p, w, t in zip(primes, radix, top):
+        powers = np.array([p ** (t - e) for e in range(t + 1)], dtype=object)
+        sizes = sizes * powers[codes // w % (t + 1)]
+    return size_id, sizes.tolist()
+
+
+def _valuation(i: int, p: int) -> int:
+    v = 0
+    while i % p == 0:
+        i //= p
+        v += 1
+    return v
+
+
+def _legendre(k: int, p: int) -> int:
+    """v_p(k!)."""
+    v = 0
+    while k:
+        k //= p
+        v += k
+    return v
+
+
+def _sym_rows(n: int, m: int | None) -> SymRows:
+    """Per-class columns of the orientable partition sum (m None) or of the
+    locally orientable one for n = 6m+1.  On L, alpha_1 = (n! + [B] extra)
+    / (2o), with class B the classes whose half-order power is conjugate
+    to x: that power is an involution fixing the points of the i-cycles
+    with i | o/2, so B means sum_{i | o/2} i k_i = 3 for odd m and 5 for
+    even m."""
+    mult, labels = _partition_columns(n)
+    rows = mult.shape[1]
+    orders = np.ones(rows, dtype=np.int64)
+    for i in range(2, n + 1):
+        has = mult[i - 1] != 0
+        orders[has] = np.lcm(orders[has], i)
+    size_id, sizes = _class_sizes(n, mult)
+    nf = factorial(n)
+    bucket_b = np.zeros(rows, dtype=bool)
+    l_printed: dict[int, int] = {}
+    if m is not None:
+        half = orders // 2
+        fixed = np.zeros(rows, dtype=np.int64)
+        for i in range(1, n + 1):
+            fixed += (half % i == 0) * mult[i - 1] * i  # i * k_i <= n fits uint8
+        bucket_b = (orders % 2 == 0) & (fixed == (3 if m % 2 else 5))
+        extra = 12 * double_factorial(n - 3) if m % 2 else 240 * double_factorial(n - 5)
+        for t in sym_l_table(n):
+            hit = (mult[0] == t.partition[0]) & (mult[1] == t.partition[1])
+            l_printed[int(np.flatnonzero(hit)[0])] = t.printed
+    keys, term_id = np.unique(orders * 2 + bucket_b, return_inverse=True)
+    exponents, alphas, bad = [], [], []
+    for key in keys.tolist():
+        o, b = divmod(key, 2)
+        if m is None:
+            exponents.append(nf // o)
+            continue
+        num = nf + extra if b else nf
+        alpha, r = divmod(num, 2 * o)
+        if r:
+            bad.append(len(alphas))
+        alphas.append(alpha)
+        exponents.append(alpha + nf // o)
+    if bad:  # reported on the first row of a key that fails
+        r = int(np.flatnonzero(np.isin(term_id, bad))[0])
+        num, o = nf + extra if bucket_b[r] else nf, int(orders[r])
+        part = tuple(mult[:, r].tolist())
+        raise NonIntegralExponent(f"alpha_1 = {num}/{2 * o} is not an integer on {part}")
+    return SymRows(
+        labels, mult, orders, size_id, sizes, bucket_b, term_id, exponents,
+        None if m is None else alphas, l_printed,
+    )
+
+
 def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
     """Partition sum for maps of a cubic graph of Sigma_n on orientable
     surfaces: sum of 2^{n!/lcm} / prod(i^{k_i} k_i!)."""
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
-    nf = factorial(n)
-    rows = []
-    terms = []
-    for part, pairs in _iter_partitions(n):
-        o = lcm(*[i for i, _ in pairs])
-        size = nf // _centralizer(pairs)
-        e = nf // o
-        rows.append(SymClassRow(SymClassInfo(part, size, o, None, "A"), 0, None, e))
-        terms.append((e, 0, size, 1))
-    total = _sym_report(terms, nf, mode)
-    return SymCensusResult(n, "O", None, tuple(rows), None, total, _sym_label(n))
+    rows = _sym_rows(n, None)
+    total = _sym_report(rows, factorial(n), mode)
+    return SymCensusResult(n, "O", None, rows, None, total, _sym_label(n))
 
 
 def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
@@ -268,35 +400,16 @@ def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
     involution class of the generator x (b_1 for odd m, b_2 for even m)."""
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
-    m = _m_of(n)
-    special = special_involution_type(n)
-    extra = 12 * double_factorial(n - 3) if m % 2 else 240 * double_factorial(n - 5)
-    l_table = sym_l_table(n)
-    printed = {r.partition: r.printed for r in l_table}
-    nf = factorial(n)
-    rows = []
-    terms = []
-    for part, pairs in _iter_partitions(n):
-        o = lcm(*[i for i, _ in pairs])
-        size = nf // _centralizer(pairs)
-        half = None if o % 2 else _power_type(pairs, o // 2, n)
-        bucket = "B" if half == special else "A"
-        num = nf if bucket == "A" else nf + extra
-        alpha, r = divmod(num, 2 * o)
-        if r:
-            raise NonIntegralExponent(
-                f"alpha_1 = {num}/{2 * o} is not an integer on {part}"
-            )
-        e = alpha + nf // o
-        info = SymClassInfo(part, size, o, half, bucket)
-        rows.append(SymClassRow(info, printed.get(part, 0), alpha, e))
-        terms.append((e, 0, size, 1))
-    total = _sym_report(terms, nf, mode)
-    return SymCensusResult(n, "L", special, tuple(rows), l_table, total, _sym_label(n))
+    rows = _sym_rows(n, _m_of(n))
+    total = _sym_report(rows, factorial(n), mode)
+    return SymCensusResult(
+        n, "L", special_involution_type(n), rows, sym_l_table(n), total, _sym_label(n)
+    )
 
 
-def _sym_report(terms, nf: int, mode: str) -> CountReport:
+def _sym_report(rows: SymRows, nf: int, mode: str) -> CountReport:
     _check_odd_modulus(mode)
+    terms = rows.terms()
     # 2^22 bits per term is still cheap; beyond that the exact sum is not
     # formed and exact mode is refused
     exact = exact_quotient(terms, nf) if max(t[0] for t in terms) <= 1 << 22 else None

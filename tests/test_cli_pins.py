@@ -1,8 +1,10 @@
-"""Stdout of the group-touching commands, pinned by SHA-256.
+"""Stdout of the group-touching commands and of sym-grr, pinned by SHA-256.
 
-The digests were recorded from the tuple-table implementation that the
-array-backed group layer replaced, so they pin that the replacement prints
-byte-identical text (plain and ``--kv``) and exit codes.  No output may
+The group-command digests were recorded from the tuple-table
+implementation that the array-backed group layer replaced, and the sym-grr
+ones from the row-at-a-time partition sum that the columnar one replaced,
+so they pin that each replacement prints byte-identical text (plain and
+``--kv``) and exit codes.  No output may
 carry a numpy scalar repr (``np.int16(3)``), which a stray array entry in
 a tuple or an f-string repr would print.
 """
@@ -129,3 +131,43 @@ def test_stdout_is_pinned(case, capsys, tmp_path):
     assert "np." not in plain and "np." not in kv
     digest = (rc, hashlib.sha256(plain.encode()).hexdigest(), hashlib.sha256(kv.encode()).hexdigest())
     assert digest == PINS[case]
+
+
+# sym-grr stdout recorded from the row-at-a-time partition sum that the
+# columnar one replaced: argv -> (exit code, SHA-256 of stdout).
+SYM_PINS = {
+    ("40", "--surface", "O", "--mode", "log2"):
+        (0, "6d5282701dd474a64ea69e100d87fdc5a2bf98779e80b15c468883fee75d7422"),
+    ("25", "--surface", "L", "--mode", "log2"):
+        (0, "3f18b182b0f3d458e1f98c6e7fc657fab322dc9f6a2faebf4257925fa148cbb4"),
+    ("25", "--surface", "L", "--mode", "log2", "--kv"):
+        (0, "a12f7577951e3d7f81a74f5218548b14bbae8bba49440d450e0130eabb4d0c5b"),
+    ("31", "--surface", "L", "--mode", "modp:1000003"):
+        (0, "55befa864ef1a8df3a5999b3f9471145298a1688d71aa34f87f3612ec51d236d"),
+    ("7", "--surface", "L", "--kv"):
+        (0, "ffb98f5fadb440268d1bf04ffe1fd6cd4f3a4a244295e5dcc2ca90c044b7f698"),
+}
+
+# refusals print their message and token and nothing else: no table row
+# reaches stdout before the census has run to its end
+SYM_REFUSALS = {
+    ("25", "--surface", "L", "--mode", "modp:2"):
+        (1, "modulus 2 must be an odd prime\nerror-token: BadParameter\n"),
+    ("61", "--mode", "log2"):
+        (2, "n = 61 exceeds the log2-mode cap 60\nerror-token: CapExceeded\n"),
+    ("12", "--surface", "L", "--mode", "log2"):
+        (1, "n = 12 is not of the form 6m+1 with m >= 1\nerror-token: BadParameter\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SYM_PINS), ids=" ".join)
+def test_sym_grr_stdout_is_pinned(argv, capsys):
+    rc = main(["sym-grr", *argv])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == SYM_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", list(SYM_REFUSALS), ids=" ".join)
+def test_sym_grr_refusals_print_only_the_error(argv, capsys):
+    rc = main(["sym-grr", *argv])
+    assert (rc, capsys.readouterr().out) == SYM_REFUSALS[argv]

@@ -153,7 +153,11 @@ def test_signed_terms_are_summed_without_pruning():
 def test_sym_log2_equals_the_unpruned_sum(n, surface):
     census_fn = sym_orientable_census if surface == "O" else sym_locally_census
     res = census_fn(n, "log2")
-    terms = [(row.term_exponent, row.info.class_size, 1) for row in res.rows]
+    rows = res.rows
+    terms = [
+        (rows.exponents[t], rows.sizes[s], 1)
+        for t, s in zip(rows.term_id.tolist(), rows.size_id.tolist())
+    ]
     nf = factorial(n)
     expected = reference_log2_sum(terms, nf)
     assert pruned_log2_sum(terms, nf) == expected

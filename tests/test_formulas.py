@@ -134,26 +134,29 @@ def test_class_stats_cube_table():
 
 
 def test_l_value_equals_conjugation_count():
-    # Same count in the other coordinate system: l = #{t : t g^{o/2} t^-1 in S}.
-    cases = [
-        (fixture("CUBE").group, fixture("CUBE").cayset),
-        (named_group("dihedral", 12), None),
-    ]
-    cases[1] = (cases[1][0], validate_cayley_set(cases[1][0], (6, 7, 8)))
-    for G, S in cases:
-        members = set(S.members)
-        acting = right_regular(G)
-        for st in census(G, S, surface="L").classes:
-            g = st.representative.vertex_map[0]
+    # With H = 1 every representative is a translation R(g), and l is also
+    # #{t : t g^{o/2} t^-1 in S}, read here from whole table columns.
+    cube, k3 = fixture("CUBE"), fixture("K3")
+    d6 = named_group("dihedral", 12)
+    cases = (
+        (cube.group, cube.cayset, "L"),
+        (d6, validate_cayley_set(d6, (6, 7, 8)), "L"),
+        (k3.group, k3.cayset, "O"),
+    )
+    for G, S, surface in cases:
+        T = G.table
+        for st in census(G, S, surface=surface).classes:
             if st.order % 2:
                 assert st.l_value == 0
                 continue
-            gh = int(power(G.table[g], st.order // 2)[0])  # row g is t -> gt
-            alt = sum(
-                1 for t in range(G.order)
-                if G.mul(G.mul(t, gh), G.inv(t)) in members
-            )
+            gh = int(power(T[st.representative.vertex_map[0]], st.order // 2)[0])  # row g is t -> gt
+            alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
             assert alt == st.l_value
+    # Odd group order: no even-order translations, every branch is Theta.
+    res = census(k3.group, k3.cayset, surface="O")
+    assert res.count.exact_value == 1
+    assert all(st.order % 2 for st in res.classes)
+    assert all(st.branch == THETA for st in res.classes)
 
 
 def test_phi_additivity_per_class():
@@ -222,26 +225,6 @@ def test_sym3_transpositions_have_half_integer_alpha():
     for surface in ("O", "N", "L"):
         with pytest.raises(NonIntegralExponent, match="not a non-negative integer"):
             census(G, S, surface=surface)
-
-
-def test_grr_census_cross_checks():
-    # With H = 1 every representative is a translation R(g), and l is also
-    # #{t : t g^{o/2} t^-1 in S}, read here from whole table columns.
-    d6 = named_group("dihedral", 12)
-    fx = fixture("K3")
-    for G, S, surface in ((d6, validate_cayley_set(d6, (6, 7, 8)), "L"),
-                          (fx.group, fx.cayset, "O")):
-        T = G.table
-        for st in census(G, S, surface=surface).classes:
-            if st.order % 2 == 0:
-                gh = int(power(T[st.representative.vertex_map[0]], st.order // 2)[0])
-                alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
-                assert alt == st.l_value
-    # Odd group order: no even-order translations, every branch is Theta.
-    res = census(fx.group, fx.cayset, surface="O")
-    assert res.count.exact_value == 1
-    assert all(st.order % 2 for st in res.classes)
-    assert all(st.branch == THETA for st in res.classes)
 
 
 def test_census_with_non_semi_regular_h_raises():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cayleymaps import census, named_group, three_involution_census, validate_cayley_set
@@ -15,8 +16,10 @@ from cayleymaps.errors import (
     NonIntegralExponent,
     NotInvolutions,
 )
+from cayleymaps.formulas import exact_quotient, term_report
 from cayleymaps.perm import cycle_type, order, power
 from cayleymaps.special import (
+    SymRows,
     build_b1_b2,
     centralizer_order,
     class_size,
@@ -102,7 +105,7 @@ def test_sym_orientable_small_values():
     assert brute % 6 == 0
     assert res.total.exact_value == brute // 6 == 16
     assert len(res.rows) == 3
-    assert all(r.info.bucket == "A" and r.alpha_exponent is None for r in res.rows)
+    assert not res.rows.bucket_b.any() and res.rows.alphas is None
     assert sym_orientable_census(4).total.exact_value == 700688
     # n = 1: one class of size 1, term 2^{1!/1}, divided by 1!
     assert sym_orientable_census(1).total.exact_value == 2
@@ -129,18 +132,93 @@ def test_sym_orientable_large_log2():
 
 def test_sym_locally_n7_frozen():
     res = sym_locally_census(7)
+    rows = res.rows
     assert res.special_type == special_involution_type(7)
-    b_rows = [r for r in res.rows if r.info.bucket == "B"]
-    assert sorted(r.alpha_exponent for r in b_rows) == [214, 428, 642, 642, 1284]
-    for r in res.rows:
-        half = r.info.half_power_type
-        assert (r.info.bucket == "B") == (half == res.special_type)
-        assert r.term_exponent == r.alpha_exponent + 5040 // r.info.order
+    alpha = [rows.alphas[t] for t in rows.term_id.tolist()]
+    b_alpha = [a for a, b in zip(alpha, rows.bucket_b.tolist()) if b]
+    assert sorted(b_alpha) == [214, 428, 642, 642, 1284]
+    for r in range(len(rows)):
+        o = int(rows.order[r])
+        half = None if o % 2 else power_type(tuple(rows.mult[:, r].tolist()), o // 2)
+        assert bool(rows.bucket_b[r]) == (half == res.special_type)
+        assert rows.exponents[rows.term_id[r]] == alpha[r] + 5040 // o
     text = str(res.total.exact_value)
     assert len(text) == 2273
     assert text.startswith("1214329884984950")
     assert float(res.total.log2_value) == pytest.approx(7547.70079198161, abs=1e-8)
     assert res.label == "formula value only"
+
+
+def _descending_partitions(n, largest):
+    """Partitions of n as descending part lists, reverse lexicographic."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _descending_partitions(n - first, first):
+            yield (first,) + rest
+
+
+SYM_COLUMN_CASES = [(n, "O") for n in range(1, 31)] + [(n, "L") for n in (7, 13, 19, 25)]
+
+
+@pytest.mark.parametrize("n,surface", SYM_COLUMN_CASES)
+def test_sym_columns_match_the_per_partition_functions(n, surface):
+    census_fn = sym_orientable_census if surface == "O" else sym_locally_census
+    rows = census_fn(n, "log2").rows
+    nf = factorial(n)
+    parts = [
+        tuple(desc.count(i) for i in range(1, n + 1)) for desc in _descending_partitions(n, n)
+    ]
+    assert len(rows) == len(parts) == len(partitions(n))
+    special = special_involution_type(n) if surface == "L" else None
+    for r, part in enumerate(parts):
+        assert tuple(rows.mult[:, r].tolist()) == part
+        assert rows.labels[r] == " ".join(
+            str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(part, start=1) if k
+        )
+        size = rows.sizes[rows.size_id[r]]
+        assert size == class_size(n, part)
+        assert size * centralizer_order(part) == nf
+        o = lcm_of_partition(part)
+        assert rows.order[r] == o
+        half = None if o % 2 else power_type(part, o // 2)
+        assert bool(rows.bucket_b[r]) == (special is not None and half == special)
+        if surface == "O":
+            assert rows.exponents[rows.term_id[r]] == nf // o
+        else:
+            assert rows.exponents[rows.term_id[r]] == rows.alphas[rows.term_id[r]] + nf // o
+
+
+@pytest.mark.parametrize("n,surface", SYM_COLUMN_CASES)
+def test_sym_merged_terms_give_the_per_row_total(n, surface):
+    census_fn = sym_orientable_census if surface == "O" else sym_locally_census
+    rows = census_fn(n, "log2").rows
+    nf = factorial(n)
+    merged = rows.terms()
+    per_row = [
+        (rows.exponents[t], 0, rows.sizes[s], 1)
+        for t, s in zip(rows.term_id.tolist(), rows.size_id.tolist())
+    ]
+    assert sorted(e for e, *_ in merged) == sorted({e for e, *_ in per_row})
+    if n <= 10:
+        assert exact_quotient(merged, nf) == exact_quotient(per_row, nf)
+    for p in (1000003, 2**31 - 1):
+        mode = f"modp:{p}"
+        assert term_report(merged, nf, mode).residue == term_report(per_row, nf, mode).residue
+    log2 = [mp.nstr(term_report(t, nf, "log2").log2_value, 15) for t in (merged, per_row)]
+    assert log2[0] == log2[1]
+
+
+def test_sym_terms_add_the_sizes_of_equal_exponents():
+    # three (order, bucket) keys, two of them with exponent 5
+    rows = SymRows(
+        labels=["x", "y", "z", "w"], mult=np.zeros((1, 4), dtype=np.uint8),
+        order=np.array([1, 2, 3, 3]), size_id=np.array([0, 1, 1, 0]), sizes=[2, 7],
+        bucket_b=np.zeros(4, dtype=bool), term_id=np.array([0, 1, 2, 2]),
+        exponents=[5, 9, 5], alphas=None, l_printed={},
+    )
+    assert sorted(rows.terms()) == [(5, 0, 2 + 7 + 2, 1), (9, 0, 7, 1)]
 
 
 def test_sym_l_table_documents_the_mismatch():
