@@ -136,27 +136,21 @@ def test_class_stats_cube_table():
 def test_l_value_equals_conjugation_count():
     # With H = 1 every representative is a translation R(g), and l is also
     # #{t : t g^{o/2} t^-1 in S}, read here from whole table columns.
-    cube, k3 = fixture("CUBE"), fixture("K3")
+    cube = fixture("CUBE")
     d6 = named_group("dihedral", 12)
     cases = (
-        (cube.group, cube.cayset, "L"),
-        (d6, validate_cayley_set(d6, (6, 7, 8)), "L"),
-        (k3.group, k3.cayset, "O"),
+        (cube.group, cube.cayset),
+        (d6, validate_cayley_set(d6, (6, 7, 8))),
     )
-    for G, S, surface in cases:
+    for G, S in cases:
         T = G.table
-        for st in census(G, S, surface=surface).classes:
+        for st in census(G, S, surface="L").classes:
             if st.order % 2:
                 assert st.l_value == 0
                 continue
             gh = int(power(T[st.representative.vertex_map[0]], st.order // 2)[0])  # row g is t -> gt
             alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
             assert alt == st.l_value
-    # Odd group order: no even-order translations, every branch is Theta.
-    res = census(k3.group, k3.cayset, surface="O")
-    assert res.count.exact_value == 1
-    assert all(st.order % 2 for st in res.classes)
-    assert all(st.branch == THETA for st in res.classes)
 
 
 def test_phi_additivity_per_class():
@@ -225,6 +219,17 @@ def test_sym3_transpositions_have_half_integer_alpha():
     for surface in ("O", "N", "L"):
         with pytest.raises(NonIntegralExponent, match="not a non-negative integer"):
             census(G, S, surface=surface)
+
+
+def test_grr_census_cross_checks():
+    # Odd group order: no even-order translations, so l = 0 and every
+    # branch is Theta.
+    fx = fixture("K3")
+    res = census(fx.group, fx.cayset, surface="O")
+    assert res.count.exact_value == 1
+    assert all(st.order % 2 for st in res.classes)
+    assert all(st.l_value == 0 for st in res.classes)
+    assert all(st.branch == THETA for st in res.classes)
 
 
 def test_census_with_non_semi_regular_h_raises():
