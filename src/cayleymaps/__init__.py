@@ -15,8 +15,9 @@ The package is organized bottom-up:
   surface inventory, automorphisms;
 * :mod:`cayleymaps.rotations` -- rotation systems, edge twists, and the
   bridge between signed flags and dart data;
-* :mod:`cayleymaps.autaction` -- graph automorphisms acting on flags and
-  the stable-map construction;
+* :mod:`cayleymaps.autaction` -- graph automorphisms as vertex maps, the
+  acting group R(G) x H as one ``perm.PermGroup``, its lift to flags in
+  one gather, and the stable-map construction;
 * :mod:`cayleymaps.formulas` -- the class-sum census formulas with
   exact, log2, and mod-p arithmetic;
 * :mod:`cayleymaps.oracle` -- exhaustive enumeration of embedding
@@ -28,7 +29,6 @@ The package is organized bottom-up:
 """
 
 from .autaction import (
-    GraphAutomorphism,
     construct_stable_map,
     decompose,
     graph_automorphism_group,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CayleymapsError",
     "FIXTURE_NAMES",
-    "GraphAutomorphism",
     "build_cayley_graph",
     "build_flag_space",
     "build_group_from_table",

@@ -4,6 +4,10 @@ A vertex permutation preserving adjacency lifts canonically to the flag
 space: (g, s, sign) goes to (image of g, conjugated generator, same sign).
 The lift commutes with both involutions and is functorial, so a vertex
 group acts on maps by flag conjugation.
+
+An automorphism is a tuple of vertex images, and an acting group is one
+``perm.PermGroup`` of them, built where it is formed; ``extend_to_flags``
+lifts all its rows at once, in row order.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .maps import MapPermutation
-from .perm import cycle_labels, semi_regular
+from .perm import PermGroup, cycle_labels, semi_regular
 from .rotations import (
     RotationSystem,
     build_dart_structure,
@@ -37,26 +41,10 @@ DEFAULT_GRAPH_AUT_CAP = 64
 
 
 @dataclass(frozen=True)
-class GraphAutomorphism:
-    vertex_map: tuple[int, ...]
-
-    def __call__(self, v: int) -> int:
-        return self.vertex_map[v]
-
-
-@dataclass(frozen=True)
 class AutDecomposition:
-    full_group: tuple[GraphAutomorphism, ...]
-    regular_part: tuple[GraphAutomorphism, ...]
-    complement: tuple[GraphAutomorphism, ...] | None
+    complement: tuple[tuple[int, ...], ...] | None
     is_direct_product: bool
     is_grr: bool
-
-
-@dataclass(frozen=True)
-class ExtendedAutomorphism:
-    source: GraphAutomorphism
-    flag_map: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,22 +63,16 @@ class StableMap:
     commutes: bool
 
 
-def is_graph_automorphism(graph: Graph, vm: Sequence[int]) -> bool:
-    adj = [set(nb) for nb in graph.adjacency]
-    for v in range(graph.vertex_count):
-        if {vm[u] for u in graph.adjacency[v]} != adj[vm[v]]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Automorphism group search
 # ---------------------------------------------------------------------------
 
 def graph_automorphism_group(
     graph: Graph, cap: int = DEFAULT_GRAPH_AUT_CAP
-) -> list[GraphAutomorphism]:
-    """Full automorphism group by backtracking over vertex images.
+) -> list[tuple[int, ...]]:
+    """Full automorphism group by backtracking over vertex images, as sorted
+    vertex maps (a list, so groups beyond the ``PermGroup`` table cap can be
+    counted and decomposed).
 
     Vertices are assigned in BFS order so each new vertex has a mapped
     neighbor constraining its image; degree mismatch prunes immediately.
@@ -145,18 +127,13 @@ def graph_automorphism_group(
 
     extend(0)
     results.sort()
-    return [GraphAutomorphism(vm) for vm in results]
+    return results
 
 
-def right_regular(G: FiniteGroup, graph: Graph | None = None) -> list[GraphAutomorphism]:
-    """The |G| translations t ↦ th (the columns of the table), optionally
-    checked against a graph."""
-    out = []
-    for h, vm in enumerate(G.table.T.tolist()):
-        if graph is not None and not is_graph_automorphism(graph, vm):
-            raise InternalInconsistency(f"right translation by {h} breaks adjacency")
-        out.append(GraphAutomorphism(tuple(vm)))
-    return out
+def right_regular(G: FiniteGroup) -> PermGroup:
+    """R(G): the |G| translations t ↦ th, the columns of the table.  Row h
+    is the translation by h, since it sends the identity to h."""
+    return PermGroup(G.table.T.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +178,14 @@ def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozens
     return [s for s in found if len(s) == m]
 
 
-def decompose(full: list[GraphAutomorphism], G: FiniteGroup) -> AutDecomposition:
+def decompose(full: Sequence[tuple[int, ...]], G: FiniteGroup) -> AutDecomposition:
     """Search for a complement H with full = R(G) × H (commuting, trivial
     intersection); H is sought inside the centralizer of R(G), where the
     direct-product hypothesis forces it to live.  A map commuting with every
     right translation is the left translation t ↦ xt by its image x of the
     identity, so the centralizer is read off the rows of the table."""
-    full_maps = [a.vertex_map for a in full]
-    full_set = set(full_maps)
-    regular = right_regular(G)
-    reg_set = {a.vertex_map for a in regular}
+    full_set = set(full)
+    reg_set = set(map(tuple, G.table.T.tolist()))
     if not reg_set <= full_set:
         raise BadParameter("supplied group does not contain the right translations")
     if len(full_set) % G.order:
@@ -219,79 +194,62 @@ def decompose(full: list[GraphAutomorphism], G: FiniteGroup) -> AutDecomposition
     is_grr = len(full_set) == G.order
     identity = tuple(range(G.order))
     if is_grr:
-        return AutDecomposition(
-            full_group=tuple(full),
-            regular_part=tuple(regular),
-            complement=(GraphAutomorphism(identity),),
-            is_direct_product=True,
-            is_grr=True,
-        )
+        return AutDecomposition(complement=(identity,), is_direct_product=True, is_grr=True)
 
     m = len(full_set) // G.order
     rows = G.table.tolist()
-    centralizer = [a for a in full_maps if list(a) == rows[a[0]]]
+    centralizer = [a for a in full if list(a) == rows[a[0]]]
     complement = None
     if len(centralizer) % m == 0:
         for sub in _subgroups_of_order(centralizer, m):
             if len(sub & reg_set) == 1:  # only the identity
-                complement = tuple(GraphAutomorphism(vm) for vm in sorted(sub))
+                complement = tuple(sorted(sub))
                 break
     return AutDecomposition(
-        full_group=tuple(full),
-        regular_part=tuple(regular),
-        complement=complement,
-        is_direct_product=complement is not None,
-        is_grr=False,
+        complement=complement, is_direct_product=complement is not None, is_grr=False
     )
 
 
-def product_group(
-    regular: Sequence[GraphAutomorphism], complement: Sequence[GraphAutomorphism]
-) -> list[GraphAutomorphism]:
-    """All products r∘h, in sorted order; distinct when the intersection is
-    trivial."""
-    R = np.array([r.vertex_map for r in regular])
-    H = np.array([h.vertex_map for h in complement])
-    products = set(map(tuple, R[:, H].reshape(-1, R.shape[1]).tolist()))  # (r, h): r[h[v]]
-    if len(products) != len(regular) * len(complement):
+def product_group(G: FiniteGroup, complement: Sequence[Sequence[int]]) -> PermGroup:
+    """R(G)H: all products r∘h of a right translation r and a member h of
+    the complement, distinct when the intersection is trivial."""
+    H = np.asarray(complement)
+    products = G.table.T[:, H].reshape(-1, G.order)  # (r, h): r[h[v]]
+    if len(np.unique(products, axis=0)) != len(products):
         raise InternalInconsistency("regular part and complement overlap")
-    return [GraphAutomorphism(vm) for vm in sorted(products)]
+    return PermGroup(products.tolist())
 
 
 # ---------------------------------------------------------------------------
 # Lifting to flags
 # ---------------------------------------------------------------------------
 
-def extend_to_flags(theta: GraphAutomorphism, F: FlagSpace) -> ExtendedAutomorphism:
-    """Canonical sign-preserving lift of a Cayley-graph automorphism: flag
-    (g, s, sign) goes to (θ(g), θ(sg)θ(g)^{-1}, sign)."""
+def extend_to_flags(rows, F: FlagSpace) -> np.ndarray:
+    """Canonical sign-preserving lift of Cayley-graph automorphisms, given as
+    an ``(m, |G|)`` stack of vertex maps, to an ``(m, flags)`` stack of flag
+    maps in the same order: flag (g, s, sign) goes to
+    (θ(g), θ(sg)θ(g)^{-1}, sign).  The lift is an injective homomorphism."""
     G, members = F.group, np.array(F.cayset.members)
     T = G.table
-    vm = np.array(theta.vertex_map)
-    images = T[vm[T[members]], G.inverses[vm]]  # (s, g) -> image of s at g
+    vm = np.asarray(rows, dtype=np.int64)
+    images = T[vm[:, T[members]], G.inverses[vm][:, None]]  # (θ, s, g) -> image of s at g
     rank = np.full(G.order, -1)
     rank[members] = np.arange(len(members))
-    image_rank = rank[images].T  # (g, j)
+    image_rank = rank[images].transpose(0, 2, 1)  # (θ, g, j)
     if (image_rank < 0).any():
-        g, j = (int(x) for x in np.argwhere(image_rank < 0)[0])
+        a, g, j = (int(x) for x in np.argwhere(image_rank < 0)[0])
         raise InternalInconsistency(
             f"image of generator {int(members[j])} at vertex {g} leaves the "
-            f"connection set: {int(images[j, g])}"
+            f"connection set: {int(images[a, j, g])}"
         )
-    darts = vm[:, None] * len(members) + image_rank  # flag id = 2*dart + sign
-    flag_map = (2 * darts[:, :, None] + np.arange(2)).ravel()
-    return ExtendedAutomorphism(source=theta, flag_map=tuple(flag_map.tolist()))
+    darts = vm[:, :, None] * len(members) + image_rank  # flag id = 2*dart + sign
+    return (2 * darts[..., None] + np.arange(2)).reshape(len(vm), -1)
 
 
-def is_semi_regular(theta: GraphAutomorphism) -> bool:
-    """All vertex orbits of theta have the same length."""
-    return bool(semi_regular(theta.vertex_map))
-
-
-def vertex_orbits(theta: GraphAutomorphism) -> list[list[int]]:
+def vertex_orbits(theta: Sequence[int]) -> list[list[int]]:
     """Orbits of theta on the vertices, each sorted, ordered by least vertex."""
     orbits: dict[int, list[int]] = {}
-    for v, least in enumerate(cycle_labels(theta.vertex_map).tolist()):
+    for v, least in enumerate(cycle_labels(theta).tolist()):
         orbits.setdefault(least, []).append(v)
     return list(orbits.values())
 
@@ -306,7 +264,7 @@ def conjugate_flag_permutation(
 
 
 def construct_stable_map(
-    theta: GraphAutomorphism,
+    theta: Sequence[int],
     F: FlagSpace,
     base_rotations: RotationSystem | None = None,
     orientable: bool = False,
@@ -322,11 +280,11 @@ def construct_stable_map(
     system (hence the embedding class) is stabilized, and commutes reports
     it.
     """
-    if not is_semi_regular(theta):
+    if not semi_regular(theta):
         raise NotSemiRegular("automorphism has unequal vertex orbit lengths")
     D = build_dart_structure(F)
-    ext = extend_to_flags(theta, F)
-    dart_map = dart_map_of_flag_map(D, ext.flag_map)
+    flag_map = extend_to_flags([theta], F)[0].tolist()
+    dart_map = dart_map_of_flag_map(D, flag_map)
 
     rho: list[tuple[int, ...] | None] = [None] * D.vertex_count
     for orbit in vertex_orbits(theta):
@@ -339,7 +297,7 @@ def construct_stable_map(
         v, current = rep, rho[rep]
         for _ in range(len(orbit) - 1):
             current = tuple(dart_map[d] for d in current)
-            v = theta(v)
+            v = theta[v]
             rho[v] = canonical_rotation(current)
     rotation_system: RotationSystem = tuple(rho)  # type: ignore[arg-type]
 
@@ -370,7 +328,7 @@ def construct_stable_map(
         signs = tuple(signs_l)
 
     M = realize_signed(D, rotation_system, signs)
-    conj = conjugate_flag_permutation(M.P, ext.flag_map)
+    conj = conjugate_flag_permutation(M.P, flag_map)
     exact = conj == M.P
     if commutes and not exact:
         raise InternalInconsistency("stable map construction failed to commute")

@@ -29,7 +29,6 @@ from .errors import (
 from .groups import FiniteGroup, subgroup_closure
 
 PLUS, MINUS = 0, 1
-SIGN_CHARS = {PLUS: "+", MINUS: "-"}
 
 
 @dataclass(frozen=True)

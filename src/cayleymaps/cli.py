@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp
 
-from .autaction import decompose, graph_automorphism_group
+from .autaction import DEFAULT_GRAPH_AUT_CAP, decompose, graph_automorphism_group
 from .cayley import build_cayley_graph, build_flag_space
 from .errors import BadParameter, CayleymapsError, InternalInconsistency
 from .fileio import (
@@ -46,7 +46,6 @@ from .oracle import (
     burnside_count,
     compare_with_formula,
     enumerate_embeddings,
-    extend_group,
 )
 from .perm import conjugacy_classes_of, order
 from .special import (
@@ -281,10 +280,10 @@ def cmd_census_formula(args) -> Report:
     res = census(G, S, H, args.surface, args.mode)
     R = Report(args.kv)
     R.field("surface", res.surface)
-    R.field("acting-size", res.acting_size)
+    R.field("acting-size", len(res.acting))
     R.field("classes", len(res.classes))
     rows = [
-        (_rep_label(G, st.representative.vertex_map),
+        (_rep_label(G, st.representative),
          st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
         for st, phi in zip(res.classes, res.phi_values)
     ]
@@ -298,25 +297,28 @@ def cmd_census_oracle(args) -> Report:
     G, S = _load_pair(args.source)
     F = build_flag_space(G, S)
     gs = enumerate_embeddings(F, args.semantics, args.surface, args.cap)
-    acting = extend_group(acting_group(G, S, args.acting), F)
+    acting = acting_group(G, S, args.acting)
     oc = burnside_count(acting, gs)
     R = Report(args.kv)
     R.field("surface", args.surface)
     R.field("semantics", args.semantics)
     R.field("ground-set", len(gs.keys))
     R.field("acting-size", oc.acting_size)
-    rows = [
-        (_rep_label(G, xi.source.vertex_map), fc)
-        for xi, fc in zip(acting, oc.fixed_counts)
-    ]
+    rows = [(_rep_label(G, vm), fc) for vm, fc in zip(acting.rows.tolist(), oc.fixed_counts)]
     R.table("fixed", ["element", "fixed"], _columns(rows, 2))
-    # one pass: the inventories are decoded again on every iteration
-    orows = [
-        (i, size, len(inv.vertices), inv.edge_count, len(inv.faces),
-         inv.euler_characteristic, _b(inv.orientable),
-         ",".join(str(x) for x in inv.face_lengths))
-        for i, (size, inv) in enumerate(zip(oc.orbit_sizes, oc.orbit_inventories))
-    ]
+    dump = None if args.dump is None else Path(args.dump)
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
+        width = len(str(max(oc.orbit_count - 1, 0)))
+    # one pass feeds the table and the dump: every iteration of oc.orbits
+    # decodes the representatives anew
+    orows = []
+    for i, (size, (M, inv)) in enumerate(zip(oc.orbit_sizes, oc.orbits)):
+        if dump is not None:
+            save_map(M, str(dump / f"rep_{i:0{width}d}.map"))
+        orows.append((i, size, len(inv.vertices), inv.edge_count, len(inv.faces),
+                      inv.euler_characteristic, _b(inv.orientable),
+                      ",".join(str(x) for x in inv.face_lengths)))
     R.table(
         "orbit",
         ["orbit", "size", "vertices", "edges", "faces", "chi", "orientable", "face-lengths"],
@@ -324,14 +326,9 @@ def cmd_census_oracle(args) -> Report:
     )
     R.blank()
     R.field("orbit-count", oc.orbit_count)
-    if args.dump is not None:
-        out = Path(args.dump)
-        out.mkdir(parents=True, exist_ok=True)
-        width = len(str(max(len(oc.orbit_representatives) - 1, 0)))
-        for i, M in enumerate(oc.orbit_representatives):
-            save_map(M, str(out / f"rep_{i:0{width}d}.map"))
+    if dump is not None:
         R.field("dump-dir", args.dump)
-        R.field("dump-count", len(oc.orbit_representatives))
+        R.field("dump-count", oc.orbit_count)
     return R
 
 
@@ -345,7 +342,7 @@ def cmd_verify(args) -> Report:
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
     rows = [
-        (_rep_label(G, line.stats.representative.vertex_map),
+        (_rep_label(G, line.stats.representative),
          line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
          line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio))
         for line in rep.lines
@@ -426,7 +423,7 @@ def cmd_three_inv(args) -> Report:
     )
     if args.compare:
         crows = [
-            (_rep_label(G, st.representative.vertex_map),
+            (_rep_label(G, st.representative),
              assumed_l, st.l_value, assumed_alpha, st.alpha_exponent, phi_true, _b(match))
             for st, assumed_l, assumed_alpha, phi_true, match in three_involution_comparison(
                 G, S.members, args.surface
@@ -520,7 +517,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("cayley", parents=[common], help="connection set and graph checks")
     p.add_argument("action", choices=("check",))
     _pair_argument(p)
-    p.add_argument("--aut-cap", type=int, default=64)
+    p.add_argument("--aut-cap", type=int, default=DEFAULT_GRAPH_AUT_CAP)
     p.set_defaults(func=cmd_cayley)
 
     p = subs.add_parser("map", parents=[common], help="validate a map file")

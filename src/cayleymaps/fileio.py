@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .autaction import GraphAutomorphism
 from .cayley import CayleySet, FlagSpace, generic_flag_space, validate_cayley_set
 from .errors import BadParameter
 from .fixtures import Fixture, fixture
@@ -145,7 +144,7 @@ def save_map(M: MapPermutation, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_automorphisms(path: str, vertex_count: int | None = None) -> list[GraphAutomorphism]:
+def load_automorphisms(path: str, vertex_count: int | None = None) -> list[tuple[int, ...]]:
     """One automorphism per line, each a full list of vertex images."""
     out = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -156,12 +155,12 @@ def load_automorphisms(path: str, vertex_count: int | None = None) -> list[Graph
             raise BadParameter(f"{path}:{ln}: expected {vertex_count} vertex images")
         if sorted(vm) != list(range(len(vm))):
             raise BadParameter(f"{path}:{ln}: not a permutation")
-        out.append(GraphAutomorphism(vm))
+        out.append(vm)
     if not out:
         raise BadParameter(f"{path}: no automorphisms found")
     return out
 
 
 def save_automorphisms(auts, path: str) -> None:
-    lines = [" ".join(str(x) for x in a.vertex_map) for a in auts]
+    lines = [" ".join(str(x) for x in vm) for vm in auts]
     Path(path).write_text("\n".join(lines) + "\n")

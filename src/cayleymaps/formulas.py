@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .autaction import GraphAutomorphism, product_group, right_regular
+from .autaction import product_group
 from .cayley import CayleySet
 from .errors import (
     BadParameter,
@@ -44,15 +44,12 @@ from .perm import (
 THETA = "Theta"
 DELTA = "Delta"
 
-MODE_PRIMES = (2**31 - 1, 10**9 + 7)
-
 
 @dataclass(frozen=True)
 class ClassStats:
-    representative: GraphAutomorphism
+    representative: tuple[int, ...]
     class_size: int
     order: int
-    semi_regular: bool
     l_value: int
     branch: str
     edge_orbits: int
@@ -74,7 +71,7 @@ class CensusResult:
     count: CountReport
     classes: tuple[ClassStats, ...]
     phi_values: tuple[int, ...]
-    acting_size: int
+    acting: PermGroup
 
 
 def parse_mode(mode: str) -> tuple[str, int | None]:
@@ -248,13 +245,12 @@ def _log2_sum(terms: Sequence[Term], divisor: int, base: int) -> mp.mpf:
 # Per-class statistics
 # ---------------------------------------------------------------------------
 
-def acting_stats(G: FiniteGroup, S: CayleySet, acting: Sequence[GraphAutomorphism]) -> ElementStats:
+def acting_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> ElementStats:
     """Per-element statistics of ``acting`` on Cay(G : S), whose edges
     join t to s*t for s in S."""
-    group = PermGroup([a.vertex_map for a in acting])
     adjacency = np.zeros((G.order, G.order), dtype=bool)
     adjacency[np.arange(G.order), G.table[list(S.members)]] = True
-    return element_stats(group, adjacency)
+    return element_stats(acting, adjacency)
 
 
 def class_stats(G: FiniteGroup, S: CayleySet, stats: ElementStats, i: int) -> ClassStats:
@@ -289,10 +285,9 @@ def class_stats(G: FiniteGroup, S: CayleySet, stats: ElementStats, i: int) -> Cl
             f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
         )
     return ClassStats(
-        representative=GraphAutomorphism(vm),
+        representative=vm,
         class_size=stats.group.class_size(i),
         order=o,
-        semi_regular=True,
         l_value=l_value,
         branch=branch,
         edge_orbits=edge_orbits,
@@ -301,7 +296,7 @@ def class_stats(G: FiniteGroup, S: CayleySet, stats: ElementStats, i: int) -> Cl
 
 
 def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
-    nu = len(stats.representative.vertex_map)
+    nu = len(stats.representative)
     base = factorial(k - 1) ** (nu // stats.order)
     if surface == "O":
         return base
@@ -333,25 +328,37 @@ def _assert_constant_stats(
         vm = stats.group.element(cls[np.argmin(same)])
         raise InternalInconsistency(
             f"class statistics not constant: {vm} differs from "
-            f"{rep_stats.representative.vertex_map}"
+            f"{rep_stats.representative}"
         )
 
 
 def census(
     G: FiniteGroup,
     S: CayleySet,
-    H: Sequence[GraphAutomorphism] | None = None,
+    H: Sequence[Sequence[int]] | None = None,
     surface: str = "O",
     mode: str = "exact",
 ) -> CensusResult:
+    """The census of maps of Cay(G : S) under R(G) x H, where H (the
+    identity alone by default) lists vertex maps."""
     if surface not in ("O", "N", "L"):
         raise BadParameter(f"unknown surface {surface!r}")
     parse_mode(mode)
     k = len(S.members)
-    if H is None:
-        H = [GraphAutomorphism(tuple(range(G.order)))]
+    H = np.arange(G.order)[None] if H is None else np.asarray(H)
     check_table_size(G.order * len(H), G.order)
-    acting = product_group(right_regular(G), H)
+    # H comes from outside: the product has |G||H| elements only when H
+    # lists each map once and shares just the identity with R(G)
+    if len(np.unique(H, axis=0)) != len(H):
+        raise BadParameter("H lists an automorphism twice")
+    translation = (H == G.table.T[H[:, 0]]).all(axis=1) & (H[:, 0] != 0)
+    if translation.any():
+        h = int(H[np.argmax(translation), 0])
+        raise BadParameter(
+            f"H contains the right translation by {G.name_of(h)}; H may share only "
+            "the identity with R(G)"
+        )
+    acting = product_group(G, H)
     acting_size = len(acting)
     if acting_size != G.order * len(H):
         raise InternalInconsistency("acting group size is not |G||H|")
@@ -391,6 +398,6 @@ def census(
         count=report,
         classes=tuple(stats_list),
         phi_values=tuple(phis),
-        acting_size=acting_size,
+        acting=acting,
     )
 

@@ -43,8 +43,6 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .autaction import (
-    ExtendedAutomorphism,
-    GraphAutomorphism,
     decompose,
     extend_to_flags,
     graph_automorphism_group,
@@ -331,17 +329,14 @@ class OrbitCensus:
     leads: np.ndarray
 
     @property
-    def orbit_representatives(self) -> Sequence[MapPermutation]:
-        gs = self.ground_set
-        return _Decoded(len(self.leads), lambda pos: gs.representatives_of(gs.codes[self.leads[pos]]))
-
-    @property
-    def orbit_inventories(self) -> Sequence[MapInventory]:
+    def orbits(self) -> Sequence[tuple[MapPermutation, MapInventory]]:
+        """Each orbit's representative with its inventory, both from one
+        decoding of the representative."""
         gs = self.ground_set
 
         def decode(pos):
             maps = gs.representatives_of(gs.codes[self.leads[pos]])
-            return inventories(gs.flag_space, [M.P for M in maps])
+            return list(zip(maps, inventories(gs.flag_space, [M.P for M in maps])))
 
         return _Decoded(len(self.leads), decode)
 
@@ -444,31 +439,26 @@ def _image_sweep(gs: GroundSet, actions: Sequence[CompiledAction]):
         yield index, (gs.index_of(act.image(digits, twist)) for act in actions)
 
 
-def fixed_count(xi: ExtendedAutomorphism, gs: GroundSet) -> int:
-    act = gs.space.compile(xi.flag_map)
+def fixed_count(flag_map: Sequence[int], gs: GroundSet) -> int:
+    act = gs.space.compile(flag_map)
     count = 0
     for index, images in _image_sweep(gs, [act]):
         count += int(np.count_nonzero(next(images) == index))
     return count
 
 
-def burnside_count(
-    acting: Sequence[ExtendedAutomorphism],
-    gs: GroundSet,
-) -> OrbitCensus:
-    """Orbit count via Burnside, cross-checked by an explicit partition."""
-    flag_maps = [xi.flag_map for xi in acting]
-    try:
-        group = PermGroup(flag_maps)
-    except BadParameter:
-        # a finite set closed under composition holds the identity, so a set
-        # lacking it fails closure as well
-        raise BadParameter("acting set is not closed under composition") from None
-    actions = [gs.space.compile(row) for row in group.rows.tolist()]
+def burnside_count(acting: PermGroup, gs: GroundSet) -> OrbitCensus:
+    """Orbit count via Burnside, cross-checked by an explicit partition.
+
+    ``acting`` is a group of vertex maps, acting through their lifts to
+    flags; the lift is an injective homomorphism, so the vertex table is
+    the table of the flag maps.  Fixed counts are in row order."""
+    flag_maps = extend_to_flags(acting.rows, gs.flag_space)
+    actions = [gs.space.compile(row) for row in flag_maps.tolist()]
 
     # One sweep gives every element's fixed count and, as the least image
     # over the group, every key's orbit label (its orbit's least member).
-    fixed_by_row = np.zeros(len(group), dtype=np.int64)
+    fixed_by_row = np.zeros(len(acting), dtype=np.int64)
     lead = np.empty(len(gs.codes), dtype=np.int64)
     for index, images in _image_sweep(gs, actions):
         least = index.copy()
@@ -477,10 +467,10 @@ def burnside_count(
             np.minimum(least, image, out=least)
         lead[index] = least
 
-    conjugates = group.table[group.table, group.inverse[:, None]]  # p x p^-1
+    conjugates = acting.table[acting.table, acting.inverse[:, None]]  # p x p^-1
     if (fixed_by_row[conjugates] != fixed_by_row).any():
         raise InternalInconsistency("fixed count is not a class function")
-    fixed = fixed_by_row[group.find(np.array(flag_maps))].tolist()
+    fixed = fixed_by_row.tolist()
 
     total = sum(fixed)
     q, r = divmod(total, len(acting))
@@ -527,30 +517,20 @@ def burnside_count(
 # Acting groups and the formula comparison
 # ---------------------------------------------------------------------------
 
-def acting_group(
-    G: FiniteGroup,
-    S,
-    which: str = "rgxh",
-    aut_cap: int = 64,
-) -> list[GraphAutomorphism]:
+def acting_group(G: FiniteGroup, S, which: str = "rgxh") -> PermGroup:
     """Vertex group for the census: translations, their product with a found
     complement, or the full graph automorphism group."""
     if which == "rg":
         return right_regular(G)
-    graph = build_cayley_graph(G, S)
-    full = graph_automorphism_group(graph, aut_cap)
+    full = graph_automorphism_group(build_cayley_graph(G, S))
     if which == "full":
-        return full
+        return PermGroup(full)
     if which == "rgxh":
         dec = decompose(full, G)
         if dec.is_direct_product:
-            return product_group(dec.regular_part, dec.complement)
+            return product_group(G, dec.complement)
         return right_regular(G)
     raise BadParameter(f"unknown acting group choice {which!r}")
-
-
-def extend_group(acting: Sequence[GraphAutomorphism], F: FlagSpace) -> list[ExtendedAutomorphism]:
-    return [extend_to_flags(theta, F) for theta in acting]
 
 
 @dataclass(frozen=True)
@@ -576,7 +556,7 @@ class ComparisonReport:
 def compare_with_formula(
     G: FiniteGroup,
     S,
-    H: Sequence[GraphAutomorphism] | None = None,
+    H: Sequence[Sequence[int]] | None = None,
     surface: str = "O",
     semantics: str = SIGMA,
     cap: int = DEFAULT_ORACLE_CAP,
@@ -587,23 +567,20 @@ def compare_with_formula(
     gs = enumerate_embeddings(F, semantics, surface, cap)
     k = len(S.members)
 
-    if H is None:
-        H = [GraphAutomorphism(tuple(range(G.order)))]
-    acting = extend_group(product_group(right_regular(G), H), F)
-    oc = burnside_count(acting, gs)
+    oc = burnside_count(cres.acting, gs)
     if surface == "O":
         # every element of R(G)xH stabilizes some orientable embedding
-        for xi, c in zip(acting, oc.fixed_counts):
+        for i, c in enumerate(oc.fixed_counts):
             if c <= 0:
                 raise InternalInconsistency(
-                    f"no orientable embedding fixed by {xi.source.vertex_map}"
+                    f"no orientable embedding fixed by {cres.acting.element(i)}"
                 )
 
     # the class representatives are members of the acting group
-    position = {xi.source.vertex_map: i for i, xi in enumerate(acting)}
+    rows = cres.acting.find(np.array([st.representative for st in cres.classes]))
     lines = []
-    for st in cres.classes:
-        oracle = oc.fixed_counts[position[st.representative.vertex_map]]
+    for st, row in zip(cres.classes, rows.tolist()):
+        oracle = oc.fixed_counts[row]
         phi = phi_exact(st, surface, k)
         ratio = Fraction(oracle, phi) if phi else None
         lines.append(ClassComparison(stats=st, formula_phi=phi, oracle_fixed=oracle, ratio=ratio))

@@ -576,13 +576,12 @@ def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
 
     members = _three_involution_set(G, S)
     cayset = validate_cayley_set(G, members)
-    acting = right_regular(G)
-    stats = acting_stats(G, cayset, acting)
+    stats = acting_stats(G, cayset, right_regular(G))
     n = G.order
     rows = []
     for cls in conjugacy_classes_of(G.table, G.inverses):
-        xi = acting[cls[0]]
-        st = class_stats(G, cayset, stats, int(stats.group.find([xi.vertex_map])[0]))
+        # row h of R(G) is the translation by h
+        st = class_stats(G, cayset, stats, int(cls[0]))
         assumed_l = n if st.order % 2 == 0 else 0
         assumed_alpha = (
             Fraction(3 * n, 2 * st.order) if st.order % 2 == 0 else Fraction(n, 2 * st.order)

@@ -34,7 +34,7 @@ from cayleymaps.autaction import (
 )
 from cayleymaps.errors import CapExceeded
 from cayleymaps.formulas import phi_exact
-from cayleymaps.oracle import DART, RAW, SIGMA, extend_group, fixed_count
+from cayleymaps.oracle import DART, RAW, SIGMA, fixed_count
 from cayleymaps.perm import cycle_type, order
 from cayleymaps.rotations import (
     build_dart_structure,
@@ -86,10 +86,10 @@ def test_criterion_03_per_class_orientable_fixed_counts():
         fx = fixture(name)
         k = len(fx.cayset.members)
         gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
-        for theta in right_regular(fx.group):
-            xi = extend_to_flags(theta, fx.flag_space)
-            o = order(theta.vertex_map)
-            assert fixed_count(xi, gs) == factorial(k - 1) ** (fx.group.order // o)
+        acting = right_regular(fx.group)
+        for theta, flag_map in zip(acting.rows, extend_to_flags(acting.rows, fx.flag_space)):
+            o = order(theta)
+            assert fixed_count(flag_map, gs) == factorial(k - 1) ** (fx.group.order // o)
 
 
 def test_criterion_04_burnside_integrality_and_double_count():
@@ -98,7 +98,7 @@ def test_criterion_04_burnside_integrality_and_double_count():
     explicit union-find orbit count; the one over-cap combination refuses."""
     for name in CAYLEY_FIXTURES:
         fx = fixture(name)
-        acting = extend_group(right_regular(fx.group), fx.flag_space)
+        acting = right_regular(fx.group)
         for semantics, surface in itertools.product((RAW, SIGMA, DART), "ONL"):
             if name == "CUBE" and semantics == RAW:
                 with pytest.raises(CapExceeded):
@@ -121,7 +121,7 @@ def test_criterion_05_additivity():
             for s in "ONL"
         }
         assert totals["O"] + totals["N"] == totals["L"], name
-        acting = extend_group(right_regular(fx.group), fx.flag_space)
+        acting = right_regular(fx.group)
         orbits = {}
         for s in "ONL":
             gs = enumerate_embeddings(fx.flag_space, SIGMA, s)
@@ -142,15 +142,15 @@ def test_criterion_06_stable_map_witnesses():
         keys_l = set(gs_l.keys)
         gs_o = enumerate_embeddings(F, SIGMA, "O")
         keys_o = set(gs_o.keys)
-        for theta in right_regular(fx.group):
-            ext = extend_to_flags(theta, F)
-            dart_map = dart_map_of_flag_map(D, ext.flag_map)
+        acting = right_regular(fx.group)
+        for theta, flag_map in zip(acting.rows.tolist(), extend_to_flags(acting.rows, F).tolist()):
+            dart_map = dart_map_of_flag_map(D, flag_map)
             edge_map = edge_map_of_dart_map(D, dart_map)
 
             sm = construct_stable_map(theta, F)
             validate_map(F, sm.map.P)
             assert sm.commutes
-            assert conjugate_flag_permutation(sm.map.P, ext.flag_map) == sm.map.P
+            assert conjugate_flag_permutation(sm.map.P, flag_map) == sm.map.P
             key = (sm.rotation_system, T.reduce(sm.twists))
             assert key in keys_l
             moved = (
@@ -191,11 +191,11 @@ def test_criterion_08_map_automorphisms_act_freely():
     automorphism group acts freely: each flag's orbit has length |Aut M|."""
     for name in ("K3", "C4"):
         fx = fixture(name)
-        acting = extend_group(right_regular(fx.group), fx.flag_space)
+        acting = right_regular(fx.group)
         for semantics in (SIGMA, RAW):
             gs = enumerate_embeddings(fx.flag_space, semantics, "L")
             oc = burnside_count(acting, gs)
-            for M in oc.orbit_representatives:
+            for M, _ in oc.orbits:
                 auts = map_automorphisms(M)
                 for f in range(fx.flag_space.flag_count):
                     assert len({a[f] for a in auts}) == len(auts)
@@ -262,7 +262,7 @@ def test_criterion_11_three_involution_consistency():
     cres = census(G, validate_cayley_set(G, S), surface="O")
 
     by_rep = {
-        st.representative.vertex_map[0]: (st, phi)
+        st.representative[0]: (st, phi)
         for st, phi in zip(cres.classes, cres.phi_values)
     }
     for row in res.rows:

@@ -1,25 +1,25 @@
+import itertools
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from cayleymaps.autaction import (
-    GraphAutomorphism,
     construct_stable_map,
     decompose,
     extend_to_flags,
     graph_automorphism_group,
-    is_graph_automorphism,
-    is_semi_regular,
     product_group,
     right_regular,
     vertex_orbits,
 )
 from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cayley_set
-from cayleymaps.errors import CapExceeded, NotSemiRegular
+from cayleymaps.errors import CapExceeded, CayleymapsError, NotSemiRegular
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
 from cayleymaps.groups import direct_product, named_group
 from cayleymaps.maps import is_orientable, validate_map
-from cayleymaps.perm import order
+from cayleymaps.perm import PermGroup, order, semi_regular
 from cayleymaps.rotations import (
     build_dart_structure,
     build_twist_classes,
@@ -35,6 +35,19 @@ CAYLEY_FIXTURES = tuple(n for n in FIXTURE_NAMES if n != "FIG1")
 def after(a, b):
     """The vertex map a after b."""
     return tuple(a[v] for v in b)
+
+
+def translations(G):
+    """The rows of R(G) as vertex-map tuples; row h is the translation by h."""
+    return [tuple(r) for r in right_regular(G).rows.tolist()]
+
+
+def is_graph_automorphism(graph, vm) -> bool:
+    adj = [set(nb) for nb in graph.adjacency]
+    for v in range(graph.vertex_count):
+        if {vm[u] for u in graph.adjacency[v]} != adj[vm[v]]:
+            return False
+    return True
 
 
 def nx_automorphism_count(graph) -> int:
@@ -53,17 +66,17 @@ def nx_automorphism_count(graph) -> int:
 def test_right_regular_is_a_semiregular_automorphism_group():
     fx = fixture("CUBE")
     graph = build_cayley_graph(fx.group, fx.cayset)
-    reg = right_regular(fx.group)
+    reg = translations(fx.group)
     assert len(reg) == fx.group.order
-    maps = {a.vertex_map for a in reg}
+    maps = set(reg)
     for a in reg:
-        assert is_graph_automorphism(graph, a.vertex_map)
-        assert is_semi_regular(a)
+        assert is_graph_automorphism(graph, a)
+        assert semi_regular(a)
         for b in reg:
-            assert after(a.vertex_map, b.vertex_map) in maps
+            assert after(a, b) in maps
     # R(h) sends the identity vertex to h
     for h, a in enumerate(reg):
-        assert a.vertex_map[0] == h
+        assert a[0] == h
 
 
 @pytest.mark.parametrize(
@@ -75,11 +88,11 @@ def test_automorphism_group_sizes_match_networkx(name, expect):
     full = graph_automorphism_group(graph)
     assert len(full) == expect
     assert nx_automorphism_count(graph) == expect
-    maps = {a.vertex_map for a in full}
+    maps = set(full)
     assert len(maps) == len(full)
     for a in full:
-        assert is_graph_automorphism(graph, a.vertex_map)
-        assert tuple(np.argsort(a.vertex_map).tolist()) in maps  # the inverse
+        assert is_graph_automorphism(graph, a)
+        assert tuple(np.argsort(a).tolist()) in maps  # the inverse
 
 
 def test_automorphism_cap():
@@ -103,7 +116,7 @@ def test_decompose_grr_branch():
     # when the search returns only the translations the instance is a GRR
     # and the complement is the trivial group
     G = named_group("cyclic", 5)
-    dec = decompose(right_regular(G), G)
+    dec = decompose(translations(G), G)
     assert dec.is_grr and dec.is_direct_product
     assert len(dec.complement) == 1
 
@@ -132,19 +145,16 @@ def test_decompose_keeps_its_choice_among_complements(G, members, expected):
     # here; the one returned is pinned from the tuple implementation
     graph = build_cayley_graph(G, validate_cayley_set(G, members))
     dec = decompose(graph_automorphism_group(graph), G)
-    assert [a.vertex_map for a in dec.complement] == [tuple(range(12)), expected]
+    assert list(dec.complement) == [tuple(range(12)), expected]
 
 
 def test_product_group_generates_the_dihedral_action():
     G = named_group("cyclic", 4)
-    reg = right_regular(G)
-    negation = GraphAutomorphism(tuple((-x) % 4 for x in range(4)))
-    prod = product_group(reg, [GraphAutomorphism(tuple(range(4))), negation])
+    negation = tuple((-x) % 4 for x in range(4))
+    prod = product_group(G, [tuple(range(4)), negation])
     assert len(prod) == 8
     graph = build_cayley_graph(G, validate_cayley_set(G, (1, 3)))
-    assert {a.vertex_map for a in prod} == {
-        a.vertex_map for a in graph_automorphism_group(graph)
-    }
+    assert {tuple(a) for a in prod.rows.tolist()} == set(graph_automorphism_group(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +165,7 @@ def test_extended_automorphism_commutes_with_alpha_beta():
     for name in CAYLEY_FIXTURES:
         fx = fixture(name)
         F = fx.flag_space
-        for theta in right_regular(fx.group):
-            fm = extend_to_flags(theta, F).flag_map
+        for fm in extend_to_flags(right_regular(fx.group).rows, F).tolist():
             assert sorted(fm) == list(range(F.flag_count))
             for f in range(F.flag_count):
                 assert fm[F.alpha[f]] == F.alpha[fm[f]]
@@ -164,22 +173,45 @@ def test_extended_automorphism_commutes_with_alpha_beta():
                 assert fm[f] % 2 == f % 2  # sign-preserving
 
 
+def _seeded_dihedral_degree3(seed):
+    """Cay(D_8 : S) for a seeded inverse-closed generating S of size 3."""
+    rng = random.Random(seed)
+    G = named_group("dihedral", 8)
+    while True:
+        members = set()
+        while len(members) < 3:
+            g = rng.randrange(1, G.order)
+            members |= {g, int(G.inverses[g])}
+        if len(members) == 3:
+            try:
+                return G, validate_cayley_set(G, tuple(sorted(members)))
+            except CayleymapsError:
+                pass
+
+
 def test_extension_is_a_homomorphism():
-    fx = fixture("CUBE")
-    F = fx.flag_space
-    reg = right_regular(fx.group)
-    ext = {a.vertex_map: extend_to_flags(a, F).flag_map for a in reg}
-    for a in reg:
-        for b in reg:
-            ab = after(a.vertex_map, b.vertex_map)
-            composed = tuple(ext[a.vertex_map][ext[b.vertex_map][f]] for f in range(F.flag_count))
-            assert composed == ext[ab]
+    # on the full automorphism groups: lift(a after b) = lift(a) after
+    # lift(b) for every pair, and distinct vertex maps lift to distinct
+    # flag maps, so the vertex table is the table of the lifts
+    cube = fixture("CUBE")
+    for G, S in ((cube.group, cube.cayset), _seeded_dihedral_degree3(1)):
+        F = build_flag_space(G, S)
+        full = graph_automorphism_group(build_cayley_graph(G, S))
+        lifts = extend_to_flags(full, F)
+        for a, b in itertools.product(range(len(full)), repeat=2):
+            ab = extend_to_flags([after(full[a], full[b])], F)[0]
+            assert (lifts[a][lifts[b]] == ab).all()
+        assert len({tuple(row) for row in lifts.tolist()}) == len(full)
+        # the same, read through the acting group's table
+        group = PermGroup(full)
+        lifts = extend_to_flags(group.rows, F)
+        assert (lifts[:, lifts] == lifts[group.table]).all()
 
 
 def test_vertex_orbits_of_translations():
     G = named_group("elementary_abelian_2", 3)
     for g in range(1, G.order):
-        theta = right_regular(G)[g]
+        theta = right_regular(G).element(g)
         orbits = vertex_orbits(theta)
         o = int(order(G.table[g]))  # row g is t -> gt
         assert all(len(orb) == o for orb in orbits)
@@ -194,11 +226,11 @@ def test_general_stable_map_commutes_everywhere():
     for name in CAYLEY_FIXTURES:
         fx = fixture(name)
         F = fx.flag_space
-        for theta in right_regular(fx.group):
+        for theta in translations(fx.group):
             sm = construct_stable_map(theta, F)
             assert sm.commutes
             validate_map(F, sm.map.P)
-            fm = extend_to_flags(theta, F).flag_map
+            fm = extend_to_flags([theta], F)[0].tolist()
             conj = tuple(0 for _ in fm)
             conj = list(conj)
             for f in range(len(fm)):
@@ -214,7 +246,7 @@ def test_orientable_stable_map_flags_swapped_edge_orbits():
     D = build_dart_structure(F)
     T = build_twist_classes(D)
     for g in range(fx.group.order):
-        theta = right_regular(fx.group)[g]
+        theta = right_regular(fx.group).element(g)
         sm = construct_stable_map(theta, F, orientable=True)
         assert sm.twists == 0
         assert is_orientable(sm.map)
@@ -225,7 +257,7 @@ def test_orientable_stable_map_flags_swapped_edge_orbits():
         # the embedding class is fixed either way: the conjugate is the map
         # of the transported signs on a rotation system that transports to
         # itself, and its twist class is 0, so its SIGMA key is unchanged
-        fm = extend_to_flags(theta, F).flag_map
+        fm = extend_to_flags([theta], F)[0].tolist()
         conj = [0] * len(fm)
         for f in range(len(fm)):
             conj[fm[f]] = fm[sm.map.P[f]]
@@ -241,7 +273,7 @@ def test_orientable_stable_map_flags_swapped_edge_orbits():
 def test_orientable_stable_map_commutes_on_cycles():
     for name in ("K3", "C4", "C5"):
         fx = fixture(name)
-        for theta in right_regular(fx.group):
+        for theta in translations(fx.group):
             sm = construct_stable_map(theta, fx.flag_space, orientable=True)
             assert sm.commutes and is_orientable(sm.map)
 
@@ -249,9 +281,9 @@ def test_orientable_stable_map_commutes_on_cycles():
 def test_stable_map_requires_semi_regularity():
     fx = fixture("CUBE")
     # coordinate swap fixes 000 but not 001: orbit lengths differ
-    swap = GraphAutomorphism(tuple(((v & 1) << 1) | ((v >> 1) & 1) | (v & 4) for v in range(8)))
+    swap = tuple(((v & 1) << 1) | ((v >> 1) & 1) | (v & 4) for v in range(8))
     graph = build_cayley_graph(fx.group, fx.cayset)
-    assert is_graph_automorphism(graph, swap.vertex_map)
-    assert not is_semi_regular(swap)
+    assert is_graph_automorphism(graph, swap)
+    assert not semi_regular(swap)
     with pytest.raises(NotSemiRegular):
         construct_stable_map(swap, fx.flag_space)

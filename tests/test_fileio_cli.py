@@ -123,12 +123,12 @@ def test_map_loader_rejections(tmp_path):
 
 
 def test_automorphism_round_trip_and_rejections(tmp_path):
-    auts = right_regular(fixture("K3").group)
+    auts = right_regular(fixture("K3").group).rows.tolist()
     path = tmp_path / "a.auts"
     save_automorphisms(auts, str(path))
     assert path.read_text() == "0 1 2\n1 2 0\n2 0 1\n"
     back = load_automorphisms(str(path), vertex_count=3)
-    assert [a.vertex_map for a in back] == [a.vertex_map for a in auts]
+    assert back == [tuple(a) for a in auts]
 
     with pytest.raises(BadParameter, match="expected 4 vertex images"):
         load_automorphisms(str(path), vertex_count=4)
@@ -344,6 +344,53 @@ def test_cli_fixtures_list_and_run(capsys):
     assert code == 0
     for name in ("K3", "C4", "C5", "CUBE", "FIG1"):
         assert f"{name}." in out
+
+
+def test_cli_dump_decodes_each_representative_once(capsys, tmp_path, monkeypatch):
+    # the orbit table and the dump are fed from one decoding pass: one
+    # validate_map call per orbit, and the files match the two-pass output
+    import hashlib
+
+    from cayleymaps import oracle
+
+    calls = []
+    validate = oracle.validate_map
+
+    def counted(F, P):
+        calls.append(1)
+        return validate(F, P)
+
+    monkeypatch.setattr(oracle, "validate_map", counted)
+    code, out, _ = run_cli(
+        capsys, "census", "oracle", "fixtures:CUBE", "--surface", "L", "--dump", str(tmp_path),
+    )
+    assert code == 0
+    assert "orbit-count: 1184" in out.splitlines()
+    assert len(calls) == 1184
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == (
+        "b4f6101de8b2d728b1a59e3a818807727f71dc1133795f136967add20cb3f770"
+    )
+    stdout = out.replace(str(tmp_path), "DIR").encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "b0089aeac1e3f58337d42398aa4826a11700914b5d5ae68a4061831a4c0ad461"
+    )
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0 1 2\n0 1 2\n", "H lists an automorphism twice"),
+    ("0 1 2\n1 2 0\n2 0 1\n",
+     "H contains the right translation by g1; H may share only the identity with R(G)"),
+])
+@pytest.mark.parametrize("command", [["census", "formula"], ["verify"]])
+def test_cli_h_file_meeting_r_g_is_refused(capsys, tmp_path, text, message, command):
+    path = tmp_path / "k3.h"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, *command, "fixtures:K3", "--h-file", str(path))
+    assert code == 1
+    assert out == f"{message}\nerror-token: BadParameter\n"
 
 
 def test_cli_exit_codes_and_error_tokens(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cayleymaps import census, fixture, formulas, named_group, perm, validate_cayley_set
-from cayleymaps.autaction import GraphAutomorphism, right_regular
+from cayleymaps.autaction import right_regular
 from cayleymaps.errors import (
     BadParameter,
     CapExceeded,
@@ -16,7 +16,6 @@ from cayleymaps.errors import (
 )
 from cayleymaps.formulas import (
     DELTA,
-    MODE_PRIMES,
     THETA,
     acting_stats,
     class_stats,
@@ -41,10 +40,6 @@ def test_parse_mode():
         parse_mode("modp:0")
     with pytest.raises(BadParameter):
         parse_mode("approximate")
-
-
-def test_mode_primes_are_the_usual_ones():
-    assert MODE_PRIMES == (2**31 - 1, 10**9 + 7)
 
 
 def test_log2_of_int():
@@ -97,12 +92,12 @@ def test_permutation_order_and_power_match_brute_force():
 
 def test_conjugacy_classes_of_regular_representations():
     d6 = named_group("dihedral", 12)
-    group = PermGroup([a.vertex_map for a in right_regular(d6)])
+    group = right_regular(d6)
     sizes = sorted(len(c) for c in conjugacy_classes_of(group.table, group.inverse))
     assert sizes == [1, 1, 2, 2, 3, 3]
 
     s3 = named_group("symmetric", 3)
-    group = PermGroup([a.vertex_map for a in right_regular(s3)])
+    group = right_regular(s3)
     sizes = sorted(len(c) for c in conjugacy_classes_of(group.table, group.inverse))
     assert sizes == [1, 2, 3]
 
@@ -122,7 +117,6 @@ def test_class_stats_cube_table():
     for g in range(8):
         st = class_stats(G, S, stats, g)
         assert st.class_size == 1
-        assert st.semi_regular
         if g == 0:
             expected = (1, 0, THETA, 12, 4)
         elif g in S.members:
@@ -148,7 +142,7 @@ def test_l_value_equals_conjugation_count():
             if st.order % 2:
                 assert st.l_value == 0
                 continue
-            gh = int(power(T[st.representative.vertex_map[0]], st.order // 2)[0])  # row g is t -> gt
+            gh = int(power(T[st.representative[0]], st.order // 2)[0])  # row g is t -> gt
             alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
             assert alt == st.l_value
 
@@ -161,9 +155,9 @@ def test_phi_additivity_per_class():
     for G, S in pairs:
         k = len(S.members)
         res = {s: census(G, S, surface=s) for s in ("O", "N", "L")}
-        reps = [st.representative.vertex_map for st in res["O"].classes]
+        reps = [st.representative for st in res["O"].classes]
         for s in ("N", "L"):
-            assert [st.representative.vertex_map for st in res[s].classes] == reps
+            assert [st.representative for st in res[s].classes] == reps
         for i in range(len(reps)):
             st = res["O"].classes[i]
             assert res["O"].phi_values[i] == factorial(k - 1) ** (G.order // st.order)
@@ -185,7 +179,7 @@ def test_census_totals_frozen():
         assert census(fx.group, fx.cayset, surface="O").count.exact_value == 1
         assert census(fx.group, fx.cayset, surface="L").count.exact_value == 1
         assert census(fx.group, fx.cayset, surface="N").count.exact_value == 0
-        assert census(fx.group, fx.cayset).acting_size == fx.group.order
+        assert len(census(fx.group, fx.cayset).acting) == fx.group.order
 
 
 def test_census_modes_agree():
@@ -196,7 +190,7 @@ def test_census_modes_agree():
     assert float(log2.count.log2_value) == pytest.approx(
         float(exact.count.log2_value), rel=1e-12
     )
-    for p in MODE_PRIMES:
+    for p in (2**31 - 1, 10**9 + 7):
         modp = census(fx.group, fx.cayset, surface="L", mode=f"modp:{p}")
         assert modp.count.residue == 928 % p
         assert modp.count.prime == p
@@ -234,10 +228,8 @@ def test_grr_census_cross_checks():
 
 def test_census_with_non_semi_regular_h_raises():
     fx = fixture("CUBE")
-    swap = GraphAutomorphism(
-        tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
-    )
-    identity = GraphAutomorphism(tuple(range(8)))
+    swap = tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
+    identity = tuple(range(8))
     with pytest.raises(NotSemiRegular):
         census(fx.group, fx.cayset, H=[identity, swap])
 

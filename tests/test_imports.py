@@ -1,9 +1,13 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name a
+module defines is read somewhere.
 
 Each module of ``src/cayleymaps`` is parsed with ``ast``; an imported name
 counts as used when it is read anywhere in the module (annotations
 included) or listed in ``__all__``, which covers the package's
-re-exports.  ``from __future__`` imports are exempt.
+re-exports.  ``from __future__`` imports are exempt.  A function, class
+or variable defined at module level counts as read when some file of
+``src/``, ``tests/`` or ``perfbench/`` loads it as a name or an attribute;
+dunders are exempt.
 """
 
 import ast
@@ -11,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cayleymaps"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cayleymaps"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+READERS = sorted(
+    p for d in (ROOT / "src", ROOT / "tests", ROOT / "perfbench") for p in d.rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +61,61 @@ def test_the_scan_finds_an_unused_name():
         "    return realize(x)\n"
     )
     assert unused_imports(source) == ["DartStructure (line 3)"]
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """The functions, classes and variables a module defines at top level,
+    dunders excepted, with their lines."""
+    names: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names[leaf.id] = node.lineno
+    return {n: line for n, line in names.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a source loads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unread_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    read = set().union(*map(read_names, readers))
+    return [
+        f"{module}.{name} (line {line})"
+        for module, source in sorted(modules.items())
+        for name, line in defined_names(source).items()
+        if name not in read
+    ]
+
+
+def test_every_module_level_name_is_read():
+    modules = {m[:-3]: (SRC / m).read_text() for m in MODULES}
+    assert unread_names(modules, [p.read_text() for p in READERS]) == []
+
+
+def test_the_scan_finds_an_unread_name():
+    module = (
+        "PLUS, MINUS = 0, 1\n"
+        "SIGNS = {PLUS: '+'}\n"
+        "__version__ = '1'\n"
+        "class Shape:\n"
+        "    size: int = 0\n"
+        "def area(s):\n"
+        "    return s.size\n"
+    )
+    reader = "from m import area, MINUS\narea(MINUS)\nx.Shape = 1\n"
+    assert unread_names({"m": module}, [module, reader]) == [
+        "m.SIGNS (line 2)", "m.Shape (line 4)",
+    ]

@@ -14,21 +14,16 @@ from cayleymaps import (
     validate_cayley_set,
 )
 from cayleymaps.autaction import extend_to_flags, right_regular
-from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError
+from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError, InternalInconsistency
 from cayleymaps.oracle import (
     DART,
     DEFAULT_ORACLE_CAP,
     RAW,
     SIGMA,
     acting_group,
-    extend_group,
     fixed_count,
     ground_set_bound,
 )
-
-
-def _extended_translations(fx):
-    return extend_group(right_regular(fx.group), fx.flag_space)
 
 
 def test_ground_set_bound_frozen():
@@ -100,7 +95,7 @@ def test_cap_refuses_before_building_the_key_space(monkeypatch):
 
 def test_fixed_counts_frozen():
     fx = fixture("K3")
-    acting = _extended_translations(fx)
+    acting = right_regular(fx.group)
 
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "L")
     oc = burnside_count(acting, gs)
@@ -115,7 +110,7 @@ def test_fixed_counts_frozen():
 
     fx = fixture("CUBE")
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
-    oc = burnside_count(_extended_translations(fx), gs)
+    oc = burnside_count(right_regular(fx.group), gs)
     assert oc.fixed_counts == (256,) + (16,) * 7
     assert oc.orbit_count == 46
     assert sum(oc.orbit_sizes) == len(gs.keys)
@@ -126,7 +121,7 @@ def test_orbit_additivity_across_surfaces():
              ("C5", (RAW, SIGMA, DART)), ("CUBE", (SIGMA, DART))]
     for name, semantics_list in cases:
         fx = fixture(name)
-        acting = _extended_translations(fx)
+        acting = right_regular(fx.group)
         for semantics in semantics_list:
             counts = {}
             for surface in ("O", "N", "L"):
@@ -138,21 +133,9 @@ def test_orbit_additivity_across_surfaces():
 def test_orbit_invariants_on_k3_sigma():
     fx = fixture("K3")
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "L")
-    oc = burnside_count(_extended_translations(fx), gs)
-    invs = sorted((i.orientable, i.euler_characteristic) for i in oc.orbit_inventories)
+    oc = burnside_count(right_regular(fx.group), gs)
+    invs = sorted((i.orientable, i.euler_characteristic) for _, i in oc.orbits)
     assert invs == [(False, 1), (True, 2)]
-
-
-def test_burnside_rejects_non_closed_acting_set():
-    fx = fixture("K3")
-    gs = enumerate_embeddings(fx.flag_space, SIGMA, "L")
-    translations = right_regular(fx.group)
-    partial = [
-        extend_to_flags(translations[0], fx.flag_space),
-        extend_to_flags(translations[1], fx.flag_space),
-    ]
-    with pytest.raises(BadParameter, match="not closed"):
-        burnside_count(partial, gs)
 
 
 def test_formula_matches_oracle_on_orientable_side():
@@ -187,7 +170,7 @@ def test_cube_locally_orientable_comparison_frozen():
     assert report.total_ratio == Fraction(1184, 928) == Fraction(37, 29)
     members = set(fx.cayset.members)
     for line in report.lines:
-        g = line.stats.representative.vertex_map[0]
+        g = line.stats.representative[0]
         if g == 0:
             assert line.ratio == Fraction(2)
         elif g in members:
@@ -198,9 +181,9 @@ def test_cube_locally_orientable_comparison_frozen():
 
 def test_acting_group_choices():
     fx = fixture("K3")
-    assert [a.vertex_map for a in acting_group(fx.group, fx.cayset, "rg")] == [
-        a.vertex_map for a in right_regular(fx.group)
-    ]
+    assert acting_group(fx.group, fx.cayset, "rg").rows.tolist() == (
+        right_regular(fx.group).rows.tolist()
+    )
     assert len(acting_group(fx.group, fx.cayset, "full")) == 6
     # No commuting complement on this graph, so rgxh falls back to R(G).
     assert len(acting_group(fx.group, fx.cayset, "rgxh")) == 3
@@ -212,7 +195,7 @@ def test_acting_group_choices():
 def test_fixed_count_of_identity_is_ground_set_size():
     fx = fixture("C4")
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "L")
-    identity = _extended_translations(fx)[0]
+    identity = extend_to_flags(right_regular(fx.group).rows, fx.flag_space)[0]
     assert fixed_count(identity, gs) == len(gs.keys)
 
 
@@ -241,5 +224,45 @@ def test_comparison_reads_each_class_from_the_burnside_sweep():
             report = compare_with_formula(G, S, surface=surface)
             gs = report.orbit_census.ground_set
             for line in report.lines:
-                xi = extend_to_flags(line.stats.representative, gs.flag_space)
-                assert line.oracle_fixed == fixed_count(xi, gs), (surface, xi.source)
+                theta = line.stats.representative
+                flag_map = extend_to_flags([theta], gs.flag_space)[0]
+                assert line.oracle_fixed == fixed_count(flag_map, gs), (surface, theta)
+
+
+def test_burnside_refuses_a_fixed_count_that_is_not_a_class_function(monkeypatch):
+    # one member of a class of several elements is made to act as the
+    # identity, so its fixed count leaves its conjugates'
+    from cayleymaps.oracle import KeySpace
+
+    fx = fixture("CUBE")
+    acting = acting_group(fx.group, fx.cayset, "full")
+    gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
+    lifts = extend_to_flags(acting.rows, fx.flag_space).tolist()
+    a = next(i for i in range(1, len(acting)) if acting.class_size(i) > 1)
+    assert burnside_count(acting, gs).fixed_counts[a] != len(gs.keys)
+    compile_action = KeySpace.compile
+
+    def identity_for_a(self, flag_map):
+        return compile_action(self, lifts[0] if list(flag_map) == lifts[a] else flag_map)
+
+    monkeypatch.setattr(KeySpace, "compile", identity_for_a)
+    with pytest.raises(InternalInconsistency, match="^fixed count is not a class function$"):
+        burnside_count(acting, gs)
+
+
+def test_comparison_forms_the_acting_group_once(monkeypatch):
+    # the census's R(G) x H is the group the oracle sweeps
+    from cayleymaps import autaction, formulas, oracle
+
+    calls = []
+
+    def counted(G, complement):
+        calls.append(len(complement))
+        return autaction.product_group(G, complement)
+
+    for module in (formulas, oracle):
+        monkeypatch.setattr(module, "product_group", counted)
+    fx = fixture("CUBE")
+    report = compare_with_formula(fx.group, fx.cayset, surface="L")
+    assert calls == [1]
+    assert report.orbit_census.acting_size == len(report.census_result.acting) == 8

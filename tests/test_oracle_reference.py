@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from cayleymaps import fixture, named_group, validate_cayley_set
-from cayleymaps.autaction import right_regular
+from cayleymaps.autaction import extend_to_flags, right_regular
 from cayleymaps.cayley import build_flag_space
-from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError, InternalInconsistency
+from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency
 from cayleymaps.groups import direct_product
 from cayleymaps.maps import MapInventory
 from cayleymaps.oracle import (
@@ -27,7 +27,6 @@ from cayleymaps.oracle import (
     acting_group,
     burnside_count,
     enumerate_embeddings,
-    extend_group,
     fixed_count,
     ground_set_bound,
 )
@@ -237,9 +236,9 @@ def _random_cayset(rng, G, degree):
 
 
 def _acting_sets(G, S, F):
-    out = {"rg": extend_group(right_regular(G), F)}
+    out = {"rg": right_regular(G)}
     try:
-        out["full"] = extend_group(acting_group(G, S, "full"), F)
+        out["full"] = acting_group(G, S, "full")
     except CapExceeded:
         pass
     return out
@@ -284,16 +283,16 @@ def test_oracle_matches_tuple_reference(seed):
         assert tuple(gs.keys) == tuple(keys)
         assert tuple(M.P for M in gs.representatives) == tuple(perms)
 
-        flag_maps = [xi.flag_map for xi in acting]
+        flag_maps = extend_to_flags(acting.rows, F).tolist()
         fixed, count, sizes, reps, invs = reference_burnside(F, semantics, flag_maps, keys, perms)
         oc = burnside_count(acting, gs)
         case = (seed, semantics, surface, which)
         assert oc.fixed_counts == fixed, case
         assert oc.orbit_count == count, case
         assert oc.orbit_sizes == sizes, case
-        assert tuple(M.P for M in oc.orbit_representatives) == reps, case
-        assert tuple(oc.orbit_inventories) == invs, case
-        assert [fixed_count(xi, gs) for xi in acting[:3]] == list(fixed[:3]), case
+        assert tuple(M.P for M, _ in oc.orbits) == reps, case
+        assert tuple(inv for _, inv in oc.orbits) == invs, case
+        assert [fixed_count(fm, gs) for fm in flag_maps[:3]] == list(fixed[:3]), case
 
 
 def test_seeded_cases_cover_every_semantics_and_degree():
@@ -312,16 +311,15 @@ def test_empty_dart_ground_set():
     fx = fixture("CUBE")
     gs = enumerate_embeddings(fx.flag_space, DART, "N")
     assert len(gs.keys) == 0 and tuple(gs.representatives) == ()
-    acting = extend_group(right_regular(fx.group), fx.flag_space)
-    oc = burnside_count(acting, gs)
+    oc = burnside_count(right_regular(fx.group), gs)
     assert oc.fixed_counts == (0,) * 8
-    assert (oc.orbit_count, oc.orbit_sizes, tuple(oc.orbit_inventories)) == (0, (), ())
+    assert (oc.orbit_count, oc.orbit_sizes, tuple(oc.orbits)) == (0, (), ())
 
 
 def test_missing_transported_key_is_an_internal_inconsistency():
     fx = fixture("C4")
     gs = enumerate_embeddings(fx.flag_space, RAW, "O")
-    acting = extend_group(right_regular(fx.group), fx.flag_space)
+    acting = right_regular(fx.group)
     oc = burnside_count(acting, gs)
     # drop the least key of an orbit with other members, which move onto it
     dropped = oc.leads[np.flatnonzero(np.array(oc.orbit_sizes) > 1)[0]]
@@ -337,21 +335,10 @@ def test_missing_transported_key_is_an_internal_inconsistency():
         burnside_count(acting, holed)
 
 
-def test_acting_order_and_closure():
-    fx = fixture("CUBE")
-    gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
-    acting = extend_group(right_regular(fx.group), fx.flag_space)
-    forward = burnside_count(acting, gs).fixed_counts
-    assert burnside_count(acting[::-1], gs).fixed_counts == forward[::-1]
-    with pytest.raises(BadParameter, match="^acting set is not closed under composition$"):
-        burnside_count(acting[1:], gs)  # no identity
-    with pytest.raises(BadParameter, match="^acting set is not closed under composition$"):
-        burnside_count(acting[:3], gs)
-
-
 def test_twist_transport_is_a_class_bijection():
     fx = fixture("CUBE")
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "N")
-    for xi in extend_group(acting_group(fx.group, fx.cayset, "full"), fx.flag_space):
-        act = gs.space.compile(xi.flag_map)
+    full = acting_group(fx.group, fx.cayset, "full")
+    for flag_map in extend_to_flags(full.rows, fx.flag_space).tolist():
+        act = gs.space.compile(flag_map)
         assert sorted(act.twist_image.tolist()) == list(range(gs.space.twists))

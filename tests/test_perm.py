@@ -12,7 +12,6 @@ import pytest
 
 import cayleymaps
 from cayleymaps import census, fixture, named_group, validate_cayley_set
-from cayleymaps.autaction import GraphAutomorphism
 from cayleymaps.errors import (
     BadParameter,
     CayleymapsError,
@@ -76,7 +75,15 @@ def reference_census(G, S, H, surface):
     n, k = G.order, len(S.members)
     eps = n * k // 2
     regular = [tuple(col) for col in G.table.T.tolist()]
-    pool = {_after(r, h.vertex_map) for r in regular for h in H}
+    if len(set(H)) != len(H):
+        raise BadParameter("H lists an automorphism twice")
+    for h in H:
+        if h != tuple(range(n)) and h in regular:
+            raise BadParameter(
+                f"H contains the right translation by {G.name_of(h[0])}; H may share only "
+                "the identity with R(G)"
+            )
+    pool = {_after(r, h) for r in regular for h in H}
     if len(pool) != n * len(H):
         raise InternalInconsistency("regular part and complement overlap")
     if tuple(range(n)) not in pool:
@@ -127,7 +134,7 @@ def outcome(fn):
 def kernel_census(G, S, H, surface):
     res = census(G, S, H, surface)
     rows = [
-        (st.representative.vertex_map, st.class_size, st.order, st.l_value,
+        (st.representative, st.class_size, st.order, st.l_value,
          st.branch, st.edge_orbits, st.alpha_exponent)
         for st in res.classes
     ]
@@ -181,14 +188,14 @@ def _semi_regular_complement(rng, G, S):
         while p:
             powers.append(p)
             p = T[p][g]
-        return [GraphAutomorphism(tuple(T[h][t] for t in range(n))) for h in powers]
+        return [tuple(T[h][t] for t in range(n)) for h in powers]
     if all(T[t][s] == T[s][t] for t in range(n) for s in range(n)):
         squares = {T[t][t] for t in range(n)}
         non_squares = [a for a in range(n) if a not in squares]
         if non_squares:
             a = rng.choice(non_squares)
             flip = tuple(T[inv[t]][a] for t in range(n))
-            return [GraphAutomorphism(tuple(range(n))), GraphAutomorphism(flip)]
+            return [tuple(range(n)), flip]
     return None
 
 
@@ -198,7 +205,7 @@ def test_kernel_census_matches_element_by_element_recomputation(seed):
     G = _random_group(rng)
     S = _random_cayset(rng, G)
     complement = _semi_regular_complement(rng, G, S)
-    for H in ([GraphAutomorphism(tuple(range(G.order)))], complement):
+    for H in ([tuple(range(G.order))], complement):
         if H is None:
             continue
         for surface in "ONL":
@@ -208,14 +215,14 @@ def test_kernel_census_matches_element_by_element_recomputation(seed):
 
 def test_refusals_keep_their_type_and_message():
     fx = fixture("CUBE")
-    identity = GraphAutomorphism(tuple(range(8)))
-    swap = GraphAutomorphism(tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8)))
+    identity = tuple(range(8))
+    swap = tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
     assert outcome(lambda: census(fx.group, fx.cayset, H=[identity, swap])) == (
         "NotSemiRegular", "representative (0, 2, 1, 3, 4, 6, 5, 7) has unequal orbit lengths")
 
     z5 = named_group("cyclic", 5)
-    doubling = GraphAutomorphism(tuple(2 * t % 5 for t in range(5)))
-    H = [GraphAutomorphism(tuple(range(5))), doubling]
+    doubling = tuple(2 * t % 5 for t in range(5))
+    H = [tuple(range(5)), doubling]
     assert outcome(lambda: census(z5, validate_cayley_set(z5, (1, 4)), H=H)) == (
         "BadParameter", "acting set is not closed under composition")
 
@@ -224,6 +231,33 @@ def test_refusals_keep_their_type_and_message():
     for surface in "ONL":
         assert outcome(lambda: census(s3, S, surface=surface)) == (
             "NonIntegralExponent", "alpha = (9+6-6)/2 is not a non-negative integer")
+
+
+def test_h_meeting_r_g_is_refused_like_the_reference():
+    # a repeated map or a right translation in H is bad input; a set H that
+    # is not a group can still overlap R(G), which stays an internal check
+    k3 = fixture("K3")
+    rotations = [tuple(col) for col in k3.group.table.T.tolist()]
+    d6 = named_group("dihedral", 12)
+    center = next(g for g in range(1, 12) if (d6.table[g] == d6.table[:, g]).all())
+    z5 = named_group("cyclic", 5)
+    doubling = tuple(2 * t % 5 for t in range(5))
+    cases = [
+        (k3.group, k3.cayset, [(0, 1, 2), (0, 1, 2)],
+         ("BadParameter", "H lists an automorphism twice")),
+        (k3.group, k3.cayset, rotations,
+         ("BadParameter", "H contains the right translation by g1; "
+                          "H may share only the identity with R(G)")),
+        (d6, validate_cayley_set(d6, (6, 7, 8)), [tuple(range(12)), tuple(d6.table[center])],
+         ("BadParameter", f"H contains the right translation by {d6.name_of(center)}; "
+                          "H may share only the identity with R(G)")),
+        (z5, validate_cayley_set(z5, (1, 4)),
+         [tuple(range(5)), doubling, tuple((2 * t + 1) % 5 for t in range(5))],
+         ("InternalInconsistency", "regular part and complement overlap")),
+    ]
+    for G, S, H, expected in cases:
+        assert outcome(lambda: reference_census(G, S, H, "O")) == expected
+        assert outcome(lambda: kernel_census(G, S, H, "O")) == expected
 
 
 # ---------------------------------------------------------------------------

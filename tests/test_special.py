@@ -317,7 +317,7 @@ def test_three_involution_validation():
 def test_three_involution_comparison_d6():
     G = named_group("dihedral", 12)
     rows = three_involution_comparison(G, (6, 7, 8), "L")
-    reps = [st.representative.vertex_map[0] for st, *_ in rows]
+    reps = [st.representative[0] for st, *_ in rows]
     assert reps == [0, 1, 2, 3, 6, 7]
     assert [st.l_value for st, *_ in rows] == [0, 0, 0, 0, 8, 4]
     assert [st.alpha_exponent for st, *_ in rows] == [6, 1, 2, 3, 7, 5]
