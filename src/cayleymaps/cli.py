@@ -258,9 +258,9 @@ def cmd_map(args) -> Report:
     inv = inventory(M)
     R = Report(args.kv)
     R.field("flags", M.flag_space.flag_count)
-    R.field("vertices", len(inv.vertices))
+    R.field("vertices", inv.vertex_count)
     R.field("edges", inv.edge_count)
-    R.field("faces", len(inv.faces))
+    R.field("faces", inv.face_count)
     R.field("face-lengths", ",".join(str(x) for x in inv.face_lengths))
     R.field("euler-characteristic", inv.euler_characteristic)
     R.field("orientable", _b(inv.orientable))
@@ -316,7 +316,7 @@ def cmd_census_oracle(args) -> Report:
     for i, (size, (M, inv)) in enumerate(zip(oc.orbit_sizes, oc.orbits)):
         if dump is not None:
             save_map(M, str(dump / f"rep_{i:0{width}d}.map"))
-        orows.append((i, size, len(inv.vertices), inv.edge_count, len(inv.faces),
+        orows.append((i, size, inv.vertex_count, inv.edge_count, inv.face_count,
                       inv.euler_characteristic, _b(inv.orientable),
                       ",".join(str(x) for x in inv.face_lengths)))
     R.table(

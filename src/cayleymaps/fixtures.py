@@ -102,9 +102,9 @@ def run_fixture_checks(name: str) -> list[tuple[str, bool, str]]:
         inv = inventory(fx.map)
         expect = (4, 6, 2, (4, 8), 0, True, 1)
         got = (
-            len(inv.vertices),
+            inv.vertex_count,
             inv.edge_count,
-            len(inv.faces),
+            inv.face_count,
             tuple(sorted(inv.face_lengths)),
             inv.euler_characteristic,
             inv.orientable,

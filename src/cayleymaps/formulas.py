@@ -358,6 +358,15 @@ def census(
             f"H contains the right translation by {G.name_of(h)}; H may share only "
             "the identity with R(G)"
         )
+    # r h_i = r' h_j for some translations exactly when h_i h_j^-1 is one
+    quotients = H[:, np.argsort(H, axis=1)]  # [i, j, v] = h_i(h_j^-1(v))
+    meets = (quotients == G.table.T[quotients[:, :, 0]]).all(axis=2) & ~np.eye(len(H), dtype=bool)
+    if meets.any():
+        i, j = np.argwhere(meets)[0]
+        raise BadParameter(
+            f"two maps of H differ by the right translation by "
+            f"{G.name_of(int(quotients[i, j, 0]))}; H may meet each coset of R(G) only once"
+        )
     acting = product_group(G, H)
     acting_size = len(acting)
     if acting_size != G.order * len(H):

@@ -5,7 +5,10 @@
   (iii) <alpha, beta, P> is transitive on flags.
 
 Vertices are the alpha-conjugate cycle pairs of P, faces the beta-conjugate
-cycle pairs of the face permutation F = P (alpha beta).  The composition
+cycle pairs of the face permutation F = P (alpha beta).  Validation and
+inventories take a whole stack of rows at once: both read counts, pairings
+and sides off the cycle labels of every row, with no cycle walked except a
+failing row's, to name its witness flag.  The composition
 order of F is fixed by the K4-on-torus fixture (faces of lengths 4 and 8);
 the opposite order is a conjugate permutation, so either satisfies the
 fixture, and this one is frozen as the convention.
@@ -14,7 +17,6 @@ fixture, and this one is frozen as the convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +33,9 @@ class MapPermutation:
 
 @dataclass(frozen=True)
 class MapInventory:
-    vertices: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    vertex_count: int
     edge_count: int
-    faces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    face_count: int
     face_lengths: tuple[int, ...]
     euler_characteristic: int
     orientable: bool
@@ -74,69 +76,49 @@ def axiom_failures(F: FlagSpace, rows) -> np.ndarray:
     return fail
 
 
-def validate_map(F: FlagSpace, P: Sequence[int]) -> MapPermutation:
-    """Check the three axioms; raise AxiomViolation with a witness flag.
+def validate_map(F: FlagSpace, P) -> MapPermutation | None:
+    """Check the three axioms on one flag row, or on every row of an
+    ``(m, flags)`` stack; raise AxiomViolation with a witness flag.
 
-    The one-row case of ``axiom_failures``; a failing row is walked to
-    name the first witness flag.
+    ``axiom_failures`` checks every row; the first failing row alone is
+    walked to name the witness.  Returns the map of a single row.
     """
     n = F.flag_count
-    P = tuple(int(x) for x in P)
-    fail = axiom_failures(F, [P])[0] if len(P) == n else NOT_A_PERMUTATION
-    if fail == NOT_A_PERMUTATION:
+    rows = np.asarray(P)
+    single = rows.ndim == 1
+    fail = axiom_failures(F, rows) if rows.shape[-1:] == (n,) else [NOT_A_PERMUTATION]
+    bad = np.flatnonzero(fail)
+    if len(bad) == 0:
+        return MapPermutation(flag_space=F, P=tuple(rows.tolist())) if single else None
+    code, P = fail[bad[0]], (rows if single else rows[bad[0]]).tolist()
+    if code == NOT_A_PERMUTATION:
         raise BadParameter("P is not a permutation of the flags")
-    if fail == AXIOM_II:
+    if code == AXIOM_II:
         f = next(f for f in range(n) if P[F.alpha[P[f]]] != F.alpha[f])
         raise AxiomViolation("ii", f)
-    if fail == AXIOM_I:
+    if code == AXIOM_I:
         for cyc in perm.cycles(P, perm.cycle_labels(P)):
             cset = set(cyc)
             for f in cyc:
                 if F.alpha[f] in cset:
                     raise AxiomViolation("i", f)
-    if fail == AXIOM_III:
-        raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
-    return MapPermutation(flag_space=F, P=P)
-
-
-def _conjugate_cycle_pairs(
-    cycles: list[tuple[int, ...]], conj: Sequence[int], what: str
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Pair each cycle with its conj-image; the pairing must be a perfect
-    matching of distinct cycles (guaranteed by the axioms, hence a hard error)."""
-    by_set = {frozenset(c): c for c in cycles}
-    pairs = []
-    used: set[frozenset] = set()
-    for c in cycles:
-        key = frozenset(c)
-        if key in used:
-            continue
-        mate_key = frozenset(conj[f] for f in c)
-        mate = by_set.get(mate_key)
-        if mate is None or mate_key == key:
-            raise InternalInconsistency(f"{what} cycle {c} has no conjugate mate")
-        used.add(key)
-        used.add(mate_key)
-        pairs.append((c, mate))
-    return tuple(pairs)
+    raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
 
 
 @dataclass(frozen=True)
 class SurfaceRows:
     """What ``inventory`` reads off each row of a stack of valid maps.
 
-    ``vertex_labels``/``face_labels`` are the ``perm.cycle_labels`` of P and
-    of the face permutation; ``sides`` counts the orbits of <P, alpha beta>;
-    ``consistent`` is False where a row breaks an inventory invariant
-    (unpaired cycles, other than 1 or 2 sides, odd orientable chi, crosscap
-    below 1).
+    ``face_labels`` are the ``perm.cycle_labels`` of the face permutation;
+    vertices and faces are counted as alpha- and beta-conjugate pairs of
+    cycles; ``sides`` counts the orbits of <P, alpha beta>.
     """
 
-    vertex_labels: np.ndarray
+    vertex_count: np.ndarray
+    face_count: np.ndarray
     face_labels: np.ndarray
     sides: np.ndarray
     euler_characteristic: np.ndarray
-    consistent: np.ndarray
 
     @property
     def orientable(self) -> np.ndarray:
@@ -150,7 +132,9 @@ def _paired(labels: np.ndarray, perms: np.ndarray, conj: np.ndarray) -> np.ndarr
 
 
 def surface_rows(F: FlagSpace, rows) -> SurfaceRows:
-    """Cycle labels, sides and Euler characteristic of every row."""
+    """Cycle counts, sides and Euler characteristic of every row; raises
+    where a row breaks an inventory invariant (unpaired cycles, other than 1
+    or 2 sides, odd orientable chi, crosscap below 1)."""
     rows = _rows(F, rows)
     n = F.flag_count
     alpha, beta = np.array(F.alpha), np.array(F.beta)
@@ -167,15 +151,14 @@ def surface_rows(F: FlagSpace, rows) -> SurfaceRows:
         & ((sides == 1) | (sides == 2))
         & np.where(sides == 2, chi % 2 == 0, 2 - chi >= 1)
     )
-    return SurfaceRows(vl, fl, sides, chi, consistent)
+    if not consistent.all():
+        raise InternalInconsistency("map inventory invariants violated")
+    return SurfaceRows(nu, phi, fl, sides, chi)
 
 
 def is_orientable(M: MapPermutation) -> bool:
     """True iff <P, alpha beta> has exactly 2 flag orbits (1 means non-orientable)."""
-    orbits = int(surface_rows(M.flag_space, [M.P]).sides[0])
-    if orbits not in (1, 2):
-        raise InternalInconsistency(f"<P, alpha beta> has {orbits} orbits")
-    return orbits == 2
+    return bool(surface_rows(M.flag_space, [M.P]).orientable[0])
 
 
 def inventory(M: MapPermutation) -> MapInventory:
@@ -186,42 +169,29 @@ def inventory(M: MapPermutation) -> MapInventory:
 
 def inventories(F: FlagSpace, rows) -> list[MapInventory]:
     """The inventory of every row of a stack of valid maps, from one
-    ``surface_rows`` pass; raises on the first row breaking an invariant."""
-    rows = _rows(F, rows)
-    alpha_beta = [F.alpha[F.beta[f]] for f in range(F.flag_count)]
+    ``surface_rows`` pass.  Face cycles come in beta-pairs of equal length,
+    so every other entry of a row's sorted cycle lengths is one per face."""
     surfaces = surface_rows(F, rows)
-    out = []
-    for i, row in enumerate(rows.tolist()):
-        vertex_cycles = perm.cycles(row, surfaces.vertex_labels[i])
-        vertices = _conjugate_cycle_pairs(vertex_cycles, F.alpha, "vertex")
-
-        face_cycles = perm.cycles([row[f] for f in alpha_beta], surfaces.face_labels[i])
-        faces = _conjugate_cycle_pairs(face_cycles, F.beta, "face")
-        face_lengths = tuple(sorted(len(pair[0]) for pair in faces))
-
-        chi = int(surfaces.euler_characteristic[i])
-        orbits = int(surfaces.sides[i])
-        if orbits not in (1, 2):
-            raise InternalInconsistency(f"<P, alpha beta> has {orbits} orbits")
-        orientable = orbits == 2
-        if orientable:
-            if chi % 2:
-                raise InternalInconsistency(f"orientable map with odd chi {chi}")
-            genus = (2 - chi) // 2
-        else:
-            genus = 2 - chi
-            if genus < 1:
-                raise InternalInconsistency(f"non-orientable map with crosscap {genus}")
-        out.append(MapInventory(
-            vertices=vertices,
-            edge_count=F.flag_count // 4,
-            faces=faces,
-            face_lengths=face_lengths,
+    fl, euler = surfaces.face_labels, surfaces.euler_characteristic
+    m, n = fl.shape
+    lengths = np.bincount((fl + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
+    lengths = np.sort(lengths.reshape(m, n), axis=1)  # zeros, then the face-cycle lengths
+    genus = np.where(surfaces.orientable, (2 - euler) // 2, 2 - euler)
+    return [
+        MapInventory(
+            vertex_count=nu,
+            edge_count=n // 4,
+            face_count=phi,
+            face_lengths=tuple(row[n - 2 * phi::2]),
             euler_characteristic=chi,
             orientable=orientable,
-            genus=genus,
-        ))
-    return out
+            genus=g,
+        )
+        for nu, phi, row, chi, orientable, g in zip(
+            surfaces.vertex_count.tolist(), surfaces.face_count.tolist(), lengths.tolist(),
+            euler.tolist(), surfaces.orientable.tolist(), genus.tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

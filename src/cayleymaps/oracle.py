@@ -21,16 +21,19 @@ int16 rows; RAW keeps the codes on the requested surface, a sorted array
 searched to find a transported key.
 
 Compiled action.  An automorphism acts on a vertex's local choices, so it
-compiles once into a ``(V, choices)`` table of weighted image digits
-(transporting each local choice, not each key) and, for SIGMA, a table of
-twist-class images built from the images of the free twist bits.  The
+compiles once into a ``(V, choices)`` table of weighted image digits, by
+conjugating each local choice's flag block (not each key) under every
+semantics, and, for SIGMA, into a table of twist-class images built from
+the images of the free twist bits.  The
 image of a whole chunk of codes is then a few gathers and one sum, and a
 fixed count is one array comparison.
 
 Min-image orbits.  The acting set is checked to be a group, so the least
 image of a key over the group is the least member of its orbit: a running
 minimum over the elements labels every orbit, with no union-find and no
-array of all images.  Keys and representatives are decoded on demand.
+array of all images.  Keys and representatives are decoded on demand; a
+representative is not validated again, and the inventories of a chunk of
+them come from one ``maps.inventories`` call.
 """
 
 from __future__ import annotations
@@ -58,15 +61,7 @@ from .errors import (
 )
 from .formulas import CensusResult, ClassStats, census, phi_exact
 from .groups import FiniteGroup
-from .maps import (
-    MapInventory,
-    MapPermutation,
-    axiom_failures,
-    inventories,
-    inventory,
-    surface_rows,
-    validate_map,
-)
+from .maps import MapInventory, MapPermutation, inventories, surface_rows, validate_map
 from .perm import PermGroup, row_dtype
 from .rotations import (
     DartStructure,
@@ -76,8 +71,6 @@ from .rotations import (
     dart_map_of_flag_map,
     edge_map_of_dart_map,
     realize_signed,
-    transport_rotation_system,
-    transport_twists,
     vertex_rotations,
 )
 
@@ -107,7 +100,6 @@ class KeySpace:
         self.flag_count = D.flag_space.flag_count
         rotations = [tuple(rot) for rot in vertex_rotations(D, 0)]
         self.patterns = rotations  # at vertex v, add v*k to every dart
-        self.pattern_index = {rot: r for r, rot in enumerate(rotations)}
 
         # Flag images of vertex 0's 2k flags for every rotation and sign
         # pattern (bit i is the sign of dart i); realize_signed only reads
@@ -141,13 +133,13 @@ class KeySpace:
             # product order over darts 1..k-1: dart 1's bit is the highest
             bits = c % anchored
             self.raw_signs = sum(((bits >> (k - 1 - i)) & 1) << i for i in range(1, k))
-            self.choices = len(c)
-            self.raw_index = {
-                self.local[r, s].tobytes(): i
-                for i, (r, s) in enumerate(zip(self.raw_rotation, self.raw_signs))
-            }
+            self.blocks = self.local[self.raw_rotation, self.raw_signs]
         else:
-            self.choices = len(rotations)
+            # an all-plus block per rotation: the lift of a graph map keeps
+            # signs, so the transported blocks are all-plus again
+            self.blocks = self.local[:, 0]
+        self.choices = len(self.blocks)
+        self.choice_index = {block.tobytes(): c for c, block in enumerate(self.blocks)}
         if semantics != SIGMA or surface == "O":
             self.twists, self.twist_offset = 1, 0
         elif surface == "N":
@@ -204,28 +196,21 @@ class KeySpace:
         D, k, V = self.D, self.D.degree, self.D.vertex_count
         dart_map = dart_map_of_flag_map(D, flag_map)
         target = [dart_map[v * k] // k for v in range(V)]
-        image = np.empty((V, self.choices), dtype=np.int64)
-        if self.semantics == RAW:
-            fm = np.asarray(flag_map)
-            blocks = self.local[self.raw_rotation, self.raw_signs]
-            for v, w in enumerate(target):
-                # conjugate every local choice: image[fm[f]] = fm[P[f]]
-                conj = np.empty_like(blocks)
-                conj[:, fm[2 * k * v + np.arange(2 * k)] - 2 * k * w] = (
-                    fm[blocks + 2 * k * v] - 2 * k * w
-                )
-                for c, block in enumerate(conj):
-                    found = self.raw_index.get(block.tobytes())
-                    if found is None:
-                        raise InternalInconsistency("transported local choice is not a choice")
-                    image[v, c] = found
-        else:
-            for r, rot in enumerate(self.patterns):
-                rho = tuple(tuple(v * k + d for d in rot) for v in range(V))
-                moved = transport_rotation_system(D, dart_map, rho)
-                for v, w in enumerate(target):
-                    image[v, r] = self.pattern_index[tuple(d - w * k for d in moved[w])]
-        digit_values = image * self.weights[target][:, None]
+        # conjugate every local choice at every vertex v, onto its target
+        # vertex w: image[fm[f]] = fm[P[f]], on flags local to v and w
+        fm = np.asarray(flag_map)
+        shift = 2 * k * np.array(target)[:, None, None]
+        conj = np.empty((V, *self.blocks.shape), dtype=self.blocks.dtype)
+        np.put_along_axis(
+            conj,
+            np.broadcast_to(fm.reshape(V, 1, 2 * k) - shift, conj.shape),
+            fm[self.blocks + 2 * k * np.arange(V)[:, None, None]] - shift,
+            axis=2,
+        )
+        image = [self.choice_index.get(block.tobytes()) for block in conj.reshape(-1, 2 * k)]
+        if None in image:
+            raise InternalInconsistency("transported local choice is not a choice")
+        digit_values = np.array(image).reshape(V, -1) * self.weights[target][:, None]
 
         twist_image = np.zeros(1, dtype=np.int64)
         if self.twists > 1:
@@ -234,7 +219,7 @@ class KeySpace:
             edge_map = edge_map_of_dart_map(D, dart_map)
             nf = len(self.free)
             for e in self.free:
-                mask = self.T.reduce(transport_twists(D, edge_map, 1 << e))
+                mask = self.T.reduce(1 << edge_map[e])
                 cls = sum(1 << (nf - 1 - j) for j, f in enumerate(self.free) if (mask >> f) & 1)
                 twist_image = (twist_image[:, None] ^ np.array([0, cls])).ravel()
             if np.bincount(twist_image, minlength=len(twist_image)).min() != 1:
@@ -300,11 +285,14 @@ class GroundSet:
 
     @property
     def representatives(self) -> Sequence[MapPermutation]:
-        return _Decoded(len(self.codes), lambda pos: self.representatives_of(self.codes[pos]))
+        def decode(pos):
+            return self.representatives_of(self.space.realize(self.codes[pos]))
 
-    def representatives_of(self, codes: np.ndarray) -> list[MapPermutation]:
-        """The maps of some codes, each built by ``validate_map``."""
-        return [validate_map(self.flag_space, row) for row in self.space.realize(codes).tolist()]
+        return _Decoded(len(self.codes), decode)
+
+    def representatives_of(self, rows: np.ndarray) -> list[MapPermutation]:
+        """The maps of some realized rows, validated when enumerated."""
+        return [MapPermutation(flag_space=self.flag_space, P=tuple(row)) for row in rows.tolist()]
 
     def index_of(self, codes: np.ndarray) -> np.ndarray:
         """Position of each code in the ground set."""
@@ -335,8 +323,8 @@ class OrbitCensus:
         gs = self.ground_set
 
         def decode(pos):
-            maps = gs.representatives_of(gs.codes[self.leads[pos]])
-            return list(zip(maps, inventories(gs.flag_space, [M.P for M in maps])))
+            rows = gs.space.realize(gs.codes[self.leads[pos]])
+            return list(zip(gs.representatives_of(rows), inventories(gs.flag_space, rows)))
 
         return _Decoded(len(self.leads), decode)
 
@@ -360,20 +348,6 @@ def ground_set_bound(F: FlagSpace, semantics: str) -> int:
     if semantics == DART:
         return per_rot ** D.vertex_count
     raise BadParameter(f"unknown semantics {semantics!r}")
-
-
-def _checked_surfaces(F: FlagSpace, rows: np.ndarray):
-    """Validates every row as a map and returns its ``surface_rows``; a
-    failing row is handed to the one-row check, which names the fault."""
-    fail = axiom_failures(F, rows)
-    if fail.any():
-        validate_map(F, rows[np.flatnonzero(fail)[0]].tolist())
-    surfaces = surface_rows(F, rows)
-    if not surfaces.consistent.all():
-        row = rows[np.flatnonzero(~surfaces.consistent)[0]]
-        inventory(MapPermutation(flag_space=F, P=tuple(row.tolist())))
-        raise InternalInconsistency("map inventory invariants violated")
-    return surfaces
 
 
 def enumerate_embeddings(
@@ -401,7 +375,9 @@ def enumerate_embeddings(
     want = surface == "O"
     for lo in range(0, space.size, ROW_CHUNK):
         chunk = np.arange(lo, min(lo + ROW_CHUNK, space.size), dtype=np.int64)
-        surfaces = _checked_surfaces(F, space.realize(chunk))
+        rows = space.realize(chunk)
+        validate_map(F, rows)
+        surfaces = surface_rows(F, rows)
         keep = slice(None)
         if surface != "L":
             on_surface = surfaces.orientable == want

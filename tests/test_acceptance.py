@@ -59,9 +59,9 @@ def test_criterion_01_fig1_inventory():
     documented inventory: 4 vertices, 6 edges, 2 faces of lengths 4 and 8,
     Euler characteristic 0, orientable (genus 1)."""
     inv = inventory(fixture("FIG1").map)
-    assert len(inv.vertices) == 4
+    assert inv.vertex_count == 4
     assert inv.edge_count == 6
-    assert len(inv.faces) == 2
+    assert inv.face_count == 2
     assert tuple(sorted(inv.face_lengths)) == (4, 8)
     assert inv.euler_characteristic == 0
     assert inv.orientable

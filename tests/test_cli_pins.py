@@ -1,10 +1,13 @@
-"""Stdout of the group-touching commands and of sym-grr, pinned by SHA-256.
+"""Stdout of the group-touching commands, orbit listings, map checks and
+sym-grr, pinned by SHA-256.
 
 The group-command digests were recorded from the tuple-table
 implementation that the array-backed group layer replaced, and the sym-grr
 ones from the row-at-a-time partition sum that the columnar one replaced,
 so they pin that each replacement prints byte-identical text (plain and
-``--kv``) and exit codes.  No output may
+``--kv``) and exit codes.  The orbit listings and the FIG1 map check were
+recorded from the one-row validation and Python cycle walk that the batch
+inventory replaced.  No output may
 carry a numpy scalar repr (``np.int16(3)``), which a stray array entry in
 a tuple or an f-string repr would print.
 """
@@ -47,6 +50,15 @@ CASES = {
     "three-inv-s4-compare-N-log2": [
         "three-inv", "{s4}", "{s4_set}", "--compare", "--surface", "N", "--mode", "log2",
     ],
+    # orbit listings and a map inventory, pinned before the listing moved
+    # from one-row validation and cycle walks to batch reads of the labels
+    "oracle-c4-L-raw": ["census", "oracle", "fixtures:C4", "--surface", "L", "--semantics", "raw"],
+    "oracle-c5-N-raw": ["census", "oracle", "fixtures:C5", "--surface", "N", "--semantics", "raw"],
+    "oracle-cube-L-dart": [
+        "census", "oracle", "fixtures:CUBE", "--surface", "L", "--semantics", "dart",
+    ],
+    "oracle-cube-N": ["census", "oracle", "fixtures:CUBE", "--surface", "N"],
+    "map-fig1": ["map", "check", "fixtures:FIG1"],
 }
 
 # case -> (exit code, SHA-256 of stdout plain, SHA-256 of stdout with --kv)
@@ -85,6 +97,31 @@ PINS = {
         0,
         "50aa14d8ea7ca0a248a5ca6c953205dcf735591f66e3427a066df0cc02166b8d",
         "8f1cc1a4474ab7623d365db1adc3051f80406a4eb9484968c77369d68df718bb",
+    ),
+    "map-fig1": (
+        0,
+        "58a349971f31fae7c0860fe0e15a7ec0d90b4cf6160c16c72538e7d94ed061f2",
+        "65b41792d8cf4f1db153a2b0980d5d146de962c96096b6cb0f670b773ad9bfb1",
+    ),
+    "oracle-c4-L-raw": (
+        0,
+        "7662427b657acc3f078a110fba412562c22f31b0d1e74b26a120330650f1ad2e",
+        "db00dc15289a13302bbbb475a7c87378ea546337b2529d8cbfce75d2cc5255b7",
+    ),
+    "oracle-c5-N-raw": (
+        0,
+        "3ac64ae37ab337140364e1a277b6a2001d2e72f8f400bbda30e006d0700f15aa",
+        "3dae0ff299e988ba810769bdf54a44b1b76051314949beb9ddb3efbd4dbab9a3",
+    ),
+    "oracle-cube-L-dart": (
+        0,
+        "2907b26414a136aa3b49ae1041cbe6159d1c85229764aac564bbe12c9f5750ae",
+        "6cb8bfc2834506e0d832c26b97a697b785f8a5770285c5db6d200a4b99d390b6",
+    ),
+    "oracle-cube-N": (
+        0,
+        "73f7e7e3429559217652165394eb04e6c26482905115010b77ea6caccf834f3b",
+        "c43285c3dff92ed9f6b2bff5a3d095316103bde631d80a37f37f2198ba6c7965",
     ),
     "three-inv-s4-compare": (
         0,

@@ -347,20 +347,20 @@ def test_cli_fixtures_list_and_run(capsys):
 
 
 def test_cli_dump_decodes_each_representative_once(capsys, tmp_path, monkeypatch):
-    # the orbit table and the dump are fed from one decoding pass: one
-    # validate_map call per orbit, and the files match the two-pass output
+    # the orbit table and the dump are fed from one decoding pass: each
+    # orbit's lead row is decoded once, and the files match the two-pass output
     import hashlib
 
     from cayleymaps import oracle
 
     calls = []
-    validate = oracle.validate_map
+    decode = oracle.inventories
 
-    def counted(F, P):
-        calls.append(1)
-        return validate(F, P)
+    def counted(F, rows):
+        calls.extend(rows)
+        return decode(F, rows)
 
-    monkeypatch.setattr(oracle, "validate_map", counted)
+    monkeypatch.setattr(oracle, "inventories", counted)
     code, out, _ = run_cli(
         capsys, "census", "oracle", "fixtures:CUBE", "--surface", "L", "--dump", str(tmp_path),
     )
@@ -383,12 +383,17 @@ def test_cli_dump_decodes_each_representative_once(capsys, tmp_path, monkeypatch
     ("0 1 2\n0 1 2\n", "H lists an automorphism twice"),
     ("0 1 2\n1 2 0\n2 0 1\n",
      "H contains the right translation by g1; H may share only the identity with R(G)"),
+    # the identity, doubling, and doubling followed by +1 on C5
+    ("0 1 2 3 4\n0 2 4 1 3\n1 3 0 2 4\n",
+     "two maps of H differ by the right translation by g4; "
+     "H may meet each coset of R(G) only once"),
 ])
 @pytest.mark.parametrize("command", [["census", "formula"], ["verify"]])
 def test_cli_h_file_meeting_r_g_is_refused(capsys, tmp_path, text, message, command):
-    path = tmp_path / "k3.h"
+    path = tmp_path / "bad.h"
     path.write_text(text)
-    code, out, _ = run_cli(capsys, *command, "fixtures:K3", "--h-file", str(path))
+    source = {3: "fixtures:K3", 5: "fixtures:C5"}[len(text.split("\n")[0].split())]
+    code, out, _ = run_cli(capsys, *command, source, "--h-file", str(path))
     assert code == 1
     assert out == f"{message}\nerror-token: BadParameter\n"
 

@@ -1,14 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import cayleymaps
+from cayleymaps import perm
 from cayleymaps.autaction import conjugate_flag_permutation
 from cayleymaps.cayley import build_flag_space, validate_cayley_set
 from cayleymaps.errors import AxiomViolation, BadParameter
 from cayleymaps.fixtures import fixture
 from cayleymaps.groups import named_group
 from cayleymaps.maps import (
+    MapPermutation,
+    inventories,
     inventory,
     is_orientable,
     map_automorphisms,
@@ -93,6 +97,30 @@ def test_axiom_witnesses_are_pinned():
         validate_map(F, out_of_range)
 
 
+def test_a_stack_fails_like_its_first_failing_row():
+    # a stack is checked whole, but its first failing row alone names the
+    # axiom and witness, exactly as when that row is validated by itself
+    F = fixture("CUBE").flag_space
+    D = build_dart_structure(F)
+    P = list(realize(D, default_rotation(D), 0).P)
+    swapped = P[:]
+    swapped[30], swapped[31] = swapped[31], swapped[30]
+    alpha_at_3 = P[:18] + list(F.alpha[18:24]) + P[24:]
+    duplicated = P[:]
+    duplicated[5] = duplicated[4]
+    identity = list(range(F.flag_count))
+    assert validate_map(F, np.array([P, P])) is None
+    for first, later in itertools.permutations([swapped, alpha_at_3, duplicated, identity], 2):
+        with pytest.raises((AxiomViolation, BadParameter)) as alone:
+            validate_map(F, first)
+        with pytest.raises(type(alone.value)) as stacked:
+            validate_map(F, np.array([P, first, P, later]))
+        assert str(stacked.value) == str(alone.value)
+        if isinstance(alone.value, AxiomViolation):
+            assert (stacked.value.axiom, stacked.value.witness) == (
+                alone.value.axiom, alone.value.witness)
+
+
 def test_non_permutation_rejected():
     F = k3_space()
     with pytest.raises(BadParameter):
@@ -108,9 +136,9 @@ def test_non_permutation_rejected():
 def test_fig1_inventory():
     M = fixture("FIG1").map
     inv = inventory(M)
-    assert len(inv.vertices) == 4
+    assert inv.vertex_count == 4
     assert inv.edge_count == 6
-    assert len(inv.faces) == 2
+    assert inv.face_count == 2
     assert inv.face_lengths == (4, 8)
     assert inv.euler_characteristic == 0
     assert inv.orientable
@@ -122,7 +150,7 @@ def test_k3_untwisted_is_the_sphere():
     D = build_dart_structure(F)
     M = realize(D, default_rotation(D), 0)
     inv = inventory(M)
-    assert (len(inv.vertices), inv.edge_count, len(inv.faces)) == (3, 3, 2)
+    assert (inv.vertex_count, inv.edge_count, inv.face_count) == (3, 3, 2)
     assert inv.face_lengths == (3, 3)
     assert inv.euler_characteristic == 2
     assert inv.orientable and inv.genus == 0
@@ -134,7 +162,7 @@ def test_k3_all_plus_signs_is_the_projective_plane():
     D = build_dart_structure(F)
     M = realize_signed(D, default_rotation(D), (0,) * 2 * D.edge_count)
     inv = inventory(M)
-    assert (len(inv.vertices), inv.edge_count, len(inv.faces)) == (3, 3, 1)
+    assert (inv.vertex_count, inv.edge_count, inv.face_count) == (3, 3, 1)
     assert inv.face_lengths == (6,)
     assert inv.euler_characteristic == 1
     assert not inv.orientable
@@ -145,12 +173,15 @@ def test_vertex_and_face_cycles_come_in_conjugate_pairs():
     M = fixture("FIG1").map
     F = M.flag_space
     inv = inventory(M)
-    for cyc, conj in inv.vertices:
-        assert sorted(F.alpha[f] for f in cyc) == sorted(conj)
-    for cyc, conj in inv.faces:
-        assert sorted(F.beta[f] for f in cyc) == sorted(conj)
     Pf = [M.P[F.alpha[F.beta[f]]] for f in range(F.flag_count)]
-    face_flags = sorted(f for pair in inv.faces for cyc in pair for f in cyc)
+    for p, conj, count in ((M.P, F.alpha, inv.vertex_count), (Pf, F.beta, inv.face_count)):
+        cycles = perm.cycles(p, perm.cycle_labels(p))
+        sets = {frozenset(cyc) for cyc in cycles}
+        for cyc in cycles:
+            mate = frozenset(conj[f] for f in cyc)
+            assert mate in sets and mate != frozenset(cyc)
+        assert len(cycles) == 2 * count
+    face_flags = sorted(f for cyc in perm.cycles(Pf, perm.cycle_labels(Pf)) for f in cyc)
     assert face_flags == list(range(F.flag_count))
     assert sorted(Pf) == list(range(F.flag_count))
 
@@ -163,7 +194,7 @@ def test_euler_formula_across_twists():
     for rho in itertools.product(*(vertex_rotations(D, v) for v in range(D.vertex_count))):
         for t in T.representatives():
             inv = inventory(realize(D, rho, t))
-            assert inv.euler_characteristic == len(inv.vertices) - inv.edge_count + len(inv.faces)
+            assert inv.euler_characteristic == inv.vertex_count - inv.edge_count + inv.face_count
             assert inv.euler_characteristic <= 2
             if inv.orientable:
                 assert inv.euler_characteristic % 2 == 0
@@ -181,6 +212,23 @@ def test_fig1_automorphisms_and_freeness():
     # the action on flags is free: every orbit has the full group size
     for f in range(M.flag_space.flag_count):
         assert len({tau[f] for tau in auts}) == 8
+
+
+def test_inventories_of_a_stack_match_row_by_row():
+    # rows of every surface and face count in one stack: the batch read of
+    # counts and face lengths keeps each row to itself
+    G = named_group("cyclic", 4)
+    F = build_flag_space(G, validate_cayley_set(G, (1, 2, 3)))  # K4
+    D = build_dart_structure(F)
+    T = build_twist_classes(D)
+    rows = [
+        realize(D, rho, t).P
+        for rho in itertools.product(*(vertex_rotations(D, v) for v in range(D.vertex_count)))
+        for t in T.representatives()
+    ]
+    invs = inventories(F, np.array(rows))
+    assert invs == [inventory(MapPermutation(flag_space=F, P=P)) for P in rows]
+    assert len({(inv.face_count, inv.orientable) for inv in invs}) > 2
 
 
 def test_automorphisms_form_a_group():

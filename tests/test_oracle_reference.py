@@ -108,9 +108,9 @@ def reference_inventory(F, P):
     chi = len(vertices) - n // 4 + len(faces)
     orientable = _orientable(F, P)
     return MapInventory(
-        vertices=vertices,
+        vertex_count=len(vertices),
         edge_count=n // 4,
-        faces=faces,
+        face_count=len(faces),
         face_lengths=tuple(sorted(len(pair[0]) for pair in faces)),
         euler_characteristic=chi,
         orientable=orientable,

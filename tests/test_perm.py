@@ -83,6 +83,14 @@ def reference_census(G, S, H, surface):
                 f"H contains the right translation by {G.name_of(h[0])}; H may share only "
                 "the identity with R(G)"
             )
+    for a in H:
+        for b in H:
+            q = _after(a, _inverse(b))
+            if a != b and q in regular:
+                raise BadParameter(
+                    f"two maps of H differ by the right translation by {G.name_of(q[0])}; "
+                    "H may meet each coset of R(G) only once"
+                )
     pool = {_after(r, h) for r in regular for h in H}
     if len(pool) != n * len(H):
         raise InternalInconsistency("regular part and complement overlap")
@@ -234,8 +242,8 @@ def test_refusals_keep_their_type_and_message():
 
 
 def test_h_meeting_r_g_is_refused_like_the_reference():
-    # a repeated map or a right translation in H is bad input; a set H that
-    # is not a group can still overlap R(G), which stays an internal check
+    # a repeated map, a right translation in H or two maps of H in one
+    # coset of R(G) is bad input
     k3 = fixture("K3")
     rotations = [tuple(col) for col in k3.group.table.T.tolist()]
     d6 = named_group("dihedral", 12)
@@ -253,7 +261,8 @@ def test_h_meeting_r_g_is_refused_like_the_reference():
                           "H may share only the identity with R(G)")),
         (z5, validate_cayley_set(z5, (1, 4)),
          [tuple(range(5)), doubling, tuple((2 * t + 1) % 5 for t in range(5))],
-         ("InternalInconsistency", "regular part and complement overlap")),
+         ("BadParameter", "two maps of H differ by the right translation by g4; "
+                          "H may meet each coset of R(G) only once")),
     ]
     for G, S, H, expected in cases:
         assert outcome(lambda: reference_census(G, S, H, "O")) == expected
