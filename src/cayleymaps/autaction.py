@@ -24,9 +24,9 @@ from .errors import (
     InternalInconsistency,
     NotSemiRegular,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, subgroup_closure
 from .maps import MapPermutation
-from .perm import PermGroup, cycle_labels, semi_regular
+from .perm import PermGroup, check_table_size, cycle_labels, semi_regular
 from .rotations import (
     RotationSystem,
     build_dart_structure,
@@ -131,35 +131,29 @@ def graph_automorphism_group(
 
 
 def right_regular(G: FiniteGroup) -> PermGroup:
-    """R(G): the |G| translations t ↦ th, the columns of the table.  Row h
-    is the translation by h, since it sends the identity to h."""
-    return PermGroup(G.table.T.tolist())
+    """R(G): the |G| translations t ↦ th, the columns of the validated table,
+    read off it with no search.  Row h is the translation by h, since it
+    sends the identity to h, so the rows are already sorted; r_a after r_b
+    is r_{ba}, so the composition table is the group table transposed,
+    which is also the row stack, and the inverses are G's."""
+    check_table_size(G.order, G.order)
+    columns = np.ascontiguousarray(G.table.T)
+    columns.flags.writeable = False
+    return PermGroup.of_table(columns, columns, G.inverses)
 
 
 # ---------------------------------------------------------------------------
 # The R(G) x H decomposition
 # ---------------------------------------------------------------------------
 
-def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozenset]:
+def _subgroups_of_order(
+    G: FiniteGroup, elements: list[tuple[int, ...]], m: int
+) -> list[frozenset]:
     """All subgroups of exact order m inside a (small) group of left
     translations t ↦ xt.  A translation is known by its image x of the
-    identity, and x after y is the translation by (the map of x)[y]."""
+    identity, and x after y is the translation by xy."""
     maps = {vm[0]: vm for vm in elements}
     found: set[frozenset] = set()
-
-    def close(gens: frozenset) -> frozenset | None:
-        group = {0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = maps[a][g]
-                if b not in group:
-                    if len(group) >= m:
-                        return None
-                    group.add(b)
-                    frontier.append(b)
-        return frozenset(group)
 
     def grow(current: frozenset, pool: list[int]) -> None:
         if len(current) == m:
@@ -168,14 +162,14 @@ def _subgroups_of_order(elements: list[tuple[int, ...]], m: int) -> list[frozens
         for i, g in enumerate(pool):
             if g in current:
                 continue
-            closed = close(frozenset(current | {g}))
-            if closed is None or len(closed) > m or m % len(closed):
+            closed = subgroup_closure(G, [*current, g])
+            if len(closed) > m or m % len(closed):
                 continue
-            grow(closed, pool[i + 1:])
+            grow(frozenset(closed), pool[i + 1:])
 
     # the map of x starts with x, so sorting the x sorts the maps
     grow(frozenset({0}), sorted(set(maps) - {0}))
-    return [s for s in found if len(s) == m]
+    return list(found)
 
 
 def decompose(full: Sequence[tuple[int, ...]], G: FiniteGroup) -> AutDecomposition:
@@ -201,7 +195,7 @@ def decompose(full: Sequence[tuple[int, ...]], G: FiniteGroup) -> AutDecompositi
     centralizer = [a for a in full if list(a) == rows[a[0]]]
     complement = None
     if len(centralizer) % m == 0:
-        for sub in _subgroups_of_order(centralizer, m):
+        for sub in _subgroups_of_order(G, centralizer, m):
             if len(sub & reg_set) == 1:  # only the identity
                 complement = tuple(sorted(sub))
                 break
@@ -266,7 +260,6 @@ def conjugate_flag_permutation(
 def construct_stable_map(
     theta: Sequence[int],
     F: FlagSpace,
-    base_rotations: RotationSystem | None = None,
     orientable: bool = False,
 ) -> StableMap:
     """Map stabilized by theta: rotations chosen on orbit representatives and
@@ -289,11 +282,7 @@ def construct_stable_map(
     rho: list[tuple[int, ...] | None] = [None] * D.vertex_count
     for orbit in vertex_orbits(theta):
         rep = min(orbit)
-        if base_rotations is not None:
-            cycle = base_rotations[rep]
-        else:
-            cycle = tuple(D.darts_at(rep))
-        rho[rep] = canonical_rotation(cycle)
+        rho[rep] = canonical_rotation(tuple(D.darts_at(rep)))
         v, current = rep, rho[rep]
         for _ in range(len(orbit) - 1):
             current = tuple(dart_map[d] for d in current)

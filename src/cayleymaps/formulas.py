@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .autaction import product_group
+from .autaction import product_group, right_regular
 from .cayley import CayleySet
 from .errors import (
     BadParameter,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .perm import (
-    ElementStats,
     PermGroup,
     check_table_size,
     conjugacy_classes_of,
@@ -245,54 +244,66 @@ def _log2_sum(terms: Sequence[Term], divisor: int, base: int) -> mp.mpf:
 # Per-class statistics
 # ---------------------------------------------------------------------------
 
-def acting_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> ElementStats:
-    """Per-element statistics of ``acting`` on Cay(G : S), whose edges
-    join t to s*t for s in S."""
-    adjacency = np.zeros((G.order, G.order), dtype=bool)
-    adjacency[np.arange(G.order), G.table[list(S.members)]] = True
-    return element_stats(acting, adjacency)
+def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassStats]:
+    """Checked statistics of every conjugacy class of ``acting`` on
+    Cay(G : S), whose edges join t to s*t for s in S, by least member.
 
-
-def class_stats(G: FiniteGroup, S: CayleySet, stats: ElementStats, i: int) -> ClassStats:
-    """Checked statistics of the class of element ``i`` of ``stats.group``."""
-    vm = stats.group.element(i)
-    if not stats.semi_regular[i]:
-        raise NotSemiRegular(f"representative {vm} has unequal orbit lengths")
+    Order, l, branch, edge orbits and the alpha numerator are columns over
+    all elements; each class's are its least member's, and every member
+    must share the order, l and edge orbits that fix the rest."""
+    classes = conjugacy_classes_of(acting.table, acting.inverse)
+    if sum(len(c) for c in classes) != len(acting):
+        raise InternalInconsistency("class sizes do not sum to the group order")
     nu = G.order
-    k = len(S.members)
-    eps = nu * k // 2
-    o = int(stats.order[i])
-    l_value = int(stats.l_value[i])
+    eps = nu * len(S.members) // 2
+    adjacency = np.zeros((nu, nu), dtype=bool)
+    adjacency[np.arange(nu), G.table[list(S.members)]] = True
+    stats = element_stats(acting, adjacency)
+    orders, l_values, edge_orbits = stats.order, stats.l_value, stats.edge_orbits
+    delta = (orders % 2 == 0) & (l_values > 0)
+    alpha_num = eps + l_values - nu
 
-    branch = DELTA if (o % 2 == 0 and l_value > 0) else THETA
-    if branch == DELTA and l_value % (o // 2):
-        raise InternalInconsistency(
-            f"inverted count {l_value} not divisible by half order {o // 2}"
-        )
-
-    edge_orbits = int(stats.edge_orbits[i])
-    if edge_orbits < 0:
-        raise BadParameter(f"acting element {vm} is not a graph automorphism")
-    if edge_orbits * 2 * o != 2 * eps + l_value:
-        raise InternalInconsistency(
-            f"edge orbit count {edge_orbits} disagrees with (2e+l)/2o = "
-            f"({2 * eps}+{l_value})/{2 * o}"
-        )
-
-    num = eps + l_value - nu
-    if num < 0 or num % o:
-        raise NonIntegralExponent(
-            f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
-        )
-    return ClassStats(
-        representative=vm,
-        class_size=stats.group.class_size(i),
-        order=o,
-        l_value=l_value,
-        branch=branch,
-        edge_orbits=edge_orbits,
-        alpha_exponent=num // o,
-    )
+    out = []
+    for cls in classes:
+        i = int(cls[0])
+        vm = acting.element(i)
+        o, l_value, eo = int(orders[i]), int(l_values[i]), int(edge_orbits[i])
+        num = int(alpha_num[i])
+        if not stats.semi_regular[i]:
+            raise NotSemiRegular(f"representative {vm} has unequal orbit lengths")
+        if delta[i] and l_value % (o // 2):
+            raise InternalInconsistency(
+                f"inverted count {l_value} not divisible by half order {o // 2}"
+            )
+        if eo < 0:
+            raise BadParameter(f"acting element {vm} is not a graph automorphism")
+        if eo * 2 * o != 2 * eps + l_value:
+            raise InternalInconsistency(
+                f"edge orbit count {eo} disagrees with (2e+l)/2o = "
+                f"({2 * eps}+{l_value})/{2 * o}"
+            )
+        if num < 0 or num % o:
+            raise NonIntegralExponent(
+                f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
+            )
+        if acting.class_size(i) != len(cls):
+            raise InternalInconsistency("class size mismatch")
+        same = (orders[cls] == o) & (l_values[cls] == l_value) & (edge_orbits[cls] == eo)
+        if not same.all():
+            raise InternalInconsistency(
+                f"class statistics not constant: {acting.element(cls[np.argmin(same)])} "
+                f"differs from {vm}"
+            )
+        out.append(ClassStats(
+            representative=vm,
+            class_size=len(cls),
+            order=o,
+            l_value=l_value,
+            branch=DELTA if delta[i] else THETA,
+            edge_orbits=eo,
+            alpha_exponent=num // o,
+        ))
+    return out
 
 
 def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
@@ -311,44 +322,11 @@ def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
 # Census totals
 # ---------------------------------------------------------------------------
 
-def _assert_constant_stats(
-    stats: ElementStats, cls: np.ndarray, rep_stats: ClassStats, eps: int, nu: int
-) -> None:
-    """Every member's own statistics equal the representative's."""
-    o, l_value, eo = stats.order[cls], stats.l_value[cls], stats.edge_orbits[cls]
-    delta = (o % 2 == 0) & (l_value > 0)
-    same = (
-        (o == rep_stats.order)
-        & (l_value == rep_stats.l_value)
-        & (delta == (rep_stats.branch == DELTA))
-        & ((eps + l_value - nu) // o == rep_stats.alpha_exponent)
-        & (eo == rep_stats.edge_orbits)
-    )
-    if not same.all():
-        vm = stats.group.element(cls[np.argmin(same)])
-        raise InternalInconsistency(
-            f"class statistics not constant: {vm} differs from "
-            f"{rep_stats.representative}"
-        )
-
-
-def census(
-    G: FiniteGroup,
-    S: CayleySet,
-    H: Sequence[Sequence[int]] | None = None,
-    surface: str = "O",
-    mode: str = "exact",
-) -> CensusResult:
-    """The census of maps of Cay(G : S) under R(G) x H, where H (the
-    identity alone by default) lists vertex maps."""
-    if surface not in ("O", "N", "L"):
-        raise BadParameter(f"unknown surface {surface!r}")
-    parse_mode(mode)
-    k = len(S.members)
-    H = np.arange(G.order)[None] if H is None else np.asarray(H)
+def _product_with(G: FiniteGroup, H: np.ndarray) -> PermGroup:
+    """R(G)H for an H read from outside the program, checked first: the
+    product has |G||H| elements only when H lists each map once and shares
+    just the identity with R(G)."""
     check_table_size(G.order * len(H), G.order)
-    # H comes from outside: the product has |G||H| elements only when H
-    # lists each map once and shares just the identity with R(G)
     if len(np.unique(H, axis=0)) != len(H):
         raise BadParameter("H lists an automorphism twice")
     translation = (H == G.table.T[H[:, 0]]).all(axis=1) & (H[:, 0] != 0)
@@ -368,33 +346,44 @@ def census(
             f"{G.name_of(int(quotients[i, j, 0]))}; H may meet each coset of R(G) only once"
         )
     acting = product_group(G, H)
-    acting_size = len(acting)
-    if acting_size != G.order * len(H):
+    if len(acting) != G.order * len(H):
         raise InternalInconsistency("acting group size is not |G||H|")
+    return acting
 
-    stats = acting_stats(G, S, acting)
-    classes = conjugacy_classes_of(stats.group.table, stats.group.inverse)
-    if sum(len(c) for c in classes) != acting_size:
-        raise InternalInconsistency("class sizes do not sum to the group order")
 
-    stats_list: list[ClassStats] = []
+def census(
+    G: FiniteGroup,
+    S: CayleySet,
+    H: Sequence[Sequence[int]] | None = None,
+    surface: str = "O",
+    mode: str = "exact",
+) -> CensusResult:
+    """The census of maps of Cay(G : S) under R(G) x H, where H (the
+    identity alone by default) lists vertex maps."""
+    if surface not in ("O", "N", "L"):
+        raise BadParameter(f"unknown surface {surface!r}")
+    parse_mode(mode)
+    k = len(S.members)
+    if H is None:
+        check_table_size(G.order, G.order)
+        acting = right_regular(G)
+    else:
+        acting = _product_with(G, np.asarray(H))
+    acting_size = len(acting)
+
+    stats_list = class_stats(G, S, acting)
     phis: list[int] = []
     # the same class sum as terms, which modular mode sums independently
     terms: list[Term] = []
     total = 0
-    for cls in classes:
-        st = class_stats(G, S, stats, cls[0])
-        if st.class_size != len(cls):
-            raise InternalInconsistency("class size mismatch")
-        _assert_constant_stats(stats, cls, st, G.order * k // 2, G.order)
+    for st in stats_list:
         phi = phi_exact(st, surface, k)
-        stats_list.append(st)
         phis.append(phi)
-        total += len(cls) * phi
+        total += st.class_size * phi
         b = G.order // st.order
-        terms.append((0 if surface == "O" else st.alpha_exponent, b, len(cls), 1))
+        terms.append((0 if surface == "O" else st.alpha_exponent, b, st.class_size, 1))
         if surface == "N":
-            terms.append((0, b, -len(cls), 1))
+            terms.append((0, b, -st.class_size, 1))
 
     q, r = divmod(total, acting_size)
     if r:

@@ -76,14 +76,13 @@ def build_group_from_table(
     raw_table: Sequence[Sequence[int]],
     *,
     names: Sequence[str] | None = None,
-    cap: int = DEFAULT_GROUP_CAP,
 ) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup."""
     n = len(raw_table)
     if n == 0:
         raise NotAGroup("empty table")
-    if n > cap:
-        raise CapExceeded(f"group order {n} exceeds cap {cap}")
+    if n > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"group order {n} exceeds cap {DEFAULT_GROUP_CAP}")
     T = np.asarray(raw_table, dtype=np.int64)
     if T.shape != (n, n):
         raise NotAGroup(f"table is not square: shape {T.shape}")
@@ -141,27 +140,27 @@ def build_group_from_table(
 # Named families
 # ---------------------------------------------------------------------------
 
-def _cyclic(n: int, cap: int) -> FiniteGroup:
+def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"cyclic({n}) has order {n} > cap {cap}")
+    if n > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"cyclic({n}) has order {n} > cap {DEFAULT_GROUP_CAP}")
     a = np.arange(n)
-    return build_group_from_table((a[:, None] + a) % n, names=[f"g{i}" for i in range(n)], cap=cap)
+    return build_group_from_table((a[:, None] + a) % n, names=[f"g{i}" for i in range(n)])
 
 
-def _dihedral(order: int, cap: int) -> FiniteGroup:
+def _dihedral(order: int) -> FiniteGroup:
     # Element i + m*f: rotation r^i for f=0, reflection r^i s for f=1.
     if order < 2 or order % 2:
         raise BadParameter(f"dihedral order must be even and >= 2, got {order}")
-    if order > cap:
-        raise CapExceeded(f"dihedral({order}) has order {order} > cap {cap}")
+    if order > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"dihedral({order}) has order {order} > cap {DEFAULT_GROUP_CAP}")
     m = order // 2
     i, f = np.arange(order) % m, np.arange(order) // m
     # (i,f)*(j,g) applies (j,g) first: r^i s^f r^j s^g = r^(i + (-1)^f j) s^(f+g).
     k = (i[:, None] + np.where(f[:, None] == 0, i, -i)) % m
     names = [f"r{i}" for i in range(m)] + [f"s{i}" for i in range(m)]
-    return build_group_from_table(k + m * (f[:, None] ^ f), names=names, cap=cap)
+    return build_group_from_table(k + m * (f[:, None] ^ f), names=names)
 
 
 def _cycle_name(p, labels) -> str:
@@ -170,50 +169,50 @@ def _cycle_name(p, labels) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _symmetric(n: int, cap: int) -> FiniteGroup:
+def _symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter(f"symmetric degree must be >= 1, got {n}")
-    if math.factorial(n) > cap:
-        raise CapExceeded(f"symmetric({n}) has order {math.factorial(n)} > cap {cap}")
+    if math.factorial(n) > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"symmetric({n}) has order {math.factorial(n)} > cap {DEFAULT_GROUP_CAP}")
     group = PermGroup(list(itertools.permutations(range(n))))  # identity sorts first
     names = [_cycle_name(p, labels) for p, labels in zip(group.rows.tolist(), cycle_labels(group.rows))]
-    return build_group_from_table(group.table, names=names, cap=cap)
+    return build_group_from_table(group.table, names=names)
 
 
-def _elementary_abelian_2(n: int, cap: int) -> FiniteGroup:
+def _elementary_abelian_2(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter(f"rank must be >= 1, got {n}")
     order = 1 << n
-    if order > cap:
-        raise CapExceeded(f"elementary_abelian_2({n}) has order {order} > cap {cap}")
+    if order > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"elementary_abelian_2({n}) has order {order} > cap {DEFAULT_GROUP_CAP}")
     a = np.arange(order)
     names = [format(i, f"0{n}b") for i in range(order)]
-    return build_group_from_table(a[:, None] ^ a, names=names, cap=cap)
+    return build_group_from_table(a[:, None] ^ a, names=names)
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Pair-encoded product: element (a, b) gets index a*|B| + b."""
     n = A.order * B.order
-    if n > cap:
-        raise CapExceeded(f"product order {n} > cap {cap}")
+    if n > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"product order {n} > cap {DEFAULT_GROUP_CAP}")
     nb = B.order
     # entry ((a1, b1), (a2, b2)) = a1a2 * |B| + b1b2, formed in int64
     table = A.table.astype(np.int64)[:, None, :, None] * nb + B.table[None, :, None, :]
     names = [f"({A.name_of(a)},{B.name_of(b)})" for a in range(A.order) for b in range(nb)]
-    return build_group_from_table(table.reshape(n, n), names=names, cap=cap)
+    return build_group_from_table(table.reshape(n, n), names=names)
 
 
-def named_group(family: str, params, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+def named_group(family: str, params) -> FiniteGroup:
     """Families: cyclic(n), dihedral(order), symmetric(n),
     elementary_abelian_2(rank), direct_product((G, H))."""
     if family == "cyclic":
-        return _cyclic(int(params), cap)
+        return _cyclic(int(params))
     if family == "dihedral":
-        return _dihedral(int(params), cap)
+        return _dihedral(int(params))
     if family == "symmetric":
-        return _symmetric(int(params), cap)
+        return _symmetric(int(params))
     if family == "elementary_abelian_2":
-        return _elementary_abelian_2(int(params), cap)
+        return _elementary_abelian_2(int(params))
     if family == "direct_product":
         try:
             A, B = params
@@ -221,7 +220,7 @@ def named_group(family: str, params, cap: int = DEFAULT_GROUP_CAP) -> FiniteGrou
             raise BadParameter("direct_product expects a pair of groups")
         if not isinstance(A, FiniteGroup) or not isinstance(B, FiniteGroup):
             raise BadParameter("direct_product expects FiniteGroup operands")
-        return direct_product(A, B, cap)
+        return direct_product(A, B)
     raise BadParameter(f"unknown family {family!r}")
 
 

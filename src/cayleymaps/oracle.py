@@ -272,8 +272,6 @@ class GroundSet:
     flag_space: FlagSpace
     semantics: str
     surface: str
-    dart_structure: DartStructure
-    twist_classes: TwistClasses
     space: KeySpace
     codes: np.ndarray
     euler_characteristic: np.ndarray
@@ -368,8 +366,7 @@ def enumerate_embeddings(
     if bound > cap:
         raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
     D = build_dart_structure(F)
-    T = build_twist_classes(D)
-    space = KeySpace(D, T, semantics, surface)
+    space = KeySpace(D, build_twist_classes(D), semantics, surface)
 
     codes, chi, orientable = [], [], []
     want = surface == "O"
@@ -392,8 +389,6 @@ def enumerate_embeddings(
         flag_space=F,
         semantics=semantics,
         surface=surface,
-        dart_structure=D,
-        twist_classes=T,
         space=space,
         codes=np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64),
         euler_characteristic=np.concatenate(chi) if chi else np.zeros(0, dtype=np.int32),
@@ -467,7 +462,7 @@ def burnside_count(acting: PermGroup, gs: GroundSet) -> OrbitCensus:
     # different faces.
     mixed_sides = gs.orientable != gs.orientable[lead]
     check_chi = np.ones(len(lead), dtype=bool)
-    if gs.semantics == SIGMA and gs.dart_structure.degree > 2:
+    if gs.semantics == SIGMA and gs.space.D.degree > 2:
         twisted = (gs.codes % gs.space.twists) + gs.space.twist_offset != 0
         check_chi = np.bincount(lead, weights=twisted, minlength=len(lead))[lead] == 0
     mixed_chi = check_chi & (gs.euler_characteristic != gs.euler_characteristic[lead])

@@ -9,8 +9,10 @@ shortcuts, and powers are taken by repeated squaring.
 
 :class:`PermGroup` holds a finite group of permutations as an
 ``(|A|, n)`` array whose rows are in lexicographic order (the order of
-``sorted`` on the tuples), together with its multiplication table, which
-also proves the rows closed under composition.
+``sorted`` on the tuples), together with its multiplication table.  Built
+from a list of maps, the table is found by looking up every product, which
+also proves the rows closed under composition; a group whose table is
+already known (``PermGroup.of_table``) is taken as it is.
 
 An abstract group is read the same way: row ``g`` of a multiplication
 table (``table[g, t] = g t``) is the left-regular permutation
@@ -174,18 +176,10 @@ class PermGroup:
         check_table_size(len(maps), len(maps[0]))
         pool = sorted(set(map(tuple, maps)))
         m, n = len(pool), len(pool[0])
-        self.rows = rows = np.array(pool, dtype=row_dtype(n))
+        rows = np.array(pool, dtype=row_dtype(n))
         if not (rows[0] == np.arange(n)).all():  # the identity sorts first
             raise BadParameter("acting set lacks the identity")
-
-        self._levels = []
-        run_start = np.zeros(m, dtype=np.int64)
-        for j in range(n):
-            key = run_start * n + rows[:, j]
-            self._levels.append(key)
-            run_start = np.searchsorted(key, key)
-            if (run_start == np.arange(m)).all():
-                break
+        self._index(rows)
 
         self.table = np.empty((m, m), dtype=np.int32)
         for b in range(m):
@@ -194,6 +188,27 @@ class PermGroup:
                 raise BadParameter("acting set is not closed under composition")
             self.table[:, b] = found
         self.inverse = np.argmax(self.table == 0, axis=1)
+
+    @classmethod
+    def of_table(cls, rows: np.ndarray, table: np.ndarray, inverse: np.ndarray) -> "PermGroup":
+        """The group whose sorted ``rows``, ``table`` and ``inverse`` are
+        already known, taken as they are: no search."""
+        group = cls.__new__(cls)
+        group._index(rows)
+        group.table, group.inverse = table, inverse
+        return group
+
+    def _index(self, rows: np.ndarray) -> None:
+        m, n = rows.shape
+        self.rows = rows
+        self._levels = []
+        run_start = np.zeros(m, dtype=np.int64)
+        for j in range(n):
+            key = run_start * n + rows[:, j]
+            self._levels.append(key)
+            run_start = np.searchsorted(key, key)
+            if (run_start == np.arange(m)).all():
+                break
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -236,12 +251,11 @@ def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndar
 @dataclass(frozen=True)
 class ElementStats:
     """Per-element statistics of a group acting on a graph, indexed like
-    ``group.rows``.  ``l_value`` counts the vertices the half-order power
+    the group's rows.  ``l_value`` counts the vertices the half-order power
     sends to a neighbor (0 for odd order); ``edge_orbits`` counts the orbits
     of the cyclic group generated by the element on the edges, and is -1
     where the element does not map edges to edges."""
 
-    group: PermGroup
     order: np.ndarray
     semi_regular: np.ndarray
     l_value: np.ndarray
@@ -264,4 +278,4 @@ def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     edge_perms = edge_id[rows[:, ends_u], rows[:, ends_v]]
     edge_orbits = np.count_nonzero(cycle_labels(edge_perms) == np.arange(len(ends_u)), axis=1)
     edge_orbits[(edge_perms < 0).any(axis=1)] = -1
-    return ElementStats(group, orders, semi_regular(rows), l_value, edge_orbits)
+    return ElementStats(orders, semi_regular(rows), l_value, edge_orbits)

@@ -26,6 +26,7 @@ from math import factorial, gcd, lcm
 import mpmath as mp
 import numpy as np
 
+from .autaction import right_regular
 from .cayley import validate_cayley_set
 from .errors import (
     CONTAINS_IDENTITY,
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .formulas import (
     CountReport,
-    acting_stats,
     class_stats,
     exact_quotient,
     make_report,
@@ -572,16 +572,11 @@ def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
     """Per-class check of the displayed formulas against the generic census
     machinery: the assumed inverted-edge count is n on every even-order class
     and 0 elsewhere; rows record where the true count differs."""
-    from .autaction import right_regular
-
     members = _three_involution_set(G, S)
     cayset = validate_cayley_set(G, members)
-    stats = acting_stats(G, cayset, right_regular(G))
     n = G.order
     rows = []
-    for cls in conjugacy_classes_of(G.table, G.inverses):
-        # row h of R(G) is the translation by h
-        st = class_stats(G, cayset, stats, int(cls[0]))
+    for st in class_stats(G, cayset, right_regular(G)):
         assumed_l = n if st.order % 2 == 0 else 0
         assumed_alpha = (
             Fraction(3 * n, 2 * st.order) if st.order % 2 == 0 else Fraction(n, 2 * st.order)

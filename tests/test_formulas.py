@@ -17,7 +17,6 @@ from cayleymaps.errors import (
 from cayleymaps.formulas import (
     DELTA,
     THETA,
-    acting_stats,
     class_stats,
     log2_of_int,
     make_report,
@@ -112,10 +111,11 @@ def test_conjugacy_classes_of_rejects_bad_pools():
 def test_class_stats_cube_table():
     fx = fixture("CUBE")
     G, S = fx.group, fx.cayset
-    stats = acting_stats(G, S, right_regular(G))
+    acting = right_regular(G)
+    classes = class_stats(G, S, acting)
     # nu = 8, eps = 12, k = 3; every class is a singleton; R(g) is row g.
-    for g in range(8):
-        st = class_stats(G, S, stats, g)
+    assert [st.representative for st in classes] == [acting.element(g) for g in range(8)]
+    for g, st in enumerate(classes):
         assert st.class_size == 1
         if g == 0:
             expected = (1, 0, THETA, 12, 4)
@@ -242,8 +242,36 @@ def test_census_refuses_over_the_table_cap_before_building_anything(monkeypatch)
 
     monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 511)
     monkeypatch.setattr(formulas, "product_group", unreachable)
+    monkeypatch.setattr(formulas, "right_regular", unreachable)
     with pytest.raises(CapExceeded, match="512 composed points"):
         census(fx.group, fx.cayset)
     monkeypatch.undo()
     monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 512)
     assert census(fx.group, fx.cayset).count.exact_value == 46
+
+
+def test_h1_paths_never_search_for_the_acting_group(monkeypatch, capsys):
+    # R(G) is read off the validated group table; only maps from outside
+    # the program (an H, the full automorphism group) are searched
+    from cayleymaps import oracle
+    from cayleymaps.cli import main
+
+    def searched(*args):
+        raise AssertionError("the acting group was searched")
+
+    fx = fixture("CUBE")
+    monkeypatch.setattr(PermGroup, "__init__", searched)
+    with pytest.raises(AssertionError, match="searched"):
+        census(fx.group, fx.cayset, H=[tuple(range(8))])
+    for module in (formulas, oracle):
+        monkeypatch.setattr(module, "product_group", searched)
+    for surface, total in zip("ONL", (46, 882, 928)):
+        assert census(fx.group, fx.cayset, surface=surface).count.exact_value == total
+    for argv in (
+        ["census", "formula", "fixtures:CUBE", "--surface", "L"],
+        ["verify", "fixtures:CUBE"],
+        ["census", "oracle", "fixtures:CUBE", "--acting", "rg"],
+        ["three-inv", "fixtures:CUBE", "--compare"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -25,7 +25,7 @@ from cayleymaps.groups import (
     named_group,
     subgroup_closure,
 )
-from cayleymaps.perm import conjugacy_classes_of, order, power
+from cayleymaps.perm import PermGroup, conjugacy_classes_of, order, power
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,28 @@ def test_right_regular_and_products_match_the_reference(seed):
                 product_group(G, H)
             continue
         assert [tuple(p) for p in product_group(G, H).rows.tolist()] == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_right_regular_read_off_the_table_is_the_searched_group(seed):
+    # the columns of the table, taken with the transposed table and G's
+    # inverses, are the group a search over the same maps finds
+    G, rng = seeded_group(seed)
+    named = [
+        named_group("cyclic", rng.randint(1, 30)),
+        named_group("dihedral", 2 * rng.randint(1, 15)),
+        named_group("symmetric", 4),
+        direct_product(named_group("dihedral", 6), named_group("cyclic", rng.randint(2, 9))),
+        build_group_from_table(relabelled(named_group("symmetric", 4), rng)),
+    ]
+    for K in named + [G]:
+        fast, searched = right_regular(K), PermGroup(K.table.T.tolist())
+        assert np.array_equal(fast.rows, searched.rows)
+        assert np.array_equal(fast.table, searched.table)
+        assert np.array_equal(fast.inverse, searched.inverse)
+        assert fast.find(searched.rows).tolist() == list(range(K.order))
+        rolled = np.roll(fast.rows, 1, axis=1)  # members or strangers alike
+        assert fast.find(rolled).tolist() == searched.find(rolled).tolist()
 
 
 def test_symmetric4_matches_the_reference():

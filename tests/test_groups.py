@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cayleymaps import groups
 from cayleymaps.errors import BadParameter, CapExceeded, NotAGroup
 from cayleymaps.groups import build_group_from_table, direct_product, named_group, subgroup_closure
 from cayleymaps.perm import conjugacy_classes_of, order, power
@@ -74,12 +75,14 @@ def test_named_group_unknown_family():
         named_group("quaternion-ish", 8)
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         named_group("symmetric", 8)  # 40320 > default cap 5040
-    with pytest.raises(CapExceeded):
-        named_group("cyclic", 10, cap=5)
-    assert named_group("cyclic", 10, cap=10).order == 10
+    monkeypatch.setattr(groups, "DEFAULT_GROUP_CAP", 5)  # read at call time
+    with pytest.raises(CapExceeded, match=r"^cyclic\(10\) has order 10 > cap 5$"):
+        named_group("cyclic", 10)
+    monkeypatch.setattr(groups, "DEFAULT_GROUP_CAP", 10)
+    assert named_group("cyclic", 10).order == 10
 
 
 def test_table_validation_rejects_junk():

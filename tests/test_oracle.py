@@ -256,13 +256,16 @@ def test_comparison_forms_the_acting_group_once(monkeypatch):
 
     calls = []
 
-    def counted(G, complement):
-        calls.append(len(complement))
-        return autaction.product_group(G, complement)
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(autaction, name)(*args)
+        return call
 
     for module in (formulas, oracle):
-        monkeypatch.setattr(module, "product_group", counted)
+        for name in ("product_group", "right_regular"):
+            monkeypatch.setattr(module, name, counted(name))
     fx = fixture("CUBE")
     report = compare_with_formula(fx.group, fx.cayset, surface="L")
-    assert calls == [1]
+    assert calls == ["right_regular"]
     assert report.orbit_census.acting_size == len(report.census_result.acting) == 8
