@@ -7,13 +7,15 @@ happened before the first byte: a failure prints only its message and
 ends with ``error-token: <Token>``.  ``--kv`` switches the same data to
 line-oriented ``key=value`` form for scripting.  Exit codes are 0 (ok),
 1 (validation), 2 (cap exceeded), 3 (internal invariant broke), 64
-(usage).
+(usage).  A reader that closes stdout early (``| head``) cuts the output
+short without a traceback, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -110,10 +112,6 @@ class Report:
             rows = (fmt.format(*row).rstrip() for row in zip(*cols))
         for start in range(0, nrows, self.ROWS_PER_CHUNK):
             yield "\n".join(islice(rows, self.ROWS_PER_CHUNK)) + "\n"
-
-    def write(self, out) -> None:
-        for chunk in self.chunks():
-            out.write(chunk)
 
 
 def _b(x: bool) -> str:
@@ -605,10 +603,24 @@ def main(argv=None) -> int:
     except CayleymapsError as e:
         msg = str(e)
         body = ([msg] if msg else []) + [f"error-token: {e.token}"]
-        print("\n".join(body))
+        _write_stdout(["\n".join(body) + "\n"])
         return e.exit_code
-    report.write(sys.stdout)
+    _write_stdout(report.chunks())
     return 0
+
+
+def _write_stdout(chunks) -> None:
+    """Writes the chunks to stdout and flushes it.  A reader that closes the
+    pipe early (``| head``) ends the output quietly: stdout is pointed at the
+    null device, so the flush at exit has nothing left to fail on."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,17 @@ All formats are single-space separated with one trailing newline, so a
 saved file is byte-identical across runs.  Anywhere a path is expected,
 a ``fixtures:NAME`` token resolves to the named registry instance
 instead of touching the filesystem.
+
+Every number is read by one reader, ``_ints``, which converts a file's
+tokens to one integer array in a single pass; a group table reaches the
+validator as that array, reshaped, with no Python lists in between.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from .cayley import CayleySet, FlagSpace, generic_flag_space, validate_cayley_set
 from .errors import BadParameter
@@ -30,15 +36,23 @@ def _tokens_of(path: str) -> list[str]:
     return text.split()
 
 
-def _ints(path: str, toks: list[str]) -> list[int]:
-    """The tokens as integers; the first that is not one is refused."""
+def _ints(path: str, toks: list[str]) -> np.ndarray:
+    """The tokens as one integer array, converted in a single pass.
+
+    Each token is read as ``int()`` reads it, so the first that is not an
+    integer is refused by name.  Integers beyond int64 are kept exact in an
+    object array, for the caller to refuse as out of range."""
+    try:
+        return np.array(toks, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
     out = []
     try:
         for t in toks:
             out.append(int(t))
     except ValueError:
         raise BadParameter(f"{path}: {t!r} is not an integer") from None
-    return out
+    return np.array(out, dtype=object)
 
 
 def load_group(path: str) -> FiniteGroup:
@@ -50,14 +64,13 @@ def load_group(path: str) -> FiniteGroup:
     toks = _tokens_of(path)
     if len(toks) < 2 or toks[0] != "group":
         raise BadParameter(f"{path}: expected leading 'group <order>'")
-    (n,) = _ints(path, toks[1:2])
+    (n,) = _ints(path, toks[1:2]).tolist()
     if n < 0:
         raise BadParameter(f"{path}: group order {toks[1]!r} is negative")
     need = 2 + n * n
     if len(toks) < need:
         raise BadParameter(f"{path}: table needs {n * n} entries")
-    flat = _ints(path, toks[2:need])
-    table = [flat[i * n : (i + 1) * n] for i in range(n)]
+    table = _ints(path, toks[2:need]).reshape(n, n)
     names = None
     rest = toks[need:]
     if rest:
@@ -86,10 +99,10 @@ def load_cayset_members(path: str) -> tuple[int, ...]:
     toks = _tokens_of(path)
     if len(toks) < 2 or toks[0] != "cayset":
         raise BadParameter(f"{path}: expected leading 'cayset <k>'")
-    (k,) = _ints(path, toks[1:2])
+    (k,) = _ints(path, toks[1:2]).tolist()
     if len(toks) != 2 + k:
         raise BadParameter(f"{path}: expected exactly {k} element indices")
-    return tuple(_ints(path, toks[2:]))
+    return tuple(_ints(path, toks[2:]).tolist())
 
 
 def load_cayset(G: FiniteGroup, path: str) -> CayleySet:
@@ -115,8 +128,8 @@ def load_map(path: str, flag_space: FlagSpace | None = None) -> MapPermutation:
     toks = _tokens_of(path)
     if len(toks) < 2 or toks[0] != "map":
         raise BadParameter(f"{path}: expected leading 'map <flag_count>'")
-    (n,) = _ints(path, toks[1:2])
-    body = _ints(path, toks[2:])
+    (n,) = _ints(path, toks[1:2]).tolist()
+    body = _ints(path, toks[2:]).tolist()
     if len(body) == n:
         if flag_space is None:
             raise BadParameter(
@@ -150,7 +163,7 @@ def load_automorphisms(path: str, vertex_count: int | None = None) -> list[tuple
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        vm = tuple(_ints(f"{path}:{ln}", line.split()))
+        vm = tuple(_ints(f"{path}:{ln}", line.split()).tolist())
         if vertex_count is not None and len(vm) != vertex_count:
             raise BadParameter(f"{path}:{ln}: expected {vertex_count} vertex images")
         if sorted(vm) != list(range(len(vm))):

@@ -345,10 +345,7 @@ def _product_with(G: FiniteGroup, H: np.ndarray) -> PermGroup:
             f"two maps of H differ by the right translation by "
             f"{G.name_of(int(quotients[i, j, 0]))}; H may meet each coset of R(G) only once"
         )
-    acting = product_group(G, H)
-    if len(acting) != G.order * len(H):
-        raise InternalInconsistency("acting group size is not |G||H|")
-    return acting
+    return product_group(G, H)  # refuses a repeated product itself
 
 
 def census(

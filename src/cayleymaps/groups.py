@@ -73,17 +73,21 @@ def _greedy_generators(table: np.ndarray) -> list[int]:
 
 
 def build_group_from_table(
-    raw_table: Sequence[Sequence[int]],
+    raw_table: Sequence[Sequence[int]] | np.ndarray,
     *,
     names: Sequence[str] | None = None,
 ) -> FiniteGroup:
-    """Validate a multiplication table and wrap it as a FiniteGroup."""
+    """Validate a multiplication table (nested sequences or an integer
+    array) and wrap it as a FiniteGroup."""
     n = len(raw_table)
     if n == 0:
         raise NotAGroup("empty table")
     if n > DEFAULT_GROUP_CAP:
         raise CapExceeded(f"group order {n} exceeds cap {DEFAULT_GROUP_CAP}")
-    T = np.asarray(raw_table, dtype=np.int64)
+    try:
+        T = np.asarray(raw_table, dtype=np.int64)
+    except OverflowError:  # entries beyond int64, refused as out of range below
+        T = np.asarray(raw_table, dtype=object)
     if T.shape != (n, n):
         raise NotAGroup(f"table is not square: shape {T.shape}")
     if T.min() < 0 or T.max() >= n:

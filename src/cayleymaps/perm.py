@@ -3,9 +3,11 @@
 A permutation of ``0..n-1`` is a length-``n`` array ``p`` sending ``v`` to
 ``p[v]``; "``a`` after ``b``" is ``a[b]``.  The batch functions take one
 permutation or a stack of them (shape ``(..., n)``) and never walk a cycle
-step by step: cycles are labelled by pointer doubling (``log2 n`` rounds),
-the orbits of several permutations by least-label propagation with
-shortcuts, and powers are taken by repeated squaring.
+step by step: cycles are labelled by pointer doubling, which stops at the
+first round that lowers no label (each label is then already its cycle's
+least point, see :func:`cycle_labels`), the orbits of several permutations
+by least-label propagation with shortcuts, and powers are taken by repeated
+squaring.
 
 :class:`PermGroup` holds a finite group of permutations as an
 ``(|A|, n)`` array whose rows are in lexicographic order (the order of
@@ -53,16 +55,26 @@ def _flat(perms: np.ndarray) -> np.ndarray:
 
 
 def cycle_labels(perms) -> np.ndarray:
-    """The least point of the cycle through every point, row by row."""
+    """The least point of the cycle through every point, row by row.
+
+    After the round with ``step = p^span``, ``label[v]`` is the least of the
+    ``span`` points from ``v`` on.  A round that lowers no label ends the
+    search: ``label[v] <= label[step[v]]`` for every ``v`` makes the labels
+    constant along each chain ``v, step[v], ...``, whose windows tile the
+    whole cycle, so each label is already its cycle's least point."""
     perms = np.asarray(perms)
     n = perms.shape[-1]
     step = _flat(perms.reshape(-1, n))
     label = np.tile(np.arange(n, dtype=perms.dtype), len(step) // n)
     span = 1
-    while span < n:  # label[v] = min of the first 2*span points from v
-        label = np.minimum(label, label[step])
-        step = step[step]
+    while span < n:
+        lower = np.minimum(label, label[step])
+        if np.array_equal(lower, label):
+            break
+        label = lower
         span *= 2
+        if span < n:
+            step = step[step]
     return label.reshape(perms.shape)
 
 
@@ -117,16 +129,21 @@ def cycle_lengths(perms) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=flat.size)[flat].reshape(labels.shape)
 
 
+def _order_and_semi_regular(perms) -> tuple[np.ndarray, np.ndarray]:
+    """``order`` and ``semi_regular`` of each permutation, from one labelling."""
+    lengths = cycle_lengths(perms)
+    return np.lcm.reduce(lengths, axis=-1), (lengths == lengths[..., :1]).all(axis=-1)
+
+
 def order(perms):
     """Order of each permutation, the lcm of its cycle lengths (as int64,
     exact for elements of any group small enough for a PermGroup)."""
-    return np.lcm.reduce(cycle_lengths(perms), axis=-1)
+    return _order_and_semi_regular(perms)[0]
 
 
 def semi_regular(perms):
     """Whether all cycles of each permutation have the same length."""
-    lengths = cycle_lengths(perms)
-    return (lengths == lengths[..., :1]).all(axis=-1)
+    return _order_and_semi_regular(perms)[1]
 
 
 def power(perms, k):
@@ -262,13 +279,30 @@ class ElementStats:
     edge_orbits: np.ndarray
 
 
+def _table_power(table: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of each element raised to its own exponent (element ``a`` to
+    ``k[a]``) in the group with multiplication ``table`` and identity 0:
+    repeated squaring over element indices, not over points."""
+    out = np.zeros(len(table), dtype=table.dtype)
+    base = np.arange(len(table), dtype=table.dtype)
+    k = k.copy()
+    while k.any():
+        odd = (k & 1).astype(bool)
+        out[odd] = table[base[odd], out[odd]]
+        base = table[base, base]
+        k >>= 1
+    return out
+
+
 def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     """Statistics of every element of ``group`` acting on the graph with
-    the symmetric boolean ``adjacency`` matrix."""
+    the symmetric boolean ``adjacency`` matrix.  Order and semi-regularity
+    come from one labelling of the rows; the half-order powers are found in
+    the group's table and their rows gathered once."""
     rows = group.rows
     n = rows.shape[1]
-    orders = order(rows)
-    half = power(rows, orders // 2)
+    orders, semi = _order_and_semi_regular(rows)
+    half = rows[_table_power(group.table, orders // 2)]
     inverted = np.count_nonzero(adjacency[np.arange(n), half], axis=1)
     l_value = np.where(orders % 2 == 0, inverted, 0)
 
@@ -278,4 +312,4 @@ def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     edge_perms = edge_id[rows[:, ends_u], rows[:, ends_v]]
     edge_orbits = np.count_nonzero(cycle_labels(edge_perms) == np.arange(len(ends_u)), axis=1)
     edge_orbits[(edge_perms < 0).any(axis=1)] = -1
-    return ElementStats(orders, semi_regular(rows), l_value, edge_orbits)
+    return ElementStats(orders, semi, l_value, edge_orbits)

@@ -15,7 +15,7 @@ from cayleymaps.autaction import (
     vertex_orbits,
 )
 from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cayley_set
-from cayleymaps.errors import CapExceeded, CayleymapsError, NotSemiRegular
+from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency, NotSemiRegular
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
 from cayleymaps.groups import direct_product, named_group
 from cayleymaps.maps import is_orientable, validate_map
@@ -155,6 +155,16 @@ def test_product_group_generates_the_dihedral_action():
     assert len(prod) == 8
     graph = build_cayley_graph(G, validate_cayley_set(G, (1, 3)))
     assert {tuple(a) for a in prod.rows.tolist()} == set(graph_automorphism_group(graph))
+
+
+def test_product_group_refuses_a_repeated_product():
+    # a complement meeting R(G) beyond the identity makes two products r h
+    # equal; the refusal is why R(G)H always has |G||H| rows
+    G = named_group("cyclic", 4)
+    shift = translations(G)[1]
+    for complement in ([tuple(range(4)), shift], [tuple(range(4)), tuple(range(4))]):
+        with pytest.raises(InternalInconsistency, match="regular part and complement overlap"):
+            product_group(G, complement)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """File formats round-trip byte-identically; the CLI is deterministic text."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cayleymaps
 from cayleymaps import enumerate_embeddings, fixture, named_group, validate_cayley_set
 from cayleymaps.autaction import right_regular
 from cayleymaps.cli import main
@@ -65,6 +71,61 @@ def test_group_loader_rejections(tmp_path):
     shifted = "group 4\n3 0 1 2\n0 1 2 3\n1 2 3 0\n2 3 0 1\n"
     with pytest.raises(NotAGroup):
         load_group(write(shifted))
+
+
+def _cyclic_table_text(n, spell=str, sep=" ", newline="\n"):
+    """The group file of Z_n with every entry written by ``spell``."""
+    rows = [sep.join(spell(v) for v in row) for row in named_group("cyclic", n).table.tolist()]
+    return newline.join([f"group{sep}{n}", *rows]) + newline
+
+
+@pytest.mark.parametrize("spell,sep,newline", [
+    (lambda v: f"+{v}", " ", "\n"),
+    (lambda v: f"{v:03d}", " ", "\n"),
+    (lambda v: "1_0" if v == 10 else str(v), " ", "\n"),
+    (str, "\t", "\r\n"),
+    (lambda v: "".join(chr(0x0660 + int(d)) for d in str(v)), " ", "\n"),  # Arabic-Indic
+    (lambda v: "".join(chr(0xFF10 + int(d)) for d in str(v)), " \t ", "\r\n"),  # fullwidth
+])
+def test_group_loader_reads_what_int_reads(tmp_path, spell, sep, newline):
+    path = tmp_path / "z12.group"
+    path.write_bytes(_cyclic_table_text(12, spell, sep, newline).encode())
+    assert np.array_equal(load_group(str(path)).table, named_group("cyclic", 12).table)
+
+
+@pytest.mark.parametrize("bad", ["1.0", "0x1", "a"])
+def test_loaders_name_the_first_token_that_is_not_an_integer(tmp_path, bad):
+    # a later bad token and an entry beyond int64 before it do not change
+    # which token is named
+    def spell(v):
+        return {3: "99999999999999999999999", 5: bad, 7: "q"}.get(v, str(v))
+
+    path = tmp_path / "z12.group"
+    path.write_text(_cyclic_table_text(12, spell))
+    with pytest.raises(BadParameter) as err:
+        load_group(str(path))
+    assert str(err.value) == f"{path}: {bad!r} is not an integer"
+
+    path = tmp_path / "s.set"
+    path.write_text(f"cayset 3\n1 {bad} q\n")
+    with pytest.raises(BadParameter) as err:
+        load_cayset_members(str(path))
+    assert str(err.value) == f"{path}: {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize("entry,where", [
+    ("99999999999999999999999", "(1,1)"),
+    ("-99999999999999999999999", "(0,1)"),
+])
+def test_cli_group_entries_beyond_int64_are_out_of_range(capsys, tmp_path, entry, where):
+    path = tmp_path / "big.group"
+    table = [["0", "1"], ["1", "0"]]
+    i, j = int(where[1]), int(where[3])
+    table[i][j] = entry
+    path.write_text("group 2\n" + "\n".join(" ".join(row) for row in table) + "\n")
+    code, out, _ = run_cli(capsys, "group", "check", str(path))
+    assert code == 1
+    assert out == f"entry out of range at {where}\nerror-token: NotAGroup\n"
 
 
 def test_cayset_round_trip_and_rejections(tmp_path):
@@ -424,6 +485,22 @@ def test_cli_exit_codes_and_error_tokens(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sym-grr")
     assert code == 64
     assert err.rstrip("\n").endswith("error-token: Usage")
+
+
+def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
+    # the table is far larger than a pipe buffer, so the writer is still
+    # writing when the read end closes after one line
+    src = str(Path(cayleymaps.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayleymaps.cli", "sym-grr", "30", "--surface", "O", "--mode", "log2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"n: 30\n"
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("kind,text,token", [

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cayleymaps
 from cayleymaps import census, fixture, named_group, validate_cayley_set
+from cayleymaps.autaction import product_group, right_regular
 from cayleymaps.errors import (
     BadParameter,
     CayleymapsError,
@@ -153,8 +156,8 @@ def kernel_census(G, S, H, surface):
 # Seeded instances
 # ---------------------------------------------------------------------------
 
-def _random_group(rng):
-    family = rng.choice(("cyclic", "dihedral", "product"))
+def _random_group(rng, family=None):
+    family = family or rng.choice(("cyclic", "dihedral", "product"))
     if family == "cyclic":
         return named_group("cyclic", rng.randint(3, 24))
     if family == "dihedral":
@@ -285,6 +288,74 @@ def test_cycle_labels_and_lengths_match_walks():
         labels, lengths = cycle_labels(p), cycle_lengths(p)
         for cycle in _cycles(p):
             assert all(labels[v] == min(cycle) and lengths[v] == len(cycle) for v in cycle)
+
+
+@st.composite
+def _perm_stacks(draw):
+    """An (m, n) stack of random rows, with the identity and one n-cycle
+    each drawn in or left out; m may be 0."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.permutations(range(n)), max_size=5))
+    if draw(st.booleans()):
+        rows.append(list(range(n)))
+    if draw(st.booleans()):
+        tour = draw(st.permutations(range(n)))
+        cycle = [0] * n
+        for a, b in zip(tour, tour[1:] + tour[:1]):
+            cycle[a] = b
+        rows.append(cycle)
+    dtype = draw(st.sampled_from((np.int16, np.int64)))
+    return np.array(rows, dtype=dtype).reshape(len(rows), n)
+
+
+@settings(deadline=None)
+@given(_perm_stacks())
+@example(np.zeros((0, 5), dtype=np.int16))
+@example(np.zeros((1, 1), dtype=np.int16))
+@example(np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0]], dtype=np.int16))
+def test_early_stopping_labels_equal_the_cycle_walk(stack):
+    labels = cycle_labels(stack)
+    assert labels.shape == stack.shape
+    for row, got in zip(stack.tolist(), labels.tolist()):
+        expect = [0] * len(row)
+        for cycle in _cycles(row):
+            for v in cycle:
+                expect[v] = min(cycle)
+        assert got == expect
+
+
+def _assert_stats_match_walks(group, G, S):
+    adjacency = np.zeros((G.order, G.order), dtype=bool)
+    for t in range(G.order):
+        for s in S.members:
+            adjacency[t, G.mul(s, t)] = True
+    stats = element_stats(group, adjacency)
+    got = list(zip(stats.semi_regular.tolist(), stats.order.tolist(),
+                   stats.l_value.tolist(), stats.edge_orbits.tolist()))
+    assert got == [_element_row(G, S, tuple(x)) for x in group.rows.tolist()]
+    return stats
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_element_stats_match_walks_element_by_element(seed):
+    # R(G) of seeded cyclic, dihedral and product tables: every column of
+    # every element against _element_row's walks and repeated composition
+    rng = random.Random(50 + seed)
+    G = _random_group(rng, ("cyclic", "dihedral", "product")[seed % 3])
+    S = _random_cayset(rng, G)
+    group = right_regular(G)
+    _assert_stats_match_walks(group, G, S)
+
+
+def test_element_stats_match_walks_on_r_g_times_h():
+    # the cube's R(G) with the generator swap that fixes vertex 0: some
+    # elements have a fixed point and longer cycles
+    fx = fixture("CUBE")
+    swap = tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
+    group = product_group(fx.group, [tuple(range(8)), swap])
+    assert len(group) == 16
+    stats = _assert_stats_match_walks(group, fx.group, fx.cayset)
+    assert not stats.semi_regular.all()
 
 
 def test_find_is_exact():
