@@ -57,11 +57,11 @@ def _flat(perms: np.ndarray) -> np.ndarray:
 def cycle_labels(perms) -> np.ndarray:
     """The least point of the cycle through every point, row by row.
 
-    After the round with ``step = p^span``, ``label[v]`` is the least of the
-    ``span`` points from ``v`` on.  A round that lowers no label ends the
-    search: ``label[v] <= label[step[v]]`` for every ``v`` makes the labels
-    constant along each chain ``v, step[v], ...``, whose windows tile the
-    whole cycle, so each label is already its cycle's least point."""
+    Before the round that uses ``step = p^span``, ``label[v]`` is the least
+    of the ``span`` points from ``v`` on.  A round that lowers no label ends
+    the search: ``label[v] <= label[step[v]]`` for every ``v`` makes the
+    labels constant along each chain ``v, step[v], ...``, whose windows tile
+    the whole cycle, so each label is already its cycle's least point."""
     perms = np.asarray(perms)
     n = perms.shape[-1]
     step = _flat(perms.reshape(-1, n))
