@@ -9,12 +9,15 @@ line-oriented ``key=value`` form for scripting.  Exit codes are 0 (ok),
 1 (validation), 2 (cap exceeded), 3 (internal invariant broke), 64
 (usage).  A reader that closes stdout early (``| head``) cuts the output
 short without a traceback, and the exit code stays the command's own.
+``main`` builds the argument parser on its first call and reuses it, so a
+process that runs many commands (a test suite, the benchmark) builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -69,7 +72,10 @@ class Report:
     held as columns) and rendered only once the command has returned, as
     aligned plain text or as ``key=value`` lines."""
 
-    ROWS_PER_CHUNK = 4096
+    # a 512-row chunk of a sym-grr class table is about 75 KB, under glibc's
+    # default 128 KiB mmap threshold; on the closed-form benchmark it peaks
+    # about 0.4 MB lower than 4096-row chunks
+    ROWS_PER_CHUNK = 512
 
     def __init__(self, kv: bool):
         self.kv = kv
@@ -176,11 +182,16 @@ def _count_fields(R: Report, prefix: str, rep: CountReport) -> None:
         R.field(f"{prefix}-prime", rep.prime)
 
 
-def _rep_label(G: FiniteGroup, vm) -> str:
-    g = vm[0]
-    if np.array_equal(G.table[:, g], vm):  # the right translation by g
-        return G.name_of(g)
-    return "[" + " ".join(str(x) for x in vm) + "]"
+def _rep_labels(G: FiniteGroup, vms) -> list[str]:
+    """The printed label of each vertex map in the stack ``vms``: the name
+    of g for the right translation by g (the map equal to column g of the
+    table, g its image of 0), else the map in brackets."""
+    vms = np.asarray(vms)
+    translation = (G.table.T[vms[:, 0]] == vms).all(axis=1)
+    return [
+        G.name_of(vm[0]) if t else "[" + " ".join(map(str, vm)) + "]"
+        for vm, t in zip(vms.tolist(), translation.tolist())
+    ]
 
 
 def _columns(rows: list[tuple], width: int) -> list:
@@ -280,10 +291,10 @@ def cmd_census_formula(args) -> Report:
     R.field("surface", res.surface)
     R.field("acting-size", len(res.acting))
     R.field("classes", len(res.classes))
+    labels = _rep_labels(G, [st.representative for st in res.classes])
     rows = [
-        (_rep_label(G, st.representative),
-         st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
-        for st, phi in zip(res.classes, res.phi_values)
+        (label, st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
+        for label, st, phi in zip(labels, res.classes, res.phi_values)
     ]
     R.table("class", ["class", "size", "order", "l", "branch", "alpha", "phi"], _columns(rows, 7))
     R.blank()
@@ -302,8 +313,7 @@ def cmd_census_oracle(args) -> Report:
     R.field("semantics", args.semantics)
     R.field("ground-set", len(gs.keys))
     R.field("acting-size", oc.acting_size)
-    rows = [(_rep_label(G, vm), fc) for vm, fc in zip(acting.rows.tolist(), oc.fixed_counts)]
-    R.table("fixed", ["element", "fixed"], _columns(rows, 2))
+    R.table("fixed", ["element", "fixed"], [_rep_labels(G, acting.rows), oc.fixed_counts])
     dump = None if args.dump is None else Path(args.dump)
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
@@ -339,11 +349,11 @@ def cmd_verify(args) -> Report:
     R = Report(args.kv)
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
+    labels = _rep_labels(G, [line.stats.representative for line in rep.lines])
     rows = [
-        (_rep_label(G, line.stats.representative),
-         line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
+        (label, line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
          line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio))
-        for line in rep.lines
+        for label, line in zip(labels, rep.lines)
     ]
     R.table(
         "class",
@@ -420,12 +430,11 @@ def cmd_three_inv(args) -> Report:
         _columns(rows, 6),
     )
     if args.compare:
+        comparison = three_involution_comparison(G, S.members, args.surface)
+        labels = _rep_labels(G, [st.representative for st, *_ in comparison])
         crows = [
-            (_rep_label(G, st.representative),
-             assumed_l, st.l_value, assumed_alpha, st.alpha_exponent, phi_true, _b(match))
-            for st, assumed_l, assumed_alpha, phi_true, match in three_involution_comparison(
-                G, S.members, args.surface
-            )
+            (label, assumed_l, st.l_value, assumed_alpha, st.alpha_exponent, phi_true, _b(match))
+            for label, (st, assumed_l, assumed_alpha, phi_true, match) in zip(labels, comparison)
         ]
         R.table(
             "compare",
@@ -584,12 +593,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use: building the tree
+    costs milliseconds, and parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # exact-mode totals reach ~1.1M digits at the n=10 cap; the default
     # int-to-str guard (4300 digits) would refuse to print them
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(4_000_000)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

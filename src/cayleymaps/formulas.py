@@ -8,14 +8,16 @@ Totals divide the class sum by |G||H|.
 l counts vertices moved to a neighbor by the half-order power, so every
 inverted edge contributes both endpoints; with that normalization
 alpha = (epsilon + l - nu)/o and the true edge-orbit count is
-(2 epsilon + l)/(2o), both verified per class.
+(2 epsilon + l)/(2o), both verified per class.  ``class_stats`` forms the
+statistics as columns over all elements and runs each check as one column
+over the class representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 import mpmath as mp
@@ -176,14 +178,23 @@ def term_report(
 
 
 def _residue(terms: Sequence[Term], divisor: int, p: int, base: int) -> int:
+    """The sum of ``terms`` over ``divisor`` mod p; the divisor and every
+    term's denominator must be invertible mod p, so a modulus sharing a
+    factor with either is refused."""
     if divisor % p == 0:
         raise BadParameter(f"modulus {p} divides the normalizer {divisor}")
+    if gcd(divisor, p) != 1:
+        raise BadParameter(f"modulus {p} shares a factor with the normalizer {divisor}")
     pow2: dict[int, int] = {}
     powb = {b: pow(base, b, p) for b in {t[1] for t in terms}}
     acc = 0
     for e, b, num, den in terms:
         if den % p == 0:
             raise BadParameter(f"modulus {p} divides a census term")
+        if gcd(den, p) != 1:
+            raise BadParameter(
+                f"modulus {p} shares a factor with a census term's denominator {den}"
+            )
         t = pow2.get(e)
         if t is None:
             t = pow2[e] = pow(2, e, p)
@@ -249,10 +260,16 @@ def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassSt
     Cay(G : S), whose edges join t to s*t for s in S, by least member.
 
     Order, l, branch, edge orbits and the alpha numerator are columns over
-    all elements; each class's are its least member's, and every member
-    must share the order, l and edge orbits that fix the rest."""
+    all elements, and each check is a column over the class representatives
+    (each class's least member): semi-regularity, Delta divisibility, edge
+    map, edge-orbit count, alpha integrality, class size against |A| over
+    the centralizer's order, and member constancy, which compares every
+    member's order, l and edge orbits (they fix the rest) with its class
+    label's.  The first class that fails a check raises the message of the
+    first check it fails."""
     classes = conjugacy_classes_of(acting.table, acting.inverse)
-    if sum(len(c) for c in classes) != len(acting):
+    sizes = np.fromiter(map(len, classes), dtype=np.intp, count=len(classes))
+    if sizes.sum() != len(acting):
         raise InternalInconsistency("class sizes do not sum to the group order")
     nu = G.order
     eps = nu * len(S.members) // 2
@@ -260,50 +277,85 @@ def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassSt
     adjacency[np.arange(nu), G.table[list(S.members)]] = True
     stats = element_stats(acting, adjacency)
     orders, l_values, edge_orbits = stats.order, stats.l_value, stats.edge_orbits
-    delta = (orders % 2 == 0) & (l_values > 0)
-    alpha_num = eps + l_values - nu
 
-    out = []
-    for cls in classes:
-        i = int(cls[0])
-        vm = acting.element(i)
-        o, l_value, eo = int(orders[i]), int(l_values[i]), int(edge_orbits[i])
-        num = int(alpha_num[i])
-        if not stats.semi_regular[i]:
-            raise NotSemiRegular(f"representative {vm} has unequal orbit lengths")
-        if delta[i] and l_value % (o // 2):
-            raise InternalInconsistency(
-                f"inverted count {l_value} not divisible by half order {o // 2}"
-            )
-        if eo < 0:
-            raise BadParameter(f"acting element {vm} is not a graph automorphism")
-        if eo * 2 * o != 2 * eps + l_value:
-            raise InternalInconsistency(
-                f"edge orbit count {eo} disagrees with (2e+l)/2o = "
-                f"({2 * eps}+{l_value})/{2 * o}"
-            )
-        if num < 0 or num % o:
-            raise NonIntegralExponent(
-                f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
-            )
-        if acting.class_size(i) != len(cls):
-            raise InternalInconsistency("class size mismatch")
-        same = (orders[cls] == o) & (l_values[cls] == l_value) & (edge_orbits[cls] == eo)
-        if not same.all():
-            raise InternalInconsistency(
-                f"class statistics not constant: {acting.element(cls[np.argmin(same)])} "
-                f"differs from {vm}"
-            )
-        out.append(ClassStats(
-            representative=vm,
-            class_size=len(cls),
-            order=o,
-            l_value=l_value,
-            branch=DELTA if delta[i] else THETA,
-            edge_orbits=eo,
-            alpha_exponent=num // o,
-        ))
-    return out
+    members = np.concatenate(classes)
+    reps = members[np.cumsum(sizes) - sizes]
+    label = np.empty(len(acting), dtype=np.intp)
+    label[members] = np.repeat(reps, sizes)
+    same = (orders == orders[label]) & (l_values == l_values[label]) & (
+        edge_orbits == edge_orbits[label]
+    )
+    o, l_rep, eo = orders[reps], l_values[reps], edge_orbits[reps]
+    delta = (o % 2 == 0) & (l_rep > 0)
+    num = eps + l_rep - nu
+    table = acting.table
+    centralizer = np.count_nonzero(table[:, reps] == table[reps, :].T, axis=0)
+    varies = np.zeros(len(classes), dtype=bool)
+    varies[np.searchsorted(reps, label[~same])] = True
+    failures = np.stack([
+        ~stats.semi_regular[reps],
+        delta & (l_rep % np.maximum(o // 2, 1) != 0),
+        eo < 0,
+        eo * 2 * o != 2 * eps + l_rep,
+        (num < 0) | (num % o != 0),
+        len(acting) // centralizer != sizes,
+        varies,
+    ])
+    failing = np.flatnonzero(failures.any(axis=0))
+    if len(failing):
+        c = int(failing[0])
+        _raise_class_failure(
+            int(np.argmax(failures[:, c])), classes[c], acting, same,
+            nu, eps, int(o[c]), int(l_rep[c]), int(eo[c]),
+        )
+    return [
+        ClassStats(
+            representative=tuple(vm),
+            class_size=size,
+            order=oi,
+            l_value=li,
+            branch=DELTA if di else THETA,
+            edge_orbits=ei,
+            alpha_exponent=ni // oi,
+        )
+        for vm, size, oi, li, di, ei, ni in zip(
+            acting.rows[reps].tolist(), sizes.tolist(), o.tolist(), l_rep.tolist(),
+            delta.tolist(), eo.tolist(), num.tolist(),
+        )
+    ]
+
+
+def _raise_class_failure(
+    check: int, cls: np.ndarray, acting: PermGroup, same: np.ndarray,
+    nu: int, eps: int, o: int, l_value: int, eo: int,
+) -> None:
+    """Raises the message of ``class_stats`` check number ``check`` for the
+    class ``cls``, whose representative has order ``o``, ``l_value`` and
+    ``eo`` edge orbits."""
+    vm = acting.element(int(cls[0]))
+    if check == 0:
+        raise NotSemiRegular(f"representative {vm} has unequal orbit lengths")
+    if check == 1:
+        raise InternalInconsistency(
+            f"inverted count {l_value} not divisible by half order {o // 2}"
+        )
+    if check == 2:
+        raise BadParameter(f"acting element {vm} is not a graph automorphism")
+    if check == 3:
+        raise InternalInconsistency(
+            f"edge orbit count {eo} disagrees with (2e+l)/2o = "
+            f"({2 * eps}+{l_value})/{2 * o}"
+        )
+    if check == 4:
+        raise NonIntegralExponent(
+            f"alpha = ({eps}+{l_value}-{nu})/{o} is not a non-negative integer"
+        )
+    if check == 5:
+        raise InternalInconsistency("class size mismatch")
+    raise InternalInconsistency(
+        f"class statistics not constant: {acting.element(int(cls[np.argmin(same[cls])]))} "
+        f"differs from {vm}"
+    )
 
 
 def phi_exact(stats: ClassStats, surface: str, k: int) -> int:

@@ -19,7 +19,8 @@ already known (``PermGroup.of_table``) is taken as it is.
 An abstract group is read the same way: row ``g`` of a multiplication
 table (``table[g, t] = g t``) is the left-regular permutation
 ``t -> g t``, whose order, powers and cycles are those of ``g``, and
-:func:`conjugacy_classes_of` takes any group table with its inverses.
+:func:`conjugacy_classes_of` takes any group table with its inverses and
+labels every element by its least conjugate in one gather.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .errors import BadParameter, CapExceeded
 # Building the multiplication table composes |A|^2 pairs of n points each and
 # checks every product against a full row; refuse groups with more work.
 DEFAULT_TABLE_CAP = 1 << 29
+
+# Conjugates g x g^-1 gathered at once by ``conjugacy_classes_of``: groups up
+# to order 1024 take one gather, larger ones a block of g at a time.
+CONJUGATE_BLOCK = 1 << 20
 
 
 def check_table_size(size: int, degree: int) -> None:
@@ -252,17 +257,21 @@ class PermGroup:
 def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:
     """Conjugacy classes of the group with multiplication ``table`` and
     ``inverse`` (a :class:`PermGroup`'s, or a ``FiniteGroup``'s), as sorted
-    arrays of element indices ordered by their least member."""
+    arrays of element indices ordered by their least member.
+
+    Every element is labelled by its least conjugate, the minimum over g of
+    ``table[table[g, x], inverse[g]]`` (one gather per block of g, a single
+    one unless |A|^2 passes ``CONJUGATE_BLOCK``); a stable sort by label
+    then lists each class in ascending order, the classes by least member.
+    """
     m = len(table)
-    seen = np.zeros(m, dtype=bool)
-    classes = []
-    for x in range(m):
-        if seen[x]:
-            continue
-        cls = np.flatnonzero(np.bincount(table[table[:, x], inverse], minlength=m))
-        seen[cls] = True
-        classes.append(cls)
-    return classes
+    label = np.full(m, m, dtype=np.intp)
+    step = max(1, CONJUGATE_BLOCK // m)
+    for g in range(0, m, step):
+        conj = table[table[g:g + step], inverse[g:g + step, None]]
+        np.minimum(label, conj.min(axis=0), out=label)
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
 
 
 @dataclass(frozen=True)

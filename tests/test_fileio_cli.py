@@ -544,3 +544,65 @@ def test_cli_malformed_modulus_refuses(capsys, argv):
     assert code == 1
     assert out.endswith("error-token: BadParameter\n")
     assert repr(argv[-1].split(":", 1)[1]) in out
+
+
+@pytest.mark.parametrize("argv,out", [
+    # a modulus sharing a factor with |G||H| has no inverse of it: refused
+    (["fixtures:CUBE", "--mode", "modp:6"],
+     "modulus 6 shares a factor with the normalizer 8\nerror-token: BadParameter\n"),
+    (["fixtures:CUBE", "--mode", "modp:12"],
+     "modulus 12 shares a factor with the normalizer 8\nerror-token: BadParameter\n"),
+    (["fixtures:C5", "--mode", "modp:10"],
+     "modulus 10 shares a factor with the normalizer 5\nerror-token: BadParameter\n"),
+    (["fixtures:CUBE", "--mode", "modp:4"],
+     "modulus 4 divides the normalizer 8\nerror-token: BadParameter\n"),
+])
+def test_cli_modulus_not_prime_to_the_normalizer_refuses(capsys, argv, out):
+    assert run_cli(capsys, "census", "formula", *argv) == (1, out, "")
+
+
+def test_cli_composite_modulus_prime_to_the_normalizer_is_reduced(capsys):
+    code, out, _ = run_cli(capsys, "census", "formula", "fixtures:CUBE", "--mode", "modp:9")
+    assert code == 0
+    assert out.endswith("total-mode: modp\ntotal-residue: 1\ntotal-prime: 9\n")
+
+
+def test_cli_reuses_one_parser_with_fresh_run_output(capsys, monkeypatch):
+    # every call through the one parser of a process prints what a fresh
+    # interpreter prints for the same command
+    from cayleymaps import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    src = str(Path(cayleymaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    commands = [
+        ["census", "formula", "fixtures:CUBE", "--nosuch"],
+        ["census", "formula", "fixtures:CUBE", "--surface", "N", "--kv"],
+        ["verify", "fixtures:CUBE", "--surface", "O"],
+        ["sym-grr", "7"],
+    ]
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleymaps.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert fresh[0][0] == 64 and fresh[0][2].endswith("error-token: Usage\n")
+    assert [code for code, _, _ in fresh[1:]] == [0, 0, 0]
+
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert [run_cli(capsys, *argv) for argv in commands] == fresh
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1

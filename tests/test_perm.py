@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cayleymaps
-from cayleymaps import census, fixture, named_group, validate_cayley_set
+from cayleymaps import census, fixture, formulas, named_group, perm, validate_cayley_set
 from cayleymaps.autaction import product_group, right_regular
 from cayleymaps.errors import (
     BadParameter,
@@ -24,7 +24,14 @@ from cayleymaps.errors import (
     NotSemiRegular,
 )
 from cayleymaps.groups import direct_product
-from cayleymaps.perm import PermGroup, cycle_labels, cycle_lengths, element_stats, order
+from cayleymaps.perm import (
+    PermGroup,
+    conjugacy_classes_of,
+    cycle_labels,
+    cycle_lengths,
+    element_stats,
+    order,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +363,103 @@ def test_element_stats_match_walks_on_r_g_times_h():
     assert len(group) == 16
     stats = _assert_stats_match_walks(group, fx.group, fx.cayset)
     assert not stats.semi_regular.all()
+
+
+def _classes_by_loop(table, inverse):
+    """Conjugacy classes one unseen element at a time: the class of x is
+    every g x g^-1, read off one column of the table."""
+    m = len(table)
+    seen = np.zeros(m, dtype=bool)
+    classes = []
+    for x in range(m):
+        if seen[x]:
+            continue
+        cls = np.flatnonzero(np.bincount(table[table[:, x], inverse], minlength=m))
+        seen[cls] = True
+        classes.append(cls)
+    return classes
+
+
+def _relabelled(G, rng):
+    """G's table and inverses with the elements renamed by a random
+    permutation (the identity need not stay 0)."""
+    pi = np.array(rng.sample(range(G.order), G.order))
+    table = np.empty_like(G.table)
+    table[np.ix_(pi, pi)] = pi[G.table]
+    inverse = np.empty_like(G.inverses)
+    inverse[pi] = pi[G.inverses]
+    return table, inverse
+
+
+def _class_pass_cases():
+    rng = random.Random(71)
+    for family in ("cyclic", "dihedral", "product") * 3:
+        G = _random_group(rng, family)
+        yield G.table, G.inverses
+        group = right_regular(G)
+        yield group.table, group.inverse
+        H = _semi_regular_complement(rng, G, _random_cayset(rng, G))
+        if H is not None:
+            group = product_group(G, H)
+            yield group.table, group.inverse
+    s4 = named_group("symmetric", 4)
+    for _ in range(3):
+        yield _relabelled(s4, rng)
+    fx = fixture("CUBE")
+    swap = tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
+    group = product_group(fx.group, [tuple(range(8)), swap])
+    yield group.table, group.inverse
+
+
+@pytest.mark.parametrize("block", [perm.CONJUGATE_BLOCK, 7])
+def test_conjugacy_classes_match_the_per_element_loop(monkeypatch, block):
+    # a block of 7 gathers only a row or a few of g at a time
+    monkeypatch.setattr(perm, "CONJUGATE_BLOCK", block)
+    for table, inverse in _class_pass_cases():
+        got = conjugacy_classes_of(table, inverse)
+        expected = _classes_by_loop(table, inverse)
+        assert [c.tolist() for c in got] == [c.tolist() for c in expected]
+        assert all(c.dtype.kind == "i" for c in got)
+
+
+def _doctored(monkeypatch, **changes):
+    """Makes ``class_stats`` see element statistics with the given entries
+    replaced: ``field=[(element, value), ...]``."""
+    stats_of = formulas.element_stats
+
+    def doctored(group, adjacency):
+        stats = stats_of(group, adjacency)
+        for field, entries in changes.items():
+            column = getattr(stats, field)
+            for i, value in entries:
+                column[i] = value
+        return stats
+
+    monkeypatch.setattr(formulas, "element_stats", doctored)
+
+
+@pytest.mark.parametrize("changes,expected", [
+    # an earlier class that breaks edges, a later one not semi-regular:
+    # the earlier class's check is raised although it comes later in order
+    ({"edge_orbits": [(1, -1)], "semi_regular": [(3, False)]},
+     ("BadParameter", "acting element {1} is not a graph automorphism")),
+    ({"semi_regular": [(1, False)], "edge_orbits": [(3, -1)]},
+     ("NotSemiRegular", "representative {1} has unequal orbit lengths")),
+    # member 5 of the class {1, 5} against a later class not semi-regular
+    ({"order": [(5, 3)], "semi_regular": [(3, False)]},
+     ("InternalInconsistency", "class statistics not constant: {5} differs from {1}")),
+])
+def test_class_stats_raises_the_first_failing_class(monkeypatch, changes, expected):
+    G = named_group("dihedral", 12)
+    S = validate_cayley_set(G, (6, 7, 8))
+    acting = right_regular(G)
+    assert len(formulas.class_stats(G, S, acting)) == 6
+    classes = conjugacy_classes_of(acting.table, acting.inverse)
+    assert [c.tolist() for c in classes[1:4]] == [[1, 5], [2, 4], [3]]
+    _doctored(monkeypatch, **changes)
+    kind, message = expected
+    vms = [acting.element(i) for i in range(len(acting))]
+    assert outcome(lambda: formulas.class_stats(G, S, acting)) == (kind, message.format(*vms))
 
 
 def test_find_is_exact():
