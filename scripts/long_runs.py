@@ -1,0 +1,64 @@
+"""One-off timings of long ``cayleymaps`` runs, each in a fresh interpreter.
+
+    python3 scripts/long_runs.py                                   # the default list
+    python3 scripts/long_runs.py "sym-grr 60 --surface O --mode log2" "sym-grr 50 --surface O --mode log2"
+    python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
+
+Each argument is one ``cayleymaps`` command line.  The command runs as
+``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
+``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
+never held, and one line is printed per command: exit code, wall seconds
+from start to exit, the child's own peak resident set (``ru_maxrss``),
+and the stdout byte count and SHA-256.  These runs take seconds each and
+are not a workload of ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_RUNS = ["sym-grr 60 --surface O --mode log2"]
+READ_BYTES = 1 << 20
+
+
+def run(argv: list[str], src: Path) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    digest, size = hashlib.sha256(), 0
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "cayleymaps.cli", *argv],
+                            stdout=subprocess.PIPE, env=env)
+    with proc.stdout:
+        while block := proc.stdout.read(READ_BYTES):
+            digest.update(block)
+            size += len(block)
+    # wait4 reports this child's own rusage, not the sum over all children
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (f"exit={proc.returncode} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
+            f"stdout_bytes={size} sha256={digest.hexdigest()} argv={shlex.join(argv)}")
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("runs", nargs="*", default=DEFAULT_RUNS, metavar="COMMAND",
+                   help="one cayleymaps command line, quoted")
+    p.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                   help="the directory holding the cayleymaps package")
+    args = p.parse_args()
+    if not (args.src / "cayleymaps" / "cli.py").is_file():
+        raise SystemExit(f"long_runs.py: no cayleymaps sources under {args.src}")
+    for line in args.runs:
+        print(run(shlex.split(line), args.src.resolve()), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -21,9 +21,9 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp
@@ -67,6 +67,14 @@ from .special import (
 # Report assembly
 # ---------------------------------------------------------------------------
 
+class Indexed(NamedTuple):
+    """A table column held as its distinct ``values`` and one ``index`` entry
+    per row: cell i prints as ``str(values[index[i]])``."""
+
+    values: Sequence
+    index: np.ndarray
+
+
 class Report:
     """A report kept as items (fields, blank lines, tables with their cells
     held as columns) and rendered only once the command has returned, as
@@ -89,8 +97,9 @@ class Report:
             self.items.append(("blank",))
 
     def table(self, name: str, headers: list[str], columns: list) -> None:
-        """``columns`` holds one sequence of cells per header, all of one
-        length; a cell prints as its ``str``."""
+        """``columns`` holds one column per header, all of one length: a
+        sequence of cells, or an ``Indexed`` column; a cell prints as its
+        ``str``."""
         self.items.append(("table", name, headers, columns))
 
     def chunks(self):
@@ -105,19 +114,68 @@ class Report:
                 yield from self._table_chunks(*item[1:], after_text=i > 0)
 
     def _table_chunks(self, name: str, headers: list[str], cols: list, after_text: bool):
-        nrows = len(cols[0]) if cols else 0
+        printed = [_printed(c) for c in cols]
+        nrows = len(cols[0].index if isinstance(cols[0], Indexed) else cols[0]) if cols else 0
         if self.kv:
-            fmt = "\n".join(f"{name}.{{0}}.{h}={{{j}!s}}" for j, h in enumerate(headers, 1))
-            rows = (fmt.format(i, *row) for i, row in enumerate(zip(*cols)))
+            pads = [0] * len(cols)
+            keys = [f".{h}=" for h in headers]
         else:
-            widths = [max(len(h), max(map(len, map(str, c)), default=0)) for h, c in zip(headers, cols)]
-            fmt = "  ".join([f"{{!s:<{w}}}" for w in widths[:-1]] + ["{!s}"])
+            widths = [max(len(h), _width(*p)) for h, p in zip(headers, printed)]
+            pads = widths[:-1] + [0]  # the last column is not padded
             if after_text:
                 yield "\n"
-            yield fmt.format(*headers).rstrip() + "\n"
-            rows = (fmt.format(*row).rstrip() for row in zip(*cols))
+            yield "  ".join([h.ljust(w) for h, w in zip(headers, pads)]).rstrip() + "\n"
+        # an indexed column's distinct values are padded once, in place
+        for (strings, index, _), w in zip(printed, pads):
+            if index is not None and w:
+                for k, s in enumerate(strings):
+                    strings[k] = s.ljust(w)
         for start in range(0, nrows, self.ROWS_PER_CHUNK):
-            yield "\n".join(islice(rows, self.ROWS_PER_CHUNK)) + "\n"
+            stop = start + self.ROWS_PER_CHUNK
+            block = [_cells(*p, start, stop, w) for p, w in zip(printed, pads)]
+            if self.kv:
+                yield "".join([
+                    f"{name}.{r}{key}{cell}\n"
+                    for r, row in enumerate(zip(*block), start)
+                    for key, cell in zip(keys, row)
+                ])
+            else:
+                yield "\n".join(["  ".join(row).rstrip() for row in zip(*block)]) + "\n"
+
+
+def _printed(column) -> tuple:
+    """A column as (cells, index, convert): an ``Indexed`` column's distinct
+    values as an object array of strings, and its index; or the column
+    itself, None, and whether its cells are not all ``str`` yet.  A plain
+    column is converted a chunk at a time and never held as strings."""
+    if isinstance(column, Indexed):
+        return np.array([str(v) for v in column.values], dtype=object), column.index, False
+    return column, None, not set(map(type, column)) <= {str}
+
+
+def _width(cells, index: np.ndarray | None, convert: bool) -> int:
+    """The widest string that some row prints: values the index never
+    uses do not count."""
+    if index is not None:
+        cells = cells[np.bincount(index, minlength=len(cells)) > 0]
+    elif convert:
+        if set(map(type, cells)) == {int}:
+            # an int's decimal widens with its magnitude, so the widest is
+            # the largest's or the least's: each cell is converted once
+            cells = [max(cells), min(cells)]
+        cells = map(str, cells)
+    return max(map(len, cells), default=0)
+
+
+def _cells(cells, index: np.ndarray | None, convert: bool, start: int, stop: int,
+           pad: int) -> list[str]:
+    """The strings of rows start:stop, a plain column's padded to ``pad``."""
+    if index is not None:
+        return cells[index[start:stop]].tolist()
+    cells = cells[start:stop]
+    if convert:
+        cells = map(str, cells)
+    return [c.ljust(pad) for c in cells] if pad else list(cells)
 
 
 def _b(x: bool) -> str:
@@ -197,12 +255,6 @@ def _rep_labels(G: FiniteGroup, vms) -> list[str]:
 def _columns(rows: list[tuple], width: int) -> list:
     """The columns of a table given as ``width``-tuples, one per row."""
     return list(zip(*rows)) or [()] * width
-
-
-def _take(values: list, index: np.ndarray) -> list[str]:
-    """The printed form of ``values[i]`` for every i in ``index``, each
-    value converted once."""
-    return np.array([str(v) for v in values], dtype=object)[index].tolist()
 
 
 def _fmt_ratio(r: Fraction | None) -> str:
@@ -378,18 +430,26 @@ def cmd_sym_grr(args) -> Report:
     if res.special_type is not None:
         R.field("special-involution-type", cycle_type_label(res.special_type))
     rows = res.rows
-    orders, order_id = np.unique(rows.order, return_inverse=True)
-    exponents = _take(rows.exponents, rows.term_id)
-    alphas = ["-"] * len(rows) if rows.alphas is None else _take(rows.alphas, rows.term_id)
-    l_printed = [0] * len(rows)
-    for r, printed in rows.l_printed.items():
-        l_printed[r] = printed
+    # the order of each term, read off any of its rows
+    term_order = np.zeros(len(rows.exponents), dtype=np.int64)
+    term_order[rows.term_id] = rows.order
+    l_index = np.zeros(len(rows), dtype=np.uint8)
+    l_index[list(rows.l_printed)] = np.arange(1, len(rows.l_printed) + 1)
+    if rows.alphas is None:
+        alphas = Indexed(["-"], np.zeros(len(rows), dtype=np.uint8))
+    else:
+        alphas = Indexed(rows.alphas, rows.term_id)
     R.table(
         "class",
         ["partition", "size", "order", "bucket", "l", "alpha", "exponent"],
         [
-            rows.labels, _take(rows.sizes, rows.size_id), _take(orders, order_id),
-            np.where(rows.bucket_b, "B", "A").tolist(), l_printed, alphas, exponents,
+            rows.labels,
+            Indexed(rows.sizes, rows.size_id),
+            Indexed(term_order.tolist(), rows.term_id),
+            Indexed(["A", "B"], rows.bucket_b.view(np.uint8)),
+            Indexed([0, *rows.l_printed.values()], l_index),
+            alphas,
+            Indexed(rows.exponents, rows.term_id),
         ],
     )
     if res.l_table:

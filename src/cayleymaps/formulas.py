@@ -139,10 +139,19 @@ Term = tuple[int, int, int, int]
 
 def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1) -> int:
     """The exact sum of ``terms`` divided by ``divisor``; a sum that is not an
-    integer multiple of ``divisor`` is refused."""
+    integer multiple of ``divisor`` is refused.
+
+    ``base`` (at least 1) is split as 2^t * odd: each term shifts by its own
+    t*b more, and the powers odd^b are formed in ascending order of b, each
+    from the one before (by squaring when b doubles it)."""
     den = lcm(*(t[3] for t in terms))
-    powers = {b: base**b for b in {t[1] for t in terms}}
-    total = sum(num * powers[b] * (den // d) << e for e, b, num, d in terms)
+    twos = (base & -base).bit_length() - 1
+    odd = base >> twos
+    powers, power, prev = {}, 1, 0
+    for b in sorted({t[1] for t in terms}):
+        power = power * power if b == 2 * prev else power * odd ** (b - prev)
+        powers[b], prev = power, b
+    total = sum(num * powers[b] * (den // d) << e + twos * b for e, b, num, d in terms)
     if total % den:
         raise NonIntegralSum(f"census sum {Fraction(total, den)} is not an integer")
     total //= den

@@ -248,11 +248,6 @@ class PermGroup:
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.rows[i].tolist())
 
-    def class_size(self, i: int) -> int:
-        """Size of the conjugacy class of row ``i``: |A| / |centralizer|."""
-        commuting = np.count_nonzero(self.table[:, i] == self.table[i, :])
-        return len(self) // commuting
-
 
 def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:
     """Conjugacy classes of the group with multiplication ``table`` and

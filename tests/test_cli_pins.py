@@ -183,6 +183,12 @@ SYM_PINS = {
         (0, "55befa864ef1a8df3a5999b3f9471145298a1688d71aa34f87f3612ec51d236d"),
     ("7", "--surface", "L", "--kv"):
         (0, "ffb98f5fadb440268d1bf04ffe1fd6cd4f3a4a244295e5dcc2ca90c044b7f698"),
+    # recorded from the writer that formatted every cell per row, before
+    # class sizes, orders and exponents became indexed columns
+    ("30", "--surface", "O", "--mode", "log2", "--kv"):
+        (0, "44c441560af2499f2e49fb40fea9b5000c10de64ee7d67d4ded27edfc520a859"),
+    ("9", "--surface", "O", "--kv"):
+        (0, "7bb927755b385fa1c89ab906de01fc238922bd2321b83f4625232a6988ec5919"),
 }
 
 # refusals print their message and token and nothing else: no table row

@@ -8,6 +8,8 @@ from math import factorial, gcd
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleymaps import cli, fixture
 from cayleymaps.errors import BadParameter, CapExceeded, InternalInconsistency, NonIntegralSum
@@ -225,6 +227,38 @@ def test_residues_use_exact_powers():
     for p in (2, 9, 15, 49, 1_000_003):
         assert term_report(terms, 1, f"modp:{p}", base=6).residue == whole % p
     assert exact_quotient(terms, 1, base=6) == whole
+
+
+# a term (e, b, num, den); b = 0, repeated b and b doubling the one below
+# all occur, and base = 2^twos * odd
+_terms = st.lists(
+    st.tuples(
+        st.integers(0, 80),
+        st.one_of(st.integers(0, 40), st.sampled_from([0, 8, 16, 32])),
+        st.integers(-10**6, 10**6),
+        st.sampled_from([1, 1, 3, 5, 9]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(0, 50), _terms, st.sampled_from([1, 2, 3, 4, 7, 12]),
+       st.booleans())
+@example(0, 0, [(3, 5, 2, 1), (0, 5, -1, 1), (1, 0, 7, 1)], 1, False)  # base 1
+@example(12, 0, [(0, 0, 1, 1), (0, 16, -3, 1), (2, 32, 5, 1)], 4, False)  # base 2^12
+def test_exact_quotient_equals_the_plain_power_sum(twos, half_odd, terms, divisor, whole):
+    base = (2 * half_odd + 1) << twos
+    total = sum(Fraction(num * base**b << e, den) for e, b, num, den in terms)
+    if whole:  # one more term makes the sum an integer
+        terms = terms + [(0, 0, -total.numerator % total.denominator, total.denominator)]
+        total += Fraction(terms[-1][2], terms[-1][3])
+    if total.denominator == 1 and total.numerator % divisor == 0:
+        assert exact_quotient(terms, divisor, base) == total.numerator // divisor
+    else:
+        with pytest.raises(NonIntegralSum):
+            exact_quotient(terms, divisor, base)
 
 
 def test_term_report_modes_and_refusals():

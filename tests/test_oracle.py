@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cayleymaps import (
@@ -238,7 +239,9 @@ def test_burnside_refuses_a_fixed_count_that_is_not_a_class_function(monkeypatch
     acting = acting_group(fx.group, fx.cayset, "full")
     gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
     lifts = extend_to_flags(acting.rows, fx.flag_space).tolist()
-    a = next(i for i in range(1, len(acting)) if acting.class_size(i) > 1)
+    # class size |A| / |C(a)|, the centralizer read off the table
+    a = next(i for i in range(1, len(acting))
+             if len(acting) // np.count_nonzero(acting.table[:, i] == acting.table[i, :]) > 1)
     assert burnside_count(acting, gs).fixed_counts[a] != len(gs.keys)
     compile_action = KeySpace.compile
 
