@@ -4,7 +4,10 @@
     python3 scripts/long_runs.py "sym-grr 60 --surface O --mode log2" "sym-grr 50 --surface O --mode log2"
     python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
 
-Each argument is one ``cayleymaps`` command line.  The command runs as
+Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
+stands for a temporary directory that holds the input files of the default
+runs (``z18.group`` and ``z18.cayset``: the cyclic group Z_18 and the
+connection set {1, 9, 17}).  The command runs as
 ``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
 ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per command: exit code, wall seconds
@@ -21,14 +24,26 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-DEFAULT_RUNS = ["sym-grr 60 --surface O --mode log2"]
+# Cay(Z_18 : {1, 9, 17}) has 2^18 rotation systems: the oracle realizes,
+# checks and labels every one of them
+INPUTS = {
+    "z18.group": "group 18\n" + "".join(
+        " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18)),
+    "z18.cayset": "cayset 3\n1 9 17\n",
+}
+DEFAULT_RUNS = [
+    "sym-grr 60 --surface O --mode log2",
+    "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
+]
 READ_BYTES = 1 << 20
 
 
-def run(argv: list[str], src: Path) -> str:
+def run(line: str, inputs: str, src: Path) -> str:
+    argv = [arg.replace("{inputs}", inputs) for arg in shlex.split(line)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     digest, size = hashlib.sha256(), 0
@@ -44,7 +59,7 @@ def run(argv: list[str], src: Path) -> str:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return (f"exit={proc.returncode} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
-            f"stdout_bytes={size} sha256={digest.hexdigest()} argv={shlex.join(argv)}")
+            f"stdout_bytes={size} sha256={digest.hexdigest()} argv={line}")
 
 
 def main() -> None:
@@ -56,8 +71,11 @@ def main() -> None:
     args = p.parse_args()
     if not (args.src / "cayleymaps" / "cli.py").is_file():
         raise SystemExit(f"long_runs.py: no cayleymaps sources under {args.src}")
-    for line in args.runs:
-        print(run(shlex.split(line), args.src.resolve()), flush=True)
+    with tempfile.TemporaryDirectory() as inputs:
+        for name, text in INPUTS.items():
+            Path(inputs, name).write_text(text)
+        for line in args.runs:
+            print(run(line, inputs, args.src.resolve()), flush=True)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,16 @@
 
 Vertices are the alpha-conjugate cycle pairs of P, faces the beta-conjugate
 cycle pairs of the face permutation F = P (alpha beta).  Validation and
-inventories take a whole stack of rows at once: both read counts, pairings
-and sides off the cycle labels of every row, with no cycle walked except a
-failing row's, to name its witness flag.  The composition
-order of F is fixed by the K4-on-torus fixture (faces of lengths 4 and 8);
-the opposite order is a conjugate permutation, so either satisfies the
-fixture, and this one is frozen as the convention.
+inventories take a whole stack of rows at once, and each stack is labelled
+once: the cycle labels of P, those of F, and one orbit pass of <P, F> for
+the sides.  Axioms (i) and (iii), the counts, the pairings and the surface
+are all read off these three labellings, with no cycle walked except a
+failing row's, to name its witness flag.  Axiom (iii) needs no pass of its
+own: given (ii), alpha normalizes <P, alpha beta>, so <alpha, beta, P> is
+transitive iff every flag lies in the side of flag 0 or of alpha(0).  The
+composition order of F is fixed by the K4-on-torus fixture (faces of
+lengths 4 and 8); the opposite order is a conjugate permutation, so either
+satisfies the fixture, and this one is frozen as the convention.
 """
 
 from __future__ import annotations
@@ -42,67 +46,13 @@ class MapInventory:
     genus: int  # orientable genus, or crosscap number when non-orientable
 
 
-# Codes of the first check each row fails in ``axiom_failures``.
+# Codes of the first check each row fails in ``_check``.
 NOT_A_PERMUTATION, AXIOM_II, AXIOM_I, AXIOM_III = 1, 2, 3, 4
 
 
 def _rows(F: FlagSpace, rows) -> np.ndarray:
     rows = np.asarray(rows)
     return rows.reshape(-1, F.flag_count) if rows.size else np.zeros((0, F.flag_count), int)
-
-
-def axiom_failures(F: FlagSpace, rows) -> np.ndarray:
-    """The first check each flag row fails, in ``validate_map``'s order: 0
-    for a valid map, else ``NOT_A_PERMUTATION``, ``AXIOM_II``, ``AXIOM_I``
-    or ``AXIOM_III``."""
-    rows = _rows(F, rows)
-    n = F.flag_count
-    alpha, beta = np.array(F.alpha), np.array(F.beta)
-    fail = np.zeros(len(rows), dtype=np.int8)
-    points = np.arange(n)
-    is_perm = (np.sort(rows, axis=1) == points).all(axis=1)
-    fail[~is_perm] = NOT_A_PERMUTATION
-    rows = np.where(is_perm[:, None], rows, points)  # the rest are gathered
-
-    # (ii) alpha P = P^{-1} alpha, i.e. P(alpha(P(f))) = alpha(f).
-    ii = ~(np.take_along_axis(rows, alpha[rows], 1) == alpha).all(axis=1)
-    # (i) no P-cycle meets its own alpha-image.
-    labels = perm.cycle_labels(rows)
-    i = (labels == labels[:, alpha]).any(axis=1)
-    # (iii) transitivity of <alpha, beta, P>.
-    iii = (perm.orbit_labels([rows, alpha, beta], labels) != 0).any(axis=1)
-    for code, bad in ((AXIOM_II, ii), (AXIOM_I, i), (AXIOM_III, iii)):
-        fail[(fail == 0) & bad] = code
-    return fail
-
-
-def validate_map(F: FlagSpace, P) -> MapPermutation | None:
-    """Check the three axioms on one flag row, or on every row of an
-    ``(m, flags)`` stack; raise AxiomViolation with a witness flag.
-
-    ``axiom_failures`` checks every row; the first failing row alone is
-    walked to name the witness.  Returns the map of a single row.
-    """
-    n = F.flag_count
-    rows = np.asarray(P)
-    single = rows.ndim == 1
-    fail = axiom_failures(F, rows) if rows.shape[-1:] == (n,) else [NOT_A_PERMUTATION]
-    bad = np.flatnonzero(fail)
-    if len(bad) == 0:
-        return MapPermutation(flag_space=F, P=tuple(rows.tolist())) if single else None
-    code, P = fail[bad[0]], (rows if single else rows[bad[0]]).tolist()
-    if code == NOT_A_PERMUTATION:
-        raise BadParameter("P is not a permutation of the flags")
-    if code == AXIOM_II:
-        f = next(f for f in range(n) if P[F.alpha[P[f]]] != F.alpha[f])
-        raise AxiomViolation("ii", f)
-    if code == AXIOM_I:
-        for cyc in perm.cycles(P, perm.cycle_labels(P)):
-            cset = set(cyc)
-            for f in cyc:
-                if F.alpha[f] in cset:
-                    raise AxiomViolation("i", f)
-    raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
 
 
 @dataclass(frozen=True)
@@ -125,40 +75,115 @@ class SurfaceRows:
         return self.sides == 2
 
 
-def _paired(labels: np.ndarray, perms: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """Whether conj carries every cycle of each row onto one other cycle."""
+def _paired(labels: np.ndarray, at: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """Whether conj carries every cycle of each row onto one other cycle;
+    ``at`` is the ``perm.flat_index`` of the rows' permutations."""
     mate = labels[:, conj]
-    return ((mate == np.take_along_axis(mate, perms, 1)) & (mate != labels)).all(axis=1)
+    return ((mate == mate.ravel()[at].reshape(mate.shape)) & (mate != labels)).all(axis=1)
 
 
-def surface_rows(F: FlagSpace, rows) -> SurfaceRows:
-    """Cycle counts, sides and Euler characteristic of every row; raises
-    where a row breaks an inventory invariant (unpaired cycles, other than 1
-    or 2 sides, odd orientable chi, crosscap below 1)."""
-    rows = _rows(F, rows)
-    n = F.flag_count
+def _check(F: FlagSpace, rows: np.ndarray) -> tuple[np.ndarray, SurfaceRows, np.ndarray]:
+    """One labelling of an ``(m, flags)`` stack: the first check each row
+    fails (0 for a valid map, else ``NOT_A_PERMUTATION``, ``AXIOM_II``,
+    ``AXIOM_I`` or ``AXIOM_III``), the surfaces of every row, and whether
+    each row keeps the inventory invariants (both mean nothing on a
+    failing row).
+
+    P and the face permutation F are labelled once each, and the sides
+    once, as the orbits of <P, F> = <P, alpha beta> seeded with the lesser
+    of each flag's P and F labels.  Axiom (iii) is read off the sides:
+    given (ii), alpha normalizes <P, alpha beta> (alpha P alpha = P^{-1},
+    alpha (alpha beta) alpha = beta alpha), so <alpha, beta, P> is
+    <P, alpha beta> <alpha>, and its orbit through flag 0 is the side of 0
+    joined with the side of alpha(0).  A row that breaks (ii) fails there
+    first, so its reading of (iii) is never used.
+    """
+    m, n = rows.shape
     alpha, beta = np.array(F.alpha), np.array(F.beta)
-    alpha_beta = alpha[beta]
     points = np.arange(n)
-    faces = rows[:, alpha_beta]
-    vl, fl = perm.cycle_labels(rows), perm.cycle_labels(faces)
-    sides = np.count_nonzero(perm.orbit_labels([rows, alpha_beta], vl) == points, axis=1)
+    is_perm = (np.sort(rows, axis=1) == points).all(axis=1)
+    if not is_perm.all():
+        rows = np.where(is_perm[:, None], rows, points)  # the rest are gathered
+
+    faces = rows[:, alpha[beta]]
+    at_p, at_f = perm.flat_index(rows), perm.flat_index(faces)
+    vl, fl = perm.cycle_labels(rows, at_p), perm.cycle_labels(faces, at_f)
+    side = perm.orbit_labels([rows, faces], np.minimum(vl, fl), [at_p, at_f])
+
+    # (ii) alpha P = P^{-1} alpha, i.e. P(alpha(P(f))) = alpha(f).
+    ii = ~(rows[:, alpha].ravel()[at_p].reshape(m, n) == alpha).all(axis=1)
+    # (i) no P-cycle meets its own alpha-image.
+    i = (vl == vl[:, alpha]).any(axis=1)
+    # (iii) every flag lies in the side of flag 0 or of alpha(0).
+    iii = ((side != 0) & (side != side[:, alpha[:1]])).any(axis=1)
+    fail = np.where(is_perm, 0, NOT_A_PERMUTATION).astype(np.int8)
+    for code, bad in ((AXIOM_II, ii), (AXIOM_I, i), (AXIOM_III, iii)):
+        fail[(fail == 0) & bad] = code
+
+    sides = np.count_nonzero(side == points, axis=1)
     nu = np.count_nonzero(vl == points, axis=1) // 2
     phi = np.count_nonzero(fl == points, axis=1) // 2
     chi = nu - n // 4 + phi
     consistent = (
-        _paired(vl, rows, alpha) & _paired(fl, faces, beta)
+        _paired(vl, at_p, alpha) & _paired(fl, at_f, beta)
         & ((sides == 1) | (sides == 2))
         & np.where(sides == 2, chi % 2 == 0, 2 - chi >= 1)
     )
+    return fail, SurfaceRows(nu, phi, fl, sides, chi), consistent
+
+
+def _surfaces(F: FlagSpace, rows) -> SurfaceRows:
+    """The surfaces of every row of a stack, from one ``_check``; raises
+    for the first row that fails an axiom (see ``validate_map``), then where
+    a row breaks an inventory invariant (unpaired cycles, other than 1 or 2
+    sides, odd orientable chi, crosscap below 1)."""
+    rows = _rows(F, rows)
+    fail, surfaces, consistent = _check(F, rows)
+    bad = np.flatnonzero(fail)
+    if len(bad):
+        _raise_failure(F, fail[bad[0]], rows[bad[0]].tolist())
     if not consistent.all():
         raise InternalInconsistency("map inventory invariants violated")
-    return SurfaceRows(nu, phi, fl, sides, chi)
+    return surfaces
+
+
+def _raise_failure(F: FlagSpace, code: int, P: list[int]) -> None:
+    """Name the failed check of one row, walking it for a witness flag."""
+    n = F.flag_count
+    if code == NOT_A_PERMUTATION:
+        raise BadParameter("P is not a permutation of the flags")
+    if code == AXIOM_II:
+        f = next(f for f in range(n) if P[F.alpha[P[f]]] != F.alpha[f])
+        raise AxiomViolation("ii", f)
+    if code == AXIOM_I:
+        for cyc in perm.cycles(P, perm.cycle_labels(P)):
+            cset = set(cyc)
+            for f in cyc:
+                if F.alpha[f] in cset:
+                    raise AxiomViolation("i", f)
+    raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
+
+
+def validate_map(F: FlagSpace, P) -> MapPermutation | SurfaceRows:
+    """Check the three axioms on one flag row, or on every row of an
+    ``(m, flags)`` stack; raise AxiomViolation with a witness flag.
+
+    The whole stack is checked in one labelling; the first failing row
+    alone is walked to name the witness.  Returns the map of a single row,
+    and the ``SurfaceRows`` of a stack, read off the same labelling.
+    """
+    rows = np.asarray(P)
+    if rows.shape[-1:] != (F.flag_count,):
+        raise BadParameter("P is not a permutation of the flags")
+    surfaces = _surfaces(F, rows)
+    if rows.ndim == 1:
+        return MapPermutation(flag_space=F, P=tuple(rows.tolist()))
+    return surfaces
 
 
 def is_orientable(M: MapPermutation) -> bool:
     """True iff <P, alpha beta> has exactly 2 flag orbits (1 means non-orientable)."""
-    return bool(surface_rows(M.flag_space, [M.P]).orientable[0])
+    return bool(_surfaces(M.flag_space, [M.P]).orientable[0])
 
 
 def inventory(M: MapPermutation) -> MapInventory:
@@ -168,10 +193,11 @@ def inventory(M: MapPermutation) -> MapInventory:
 
 
 def inventories(F: FlagSpace, rows) -> list[MapInventory]:
-    """The inventory of every row of a stack of valid maps, from one
-    ``surface_rows`` pass.  Face cycles come in beta-pairs of equal length,
-    so every other entry of a row's sorted cycle lengths is one per face."""
-    surfaces = surface_rows(F, rows)
+    """The inventory of every row of a stack of valid maps, from the one
+    labelling ``validate_map`` reads.  Face cycles come in beta-pairs of
+    equal length, so every other entry of a row's sorted cycle lengths is
+    one per face."""
+    surfaces = _surfaces(F, rows)
     fl, euler = surfaces.face_labels, surfaces.euler_characteristic
     m, n = fl.shape
     lengths = np.bincount((fl + n * np.arange(m)[:, None]).ravel(), minlength=m * n)

@@ -15,10 +15,11 @@ with the first dart anchored to plus -- times the number of twist classes
 plus the class position for SIGMA.  Codes ascend in the order
 ``itertools.product`` lists the keys, so the key order, each orbit's least
 member and the output are those of plain enumeration.  Every code is
-realized as a flag row (a gather from a table of local flag images),
-validated (permutation, axioms i-iii) and given its surface, in chunks of
-int16 rows; RAW keeps the codes on the requested surface, a sorted array
-searched to find a transported key.
+realized as a flag row (a gather from a table of local flag images), in
+chunks of int16 rows; one ``maps.validate_map`` call per chunk validates
+every row (permutation, axioms i-iii) and returns the rows' surfaces, all
+from one labelling of the chunk (see ``maps``).  RAW keeps the codes on the
+requested surface, a sorted array searched to find a transported key.
 
 Compiled action.  An automorphism acts on a vertex's local choices, so it
 compiles once into a ``(V, choices)`` table of weighted image digits, by
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .formulas import CensusResult, ClassStats, census, phi_exact
 from .groups import FiniteGroup
-from .maps import MapInventory, MapPermutation, inventories, surface_rows, validate_map
+from .maps import MapInventory, MapPermutation, inventories, validate_map
 from .perm import PermGroup, row_dtype
 from .rotations import (
     DartStructure,
@@ -373,8 +374,7 @@ def enumerate_embeddings(
     for lo in range(0, space.size, ROW_CHUNK):
         chunk = np.arange(lo, min(lo + ROW_CHUNK, space.size), dtype=np.int64)
         rows = space.realize(chunk)
-        validate_map(F, rows)
-        surfaces = surface_rows(F, rows)
+        surfaces = validate_map(F, rows)
         keep = slice(None)
         if surface != "L":
             on_surface = surfaces.orientable == want

@@ -52,15 +52,17 @@ def check_table_size(size: int, degree: int) -> None:
         )
 
 
-def _flat(perms: np.ndarray) -> np.ndarray:
+def flat_index(perms: np.ndarray) -> np.ndarray:
     """Indices into the flattened ``(m, n)`` stack: row ``r``, point ``v``
-    becomes ``r*n + perms[r, v]``, so one gather applies every row."""
+    becomes ``r*n + perms[r, v]``, so one gather ``x.ravel()[index]`` reads
+    ``x[r, perms[r, v]]`` on every row at once."""
     m, n = perms.shape
     return (perms.astype(np.intp) + n * np.arange(m, dtype=np.intp)[:, None]).ravel()
 
 
-def cycle_labels(perms) -> np.ndarray:
+def cycle_labels(perms, index=None) -> np.ndarray:
     """The least point of the cycle through every point, row by row.
+    ``index``, if given, is the ``flat_index`` of the ``(m, n)`` stack.
 
     Before the round that uses ``step = p^span``, ``label[v]`` is the least
     of the ``span`` points from ``v`` on.  A round that lowers no label ends
@@ -69,7 +71,7 @@ def cycle_labels(perms) -> np.ndarray:
     the whole cycle, so each label is already its cycle's least point."""
     perms = np.asarray(perms)
     n = perms.shape[-1]
-    step = _flat(perms.reshape(-1, n))
+    step = flat_index(perms.reshape(-1, n)) if index is None else index
     label = np.tile(np.arange(n, dtype=perms.dtype), len(step) // n)
     span = 1
     while span < n:
@@ -83,11 +85,14 @@ def cycle_labels(perms) -> np.ndarray:
     return label.reshape(perms.shape)
 
 
-def orbit_labels(gens, labels=None) -> np.ndarray:
+def orbit_labels(gens, labels=None, indices=None) -> np.ndarray:
     """The least point of the orbit through every point under the group
     generated by ``gens``, row by row.  The first generator is a stack
     ``(m, n)``; the others are shared ``(n,)`` permutations or stacks.
-    ``labels``, if given, are the first generator's ``cycle_labels``.
+    ``labels``, if given, send every point to a point of its orbit no
+    greater than itself, such as the first generator's ``cycle_labels``
+    (the default).  ``indices``, if given, are the ``flat_index`` of every
+    stacked generator, in order.
 
     Each round lowers every label to the least label one generator step
     away, then shortcuts it through the label of its label (itself a point
@@ -96,14 +101,15 @@ def orbit_labels(gens, labels=None) -> np.ndarray:
     first = np.asarray(gens[0])
     m, n = first.shape
     shared = [np.asarray(g) for g in gens[1:] if np.ndim(g) == 1]
-    stacked = [_flat(first)] + [_flat(np.asarray(g)) for g in gens[1:] if np.ndim(g) == 2]
+    if indices is None:
+        indices = [flat_index(np.asarray(g)) for g in gens if np.ndim(g) == 2]
     offset = n * np.arange(m, dtype=np.intp)[:, None]
-    label = cycle_labels(first) if labels is None else labels
+    label = cycle_labels(first, indices[0]) if labels is None else labels
     while True:
         new = label
         for g in shared:
             new = np.minimum(new, new[:, g])
-        for g in stacked:
+        for g in indices:
             new = np.minimum(new, new.ravel()[g].reshape(m, n))
         new = new.ravel()[(new + offset).ravel()].reshape(m, n)
         if np.array_equal(new, label):

@@ -88,37 +88,40 @@ def _partition_columns(n: int) -> tuple[np.ndarray, list[str]]:
         for m in range(1, n + 1):
             counts[r][m] = counts[r][m - 1] + (counts[r - m][m] if m <= r else 0)
     tables: dict[int, tuple[np.ndarray, list[str]]] = {}
-
-    def fill(mult, labels, pos: int, r: int, m: int, suffix: str) -> None:
-        # columns pos.. receive the partitions of r with parts <= m; the
-        # larger parts already written are labelled ``suffix``
-        if r == 0:
-            labels[pos] = suffix
-            return
-        table = tables.get(r)
-        if table is not None:
-            t_mult, t_labels = table
-            c, h = counts[r][m], min(r, m)
-            mult[:h, pos:pos + c] = t_mult[:h, t_mult.shape[1] - c:]
-            tail = " " + suffix if suffix else ""
-            labels[pos:pos + c] = [s + tail for s in t_labels[len(t_labels) - c:]]
-            return
-        for x in range(min(r, m), 0, -1):
-            for k in range(r // x, 0, -1):
-                c = counts[r - k * x][x - 1]
-                if c:
-                    mult[x - 1, pos:pos + c] = k
-                    label = _token(x, k) + (" " + suffix if suffix else "")
-                    fill(mult, labels, pos, r - k * x, x - 1, label)
-                    pos += c
-
     for r in range(1, n + 1):
         if r <= n // 2 or r == n:
             mult = np.zeros((r, counts[r][r]), dtype=np.uint8)
             labels = [""] * counts[r][r]
-            fill(mult, labels, 0, r, r, "")
+            _fill(tables, counts, mult, labels, 0, r, r, "")
             tables[r] = mult, labels
     return tables[n]
+
+
+def _fill(tables, counts, mult, labels, pos: int, r: int, m: int, suffix: str) -> None:
+    """Columns pos.. of ``mult`` and ``labels`` receive the partitions of r
+    with parts <= m; the larger parts already written are labelled
+    ``suffix``.  A module-level function, not a closure: a nested function
+    that calls itself is a reference cycle, which would keep ``tables``
+    alive until the cycle collector runs."""
+    if r == 0:
+        labels[pos] = suffix
+        return
+    table = tables.get(r)
+    if table is not None:
+        t_mult, t_labels = table
+        c, h = counts[r][m], min(r, m)
+        mult[:h, pos:pos + c] = t_mult[:h, t_mult.shape[1] - c:]
+        tail = " " + suffix if suffix else ""
+        labels[pos:pos + c] = [s + tail for s in t_labels[len(t_labels) - c:]]
+        return
+    for x in range(min(r, m), 0, -1):
+        for k in range(r // x, 0, -1):
+            c = counts[r - k * x][x - 1]
+            if c:
+                mult[x - 1, pos:pos + c] = k
+                label = _token(x, k) + (" " + suffix if suffix else "")
+                _fill(tables, counts, mult, labels, pos, r - k * x, x - 1, label)
+                pos += c
 
 
 def _token(i: int, k: int) -> str:
@@ -389,7 +392,7 @@ def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
     rows = _sym_rows(n, None)
-    total = _sym_report(rows, factorial(n), mode)
+    total = _sym_report(rows, factorial(n), mode, kind, p)
     return SymCensusResult(n, "O", None, rows, None, total, _sym_label(n))
 
 
@@ -401,14 +404,14 @@ def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
     rows = _sym_rows(n, _m_of(n))
-    total = _sym_report(rows, factorial(n), mode)
+    total = _sym_report(rows, factorial(n), mode, kind, p)
     return SymCensusResult(
         n, "L", special_involution_type(n), rows, sym_l_table(n), total, _sym_label(n)
     )
 
 
-def _sym_report(rows: SymRows, nf: int, mode: str) -> CountReport:
-    _check_odd_modulus(mode)
+def _sym_report(rows: SymRows, nf: int, mode: str, kind: str, p: int | None) -> CountReport:
+    _check_odd_modulus(kind, p)
     terms = rows.terms()
     # 2^22 bits per term is still cheap; beyond that the exact sum is not
     # formed and exact mode is refused
@@ -416,8 +419,7 @@ def _sym_report(rows: SymRows, nf: int, mode: str) -> CountReport:
     return term_report(terms, nf, mode, exact=exact)
 
 
-def _check_odd_modulus(mode: str) -> None:
-    kind, p = parse_mode(mode)
+def _check_odd_modulus(kind: str, p: int | None) -> None:
     if kind == "modp" and p < 3:
         raise BadParameter(f"modulus {p} must be an odd prime")
 
@@ -560,7 +562,7 @@ def _fractional_power_report(terms, divisor: int, mode: str) -> CountReport:
                 acc += size * mp.power(2, ex)
             return CountReport(mode="log2", log2_value=mp.log(acc, 2) - mp.log(divisor, 2))
     int_terms = [(int(e), 0, size, 1) for e, size in terms]
-    _check_odd_modulus(mode)
+    _check_odd_modulus(kind, p)
     # The displayed exponents need not give an integral sum, so the exact
     # sum is formed (and refused if fractional) in exact mode only; modular
     # mode reports the residue of the displayed expression as it stands.

@@ -109,7 +109,14 @@ def test_a_stack_fails_like_its_first_failing_row():
     duplicated = P[:]
     duplicated[5] = duplicated[4]
     identity = list(range(F.flag_count))
-    assert validate_map(F, np.array([P, P])) is None
+    # a valid stack returns the surfaces of its rows: the default rotation
+    # system of the cube is a torus with four faces
+    surfaces = validate_map(F, np.array([P, P]))
+    assert (surfaces.vertex_count.tolist(), surfaces.face_count.tolist(),
+            surfaces.sides.tolist(), surfaces.euler_characteristic.tolist()) == (
+        [8, 8], [4, 4], [2, 2], [0, 0])
+    faces = np.array(P)[np.array(F.alpha)[np.array(F.beta)]]
+    assert (surfaces.face_labels == perm.cycle_labels(faces)).all()
     for first, later in itertools.permutations([swapped, alpha_at_3, duplicated, identity], 2):
         with pytest.raises((AxiomViolation, BadParameter)) as alone:
             validate_map(F, first)

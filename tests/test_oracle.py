@@ -272,3 +272,28 @@ def test_comparison_forms_the_acting_group_once(monkeypatch):
     report = compare_with_formula(fx.group, fx.cayset, surface="L")
     assert calls == ["right_regular"]
     assert report.orbit_census.acting_size == len(report.census_result.acting) == 8
+
+
+def test_each_chunk_is_labelled_once(monkeypatch):
+    # every chunk of keys is checked and given its surfaces from one
+    # labelling of P, one of the face permutation and one orbit pass
+    from cayleymaps import oracle, perm
+
+    calls = {"cycle_labels": 0, "orbit_labels": 0, "validate_map": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(perm, "cycle_labels")
+    counted(perm, "orbit_labels")
+    counted(oracle, "validate_map")
+    F = fixture("CUBE").flag_space
+    gs = enumerate_embeddings(F, SIGMA, "L")
+    chunks = -(-len(gs.codes) // oracle.ROW_CHUNK)
+    assert (len(gs.codes), chunks) == (8192, 16)
+    assert calls == {"cycle_labels": 2 * chunks, "orbit_labels": chunks, "validate_map": chunks}

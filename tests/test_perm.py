@@ -331,6 +331,44 @@ def test_early_stopping_labels_equal_the_cycle_walk(stack):
         assert got == expect
 
 
+@settings(deadline=None)
+@given(_perm_stacks(), st.data())
+def test_orbit_labels_from_any_seed_equal_the_orbit_walk(stack, data):
+    # a second stacked generator, a shared one, and every kind of seed: the
+    # default, the lesser of both cycle labellings, and any point of the
+    # orbit no greater than the point itself; with and without indices
+    m, n = stack.shape
+    other = np.array([data.draw(st.permutations(range(n))) for _ in range(m)],
+                     dtype=stack.dtype).reshape(m, n)
+    shared = np.array(data.draw(st.permutations(range(n))))
+    expect = np.zeros((m, n), dtype=np.int64)
+    for r in range(m):
+        seen = [False] * n
+        for start in range(n):  # ascending, so each orbit starts at its least point
+            if seen[start]:
+                continue
+            orbit, todo = [], [start]
+            seen[start] = True
+            while todo:
+                v = todo.pop()
+                orbit.append(v)
+                for w in (stack[r, v], other[r, v], shared[v]):
+                    if not seen[w]:
+                        seen[w] = True
+                        todo.append(int(w))
+            expect[r, orbit] = start
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    anywhere = np.array([[rng.choice([u for u in range(v + 1) if expect[r, u] == expect[r, v]])
+                          for v in range(n)] for r in range(m)], dtype=stack.dtype).reshape(m, n)
+    both = np.minimum(cycle_labels(stack), cycle_labels(other))
+    index = [perm.flat_index(stack), perm.flat_index(other)]
+    assert (cycle_labels(stack, index[0]) == cycle_labels(stack)).all()
+    for seed in (None, both, anywhere):
+        for indices in (None, index):
+            got = perm.orbit_labels([stack, other, shared], seed, indices)
+            assert got.tolist() == expect.tolist()
+
+
 def _assert_stats_match_walks(group, G, S):
     adjacency = np.zeros((G.order, G.order), dtype=bool)
     for t in range(G.order):

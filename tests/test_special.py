@@ -1,6 +1,8 @@
 """Symmetric-group, three-involution, and elementary-abelian specializations."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +18,7 @@ from cayleymaps.errors import (
     NonIntegralExponent,
     NotInvolutions,
 )
-from cayleymaps.formulas import exact_quotient, term_report
+from cayleymaps.formulas import exact_quotient, parse_mode, term_report
 from cayleymaps.perm import cycle_type, order, power
 from cayleymaps.special import (
     SymRows,
@@ -399,3 +401,47 @@ def test_elem2_set_validation():
     with pytest.raises(CaySetInvalid) as err:
         elementary_abelian_census(3, (1, 2, 3), "O")
     assert err.value.token == "NotGenerating"
+
+
+def test_partition_tables_die_with_the_census(monkeypatch):
+    # one dict holds the n x p(n) table next to every r <= n/2 table, so
+    # its death with the cycle collector off shows that the dict, and every
+    # table in it, is freed as soon as the census is dropped
+    from cayleymaps import special
+
+    tables = []
+    columns = special._partition_columns
+
+    def recording(n):
+        mult, labels = columns(n)
+        tables.append(weakref.ref(mult))
+        return mult, labels
+
+    monkeypatch.setattr(special, "_partition_columns", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        result = special.sym_orientable_census(40, "log2")
+        assert result.total.mode == "log2" and len(tables) == 1
+        del result
+        assert tables[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_sym_censuses_parse_their_mode_once(monkeypatch):
+    # the odd-modulus refusal reads the mode the census already parsed
+    from cayleymaps import special
+
+    seen = []
+
+    def counted(mode):
+        seen.append(mode)
+        return parse_mode(mode)
+
+    monkeypatch.setattr(special, "parse_mode", counted)
+    special.sym_orientable_census(7, "modp:11")
+    special.sym_locally_census(7, "modp:11")
+    assert seen == ["modp:11", "modp:11"]
+    with pytest.raises(BadParameter, match="^modulus 2 must be an odd prime$"):
+        special.sym_locally_census(7, "modp:2")
