@@ -5,11 +5,13 @@
     python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
 
 Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
-stands for a temporary directory that holds the input files of the default
-runs (``z18.group`` and ``z18.cayset``: the cyclic group Z_18 and the
-connection set {1, 9, 17}).  The command runs as
-``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
-``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
+stands for a temporary directory of input files, each written only when
+a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
+group Z_18 and the connection set {1, 9, 17}), and ``d2520.group`` and
+``d5040.group`` (the dihedral groups of order 2520 and 5040, numbered as
+``named_group("dihedral", n)`` numbers them; 29 MB and 121 MB).  The
+command runs as ``python -m cayleymaps.cli`` with ``--src`` (default:
+this checkout's ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per command: exit code, wall seconds
 from start to exit, the child's own peak resident set (``ru_maxrss``),
 and the stdout byte count and SHA-256.  These runs take seconds each and
@@ -28,16 +30,41 @@ import tempfile
 import time
 from pathlib import Path
 
-# Cay(Z_18 : {1, 9, 17}) has 2^18 rotation systems: the oracle realizes,
-# checks and labels every one of them
+
+def write_text(text: str):
+    return lambda path: Path(path).write_text(text)
+
+
+def write_dihedral(order: int):
+    """The table of D_order written one row at a time: r^i is element i and
+    r^i s is m + i, with m = order / 2."""
+    m = order // 2
+    rot, ref = [str(i) for i in range(m)], [str(m + i) for i in range(m)]
+
+    def write(path):
+        with open(path, "w") as f:
+            f.write(f"group {order}\n")
+            for i in range(m):  # r^i r^j = r^(i+j), r^i r^j s = r^(i+j) s
+                f.write(" ".join(rot[i:] + rot[:i] + ref[i:] + ref[:i]) + "\n")
+            for i in range(m):  # r^i s r^j = r^(i-j) s, r^i s r^j s = r^(i-j)
+                f.write(" ".join(ref[i::-1] + ref[:i:-1] + rot[i::-1] + rot[:i:-1]) + "\n")
+    return write
+
+
 INPUTS = {
-    "z18.group": "group 18\n" + "".join(
-        " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18)),
-    "z18.cayset": "cayset 3\n1 9 17\n",
+    # Cay(Z_18 : {1, 9, 17}) has 2^18 rotation systems: the oracle realizes,
+    # checks and labels every one of them
+    "z18.group": write_text("group 18\n" + "".join(
+        " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18))),
+    "z18.cayset": write_text("cayset 3\n1 9 17\n"),
+    # group files near the order cap: reading and validating the table is the run
+    "d2520.group": write_dihedral(2520),
+    "d5040.group": write_dihedral(5040),
 }
 DEFAULT_RUNS = [
     "sym-grr 60 --surface O --mode log2",
     "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
+    "group check {inputs}/d2520.group",
 ]
 READ_BYTES = 1 << 20
 
@@ -72,8 +99,9 @@ def main() -> None:
     if not (args.src / "cayleymaps" / "cli.py").is_file():
         raise SystemExit(f"long_runs.py: no cayleymaps sources under {args.src}")
     with tempfile.TemporaryDirectory() as inputs:
-        for name, text in INPUTS.items():
-            Path(inputs, name).write_text(text)
+        for name, write in INPUTS.items():
+            if any(f"{{inputs}}/{name}" in line for line in args.runs):
+                write(Path(inputs, name))
         for line in args.runs:
             print(run(line, inputs, args.src.resolve()), flush=True)
 

@@ -157,23 +157,6 @@ def semi_regular(perms):
     return _order_and_semi_regular(perms)[1]
 
 
-def power(perms, k):
-    """Each permutation raised to ``k`` (one exponent, or one per row);
-    negative exponents are refused."""
-    perms = np.asarray(perms)
-    k = np.broadcast_to(np.asarray(k, dtype=np.int64), perms.shape[:-1]).copy()
-    if (k < 0).any():
-        raise BadParameter(f"negative exponent {int(k.min())}")
-    out = np.broadcast_to(np.arange(perms.shape[-1], dtype=perms.dtype), perms.shape).copy()
-    base = perms.copy()
-    while k.any():
-        odd = (k & 1).astype(bool)[..., None]
-        out = np.where(odd, np.take_along_axis(base, out, -1), out)
-        base = np.take_along_axis(base, base, -1)
-        k >>= 1
-    return out
-
-
 def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     """Entry ``i-1`` counts the ``i``-cycles of one permutation."""
     lengths = cycle_lengths(perm)

@@ -128,6 +128,16 @@ def test_cli_group_entries_beyond_int64_are_out_of_range(capsys, tmp_path, entry
     assert out == f"entry out of range at {where}\nerror-token: NotAGroup\n"
 
 
+def test_cli_group_header_over_the_cap_is_refused_before_its_table(capsys, tmp_path):
+    # the order is checked against the cap before the body is read, so a
+    # short table is refused for its size, not its length
+    path = tmp_path / "big.group"
+    path.write_text("group 5041\n0 1\n1 0\n")
+    code, out, _ = run_cli(capsys, "group", "check", str(path))
+    assert code == 2
+    assert out == "group order 5041 exceeds cap 5040\nerror-token: CapExceeded\n"
+
+
 def test_cayset_round_trip_and_rejections(tmp_path):
     G = named_group("dihedral", 12)
     S = validate_cayley_set(G, (6, 7, 8))
