@@ -7,9 +7,11 @@
 Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
 stands for a temporary directory of input files, each written only when
 a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
-group Z_18 and the connection set {1, 9, 17}), and ``d2520.group`` and
-``d5040.group`` (the dihedral groups of order 2520 and 5040, numbered as
-``named_group("dihedral", n)`` numbers them; 29 MB and 121 MB).  The
+group Z_18 and the connection set {1, 9, 17}), ``d800.group``,
+``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
+2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
+29 MB and 121 MB for the two larger), and ``d800.cayset`` ({r, r^-1, s} =
+{1, 399, 400}: order 800 is just under the census cap of order 812).  The
 command runs as ``python -m cayleymaps.cli`` with ``--src`` (default:
 this checkout's ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per command: exit code, wall seconds
@@ -57,6 +59,10 @@ INPUTS = {
     "z18.group": write_text("group 18\n" + "".join(
         " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18))),
     "z18.cayset": write_text("cayset 3\n1 9 17\n"),
+    # the largest dihedral census under perm.DEFAULT_TABLE_CAP: per-class
+    # statistics of R(G) on 800 vertices
+    "d800.group": write_dihedral(800),
+    "d800.cayset": write_text("cayset 3\n1 399 400\n"),
     # group files near the order cap: reading and validating the table is the run
     "d2520.group": write_dihedral(2520),
     "d5040.group": write_dihedral(5040),
@@ -65,6 +71,7 @@ DEFAULT_RUNS = [
     "sym-grr 60 --surface O --mode log2",
     "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
     "group check {inputs}/d2520.group",
+    "census formula {inputs}/d800.group {inputs}/d800.cayset --surface L",
 ]
 READ_BYTES = 1 << 20
 

@@ -247,8 +247,8 @@ def _rep_labels(G: FiniteGroup, vms) -> list[str]:
     vms = np.asarray(vms)
     translation = (G.table.T[vms[:, 0]] == vms).all(axis=1)
     return [
-        G.name_of(vm[0]) if t else "[" + " ".join(map(str, vm)) + "]"
-        for vm, t in zip(vms.tolist(), translation.tolist())
+        G.name_of(g) if t else "[" + " ".join(map(str, vm.tolist())) + "]"
+        for g, t, vm in zip(vms[:, 0].tolist(), translation.tolist(), vms)
     ]
 
 
@@ -343,7 +343,7 @@ def cmd_census_formula(args) -> Report:
     R.field("surface", res.surface)
     R.field("acting-size", len(res.acting))
     R.field("classes", len(res.classes))
-    labels = _rep_labels(G, [st.representative for st in res.classes])
+    labels = _rep_labels(G, res.acting.rows[[st.row for st in res.classes]])
     rows = [
         (label, st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
         for label, st, phi in zip(labels, res.classes, res.phi_values)
@@ -401,7 +401,8 @@ def cmd_verify(args) -> Report:
     R = Report(args.kv)
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
-    labels = _rep_labels(G, [line.stats.representative for line in rep.lines])
+    acting = rep.census_result.acting
+    labels = _rep_labels(G, acting.rows[[line.stats.row for line in rep.lines]])
     rows = [
         (label, line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
          line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio))

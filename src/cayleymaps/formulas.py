@@ -55,6 +55,7 @@ class ClassStats:
     branch: str
     edge_orbits: int
     alpha_exponent: int
+    row: int  # the representative's index in the acting group's rows
 
 
 @dataclass(frozen=True)
@@ -326,10 +327,11 @@ def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassSt
             branch=DELTA if di else THETA,
             edge_orbits=ei,
             alpha_exponent=ni // oi,
+            row=r,
         )
-        for vm, size, oi, li, di, ei, ni in zip(
+        for vm, size, oi, li, di, ei, ni, r in zip(
             acting.rows[reps].tolist(), sizes.tolist(), o.tolist(), l_rep.tolist(),
-            delta.tolist(), eo.tolist(), num.tolist(),
+            delta.tolist(), eo.tolist(), num.tolist(), reps.tolist(),
         )
     ]
 

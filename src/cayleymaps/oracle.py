@@ -547,11 +547,9 @@ def compare_with_formula(
                     f"no orientable embedding fixed by {cres.acting.element(i)}"
                 )
 
-    # the class representatives are members of the acting group
-    rows = cres.acting.find(np.array([st.representative for st in cres.classes]))
     lines = []
-    for st, row in zip(cres.classes, rows.tolist()):
-        oracle = oc.fixed_counts[row]
+    for st in cres.classes:
+        oracle = oc.fixed_counts[st.row]
         phi = phi_exact(st, surface, k)
         ratio = Fraction(oracle, phi) if phi else None
         lines.append(ClassComparison(stats=st, formula_phi=phi, oracle_fixed=oracle, ratio=ratio))

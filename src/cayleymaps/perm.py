@@ -5,9 +5,8 @@ A permutation of ``0..n-1`` is a length-``n`` array ``p`` sending ``v`` to
 permutation or a stack of them (shape ``(..., n)``) and never walk a cycle
 step by step: cycles are labelled by pointer doubling, which stops at the
 first round that lowers no label (each label is then already its cycle's
-least point, see :func:`cycle_labels`), the orbits of several permutations
-by least-label propagation with shortcuts, and powers are taken by repeated
-squaring.
+least point, see :func:`cycle_labels`), and the orbits of several
+permutations by least-label propagation with shortcuts.
 
 :class:`PermGroup` holds a finite group of permutations as an
 ``(|A|, n)`` array whose rows are in lexicographic order (the order of
@@ -21,6 +20,13 @@ table (``table[g, t] = g t``) is the left-regular permutation
 ``t -> g t``, whose order, powers and cycles are those of ``g``, and
 :func:`conjugacy_classes_of` takes any group table with its inverses and
 labels every element by its least conjugate in one gather.
+
+:func:`element_stats` works on element indices too: one power table holds
+``a^d`` for every element a and every divisor d of the group order, from
+which the order is the least d with ``a^d = 1``, ``a`` is semi-regular iff
+``a^(o/p)`` fixes no point for every prime p dividing its order o, and the
+edge orbits of ``<a>`` are Burnside's average
+``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``; no row is labelled.
 """
 
 from __future__ import annotations
@@ -255,16 +261,20 @@ def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndar
         conj = table[table[g:g + step], inverse[g:g + step, None]]
         np.minimum(label, conj.min(axis=0), out=label)
     members = np.argsort(label, kind="stable")
-    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(label[members])) + 1).tolist(), m]
+    return [members[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
 class ElementStats:
     """Per-element statistics of a group acting on a graph, indexed like
-    the group's rows.  ``l_value`` counts the vertices the half-order power
-    sends to a neighbor (0 for odd order); ``edge_orbits`` counts the orbits
-    of the cyclic group generated by the element on the edges, and is -1
-    where the element does not map edges to edges."""
+    the group's rows.  ``semi_regular`` holds where every cycle of the
+    element has the same length: for order o, where ``a^(o/p)`` fixes no
+    point for every prime p dividing o (a shorter cycle has a length
+    dividing some o/p).  ``l_value`` counts the vertices the half-order
+    power sends to a neighbor (0 for odd order); ``edge_orbits`` counts the
+    orbits of the cyclic group generated by the element on the edges, and
+    is -1 where the element does not map edges to edges."""
 
     order: np.ndarray
     semi_regular: np.ndarray
@@ -272,37 +282,80 @@ class ElementStats:
     edge_orbits: np.ndarray
 
 
-def _table_power(table: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Index of each element raised to its own exponent (element ``a`` to
-    ``k[a]``) in the group with multiplication ``table`` and identity 0:
-    repeated squaring over element indices, not over points."""
-    out = np.zeros(len(table), dtype=table.dtype)
-    base = np.arange(len(table), dtype=table.dtype)
-    k = k.copy()
-    while k.any():
-        odd = (k & 1).astype(bool)
-        out[odd] = table[base[odd], out[odd]]
-        base = table[base, base]
-        k >>= 1
-    return out
+def _divisors_and_primes(m: int) -> tuple[list[int], list[int], list[int]]:
+    """The divisors of ``m`` in ascending order, Euler's phi of each, and
+    the primes dividing ``m``."""
+    primes, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    phi = []
+    for d in divisors:
+        for p in primes:
+            if d % p == 0:
+                d -= d // p
+        phi.append(d)
+    return divisors, phi, primes
 
 
 def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     """Statistics of every element of ``group`` acting on the graph with
-    the symmetric boolean ``adjacency`` matrix.  Order and semi-regularity
-    come from one labelling of the rows; the half-order powers are found in
-    the group's table and their rows gathered once."""
-    rows = group.rows
-    n = rows.shape[1]
-    orders, semi = _order_and_semi_regular(rows)
-    half = rows[_table_power(group.table, orders // 2)]
-    inverted = np.count_nonzero(adjacency[np.arange(n), half], axis=1)
-    l_value = np.where(orders % 2 == 0, inverted, 0)
+    the symmetric boolean ``adjacency`` matrix, read from the group's table
+    over element indices.
+
+    Row i of the power table holds ``a^d`` for every element a, where d is
+    the i-th divisor of |A|; it is row ``d/p`` (p the least prime of d)
+    raised to the p-th power in the table.  By Lagrange the order of a is
+    the least d with ``a^d`` the identity.  Semi-regularity and l read the
+    fixed points and inverted vertices of single powers, and the edge
+    orbits of ``<a>`` are counted by Burnside's lemma,
+    ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``, from the edges each
+    element fixes in one gather of its edge map."""
+    rows, table = group.rows, group.table
+    m, n = rows.shape
+    divisors, phi, primes = _divisors_and_primes(m)
+    position = np.zeros(m + 1, dtype=np.intp)
+    position[divisors] = np.arange(len(divisors))
+    powers = np.empty((len(divisors), m), dtype=table.dtype)
+    powers[0] = np.arange(m)
+    for i, d in enumerate(divisors[1:], 1):
+        p = next(p for p in primes if d % p == 0)
+        out = base = powers[position[d // p]]
+        for bit in bin(p)[3:]:  # base^p by squaring, bits after the leading one
+            out = table[out, out]
+            if bit == "1":
+                out = table[out, base]
+        powers[i] = out
+    divisors = np.array(divisors, dtype=np.int64)
+    orders = divisors[np.argmax(powers == 0, axis=0)]
+    element = np.arange(m)
+
+    fixes_a_point = (rows == np.arange(n, dtype=rows.dtype)).any(axis=1)
+    primes = np.array(primes, dtype=np.int64)[:, None]
+    prime_powers = powers[position[orders // primes], element]
+    semi = ~((orders % primes == 0) & fixes_a_point[prime_powers]).any(axis=0)
+
+    involutions = np.flatnonzero(orders == 2)
+    inverted = np.zeros(m, dtype=np.int64)
+    inverted[involutions] = np.count_nonzero(adjacency[np.arange(n), rows[involutions]], axis=1)
+    l_value = np.where(orders % 2 == 0, inverted[powers[position[orders // 2], element]], 0)
 
     ends_u, ends_v = np.nonzero(np.triu(adjacency))
     edge_id = np.full((n, n), -1, dtype=np.int32)
     edge_id[ends_u, ends_v] = edge_id[ends_v, ends_u] = np.arange(len(ends_u))
     edge_perms = edge_id[rows[:, ends_u], rows[:, ends_v]]
-    edge_orbits = np.count_nonzero(cycle_labels(edge_perms) == np.arange(len(ends_u)), axis=1)
+    fixed_edges = np.count_nonzero(edge_perms == np.arange(len(ends_u)), axis=1)
+    cofactor = orders // divisors[:, None]  # o/d, a divisor of o where d divides o
+    burnside = np.where(
+        orders % divisors[:, None] == 0,
+        np.array(phi, dtype=np.int64)[position[cofactor]] * fixed_edges[powers], 0,
+    ).sum(axis=0)
+    edge_orbits = burnside // orders
     edge_orbits[(edge_perms < 0).any(axis=1)] = -1
     return ElementStats(orders, semi, l_value, edge_orbits)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleymaps import census, fixture, formulas, named_group, perm, validate_cayley_set
-from cayleymaps.autaction import product_group, right_regular
+from cayleymaps.autaction import graph_automorphism_group, product_group, right_regular
 from cayleymaps.errors import (
     BadParameter,
     CayleymapsError,
@@ -18,6 +18,7 @@ from cayleymaps.errors import (
     NonIntegralSum,
     NotSemiRegular,
 )
+from cayleymaps.cayley import build_cayley_graph
 from cayleymaps.groups import direct_product
 from cayleymaps.perm import (
     PermGroup,
@@ -385,6 +386,52 @@ def test_element_stats_match_walks_element_by_element(seed):
     S = _random_cayset(rng, G)
     group = right_regular(G)
     _assert_stats_match_walks(group, G, S)
+
+
+@pytest.mark.parametrize("build,members", [
+    (lambda: named_group("cyclic", 150), (1, 75, 149)),
+    (lambda: direct_product(named_group("dihedral", 30), named_group("cyclic", 4)), (5, 59, 60)),
+    (lambda: direct_product(named_group("cyclic", 2), named_group("cyclic", 60)), (60, 61, 119)),
+], ids=["Z150", "D30xZ4", "Z2xZ60"])
+def test_element_stats_match_walks_at_orders_with_many_divisors(build, members):
+    # 150 = 2 * 3 * 5^2 and 120 = 2^3 * 3 * 5: powers to a squared and a
+    # cubed prime, and three primes for the semi-regularity test; each set
+    # holds an involution, so some classes invert edges
+    G = build()
+    stats = _assert_stats_match_walks(right_regular(G), G, validate_cayley_set(G, members))
+    assert (stats.l_value > 0).any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_element_stats_match_walks_on_semi_regular_complements(seed):
+    # R(G)H with H from _semi_regular_complement: elements with fixed
+    # points and longer cycles, and powers that reach into H
+    rng = random.Random(90 + seed)
+    while True:
+        G = _random_group(rng)
+        S = _random_cayset(rng, G)
+        H = _semi_regular_complement(rng, G, S)
+        if H is not None:
+            break
+    group = product_group(G, H)
+    assert len(group) == G.order * len(H)
+    stats = _assert_stats_match_walks(group, G, S)
+    assert not stats.semi_regular.all()
+
+
+@pytest.mark.parametrize("name", ["C5", "CUBE", "K5"])
+def test_element_stats_match_walks_on_full_automorphism_groups(name):
+    # the whole of Aut Γ: in S_5 on K5 = Cay(Z_5 : {1, 2, 3, 4}) the power
+    # a^2 = (2 3 4) of a = (0 1)(2 3 4) fixes the edge 01 and has order 3,
+    # so Burnside's sum weighs it by phi(3) = 2
+    if name == "K5":
+        G = named_group("cyclic", 5)
+        S = validate_cayley_set(G, (1, 2, 3, 4))
+    else:
+        G, S = fixture(name).group, fixture(name).cayset
+    group = PermGroup(graph_automorphism_group(build_cayley_graph(G, S)))
+    stats = _assert_stats_match_walks(group, G, S)
+    assert not stats.semi_regular.all()
 
 
 def test_element_stats_match_walks_on_r_g_times_h():
