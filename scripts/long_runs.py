@@ -69,6 +69,7 @@ INPUTS = {
 }
 DEFAULT_RUNS = [
     "sym-grr 60 --surface O --mode log2",
+    "sym-grr 55 --surface L --mode log2",
     "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
     "group check {inputs}/d2520.group",
     "census formula {inputs}/d800.group {inputs}/d800.cayset --surface L",

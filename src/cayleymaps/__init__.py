@@ -22,6 +22,8 @@ The package is organized bottom-up:
   exact, log2, and mod-p arithmetic;
 * :mod:`cayleymaps.oracle` -- exhaustive enumeration of embedding
   classes and Burnside counting, for checking the formulas;
+* :mod:`cayleymaps.cycletypes` -- the classes of Sigma_n as one compact
+  table of per-class columns, read by the symmetric censuses;
 * :mod:`cayleymaps.special` -- the worked censuses: symmetric groups,
   three-involution generation, elementary abelian 2-groups;
 * :mod:`cayleymaps.fixtures`, :mod:`cayleymaps.fileio`,

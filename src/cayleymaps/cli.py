@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp
@@ -52,9 +52,9 @@ from .oracle import (
     compare_with_formula,
     enumerate_embeddings,
 )
+from .cycletypes import cycle_type_label
 from .perm import conjugacy_classes_of, order
 from .special import (
-    cycle_type_label,
     elementary_abelian_census,
     sym_locally_census,
     sym_orientable_census,
@@ -73,6 +73,16 @@ class Indexed(NamedTuple):
 
     values: Sequence
     index: np.ndarray
+
+
+class Chunked(NamedTuple):
+    """A table column of ``rows`` cells that are made a chunk at a time:
+    ``cells(start, stop)`` gives the strings of rows start:stop, none of
+    them wider than ``width``."""
+
+    rows: int
+    width: int
+    cells: Callable[[int, int], list[str]]
 
 
 class Report:
@@ -98,8 +108,8 @@ class Report:
 
     def table(self, name: str, headers: list[str], columns: list) -> None:
         """``columns`` holds one column per header, all of one length: a
-        sequence of cells, or an ``Indexed`` column; a cell prints as its
-        ``str``."""
+        sequence of cells, an ``Indexed`` column or a ``Chunked`` one; a
+        cell prints as its ``str``."""
         self.items.append(("table", name, headers, columns))
 
     def chunks(self):
@@ -115,7 +125,7 @@ class Report:
 
     def _table_chunks(self, name: str, headers: list[str], cols: list, after_text: bool):
         printed = [_printed(c) for c in cols]
-        nrows = len(cols[0].index if isinstance(cols[0], Indexed) else cols[0]) if cols else 0
+        nrows = _length(cols[0]) if cols else 0
         if self.kv:
             pads = [0] * len(cols)
             keys = [f".{h}=" for h in headers]
@@ -143,21 +153,34 @@ class Report:
                 yield "\n".join(["  ".join(row).rstrip() for row in zip(*block)]) + "\n"
 
 
+def _length(column) -> int:
+    if isinstance(column, Indexed):
+        return len(column.index)
+    return column.rows if isinstance(column, Chunked) else len(column)
+
+
 def _printed(column) -> tuple:
     """A column as (cells, index, convert): an ``Indexed`` column's distinct
-    values as an object array of strings, and its index; or the column
-    itself, None, and whether its cells are not all ``str`` yet.  A plain
-    column is converted a chunk at a time and never held as strings."""
+    values as an object array of strings, and its index; a ``Chunked``
+    column, None and False; or the column itself, None, and whether its
+    cells are not all ``str`` yet.  A plain column is converted a chunk at
+    a time and never held as strings."""
     if isinstance(column, Indexed):
         return np.array([str(v) for v in column.values], dtype=object), column.index, False
+    if isinstance(column, Chunked):
+        return column, None, False
     return column, None, not set(map(type, column)) <= {str}
 
 
 def _width(cells, index: np.ndarray | None, convert: bool) -> int:
     """The widest string that some row prints: values the index never
     uses do not count."""
+    if isinstance(cells, Chunked):
+        return cells.width
     if index is not None:
-        cells = cells[np.bincount(index, minlength=len(cells)) > 0]
+        used = np.zeros(len(cells), dtype=bool)
+        used[index] = True  # no intp copy of the index, unlike a bincount
+        cells = cells[used]
     elif convert:
         if set(map(type, cells)) == {int}:
             # an int's decimal widens with its magnitude, so the widest is
@@ -172,7 +195,7 @@ def _cells(cells, index: np.ndarray | None, convert: bool, start: int, stop: int
     """The strings of rows start:stop, a plain column's padded to ``pad``."""
     if index is not None:
         return cells[index[start:stop]].tolist()
-    cells = cells[start:stop]
+    cells = cells.cells(start, stop) if isinstance(cells, Chunked) else cells[start:stop]
     if convert:
         cells = map(str, cells)
     return [c.ljust(pad) for c in cells] if pad else list(cells)
@@ -431,25 +454,18 @@ def cmd_sym_grr(args) -> Report:
     if res.special_type is not None:
         R.field("special-involution-type", cycle_type_label(res.special_type))
     rows = res.rows
-    # the order of each term, read off any of its rows
-    term_order = np.zeros(len(rows.exponents), dtype=np.int64)
-    term_order[rows.term_id] = rows.order
     l_index = np.zeros(len(rows), dtype=np.uint8)
     l_index[list(rows.l_printed)] = np.arange(1, len(rows.l_printed) + 1)
-    if rows.alphas is None:
-        alphas = Indexed(["-"], np.zeros(len(rows), dtype=np.uint8))
-    else:
-        alphas = Indexed(rows.alphas, rows.term_id)
     R.table(
         "class",
         ["partition", "size", "order", "bucket", "l", "alpha", "exponent"],
         [
-            rows.labels,
+            Chunked(len(rows), rows.labels.width(), rows.labels.rows),
             Indexed(rows.sizes, rows.size_id),
-            Indexed(term_order.tolist(), rows.term_id),
-            Indexed(["A", "B"], rows.bucket_b.view(np.uint8)),
+            Indexed(rows.orders, rows.term_id),
+            Indexed(["B" if b else "A" for b in rows.buckets], rows.term_id),
             Indexed([0, *rows.l_printed.values()], l_index),
-            alphas,
+            Indexed(rows.alphas or ["-"] * len(rows.exponents), rows.term_id),
             Indexed(rows.exponents, rows.term_id),
         ],
     )

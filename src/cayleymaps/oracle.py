@@ -32,9 +32,10 @@ fixed count is one array comparison.
 Min-image orbits.  The acting set is checked to be a group, so the least
 image of a key over the group is the least member of its orbit: a running
 minimum over the elements labels every orbit, with no union-find and no
-array of all images.  Keys and representatives are decoded on demand; a
-representative is not validated again, and the inventories of a chunk of
-them come from one ``maps.inventories`` call.
+array of all images.  Keys and representatives are decoded on demand; the
+inventories of a chunk of representatives come from one
+``maps.inventories`` call, which checks every row again (the axioms and
+the inventory invariants, from the same labelling) before it reads them.
 """
 
 from __future__ import annotations

@@ -46,6 +46,10 @@ DEFAULT_TABLE_CAP = 1 << 29
 # to order 1024 take one gather, larger ones a block of g at a time.
 CONJUGATE_BLOCK = 1 << 20
 
+# Edge-end images gathered at once by ``element_stats``: a block of elements
+# whose images of every edge's two ends number at most this many.
+EDGE_BLOCK = 1 << 16
+
 
 def check_table_size(size: int, degree: int) -> None:
     """Refuses a group of ``size`` permutations of ``degree`` points whose
@@ -316,7 +320,9 @@ def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     fixed points and inverted vertices of single powers, and the edge
     orbits of ``<a>`` are counted by Burnside's lemma,
     ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``, from the edges each
-    element fixes in one gather of its edge map."""
+    element fixes: a fixes {u, v} iff {a(u), a(v)} = {u, v}, and breaks
+    the graph iff some a(u), a(v) are not adjacent.  Both are read off the
+    images of the edge ends, a block of elements at a time."""
     rows, table = group.rows, group.table
     m, n = rows.shape
     divisors, phi, primes = _divisors_and_primes(m)
@@ -346,16 +352,28 @@ def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
     inverted[involutions] = np.count_nonzero(adjacency[np.arange(n), rows[involutions]], axis=1)
     l_value = np.where(orders % 2 == 0, inverted[powers[position[orders // 2], element]], 0)
 
-    ends_u, ends_v = np.nonzero(np.triu(adjacency))
-    edge_id = np.full((n, n), -1, dtype=np.int32)
-    edge_id[ends_u, ends_v] = edge_id[ends_v, ends_u] = np.arange(len(ends_u))
-    edge_perms = edge_id[rows[:, ends_u], rows[:, ends_v]]
-    fixed_edges = np.count_nonzero(edge_perms == np.arange(len(ends_u)), axis=1)
+    ends_u, ends_v = np.nonzero(np.triu(adjacency))  # u < v
+    u, v = ends_u.astype(rows.dtype), ends_v.astype(rows.dtype)
+    adjacent = adjacency.ravel()  # the edge {x, y} at x * n + y
+    flat = np.min_scalar_type(-n * n)  # a signed dtype that holds every x * n + y
+    fixed_edges = np.empty(m, dtype=np.intp)
+    breaks = np.empty(m, dtype=bool)
+    step = max(1, EDGE_BLOCK // max(len(u), 1))
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        image_u, image_v = rows[block, ends_u], rows[block, ends_v]
+        kept = np.minimum(image_u, image_v) == u
+        kept &= np.maximum(image_u, image_v) == v
+        fixed_edges[block] = np.count_nonzero(kept, axis=1)
+        image = image_u.astype(flat)
+        image *= n
+        image += image_v
+        breaks[block] = ~adjacent[image].all(axis=1)
     cofactor = orders // divisors[:, None]  # o/d, a divisor of o where d divides o
     burnside = np.where(
         orders % divisors[:, None] == 0,
         np.array(phi, dtype=np.int64)[position[cofactor]] * fixed_edges[powers], 0,
     ).sum(axis=0)
     edge_orbits = burnside // orders
-    edge_orbits[(edge_perms < 0).any(axis=1)] = -1
+    edge_orbits[breaks] = -1
     return ElementStats(orders, semi, l_value, edge_orbits)

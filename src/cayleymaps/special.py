@@ -4,12 +4,11 @@ automorphism representation.
 Symmetric groups with a cubic connection set {x, y, y^-1}, x^2 = y^3 = e,
 are summed over integer partitions rather than group elements: a partition
 stands for the conjugacy class of that cycle type, with class size
-n!/prod(i^{k_i} k_i!) and element order lcm of its parts.  The partitions
-are enumerated once as a multiplicity matrix and every per-class quantity
-is read off it as a numpy column; big integers are formed once per
-distinct class size and exponent.  The locally orientable sum needs, per
-class, only whether the half-order power lands in one special involution
-class, which its number of fixed points decides.
+n!/prod(i^{k_i} k_i!) and element order lcm of its parts.  The classes are
+one compact table of narrow columns (``cycletypes``); big integers are
+formed once per distinct class size and exponent.  The locally orientable
+sum needs, per class, only whether the half-order power lands in one
+special involution class, which its number of fixed points decides.
 
 The other two families (groups generated by three involutions, elementary
 abelian 2-groups) have closed forms per conjugacy class; both are evaluated
@@ -28,6 +27,15 @@ import numpy as np
 
 from .autaction import right_regular
 from .cayley import validate_cayley_set
+from .cycletypes import (
+    CentralizerCode,
+    CycleTypeLabels,
+    Partition,
+    class_table,
+    distinct,
+    index_dtype,
+    partition_of_label,
+)
 from .errors import (
     CONTAINS_IDENTITY,
     NOT_GENERATING,
@@ -52,13 +60,13 @@ from .formulas import (
 from .groups import FiniteGroup, subgroup_closure
 from .perm import conjugacy_classes_of, cycle_type, order
 
-# A partition of n as cycle-type multiplicities: entry i-1 counts i-cycles.
-Partition = tuple[int, ...]
-
 SYM_EXACT_CAP = 10
 SYM_BIG_CAP = 60
 ELEM2_EXACT_CAP = 16
 ELEM2_BIG_CAP = 64
+# (term, size) pairs per block of big products in ``SymRows.terms``
+_BIG_BLOCK = 1024
+
 
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n as multiplicity vectors, largest first part first."""
@@ -66,71 +74,8 @@ def partitions(n: int) -> tuple[Partition, ...]:
         raise BadParameter(f"partitions of {n} undefined; need n >= 1")
     if n > SYM_BIG_CAP:
         raise CapExceeded(f"n = {n} exceeds the partition cap {SYM_BIG_CAP}")
-    mult, _ = _partition_columns(n)
-    return tuple(map(tuple, mult.T.tolist()))
-
-
-def _partition_columns(n: int) -> tuple[np.ndarray, list[str]]:
-    """The partitions of n as an (n, p(n)) uint8 matrix whose column r
-    counts the parts of the r-th partition (entry i-1: parts equal to i),
-    and their cycle-type labels, in reverse lexicographic order:
-    [n], [n-1, 1], [n-2, 2], [n-2, 1, 1], ...
-
-    In that order the partitions with largest part x of multiplicity k are
-    x^k followed by the partitions of r - kx with parts below x, larger x
-    and then larger k first, and the partitions of r with parts at most m
-    are the last ``counts[r][m]`` partitions of r.  Every r <= n/2 is
-    built whole once and copied in as such a suffix; larger remainders are
-    split again by their largest part.
-    """
-    counts = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(n)]
-    for r in range(1, n + 1):
-        for m in range(1, n + 1):
-            counts[r][m] = counts[r][m - 1] + (counts[r - m][m] if m <= r else 0)
-    tables: dict[int, tuple[np.ndarray, list[str]]] = {}
-    for r in range(1, n + 1):
-        if r <= n // 2 or r == n:
-            mult = np.zeros((r, counts[r][r]), dtype=np.uint8)
-            labels = [""] * counts[r][r]
-            _fill(tables, counts, mult, labels, 0, r, r, "")
-            tables[r] = mult, labels
-    return tables[n]
-
-
-def _fill(tables, counts, mult, labels, pos: int, r: int, m: int, suffix: str) -> None:
-    """Columns pos.. of ``mult`` and ``labels`` receive the partitions of r
-    with parts <= m; the larger parts already written are labelled
-    ``suffix``.  A module-level function, not a closure: a nested function
-    that calls itself is a reference cycle, which would keep ``tables``
-    alive until the cycle collector runs."""
-    if r == 0:
-        labels[pos] = suffix
-        return
-    table = tables.get(r)
-    if table is not None:
-        t_mult, t_labels = table
-        c, h = counts[r][m], min(r, m)
-        mult[:h, pos:pos + c] = t_mult[:h, t_mult.shape[1] - c:]
-        tail = " " + suffix if suffix else ""
-        labels[pos:pos + c] = [s + tail for s in t_labels[len(t_labels) - c:]]
-        return
-    for x in range(min(r, m), 0, -1):
-        for k in range(r // x, 0, -1):
-            c = counts[r - k * x][x - 1]
-            if c:
-                mult[x - 1, pos:pos + c] = k
-                label = _token(x, k) + (" " + suffix if suffix else "")
-                _fill(tables, counts, mult, labels, pos, r - k * x, x - 1, label)
-                pos += c
-
-
-def _token(i: int, k: int) -> str:
-    return str(i) if k == 1 else f"{i}^{k}"
-
-
-def cycle_type_label(part: Partition) -> str:
-    """The cycle type in exponent notation, parts ascending: ``1^3 2^2``."""
-    return " ".join([_token(i, k) for i, k in enumerate(part, start=1) if k])
+    labels = class_table(n, CentralizerCode(n))[1]
+    return tuple(map(partition_of_label, labels.rows(0, len(labels))))
 
 
 def class_size(n: int, part: Partition) -> int:
@@ -200,38 +145,54 @@ def _m_of(n: int) -> int:
 
 @dataclass(frozen=True)
 class SymRows:
-    """The classes of Sigma_n as columns, one entry per cycle type in the
-    order of ``partitions``.  Class sizes and exponents are big integers
-    with few distinct values, so each is stored once and rows index it."""
+    """The classes of Sigma_n, one row per cycle type in the order of
+    ``partitions``, held as narrow index columns.  Class sizes are big
+    integers with few distinct values, so each is stored once and rows
+    index it; so is each term, one per distinct (order, bucket), with its
+    order, bucket, exponent and alpha.  A row's label and partition are
+    built when asked for."""
 
-    labels: list[str]  # cycle-type notation, ``cycle_type_label``
-    mult: np.ndarray  # (n, rows) uint8; mult[i - 1, r] counts the i-cycles of row r
-    order: np.ndarray  # int64 element order, the lcm of the parts
+    labels: CycleTypeLabels
     size_id: np.ndarray  # index into ``sizes``
     sizes: list[int]  # distinct class sizes n!/prod(i^{k_i} k_i!)
-    bucket_b: np.ndarray  # bool: the half-order power lies in the special class
-    term_id: np.ndarray  # index into ``exponents`` and ``alphas``
-    exponents: list[int]  # term exponent of each distinct (order, bucket)
-    alphas: list[int] | None  # alpha_1 of each distinct (order, bucket); None on O
+    term_id: np.ndarray  # index into the per-term lists below
+    orders: list[int]  # element order, the lcm of the parts
+    buckets: list[bool]  # the half-order power lies in the special class
+    exponents: list[int]  # term exponent
+    alphas: list[int] | None  # alpha_1; None on O
     l_printed: dict[int, int]  # row -> published inverted-edge count
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.size_id)
+
+    def label(self, r: int) -> str:
+        """The cycle-type notation of row r, ``cycle_type_label``."""
+        return self.labels.rows(r, r + 1)[0]
+
+    def partition(self, r: int) -> Partition:
+        return partition_of_label(self.label(r))
 
     def terms(self) -> list[Term]:
         """The class sum as one term (exponent, 0, summed class sizes, 1) per
         distinct exponent."""
         width = len(self.sizes)
-        pairs, count = np.unique(
-            self.term_id.astype(np.int64) * width + self.size_id, return_counts=True
-        )
+        # pair codes term * width + size, and width itself, fit this dtype
+        pairs = self.term_id.astype(index_dtype(len(self.exponents) * width + 1))
+        pairs *= width
+        pairs += self.size_id
+        pairs, count = np.unique(pairs, return_counts=True)
         term, size = np.divmod(pairs, width)
-        starts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
-        weighted = np.array(self.sizes, dtype=object)[size] * count.astype(object)
+        sizes = np.array(self.sizes, dtype=object)
         merged: dict[int, int] = {}
-        for t, s in zip(term[starts].tolist(), np.add.reduceat(weighted, starts).tolist()):
-            e = self.exponents[t]
-            merged[e] = merged.get(e, 0) + s
+        # the big products are formed a block of pairs at a time
+        for start in range(0, len(pairs), _BIG_BLOCK):
+            block = slice(start, start + _BIG_BLOCK)
+            terms = term[block]
+            starts = np.flatnonzero(np.r_[True, terms[1:] != terms[:-1]])
+            weighted = sizes[size[block]] * count[block].astype(object)
+            for t, s in zip(terms[starts].tolist(), np.add.reduceat(weighted, starts).tolist()):
+                e = self.exponents[t]
+                merged[e] = merged.get(e, 0) + s
         return [(e, 0, s, 1) for e, s in merged.items()]
 
 
@@ -284,88 +245,36 @@ def sym_l_table(n: int) -> tuple[LTableRow, ...]:
     )
 
 
-def _class_sizes(n: int, mult: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(size_id, sizes): the class size n!/prod(i^{k_i} k_i!) of every
-    column of ``mult`` as an index into the distinct sizes.
-
-    The centralizer order prod(i^{k_i} k_i!) is coded exactly by its
-    exponents over the primes p <= n, as one int64 in mixed radix with
-    digits 0..v_p(n!) (it divides n!); each distinct code becomes a big
-    integer once.
-    """
-    primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
-    top = [_legendre(n, p) for p in primes]
-    radix = [1]
-    for t in top[:-1]:
-        radix.append(radix[-1] * (t + 1))
-    part_code = np.array(
-        [sum(_valuation(i, p) * w for p, w in zip(primes, radix)) for i in range(1, n + 1)],
-        dtype=np.int64,
-    )
-    fact_code = np.array(
-        [sum(_legendre(k, p) * w for p, w in zip(primes, radix)) for k in range(n + 1)],
-        dtype=np.int64,
-    )
-    code = np.zeros(mult.shape[1], dtype=np.int64)
-    for i in range(n):
-        code += part_code[i] * mult[i]
-        code += fact_code[mult[i]]
-    codes, size_id = np.unique(code, return_inverse=True)
-    sizes = np.ones(len(codes), dtype=object)
-    for p, w, t in zip(primes, radix, top):
-        powers = np.array([p ** (t - e) for e in range(t + 1)], dtype=object)
-        sizes = sizes * powers[codes // w % (t + 1)]
-    return size_id, sizes.tolist()
-
-
-def _valuation(i: int, p: int) -> int:
-    v = 0
-    while i % p == 0:
-        i //= p
-        v += 1
-    return v
-
-
-def _legendre(k: int, p: int) -> int:
-    """v_p(k!)."""
-    v = 0
-    while k:
-        k //= p
-        v += k
-    return v
-
-
 def _sym_rows(n: int, m: int | None) -> SymRows:
     """Per-class columns of the orientable partition sum (m None) or of the
     locally orientable one for n = 6m+1.  On L, alpha_1 = (n! + [B] extra)
     / (2o), with class B the classes whose half-order power is conjugate
     to x: that power is an involution fixing the points of the i-cycles
-    with i | o/2, so B means sum_{i | o/2} i k_i = 3 for odd m and 5 for
-    even m."""
-    mult, labels = _partition_columns(n)
-    rows = mult.shape[1]
-    orders = np.ones(rows, dtype=np.int64)
-    for i in range(2, n + 1):
-        has = mult[i - 1] != 0
-        orders[has] = np.lcm(orders[has], i)
-    size_id, sizes = _class_sizes(n, mult)
+    with i | o/2, that is the parts of 2-adic valuation below o's, so B
+    means sum_{i | o/2} i k_i = 3 for odd m and 5 for even m."""
+    coder = CentralizerCode(n)
+    table, labels = class_table(n, coder)
+    codes, size_id = distinct(table.code)
+    sizes = coder.sizes(codes)
     nf = factorial(n)
-    bucket_b = np.zeros(rows, dtype=bool)
+    key = table.order * 2  # order and bucket; 2 * g(60) fits uint32
     l_printed: dict[int, int] = {}
     if m is not None:
-        half = orders // 2
-        fixed = np.zeros(rows, dtype=np.int64)
-        for i in range(1, n + 1):
-            fixed += (half % i == 0) * mult[i - 1] * i  # i * k_i <= n fits uint8
-        bucket_b = (orders % 2 == 0) & (fixed == (3 if m % 2 else 5))
+        fixed = n - table.moved
+        key += (table.order % 2 == 0) & (fixed == (3 if m % 2 else 5))
+        del fixed
         extra = 12 * double_factorial(n - 3) if m % 2 else 240 * double_factorial(n - 5)
         for t in sym_l_table(n):
-            hit = (mult[0] == t.partition[0]) & (mult[1] == t.partition[1])
+            hit = (table.k1 == t.partition[0]) & (table.k2 == t.partition[1])
             l_printed[int(np.flatnonzero(hit)[0])] = t.printed
-    keys, term_id = np.unique(orders * 2 + bucket_b, return_inverse=True)
-    exponents, alphas, bad = [], [], []
+    del table
+    keys, term_id = distinct(key)
+    del key
+    orders, buckets, exponents, alphas, bad = [], [], [], [], []
     for key in keys.tolist():
         o, b = divmod(key, 2)
+        orders.append(o)
+        buckets.append(bool(b))
         if m is None:
             exponents.append(nf // o)
             continue
@@ -375,15 +284,16 @@ def _sym_rows(n: int, m: int | None) -> SymRows:
             bad.append(len(alphas))
         alphas.append(alpha)
         exponents.append(alpha + nf // o)
+    rows = SymRows(labels, size_id, sizes, term_id, orders, buckets, exponents,
+                   None if m is None else alphas, l_printed)
     if bad:  # reported on the first row of a key that fails
         r = int(np.flatnonzero(np.isin(term_id, bad))[0])
-        num, o = nf + extra if bucket_b[r] else nf, int(orders[r])
-        part = tuple(mult[:, r].tolist())
-        raise NonIntegralExponent(f"alpha_1 = {num}/{2 * o} is not an integer on {part}")
-    return SymRows(
-        labels, mult, orders, size_id, sizes, bucket_b, term_id, exponents,
-        None if m is None else alphas, l_printed,
-    )
+        t = int(term_id[r])
+        num = nf + extra if buckets[t] else nf
+        raise NonIntegralExponent(
+            f"alpha_1 = {num}/{2 * orders[t]} is not an integer on {rows.partition(r)}"
+        )
+    return rows
 
 
 def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:

@@ -332,14 +332,24 @@ BIG_OUTPUTS = {
         "175f9eeb4d52470c7e8a9ecb2fc92cd3bdd2d3a3f98e7e5fb4387068735cd971",
     ("elem2", "16", "SET", "--kv"):
         "9fc2bb3ab728ca48d4416c1868a47702f4795b20f698348128e376ec432bda62",
+    ("sym-grr", "40", "--surface", "O", "--mode", "log2"):
+        "6d5282701dd474a64ea69e100d87fdc5a2bf98779e80b15c468883fee75d7422",
+    ("sym-grr", "40", "--surface", "O", "--mode", "log2", "--kv"):
+        "5ee70622130f7c383a6cb85c02538715c0def756a57be3aea213a7792a8c5fb1",
+    ("sym-grr", "43", "--surface", "L", "--mode", "log2"):
+        "4075b5be1cdf6a6be1232c6a2991cfcb3d7d9a269fb34c9e244ce33f0dcd5d62",
+    ("sym-grr", "43", "--surface", "L", "--mode", "log2", "--kv"):
+        "762b2c17cd35a74167155aaa6eac79051f65269501b000d5210ded0d9631ef50",
 }
 
 
 @pytest.mark.parametrize("argv", list(BIG_OUTPUTS), ids=" ".join)
 def test_big_exact_outputs_are_frozen(argv, tmp_path, capsys):
-    """Exact totals of about a million digits, frozen as stdout digests:
-    sym-grr 10 on the orientable side, and elem2 16 on the default L side
-    with S the unit vectors and the all-ones vector."""
+    """Outputs of more than a million bytes, frozen as stdout digests: the
+    exact totals of about a million digits of sym-grr 10 on the orientable
+    side and of elem2 16 on the default L side, with S the unit vectors
+    and the all-ones vector; and the log2-mode class tables of sym-grr 40
+    on O and 43 on L (37,338 and 63,261 rows)."""
     cayset = tmp_path / "e16.set"
     cayset.write_text("cayset 17\n" + " ".join(str(1 << i) for i in range(16)) + " 65535\n")
     args = [str(cayset) if a == "SET" else a for a in argv]

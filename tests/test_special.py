@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import factorial
@@ -115,7 +117,7 @@ def test_sym_orientable_small_values():
     assert brute % 6 == 0
     assert res.total.exact_value == brute // 6 == 16
     assert len(res.rows) == 3
-    assert not res.rows.bucket_b.any() and res.rows.alphas is None
+    assert not any(res.rows.buckets) and res.rows.alphas is None
     assert sym_orientable_census(4).total.exact_value == 700688
     # n = 1: one class of size 1, term 2^{1!/1}, divided by 1!
     assert sym_orientable_census(1).total.exact_value == 2
@@ -145,13 +147,14 @@ def test_sym_locally_n7_frozen():
     rows = res.rows
     assert res.special_type == special_involution_type(7)
     alpha = [rows.alphas[t] for t in rows.term_id.tolist()]
-    b_alpha = [a for a, b in zip(alpha, rows.bucket_b.tolist()) if b]
+    b_alpha = [a for a, t in zip(alpha, rows.term_id.tolist()) if rows.buckets[t]]
     assert sorted(b_alpha) == [214, 428, 642, 642, 1284]
     for r in range(len(rows)):
-        o = int(rows.order[r])
-        half = None if o % 2 else power_type(tuple(rows.mult[:, r].tolist()), o // 2)
-        assert bool(rows.bucket_b[r]) == (half == res.special_type)
-        assert rows.exponents[rows.term_id[r]] == alpha[r] + 5040 // o
+        t = rows.term_id[r]
+        o = rows.orders[t]
+        half = None if o % 2 else power_type(rows.partition(r), o // 2)
+        assert rows.buckets[t] == (half == res.special_type)
+        assert rows.exponents[t] == alpha[r] + 5040 // o
     text = str(res.total.exact_value)
     assert len(text) == 2273
     assert text.startswith("1214329884984950")
@@ -182,22 +185,24 @@ def test_sym_columns_match_the_per_partition_functions(n, surface):
     ]
     assert len(rows) == len(parts) == len(partitions(n))
     special = special_involution_type(n) if surface == "L" else None
+    labels = rows.labels.rows(0, len(rows))
     for r, part in enumerate(parts):
-        assert tuple(rows.mult[:, r].tolist()) == part
-        assert rows.labels[r] == " ".join(
-            str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(part, start=1) if k
-        )
+        assert rows.partition(r) == part
+        label = " ".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(part, start=1) if k)
+        assert rows.label(r) == labels[r] == label
+        assert rows.labels.length[r] == len(label)
         size = rows.sizes[rows.size_id[r]]
         assert size == class_size(n, part)
         assert size * centralizer_order(part) == nf
         o = lcm_of_partition(part)
-        assert rows.order[r] == o
+        t = rows.term_id[r]
+        assert rows.orders[t] == o
         half = None if o % 2 else power_type(part, o // 2)
-        assert bool(rows.bucket_b[r]) == (special is not None and half == special)
+        assert rows.buckets[t] == (special is not None and half == special)
         if surface == "O":
-            assert rows.exponents[rows.term_id[r]] == nf // o
+            assert rows.exponents[t] == nf // o
         else:
-            assert rows.exponents[rows.term_id[r]] == rows.alphas[rows.term_id[r]] + nf // o
+            assert rows.exponents[t] == rows.alphas[t] + nf // o
 
 
 @pytest.mark.parametrize("n,surface", SYM_COLUMN_CASES)
@@ -223,12 +228,26 @@ def test_sym_merged_terms_give_the_per_row_total(n, surface):
 def test_sym_terms_add_the_sizes_of_equal_exponents():
     # three (order, bucket) keys, two of them with exponent 5
     rows = SymRows(
-        labels=["x", "y", "z", "w"], mult=np.zeros((1, 4), dtype=np.uint8),
-        order=np.array([1, 2, 3, 3]), size_id=np.array([0, 1, 1, 0]), sizes=[2, 7],
-        bucket_b=np.zeros(4, dtype=bool), term_id=np.array([0, 1, 2, 2]),
-        exponents=[5, 9, 5], alphas=None, l_printed={},
+        labels=None, size_id=np.array([0, 1, 1, 0], dtype=np.uint8), sizes=[2, 7],
+        term_id=np.array([0, 1, 2, 2], dtype=np.uint8), orders=[1, 2, 3],
+        buckets=[False] * 3, exponents=[5, 9, 5], alphas=None, l_printed={},
     )
     assert sorted(rows.terms()) == [(5, 0, 2 + 7 + 2, 1), (9, 0, 7, 1)]
+
+
+def test_sym_locally_refuses_a_non_integral_alpha_before_any_output(monkeypatch, capsys):
+    # with the published extra term cut to 12, alpha_1 = (7! + 12)/(2o) is
+    # not an integer on the bucket-B class [3, 4] of order 12, the first
+    # row of its term; the command prints the refusal alone
+    from cayleymaps import cli, special
+
+    monkeypatch.setattr(special, "double_factorial", lambda m: 1)
+    message = "alpha_1 = 5052/24 is not an integer on (0, 0, 1, 1, 0, 0, 0)"
+    with pytest.raises(NonIntegralExponent, match=f"^{re.escape(message)}$"):
+        special.sym_locally_census(7, "log2")
+    code = cli.main(["sym-grr", "7", "--mode", "log2"])
+    assert (code, capsys.readouterr().out) == (
+        NonIntegralExponent.exit_code, f"{message}\nerror-token: NonIntegralExponent\n")
 
 
 def test_sym_l_table_documents_the_mismatch():
@@ -412,29 +431,49 @@ def test_elem2_set_validation():
 
 
 def test_partition_tables_die_with_the_census(monkeypatch):
-    # one dict holds the n x p(n) table next to every r <= n/2 table, so
-    # its death with the cycle collector off shows that the dict, and every
-    # table in it, is freed as soon as the census is dropped
+    # the class data of the partition pass dies with the pass, and the
+    # label references, which the census keeps, die with the census: with
+    # the cycle collector off, that shows no reference cycle holds either
     from cayleymaps import special
 
-    tables = []
-    columns = special._partition_columns
+    refs = []
+    class_table = special.class_table
 
-    def recording(n):
-        mult, labels = columns(n)
-        tables.append(weakref.ref(mult))
-        return mult, labels
+    def recording(n, coder):
+        table, labels = class_table(n, coder)
+        refs.extend(weakref.ref(x) for x in (table.code, labels, labels.memo, labels.memo_row))
+        return table, labels
 
-    monkeypatch.setattr(special, "_partition_columns", recording)
+    monkeypatch.setattr(special, "class_table", recording)
     gc.collect()
     gc.disable()
     try:
         result = special.sym_orientable_census(40, "log2")
-        assert result.total.mode == "log2" and len(tables) == 1
+        assert result.total.mode == "log2" and len(refs) == 4
+        assert refs[0]() is None and all(r() is not None for r in refs[1:])
         del result
-        assert tables[0]() is None
+        assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("census_fn,n,bound_mb", [
+    (sym_orientable_census, 40, 3.5),
+    (sym_locally_census, 43, 5.0),
+])
+def test_sym_census_memory_is_bounded(census_fn, n, bound_mb):
+    # the class table is held as narrow columns and label references, not
+    # as a multiplicity matrix and one label string per class: the traced
+    # peak of the whole census stays under the bound (one warm-up run first
+    # fills mpmath's caches)
+    census_fn(n, "log2")
+    tracemalloc.start()
+    try:
+        census_fn(n, "log2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 def test_sym_censuses_parse_their_mode_once(monkeypatch):
