@@ -10,10 +10,13 @@ a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
 group Z_18 and the connection set {1, 9, 17}), ``d800.group``,
 ``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
 2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
-29 MB and 121 MB for the two larger), and ``d800.cayset`` ({r, r^-1, s} =
-{1, 399, 400}: order 800 is just under the census cap of order 812).  The
-command runs as ``python -m cayleymaps.cli`` with ``--src`` (default:
-this checkout's ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
+29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
+({r, r^-1, s}), ``z5040.group`` and ``z5040.cayset`` (Z_5040 and
+{1, 2, 5038, 5039}), and ``s7.group`` and ``s7.cayset`` (S_7 as
+``save_group(named_group("symmetric", 7))`` writes it, unnamed, and
+{(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}).  The command runs as
+``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
+``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per command: exit code, wall seconds
 from start to exit, the child's own peak resident set (``ru_maxrss``),
 and the stdout byte count and SHA-256.  These runs take seconds each and
@@ -30,7 +33,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import permutations
 from pathlib import Path
+
+import numpy as np
 
 
 def write_text(text: str):
@@ -53,19 +59,54 @@ def write_dihedral(order: int):
     return write
 
 
+def write_cyclic(order: int):
+    """The table of Z_order written one row at a time: row g is g + t."""
+    elements = [str(i) for i in range(order)]
+
+    def write(path):
+        with open(path, "w") as f:
+            f.write(f"group {order}\n")
+            for g in range(order):
+                f.write(" ".join(elements[g:] + elements[:g]) + "\n")
+    return write
+
+
+def write_symmetric(n: int):
+    """The table of S_n as ``save_group(named_group("symmetric", n))``
+    writes it: the permutations of 0..n-1 in lexicographic order, a times
+    b being a after b, and no names (cycle notation holds spaces)."""
+
+    def write(path):
+        rows = np.array(list(permutations(range(n))))  # lexicographic
+        weights = n ** np.arange(n)
+        index = np.zeros(n ** n, dtype=np.int64)  # a permutation's base-n code -> its number
+        index[rows @ weights] = np.arange(len(rows))
+        with open(path, "w") as f:
+            f.write(f"group {len(rows)}\n")
+            for a in rows:
+                f.write(" ".join(map(str, index[a[rows] @ weights].tolist())) + "\n")
+    return write
+
+
 INPUTS = {
     # Cay(Z_18 : {1, 9, 17}) has 2^18 rotation systems: the oracle realizes,
     # checks and labels every one of them
     "z18.group": write_text("group 18\n" + "".join(
         " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18))),
     "z18.cayset": write_text("cayset 3\n1 9 17\n"),
-    # the largest dihedral census under perm.DEFAULT_TABLE_CAP: per-class
-    # statistics of R(G) on 800 vertices
+    # per-class statistics of R(G) on 800 vertices
     "d800.group": write_dihedral(800),
     "d800.cayset": write_text("cayset 3\n1 399 400\n"),
-    # group files near the order cap: reading and validating the table is the run
+    # group files near the order cap: reading and validating the table is
+    # most of a group check or an H = 1 census
     "d2520.group": write_dihedral(2520),
     "d5040.group": write_dihedral(5040),
+    "d5040.cayset": write_text("cayset 3\n1 2519 2520\n"),
+    # 5040 classes of one element each
+    "z5040.group": write_cyclic(5040),
+    "z5040.cayset": write_text("cayset 4\n1 2 5038 5039\n"),
+    "s7.group": write_symmetric(7),
+    "s7.cayset": write_text("cayset 3\n843 1444 2861\n"),
 }
 DEFAULT_RUNS = [
     "sym-grr 60 --surface O --mode log2",
@@ -73,6 +114,8 @@ DEFAULT_RUNS = [
     "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
     "group check {inputs}/d2520.group",
     "census formula {inputs}/d800.group {inputs}/d800.cayset --surface L",
+    "census formula {inputs}/d5040.group {inputs}/d5040.cayset --surface O",
+    "census formula {inputs}/z5040.group {inputs}/z5040.cayset --surface O",
 ]
 READ_BYTES = 1 << 20
 

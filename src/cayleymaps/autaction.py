@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, subgroup_closure
 from .maps import MapPermutation
-from .perm import PermGroup, check_table_size, cycle_labels, semi_regular
+from .perm import PermGroup, cycle_labels, semi_regular
 from .rotations import (
     RotationSystem,
     build_dart_structure,
@@ -132,11 +132,11 @@ def graph_automorphism_group(
 
 def right_regular(G: FiniteGroup) -> PermGroup:
     """R(G): the |G| translations t ↦ th, the columns of the validated table,
-    read off it with no search.  Row h is the translation by h, since it
-    sends the identity to h, so the rows are already sorted; r_a after r_b
-    is r_{ba}, so the composition table is the group table transposed,
-    which is also the row stack, and the inverses are G's."""
-    check_table_size(G.order, G.order)
+    read off it with no search, so no table cap applies: G's order cap
+    (checked when G was built) bounds it.  Row h is the translation by h,
+    since it sends the identity to h, so the rows are already sorted; r_a
+    after r_b is r_{ba}, so the composition table is the group table
+    transposed, which is also the row stack, and the inverses are G's."""
     columns = np.ascontiguousarray(G.table.T)
     columns.flags.writeable = False
     return PermGroup.of_table(columns, columns, G.inverses)

@@ -21,7 +21,6 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -53,7 +52,7 @@ from .oracle import (
     enumerate_embeddings,
 )
 from .cycletypes import cycle_type_label
-from .perm import conjugacy_classes_of, order
+from .perm import conjugacy_classes_of, divisor_powers
 from .special import (
     elementary_abelian_census,
     sym_locally_census,
@@ -309,8 +308,7 @@ def cmd_group(args) -> Report:
     classes = conjugacy_classes_of(G.table, G.inverses)
     R.field("order", G.order)
     R.field("abelian", _b(all(len(c) == 1 for c in classes)))
-    # row g of the table is t -> gt, of the order of g
-    R.field("exponent", lcm(*order(G.table[[int(c[0]) for c in classes]]).tolist()))
+    R.field("exponent", int(np.lcm.reduce(divisor_powers(G.table).order)))
     R.field("conjugacy-classes", len(classes))
     R.field("valid", "true")
     return R
@@ -508,10 +506,10 @@ def cmd_three_inv(args) -> Report:
     )
     if args.compare:
         comparison = three_involution_comparison(G, S.members, args.surface)
-        labels = _rep_labels(G, [st.representative for st, *_ in comparison])
-        crows = [
-            (label, assumed_l, st.l_value, assumed_alpha, st.alpha_exponent, phi_true, _b(match))
-            for label, (st, assumed_l, assumed_alpha, phi_true, match) in zip(labels, comparison)
+        crows = [  # R(G)'s row g is the translation by g
+            (G.name_of(st.row), assumed_l, st.l_value, assumed_alpha, st.alpha_exponent,
+             phi_true, _b(match))
+            for st, assumed_l, assumed_alpha, phi_true, match in comparison
         ]
         R.table(
             "compare",

@@ -48,14 +48,14 @@ DELTA = "Delta"
 
 @dataclass(frozen=True)
 class ClassStats:
-    representative: tuple[int, ...]
     class_size: int
     order: int
+    vertex_orbits: int  # |G|/o, the orbits of the representative on the vertices
     l_value: int
     branch: str
     edge_orbits: int
     alpha_exponent: int
-    row: int  # the representative's index in the acting group's rows
+    row: int  # the representative's index in the acting group's rows: the class
 
 
 @dataclass(frozen=True)
@@ -319,19 +319,11 @@ def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassSt
             nu, eps, int(o[c]), int(l_rep[c]), int(eo[c]),
         )
     return [
-        ClassStats(
-            representative=tuple(vm),
-            class_size=size,
-            order=oi,
-            l_value=li,
-            branch=DELTA if di else THETA,
-            edge_orbits=ei,
-            alpha_exponent=ni // oi,
-            row=r,
-        )
-        for vm, size, oi, li, di, ei, ni, r in zip(
-            acting.rows[reps].tolist(), sizes.tolist(), o.tolist(), l_rep.tolist(),
-            delta.tolist(), eo.tolist(), num.tolist(), reps.tolist(),
+        ClassStats(class_size=size, order=oi, vertex_orbits=nu // oi, l_value=li,
+                   branch=DELTA if di else THETA, edge_orbits=ei, alpha_exponent=ni // oi, row=r)
+        for size, oi, li, di, ei, ni, r in zip(
+            sizes.tolist(), o.tolist(), l_rep.tolist(), delta.tolist(), eo.tolist(),
+            num.tolist(), reps.tolist(),
         )
     ]
 
@@ -370,8 +362,7 @@ def _raise_class_failure(
 
 
 def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
-    nu = len(stats.representative)
-    base = factorial(k - 1) ** (nu // stats.order)
+    base = factorial(k - 1) ** stats.vertex_orbits
     if surface == "O":
         return base
     if surface == "L":
@@ -388,7 +379,8 @@ def phi_exact(stats: ClassStats, surface: str, k: int) -> int:
 def _product_with(G: FiniteGroup, H: np.ndarray) -> PermGroup:
     """R(G)H for an H read from outside the program, checked first: the
     product has |G||H| elements only when H lists each map once and shares
-    just the identity with R(G)."""
+    just the identity with R(G).  The table cap bounds the product's table
+    search and the |H|^2 |G| arrays of these checks, before either runs."""
     check_table_size(G.order * len(H), G.order)
     if len(np.unique(H, axis=0)) != len(H):
         raise BadParameter("H lists an automorphism twice")
@@ -425,8 +417,7 @@ def census(
     parse_mode(mode)
     k = len(S.members)
     if H is None:
-        check_table_size(G.order, G.order)
-        acting = right_regular(G)
+        acting = right_regular(G)  # read off G's table: the group order cap bounds it
     else:
         acting = _product_with(G, np.asarray(H))
     acting_size = len(acting)

@@ -61,7 +61,7 @@ from .errors import (
     InternalInconsistency,
     NonIntegralBurnside,
 )
-from .formulas import CensusResult, ClassStats, census, phi_exact
+from .formulas import CensusResult, ClassStats, census
 from .groups import FiniteGroup
 from .maps import MapInventory, MapPermutation, inventories, validate_map
 from .perm import PermGroup, row_dtype
@@ -537,7 +537,6 @@ def compare_with_formula(
     F = build_flag_space(G, S)
     cres = census(G, S, H, surface, "exact")
     gs = enumerate_embeddings(F, semantics, surface, cap)
-    k = len(S.members)
 
     oc = burnside_count(cres.acting, gs)
     if surface == "O":
@@ -549,9 +548,8 @@ def compare_with_formula(
                 )
 
     lines = []
-    for st in cres.classes:
+    for st, phi in zip(cres.classes, cres.phi_values):
         oracle = oc.fixed_counts[st.row]
-        phi = phi_exact(st, surface, k)
         ratio = Fraction(oracle, phi) if phi else None
         lines.append(ClassComparison(stats=st, formula_phi=phi, oracle_fixed=oracle, ratio=ratio))
     total = cres.count.exact_value

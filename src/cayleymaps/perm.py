@@ -21,25 +21,26 @@ table (``table[g, t] = g t``) is the left-regular permutation
 :func:`conjugacy_classes_of` takes any group table with its inverses and
 labels every element by its least conjugate in one gather.
 
-:func:`element_stats` works on element indices too: one power table holds
-``a^d`` for every element a and every divisor d of the group order, from
-which the order is the least d with ``a^d = 1``, ``a`` is semi-regular iff
-``a^(o/p)`` fixes no point for every prime p dividing its order o, and the
-edge orbits of ``<a>`` are Burnside's average
+:func:`divisor_powers` works on element indices too: one power table holds
+``a^d`` for every element a and every divisor d of the group order, so the
+order is the least d with ``a^d = 1``; :func:`element_stats` reads from it
+that ``a`` is semi-regular iff ``a^(o/p)`` fixes no point for every prime
+p dividing its order o, and the edge orbits of ``<a>`` by Burnside's sum
 ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``; no row is labelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BadParameter, CapExceeded
 
-# Building the multiplication table composes |A|^2 pairs of n points each and
-# checks every product against a full row; refuse groups with more work.
+# Searching for a multiplication table (``PermGroup(maps)``) composes |A|^2
+# pairs of n points each and checks every product against a full row; refuse
+# groups with more work.  A table read off a validated one is not searched.
 DEFAULT_TABLE_CAP = 1 << 29
 
 # Conjugates g x g^-1 gathered at once by ``conjugacy_classes_of``: groups up
@@ -53,7 +54,7 @@ EDGE_BLOCK = 1 << 16
 
 def check_table_size(size: int, degree: int) -> None:
     """Refuses a group of ``size`` permutations of ``degree`` points whose
-    table would compose more than ``DEFAULT_TABLE_CAP`` points."""
+    table search would compose more than ``DEFAULT_TABLE_CAP`` points."""
     work = size * size * degree
     if work > DEFAULT_TABLE_CAP:
         raise CapExceeded(
@@ -150,21 +151,16 @@ def cycle_lengths(perms) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=flat.size)[flat].reshape(labels.shape)
 
 
-def _order_and_semi_regular(perms) -> tuple[np.ndarray, np.ndarray]:
-    """``order`` and ``semi_regular`` of each permutation, from one labelling."""
-    lengths = cycle_lengths(perms)
-    return np.lcm.reduce(lengths, axis=-1), (lengths == lengths[..., :1]).all(axis=-1)
-
-
 def order(perms):
     """Order of each permutation, the lcm of its cycle lengths (as int64,
     exact for elements of any group small enough for a PermGroup)."""
-    return _order_and_semi_regular(perms)[0]
+    return np.lcm.reduce(cycle_lengths(perms), axis=-1)
 
 
 def semi_regular(perms):
     """Whether all cycles of each permutation have the same length."""
-    return _order_and_semi_regular(perms)[1]
+    lengths = cycle_lengths(perms)
+    return (lengths == lengths[..., :1]).all(axis=-1)
 
 
 def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
@@ -308,23 +304,24 @@ def _divisors_and_primes(m: int) -> tuple[list[int], list[int], list[int]]:
     return divisors, phi, primes
 
 
-def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
-    """Statistics of every element of ``group`` acting on the graph with
-    the symmetric boolean ``adjacency`` matrix, read from the group's table
-    over element indices.
+class DivisorPowers(NamedTuple):
+    """``powers[i, a]`` is ``a^d`` for every element a and the i-th divisor
+    d of the group order (``position[d]`` is i; ``phi`` and ``primes`` as
+    in ``_divisors_and_primes``), and ``order[a]`` is the least d with
+    ``a^d`` the identity (Lagrange)."""
+    divisors: np.ndarray
+    phi: list[int]
+    primes: list[int]
+    position: np.ndarray
+    powers: np.ndarray
+    order: np.ndarray
 
-    Row i of the power table holds ``a^d`` for every element a, where d is
-    the i-th divisor of |A|; it is row ``d/p`` (p the least prime of d)
-    raised to the p-th power in the table.  By Lagrange the order of a is
-    the least d with ``a^d`` the identity.  Semi-regularity and l read the
-    fixed points and inverted vertices of single powers, and the edge
-    orbits of ``<a>`` are counted by Burnside's lemma,
-    ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``, from the edges each
-    element fixes: a fixes {u, v} iff {a(u), a(v)} = {u, v}, and breaks
-    the graph iff some a(u), a(v) are not adjacent.  Both are read off the
-    images of the edge ends, a block of elements at a time."""
-    rows, table = group.rows, group.table
-    m, n = rows.shape
+
+def divisor_powers(table: np.ndarray) -> DivisorPowers:
+    """The powers of every element of the group with multiplication
+    ``table`` (identity 0) at every divisor d of its order: row d/p, p the
+    least prime of d, raised to the p-th power in the table."""
+    m = len(table)
     divisors, phi, primes = _divisors_and_primes(m)
     position = np.zeros(m + 1, dtype=np.intp)
     position[divisors] = np.arange(len(divisors))
@@ -340,6 +337,22 @@ def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
         powers[i] = out
     divisors = np.array(divisors, dtype=np.int64)
     orders = divisors[np.argmax(powers == 0, axis=0)]
+    return DivisorPowers(divisors, phi, primes, position, powers, orders)
+
+
+def element_stats(group: PermGroup, adjacency: np.ndarray) -> ElementStats:
+    """Statistics of every element of ``group`` acting on the graph with
+    the symmetric boolean ``adjacency`` matrix, read from the group's
+    ``divisor_powers``: semi-regularity and l from the fixed points and
+    inverted vertices of single powers, the edge orbits of ``<a>`` by
+    Burnside's lemma, ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``,
+    from the edges each element fixes.  a fixes {u, v} iff
+    {a(u), a(v)} = {u, v}, and breaks the graph iff some a(u), a(v) are
+    not adjacent; both are read off the images of the edge ends, a block
+    of elements at a time."""
+    rows = group.rows
+    m, n = rows.shape
+    divisors, phi, primes, position, powers, orders = divisor_powers(group.table)
     element = np.arange(m)
 
     fixes_a_point = (rows == np.arange(n, dtype=rows.dtype)).any(axis=1)

@@ -58,7 +58,7 @@ from .formulas import (
     term_report,
 )
 from .groups import FiniteGroup, subgroup_closure
-from .perm import conjugacy_classes_of, cycle_type, order
+from .perm import conjugacy_classes_of, cycle_type, divisor_powers
 
 SYM_EXACT_CAP = 10
 SYM_BIG_CAP = 60
@@ -413,7 +413,7 @@ def three_involution_census(
     rows = []
     classes = conjugacy_classes_of(T, G.inverses)
     reps = [int(cls[0]) for cls in classes]
-    for g, cls, o in zip(reps, classes, order(T[reps]).tolist()):  # row g is t -> gt
+    for g, cls, o in zip(reps, classes, divisor_powers(T).order[reps].tolist()):
         base = Fraction(n, o)
         if base.denominator != 1:
             raise InternalInconsistency("element order does not divide group order")

@@ -262,7 +262,7 @@ def test_criterion_11_three_involution_consistency():
     cres = census(G, validate_cayley_set(G, S), surface="O")
 
     by_rep = {
-        st.representative[0]: (st, phi)
+        cres.acting.element(st.row)[0]: (st, phi)
         for st, phi in zip(cres.classes, cres.phi_values)
     }
     for row in res.rows:

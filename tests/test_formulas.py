@@ -1,6 +1,7 @@
 """Per-class statistics, closed-form fixed counts, and census totals."""
 
 import random
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_class_stats_cube_table():
     acting = right_regular(G)
     classes = class_stats(G, S, acting)
     # nu = 8, eps = 12, k = 3; every class is a singleton; R(g) is row g.
-    assert [st.representative for st in classes] == [acting.element(g) for g in range(8)]
+    assert [acting.element(st.row) for st in classes] == [acting.element(g) for g in range(8)]
     for g, st in enumerate(classes):
         assert st.class_size == 1
         if g == 0:
@@ -146,11 +147,12 @@ def test_l_value_equals_conjugation_count():
     )
     for G, S in cases:
         T = G.table
-        for st in census(G, S, surface="L").classes:
+        res = census(G, S, surface="L")
+        for st in res.classes:
             if st.order % 2:
                 assert st.l_value == 0
                 continue
-            gh = int(_power(T[st.representative[0]], st.order // 2)[0])  # row g is t -> gt
+            gh = int(_power(T[res.acting.element(st.row)[0]], st.order // 2)[0])  # row g is t -> gt
             alt = int(np.isin(T[T[:, gh], G.inverses], S.members).sum())
             assert alt == st.l_value
 
@@ -163,9 +165,9 @@ def test_phi_additivity_per_class():
     for G, S in pairs:
         k = len(S.members)
         res = {s: census(G, S, surface=s) for s in ("O", "N", "L")}
-        reps = [st.representative for st in res["O"].classes]
+        reps = [res["O"].acting.element(st.row) for st in res["O"].classes]
         for s in ("N", "L"):
-            assert [st.representative for st in res[s].classes] == reps
+            assert [res[s].acting.element(st.row) for st in res[s].classes] == reps
         for i in range(len(reps)):
             st = res["O"].classes[i]
             assert res["O"].phi_values[i] == factorial(k - 1) ** (G.order // st.order)
@@ -243,19 +245,75 @@ def test_census_with_non_semi_regular_h_raises():
 
 
 def test_census_refuses_over_the_table_cap_before_building_anything(monkeypatch):
-    fx = fixture("CUBE")  # |A| = 8 on 8 vertices: 512 composed points
+    # R(G)H for the cube and a vertex-fixing swap: |A| = 16 on 8 vertices,
+    # 2048 composed points
+    fx = fixture("CUBE")
+    swap = tuple((t & 4) | ((t & 1) << 1) | ((t & 2) >> 1) for t in range(8))
+    H = [tuple(range(8)), swap]
+    built = []
 
-    def unreachable(*args):
+    def product_group(*args):
+        built.append(args)
         raise AssertionError("the acting group was built")
 
-    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 511)
-    monkeypatch.setattr(formulas, "product_group", unreachable)
-    monkeypatch.setattr(formulas, "right_regular", unreachable)
-    with pytest.raises(CapExceeded, match="512 composed points"):
-        census(fx.group, fx.cayset)
-    monkeypatch.undo()
-    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 512)
+    monkeypatch.setattr(formulas, "product_group", product_group)
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 2047)
+    with pytest.raises(CapExceeded, match="2048 composed points"):
+        census(fx.group, fx.cayset, H=H)
+    assert built == []
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 2048)
+    with pytest.raises(AssertionError, match="was built"):
+        census(fx.group, fx.cayset, H=H)
+    assert len(built) == 1
+
+
+def test_h1_census_ignores_the_table_cap(monkeypatch, capsys):
+    # R(G) is read off G's validated table with no search: only the group
+    # order cap bounds it
+    from cayleymaps.cli import main
+
+    fx = fixture("CUBE")
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 1)
+    assert len(right_regular(fx.group)) == 8
     assert census(fx.group, fx.cayset).count.exact_value == 46
+    for argv in (
+        ["census", "formula", "fixtures:CUBE"],
+        ["verify", "fixtures:CUBE"],
+        ["three-inv", "fixtures:CUBE", "--compare"],
+    ):
+        assert main(argv) == 0, argv
+    assert "total: 46" in capsys.readouterr().out
+
+
+def test_h1_census_above_the_old_table_bound():
+    # order 1000 composes 10^9 points if searched, over the table cap
+    G = named_group("dihedral", 1000)
+    assert G.order ** 3 > perm.DEFAULT_TABLE_CAP
+    S = validate_cayley_set(G, (1, 499, 500))  # r, r^-1, s
+    res = {s: census(G, S, surface=s) for s in "ONL"}
+    total = {s: res[s].count.exact_value for s in "ONL"}
+    assert total["O"] + total["N"] == total["L"]
+    assert len(res["O"].acting) == 1000
+    p = 2**31 - 1
+    for s in "ONL":
+        modp = census(G, S, surface=s, mode=f"modp:{p}").count
+        assert modp.residue == total[s] % p
+
+
+def test_class_stats_holds_no_vertex_map_per_class():
+    # Z_720 has 720 classes; a |G|-tuple for each would hold 518,400 ints
+    G = named_group("cyclic", 720)
+    S = validate_cayley_set(G, (1, 2, 718, 719))
+    acting = right_regular(G)
+    tracemalloc.start()
+    try:
+        stats = class_stats(G, S, acting)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 720
+    assert peak < 8 * 2**20, peak
+    assert held < 2**20, held
 
 
 def test_h1_paths_never_search_for_the_acting_group(monkeypatch, capsys):

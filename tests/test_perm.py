@@ -25,6 +25,7 @@ from cayleymaps.perm import (
     conjugacy_classes_of,
     cycle_labels,
     cycle_lengths,
+    divisor_powers,
     element_stats,
     order,
 )
@@ -148,7 +149,7 @@ def outcome(fn):
 def kernel_census(G, S, H, surface):
     res = census(G, S, H, surface)
     rows = [
-        (st.representative, st.class_size, st.order, st.l_value,
+        (res.acting.element(st.row), st.class_size, st.order, st.l_value,
          st.branch, st.edge_orbits, st.alpha_exponent)
         for st in res.classes
     ]
@@ -400,6 +401,27 @@ def test_element_stats_match_walks_at_orders_with_many_divisors(build, members):
     G = build()
     stats = _assert_stats_match_walks(right_regular(G), G, validate_cayley_set(G, members))
     assert (stats.l_value > 0).any()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: named_group("cyclic", 150),
+    lambda: direct_product(named_group("dihedral", 30), named_group("cyclic", 4)),
+    lambda: named_group("symmetric", 4),
+], ids=["Z150", "D30xZ4", "S4"])
+def test_divisor_powers_match_repeated_products_on_either_table(build):
+    # G's own table (row g is t -> gt) and R(G)'s (G's transposed): each
+    # power row against a^k built one factor at a time, and each order
+    # against perm.order of G's rows
+    G = build()
+    element = np.arange(G.order)
+    for table in (G.table, right_regular(G).table):
+        got = divisor_powers(table)
+        assert got.order.tolist() == order(G.table).tolist()
+        power = element
+        for k in range(1, G.order + 1):
+            if G.order % k == 0:
+                assert (got.powers[got.position[k]] == power).all(), k
+            power = G.table[power, element]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cayleymaps import census, named_group, three_involution_census, validate_cayley_set
+from cayleymaps.autaction import right_regular
 from cayleymaps.errors import (
     BadParameter,
     CapExceeded,
@@ -346,7 +347,8 @@ def test_three_involution_validation():
 def test_three_involution_comparison_d6():
     G = named_group("dihedral", 12)
     rows = three_involution_comparison(G, (6, 7, 8), "L")
-    reps = [st.representative[0] for st, *_ in rows]
+    acting = right_regular(G)
+    reps = [acting.element(st.row)[0] for st, *_ in rows]
     assert reps == [0, 1, 2, 3, 6, 7]
     assert [st.l_value for st, *_ in rows] == [0, 0, 0, 0, 8, 4]
     assert [st.alpha_exponent for st, *_ in rows] == [6, 1, 2, 3, 7, 5]
