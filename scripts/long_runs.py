@@ -13,7 +13,8 @@ group Z_18 and the connection set {1, 9, 17}), ``d800.group``,
 29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
 ({r, r^-1, s}), ``z5040.group`` and ``z5040.cayset`` (Z_5040 and
 {1, 2, 5038, 5039}), and ``s7.group`` and ``s7.cayset`` (S_7 as
-``save_group(named_group("symmetric", 7))`` writes it, unnamed, and
+``save_group(named_group("symmetric", 7))`` writes it with the package
+under ``--src``, unnamed, and
 {(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}).  The command runs as
 ``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
 ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
@@ -33,10 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from itertools import permutations
 from pathlib import Path
-
-import numpy as np
 
 
 def write_text(text: str):
@@ -71,28 +69,27 @@ def write_cyclic(order: int):
     return write
 
 
-def write_symmetric(n: int):
-    """The table of S_n as ``save_group(named_group("symmetric", n))``
-    writes it: the permutations of 0..n-1 in lexicographic order, a times
-    b being a after b, and no names (cycle notation holds spaces)."""
+def write_named(kind: str, order: int):
+    """The file ``save_group(named_group(kind, order))`` writes, in a child
+    interpreter: a group this script built itself would stay in its own
+    resident set, which every command it starts later would then report."""
 
     def write(path):
-        rows = np.array(list(permutations(range(n))))  # lexicographic
-        weights = n ** np.arange(n)
-        index = np.zeros(n ** n, dtype=np.int64)  # a permutation's base-n code -> its number
-        index[rows @ weights] = np.arange(len(rows))
-        with open(path, "w") as f:
-            f.write(f"group {len(rows)}\n")
-            for a in rows:
-                f.write(" ".join(map(str, index[a[rows] @ weights].tolist())) + "\n")
+        subprocess.run([sys.executable, "-c", SAVE_NAMED, kind, str(order), str(path)], check=True)
     return write
+
+
+SAVE_NAMED = """import sys
+from cayleymaps import named_group
+from cayleymaps.fileio import save_group
+save_group(named_group(sys.argv[1], int(sys.argv[2])), sys.argv[3])
+"""
 
 
 INPUTS = {
     # Cay(Z_18 : {1, 9, 17}) has 2^18 rotation systems: the oracle realizes,
     # checks and labels every one of them
-    "z18.group": write_text("group 18\n" + "".join(
-        " ".join(str((g + t) % 18) for t in range(18)) + "\n" for g in range(18))),
+    "z18.group": write_cyclic(18),
     "z18.cayset": write_text("cayset 3\n1 9 17\n"),
     # per-class statistics of R(G) on 800 vertices
     "d800.group": write_dihedral(800),
@@ -105,7 +102,8 @@ INPUTS = {
     # 5040 classes of one element each
     "z5040.group": write_cyclic(5040),
     "z5040.cayset": write_text("cayset 4\n1 2 5038 5039\n"),
-    "s7.group": write_symmetric(7),
+    # S_7 is searched as permutations of 7 points: about 20 s to build
+    "s7.group": write_named("symmetric", 7),
     "s7.cayset": write_text("cayset 3\n843 1444 2861\n"),
 }
 DEFAULT_RUNS = [
@@ -120,14 +118,12 @@ DEFAULT_RUNS = [
 READ_BYTES = 1 << 20
 
 
-def run(line: str, inputs: str, src: Path) -> str:
+def run(line: str, inputs: str) -> str:
     argv = [arg.replace("{inputs}", inputs) for arg in shlex.split(line)]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "cayleymaps.cli", *argv],
-                            stdout=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE)
     with proc.stdout:
         while block := proc.stdout.read(READ_BYTES):
             digest.update(block)
@@ -149,12 +145,14 @@ def main() -> None:
     args = p.parse_args()
     if not (args.src / "cayleymaps" / "cli.py").is_file():
         raise SystemExit(f"long_runs.py: no cayleymaps sources under {args.src}")
+    src = str(args.src.resolve())
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as inputs:
         for name, write in INPUTS.items():
             if any(f"{{inputs}}/{name}" in line for line in args.runs):
                 write(Path(inputs, name))
         for line in args.runs:
-            print(run(line, inputs, args.src.resolve()), flush=True)
+            print(run(line, inputs), flush=True)
 
 
 if __name__ == "__main__":

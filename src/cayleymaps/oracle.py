@@ -64,7 +64,7 @@ from .errors import (
 from .formulas import CensusResult, ClassStats, census
 from .groups import FiniteGroup
 from .maps import MapInventory, MapPermutation, inventories, validate_map
-from .perm import PermGroup, row_dtype
+from .perm import PermGroup, check_table_size, row_dtype
 from .rotations import (
     DartStructure,
     TwistClasses,
@@ -424,7 +424,9 @@ def burnside_count(acting: PermGroup, gs: GroundSet) -> OrbitCensus:
 
     ``acting`` is a group of vertex maps, acting through their lifts to
     flags; the lift is an injective homomorphism, so the vertex table is
-    the table of the flag maps.  Fixed counts are in row order."""
+    the table of the flag maps.  Fixed counts are in row order.  A lift
+    over the table cap is refused before it is built."""
+    check_table_size(len(acting), gs.flag_space.flag_count)
     flag_maps = extend_to_flags(acting.rows, gs.flag_space)
     actions = [gs.space.compile(row) for row in flag_maps.tolist()]
 

@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import BadParameter, CapExceeded
 
-# Searching for a multiplication table (``PermGroup(maps)``) composes |A|^2
-# pairs of n points each and checks every product against a full row; refuse
-# groups with more work.  A table read off a validated one is not searched.
+# A table search (``PermGroup(maps)``) composes |A|^2 pairs of n points and
+# checks each product against a row; refuse more work, there and in the
+# oracle's lift to flags.  A table read off a validated one is not searched.
 DEFAULT_TABLE_CAP = 1 << 29
 
 # Conjugates g x g^-1 gathered at once by ``conjugacy_classes_of``: groups up
@@ -54,7 +54,7 @@ EDGE_BLOCK = 1 << 16
 
 def check_table_size(size: int, degree: int) -> None:
     """Refuses a group of ``size`` permutations of ``degree`` points whose
-    table search would compose more than ``DEFAULT_TABLE_CAP`` points."""
+    table would compose more than ``DEFAULT_TABLE_CAP`` points."""
     work = size * size * degree
     if work > DEFAULT_TABLE_CAP:
         raise CapExceeded(

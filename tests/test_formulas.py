@@ -267,24 +267,6 @@ def test_census_refuses_over_the_table_cap_before_building_anything(monkeypatch)
     assert len(built) == 1
 
 
-def test_h1_census_ignores_the_table_cap(monkeypatch, capsys):
-    # R(G) is read off G's validated table with no search: only the group
-    # order cap bounds it
-    from cayleymaps.cli import main
-
-    fx = fixture("CUBE")
-    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 1)
-    assert len(right_regular(fx.group)) == 8
-    assert census(fx.group, fx.cayset).count.exact_value == 46
-    for argv in (
-        ["census", "formula", "fixtures:CUBE"],
-        ["verify", "fixtures:CUBE"],
-        ["three-inv", "fixtures:CUBE", "--compare"],
-    ):
-        assert main(argv) == 0, argv
-    assert "total: 46" in capsys.readouterr().out
-
-
 def test_h1_census_above_the_old_table_bound():
     # order 1000 composes 10^9 points if searched, over the table cap
     G = named_group("dihedral", 1000)
@@ -341,3 +323,15 @@ def test_h1_paths_never_search_for_the_acting_group(monkeypatch, capsys):
     ):
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+    # with no search the table cap does not bound the formula paths; it
+    # still bounds the oracle's lift of R(G) to flags
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 1)
+    assert len(right_regular(fx.group)) == 8
+    assert census(fx.group, fx.cayset).count.exact_value == 46
+    for argv in (["census", "formula", "fixtures:CUBE"], ["three-inv", "fixtures:CUBE", "--compare"]):
+        assert main(argv) == 0, argv
+    assert "total: 46" in capsys.readouterr().out
+    for argv in (["verify", "fixtures:CUBE"], ["census", "oracle", "fixtures:CUBE", "--acting", "rg"]):
+        assert main(argv) == 2, argv
+        assert "error-token: CapExceeded" in capsys.readouterr().out

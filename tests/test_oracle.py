@@ -16,6 +16,7 @@ from cayleymaps import (
 )
 from cayleymaps.autaction import extend_to_flags, right_regular
 from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError, InternalInconsistency
+from cayleymaps.fileio import save_cayset, save_group
 from cayleymaps.oracle import (
     DART,
     DEFAULT_ORACLE_CAP,
@@ -297,3 +298,26 @@ def test_each_chunk_is_labelled_once(monkeypatch):
     chunks = -(-len(gs.codes) // oracle.ROW_CHUNK)
     assert (len(gs.codes), chunks) == (8192, 16)
     assert calls == {"cycle_labels": 2 * chunks, "orbit_labels": chunks, "validate_map": chunks}
+
+
+def test_oracle_refuses_a_lift_over_the_table_cap_before_building_it(monkeypatch, tmp_path, capsys):
+    # Z_1000 on {1, 999} has a ground set of at most 2 keys, but R(Z_1000)
+    # lifted to its 4000 flags would be 4 million flag images
+    import cayleymaps.oracle as oracle
+    from cayleymaps.cli import main
+
+    G = named_group("cyclic", 1000)
+    S = validate_cayley_set(G, (1, 999))
+    group, cayset = str(tmp_path / "z1000.group"), str(tmp_path / "z1000.cayset")
+    save_group(G, group)
+    save_cayset(S, cayset)
+
+    def lifted(*args):
+        raise AssertionError("the acting group was lifted")
+
+    monkeypatch.setattr(oracle, "extend_to_flags", lifted)
+    for argv in (["verify", group, cayset], ["census", "oracle", group, cayset, "--acting", "rg"]):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr().out
+        assert "acting group of order 1000 on 4000 points" in out
+        assert "error-token: CapExceeded" in out
