@@ -3,6 +3,7 @@
     python3 scripts/long_runs.py                                   # the default list
     python3 scripts/long_runs.py "sym-grr 60 --surface O --mode log2" "sym-grr 50 --surface O --mode log2"
     python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
+    python3 scripts/long_runs.py --repeat 15 --src ../parent/src --src src "sym-grr 9"  # two, alternating
 
 Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
 stands for a temporary directory of input files, each written only when
@@ -18,10 +19,17 @@ under ``--src``, unnamed, and
 {(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}).  The command runs as
 ``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
 ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
-never held, and one line is printed per command: exit code, wall seconds
+never held, and one line is printed per run: exit code, wall seconds
 from start to exit, the child's own peak resident set (``ru_maxrss``),
 and the stdout byte count and SHA-256.  These runs take seconds each and
 are not a workload of ``perfbench/``.
+
+``--repeat N`` runs the command list N times, round-robin, and ``--src``
+may be given more than once: every command then runs under each checkout
+in turn, the first of them alternating from round to round, so that host
+drift falls on all of them alike.  After the last round one summary line
+per command and checkout gives the median and quartiles of its wall
+seconds next to the fields of its last run.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import argparse
 import hashlib
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -118,12 +127,15 @@ DEFAULT_RUNS = [
 READ_BYTES = 1 << 20
 
 
-def run(line: str, inputs: str) -> str:
+def run(line: str, inputs: str, src: str) -> tuple[float, str]:
+    """Runs one command line with the package under ``src``; its wall
+    seconds and its report line."""
     argv = [arg.replace("{inputs}", inputs) for arg in shlex.split(line)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "cayleymaps.cli", *argv],
-                            stdout=subprocess.PIPE)
+                            stdout=subprocess.PIPE, env=env)
     with proc.stdout:
         while block := proc.stdout.read(READ_BYTES):
             digest.update(block)
@@ -132,27 +144,54 @@ def run(line: str, inputs: str) -> str:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return (f"exit={proc.returncode} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
-            f"stdout_bytes={size} sha256={digest.hexdigest()} argv={line}")
+    return wall, (f"exit={proc.returncode} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
+                  f"stdout_bytes={size} sha256={digest.hexdigest()} argv={line}")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("runs", nargs="*", default=DEFAULT_RUNS, metavar="COMMAND",
                    help="one cayleymaps command line, quoted")
-    p.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                   help="the directory holding the cayleymaps package")
+    p.add_argument("--src", type=Path, action="append",
+                   help="the directory holding the cayleymaps package (default: this "
+                        "checkout's src); given twice or more, the checkouts alternate")
+    p.add_argument("--repeat", type=int, default=1, metavar="N",
+                   help="run the command list N times, round-robin")
     args = p.parse_args()
-    if not (args.src / "cayleymaps" / "cli.py").is_file():
-        raise SystemExit(f"long_runs.py: no cayleymaps sources under {args.src}")
-    src = str(args.src.resolve())
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if args.repeat < 1:
+        raise SystemExit("long_runs.py: --repeat must be at least 1")
+    srcs = args.src or [Path(__file__).resolve().parent.parent / "src"]
+    for src in srcs:
+        if not (src / "cayleymaps" / "cli.py").is_file():
+            raise SystemExit(f"long_runs.py: no cayleymaps sources under {src}")
+    srcs = [str(src.resolve()) for src in srcs]
+    tag = {src: f"src={src} " if len(srcs) > 1 else "" for src in srcs}
+    walls = {(line, src): [] for line in args.runs for src in srcs}
+    last = {}
+    # the group files are written by the first checkout's package
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [srcs[0], os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as inputs:
         for name, write in INPUTS.items():
             if any(f"{{inputs}}/{name}" in line for line in args.runs):
                 write(Path(inputs, name))
-        for line in args.runs:
-            print(run(line, inputs), flush=True)
+        for r in range(args.repeat):
+            for line in args.runs:
+                for src in srcs[r % len(srcs):] + srcs[:r % len(srcs)]:
+                    wall, last[line, src] = run(line, inputs, src)
+                    walls[line, src].append(wall)
+                    print(tag[src] + last[line, src], flush=True)
+    if args.repeat > 1:
+        for (line, src), values in walls.items():
+            q1, median, q3 = quartiles(values)
+            print(f"{tag[src]}runs={len(values)} wall_s_median={median:.3f} "
+                  f"wall_s_q1={q1:.3f} wall_s_q3={q3:.3f} last: {last[line, src]}", flush=True)
 
 
 if __name__ == "__main__":

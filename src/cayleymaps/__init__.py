@@ -28,34 +28,62 @@ The package is organized bottom-up:
   three-involution generation, elementary abelian 2-groups;
 * :mod:`cayleymaps.fixtures`, :mod:`cayleymaps.fileio`,
   :mod:`cayleymaps.cli` -- named instances, text formats, front end.
+
+Importing the package loads none of these modules: each name of
+``__all__`` is imported from its module on first access, and each ``cli``
+subcommand imports the modules it runs when it runs, so a one-shot command
+pays only for what it uses.
 """
 
-from .autaction import (
-    construct_stable_map,
-    decompose,
-    graph_automorphism_group,
-    right_regular,
-)
-from .cayley import (
-    build_cayley_graph,
-    build_flag_space,
-    generic_flag_space,
-    validate_cayley_set,
-)
-from .errors import CayleymapsError
-from .fixtures import FIXTURE_NAMES, fixture, run_fixture_checks
-from .formulas import census, make_report
-from .groups import build_group_from_table, named_group
-from .maps import inventory, map_automorphisms, validate_map
-from .oracle import burnside_count, compare_with_formula, enumerate_embeddings
-from .perm import conjugacy_classes_of
-from .rotations import realize, realize_signed
-from .special import (
-    elementary_abelian_census,
-    sym_locally_census,
-    sym_orientable_census,
-    three_involution_census,
-)
+import importlib
+
+# each re-export and the module it lives in, imported on first access
+# through the module ``__getattr__`` (PEP 562)
+_EXPORTS = {
+    "CayleymapsError": "errors",
+    "FIXTURE_NAMES": "fixtures",
+    "build_cayley_graph": "cayley",
+    "build_flag_space": "cayley",
+    "build_group_from_table": "groups",
+    "burnside_count": "oracle",
+    "census": "formulas",
+    "compare_with_formula": "oracle",
+    "conjugacy_classes_of": "perm",
+    "construct_stable_map": "autaction",
+    "decompose": "autaction",
+    "elementary_abelian_census": "special",
+    "enumerate_embeddings": "oracle",
+    "fixture": "fixtures",
+    "generic_flag_space": "cayley",
+    "graph_automorphism_group": "autaction",
+    "inventory": "maps",
+    "make_report": "formulas",
+    "map_automorphisms": "maps",
+    "named_group": "groups",
+    "realize": "rotations",
+    "realize_signed": "rotations",
+    "right_regular": "autaction",
+    "run_fixture_checks": "fixtures",
+    "sym_locally_census": "special",
+    "sym_orientable_census": "special",
+    "three_involution_census": "special",
+    "validate_cayley_set": "cayley",
+    "validate_map": "maps",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -7,13 +7,15 @@ group acts on maps by flag conjugation.
 
 An automorphism is a tuple of vertex images, and an acting group is one
 ``perm.PermGroup`` of them, built where it is formed; ``extend_to_flags``
-lifts all its rows at once, in row order.
+lifts all its rows at once, in row order.  Only the stable-map
+construction reads ``rotations`` (and through it ``maps``), which it imports
+when it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -25,17 +27,11 @@ from .errors import (
     NotSemiRegular,
 )
 from .groups import FiniteGroup, subgroup_closure
-from .maps import MapPermutation
 from .perm import PermGroup, cycle_labels, semi_regular
-from .rotations import (
-    RotationSystem,
-    build_dart_structure,
-    canonical_rotation,
-    dart_map_of_flag_map,
-    realize_signed,
-    transport_rotation_system,
-    twists_of_signs,
-)
+
+if TYPE_CHECKING:
+    from .maps import MapPermutation
+    from .rotations import RotationSystem
 
 DEFAULT_GRAPH_AUT_CAP = 64
 
@@ -273,6 +269,15 @@ def construct_stable_map(
     system (hence the embedding class) is stabilized, and commutes reports
     it.
     """
+    from .rotations import (
+        build_dart_structure,
+        canonical_rotation,
+        dart_map_of_flag_map,
+        realize_signed,
+        transport_rotation_system,
+        twists_of_signs,
+    )
+
     if not semi_regular(theta):
         raise NotSemiRegular("automorphism has unequal vertex orbit lengths")
     D = build_dart_structure(F)

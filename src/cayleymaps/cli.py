@@ -11,55 +11,28 @@ line-oriented ``key=value`` form for scripting.  Exit codes are 0 (ok),
 short without a traceback, and the exit code stays the command's own.
 ``main`` builds the argument parser on its first call and reuses it, so a
 process that runs many commands (a test suite, the benchmark) builds it once.
+At import this module loads only the standard library, numpy and
+``errors``: each subcommand imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
-from mpmath import mp
 
-from .autaction import DEFAULT_GRAPH_AUT_CAP, decompose, graph_automorphism_group
-from .cayley import build_cayley_graph, build_flag_space
 from .errors import BadParameter, CayleymapsError, InternalInconsistency
-from .fileio import (
-    load_automorphisms,
-    load_cayset,
-    load_cayset_members,
-    load_group,
-    load_map,
-    resolve_fixture,
-    save_map,
-)
-from .fixtures import FIXTURE_DESCRIPTIONS, FIXTURE_NAMES, fixture, run_fixture_checks
-from .formulas import CountReport, census
-from .groups import FiniteGroup
-from .maps import inventory, map_automorphisms, orientation_preserving_automorphisms
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    SIGMA,
-    acting_group,
-    burnside_count,
-    compare_with_formula,
-    enumerate_embeddings,
-)
-from .cycletypes import cycle_type_label
-from .perm import conjugacy_classes_of, divisor_powers
-from .special import (
-    elementary_abelian_census,
-    sym_locally_census,
-    sym_orientable_census,
-    three_involution_census,
-    three_involution_comparison,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .formulas import CountReport
+    from .groups import FiniteGroup
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +178,8 @@ def _b(x: bool) -> str:
 
 
 def _fmt_log2(v) -> str:
+    from mpmath import mp
+
     return mp.nstr(v, 15)
 
 
@@ -220,6 +195,8 @@ def decimal_string(n: int) -> str:
     """
     if n.bit_length() <= 8192:
         return str(n)
+    import decimal
+
     D = decimal.Decimal
     pow2: dict[int, decimal.Decimal] = {}
 
@@ -283,8 +260,17 @@ def _fmt_ratio(r: Fraction | None) -> str:
     return "-" if r is None else str(r)
 
 
+def _oracle_options(args) -> tuple[str, int]:
+    """``--semantics`` and ``--cap``, with their defaults from ``oracle``."""
+    from .oracle import DEFAULT_ORACLE_CAP, SIGMA
+
+    return args.semantics or SIGMA, DEFAULT_ORACLE_CAP if args.cap is None else args.cap
+
+
 def _load_pair(source: list[str]):
     """Two file paths, or one fixtures:NAME standing for the pair."""
+    from .fileio import load_cayset, load_group, resolve_fixture
+
     if len(source) == 1:
         fx = resolve_fixture(source[0])
         if fx is None or fx.group is None or fx.cayset is None:
@@ -303,6 +289,9 @@ def _load_pair(source: list[str]):
 # ---------------------------------------------------------------------------
 
 def cmd_group(args) -> Report:
+    from .fileio import load_group
+    from .perm import conjugacy_classes_of, divisor_powers
+
     G = load_group(args.group_file)
     R = Report(args.kv)
     classes = conjugacy_classes_of(G.table, G.inverses)
@@ -315,9 +304,13 @@ def cmd_group(args) -> Report:
 
 
 def cmd_cayley(args) -> Report:
+    from .autaction import DEFAULT_GRAPH_AUT_CAP, decompose, graph_automorphism_group
+    from .cayley import build_cayley_graph
+
     G, S = _load_pair(args.source)
     graph = build_cayley_graph(G, S)
-    full = graph_automorphism_group(graph, args.aut_cap)
+    cap = DEFAULT_GRAPH_AUT_CAP if args.aut_cap is None else args.aut_cap
+    full = graph_automorphism_group(graph, cap)
     dec = decompose(full, G)
     R = Report(args.kv)
     R.field("group-order", G.order)
@@ -330,6 +323,10 @@ def cmd_cayley(args) -> Report:
 
 
 def cmd_map(args) -> Report:
+    from .cayley import build_flag_space
+    from .fileio import load_cayset, load_group, load_map
+    from .maps import inventory, map_automorphisms, orientation_preserving_automorphisms
+
     F = None
     if args.group_file is not None or args.cayset_file is not None:
         if args.group_file is None or args.cayset_file is None:
@@ -355,6 +352,9 @@ def cmd_map(args) -> Report:
 
 
 def cmd_census_formula(args) -> Report:
+    from .fileio import load_automorphisms
+    from .formulas import census
+
     G, S = _load_pair(args.source)
     H = None
     if args.h_file is not None:
@@ -364,7 +364,11 @@ def cmd_census_formula(args) -> Report:
     R.field("surface", res.surface)
     R.field("acting-size", len(res.acting))
     R.field("classes", len(res.classes))
-    labels = _rep_labels(G, res.acting.rows[[st.row for st in res.classes]])
+    reps = [st.row for st in res.classes]
+    if H is None:  # R(G)'s row g is the translation by g
+        labels = [G.name_of(g) for g in reps]
+    else:
+        labels = _rep_labels(G, res.acting.rows[reps])
     rows = [
         (label, st.class_size, st.order, st.l_value, st.branch, st.alpha_exponent, phi)
         for label, st, phi in zip(labels, res.classes, res.phi_values)
@@ -376,14 +380,19 @@ def cmd_census_formula(args) -> Report:
 
 
 def cmd_census_oracle(args) -> Report:
+    from .cayley import build_flag_space
+    from .fileio import save_map
+    from .oracle import acting_group, burnside_count, enumerate_embeddings
+
     G, S = _load_pair(args.source)
     F = build_flag_space(G, S)
-    gs = enumerate_embeddings(F, args.semantics, args.surface, args.cap)
+    semantics, cap = _oracle_options(args)
+    gs = enumerate_embeddings(F, semantics, args.surface, cap)
     acting = acting_group(G, S, args.acting)
     oc = burnside_count(acting, gs)
     R = Report(args.kv)
     R.field("surface", args.surface)
-    R.field("semantics", args.semantics)
+    R.field("semantics", semantics)
     R.field("ground-set", len(gs.keys))
     R.field("acting-size", oc.acting_size)
     R.table("fixed", ["element", "fixed"], [_rep_labels(G, acting.rows), oc.fixed_counts])
@@ -414,16 +423,23 @@ def cmd_census_oracle(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
+    from .fileio import load_automorphisms
+    from .oracle import compare_with_formula
+
     G, S = _load_pair(args.source)
     H = None
     if args.h_file is not None:
         H = load_automorphisms(args.h_file, vertex_count=G.order)
-    rep = compare_with_formula(G, S, H, args.surface, args.semantics, args.cap)
+    rep = compare_with_formula(G, S, H, args.surface, *_oracle_options(args))
     R = Report(args.kv)
     R.field("surface", rep.surface)
     R.field("semantics", rep.semantics)
     acting = rep.census_result.acting
-    labels = _rep_labels(G, acting.rows[[line.stats.row for line in rep.lines]])
+    reps = [line.stats.row for line in rep.lines]
+    if H is None:  # R(G)'s row g is the translation by g
+        labels = [G.name_of(g) for g in reps]
+    else:
+        labels = _rep_labels(G, acting.rows[reps])
     rows = [
         (label, line.stats.class_size, line.stats.order, line.stats.l_value, line.stats.branch,
          line.formula_phi, line.oracle_fixed, _fmt_ratio(line.ratio))
@@ -442,6 +458,9 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_sym_grr(args) -> Report:
+    from .cycletypes import cycle_type_label
+    from .special import sym_locally_census, sym_orientable_census
+
     if args.surface == "O":
         res = sym_orientable_census(args.n, args.mode)
     else:
@@ -482,6 +501,8 @@ def cmd_sym_grr(args) -> Report:
 
 
 def cmd_three_inv(args) -> Report:
+    from .special import three_involution_census, three_involution_comparison
+
     G, S = _load_pair(args.source)
     res = three_involution_census(G, S.members, args.surface, args.mode)
     R = Report(args.kv)
@@ -522,6 +543,9 @@ def cmd_three_inv(args) -> Report:
 
 
 def cmd_elem2(args) -> Report:
+    from .fileio import load_cayset_members
+    from .special import elementary_abelian_census
+
     members = load_cayset_members(args.cayset_file)
     res = elementary_abelian_census(args.n, members, args.surface, args.mode)
     R = Report(args.kv)
@@ -536,6 +560,8 @@ def cmd_elem2(args) -> Report:
 
 
 def cmd_fixtures(args) -> Report:
+    from .fixtures import FIXTURE_DESCRIPTIONS, FIXTURE_NAMES, fixture, run_fixture_checks
+
     R = Report(args.kv)
     if args.action == "list":
         R.table(
@@ -585,6 +611,10 @@ def _pair_argument(sub) -> None:
 
 
 def build_parser() -> _Parser:
+    """The argument parser.  Options whose defaults are library constants
+    (``--aut-cap``, ``--semantics``, ``--cap``) default to None here and are
+    filled in by the command that runs, so building the parser loads no
+    library module."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kv", action="store_true", help="line-oriented key=value output")
 
@@ -599,7 +629,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("cayley", parents=[common], help="connection set and graph checks")
     p.add_argument("action", choices=("check",))
     _pair_argument(p)
-    p.add_argument("--aut-cap", type=int, default=DEFAULT_GRAPH_AUT_CAP)
+    p.add_argument("--aut-cap", type=int)
     p.set_defaults(func=cmd_cayley)
 
     p = subs.add_parser("map", parents=[common], help="validate a map file")
@@ -622,9 +652,9 @@ def build_parser() -> _Parser:
     po = csubs.add_parser("oracle", parents=[common], help="exhaustive enumeration")
     _pair_argument(po)
     po.add_argument("--surface", choices=("O", "N", "L"), default="O")
-    po.add_argument("--semantics", choices=("raw", "sigma", "dart"), default=SIGMA)
+    po.add_argument("--semantics", choices=("raw", "sigma", "dart"))
     po.add_argument("--acting", choices=("rg", "rgxh", "full"), default="rgxh")
-    po.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    po.add_argument("--cap", type=int)
     po.add_argument("--dump", metavar="DIR")
     po.set_defaults(func=cmd_census_oracle)
 
@@ -632,8 +662,8 @@ def build_parser() -> _Parser:
     _pair_argument(p)
     p.add_argument("--h-file", dest="h_file")
     p.add_argument("--surface", choices=("O", "N", "L"), default="O")
-    p.add_argument("--semantics", choices=("raw", "sigma", "dart"), default=SIGMA)
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--semantics", choices=("raw", "sigma", "dart"))
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sym-grr", parents=[common], help="symmetric-group cubic censuses")

@@ -20,14 +20,17 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cayley import CayleySet, FlagSpace, generic_flag_space, validate_cayley_set
 from .errors import BadParameter
-from .fixtures import Fixture, fixture
 from .groups import FiniteGroup, build_group_from_table, check_order_cap
-from .maps import MapPermutation, validate_map
+
+if TYPE_CHECKING:
+    from .fixtures import Fixture
+    from .maps import MapPermutation
 
 FIXTURE_PREFIX = "fixtures:"
 
@@ -48,6 +51,8 @@ _LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")  # str.splitlines 
 
 def resolve_fixture(token: str) -> Fixture | None:
     if isinstance(token, str) and token.startswith(FIXTURE_PREFIX):
+        from .fixtures import fixture
+
         return fixture(token[len(FIXTURE_PREFIX):])
     return None
 
@@ -223,6 +228,8 @@ def save_cayset(S: CayleySet, path: str) -> None:
 
 
 def load_map(path: str, flag_space: FlagSpace | None = None) -> MapPermutation:
+    from .maps import validate_map
+
     fx = resolve_fixture(path)
     if fx is not None:
         if fx.map is None:

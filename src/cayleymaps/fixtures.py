@@ -4,19 +4,21 @@ Four small Cayley graphs cover both degrees of interest (K3, C4, C5 at
 degree 2; the 3-cube at degree 3), and FIG1 is the K4-on-the-torus map
 given by an explicit flag permutation on a generic flag space.  Each
 fixture knows how to rebuild itself from scratch and what its documented
-numbers are, so ``fixtures run`` doubles as a quick self-test.
+numbers are, so ``fixtures run`` doubles as a quick self-test.  Only FIG1
+and the self-test load ``maps``; only the self-test loads the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cayley import CayleySet, FlagSpace, build_flag_space, generic_flag_space, validate_cayley_set
 from .errors import BadParameter
 from .groups import FiniteGroup, named_group
-from .maps import MapPermutation, inventory, validate_map
-from .oracle import SIGMA, acting_group, burnside_count, enumerate_embeddings
-from .rotations import build_dart_structure, realize
+
+if TYPE_CHECKING:
+    from .maps import MapPermutation
 
 FIXTURE_NAMES = ("K3", "C4", "C5", "CUBE", "FIG1")
 
@@ -73,6 +75,8 @@ def fig1_flag_space() -> FlagSpace:
 
 
 def fig1_map() -> MapPermutation:
+    from .maps import validate_map
+
     F = fig1_flag_space()
     P = list(range(F.flag_count))
     for cyc in _FIG1_P_CYCLES:
@@ -95,6 +99,10 @@ def fixture(name: str) -> Fixture:
 
 def run_fixture_checks(name: str) -> list[tuple[str, bool, str]]:
     """Rebuild the fixture and confirm its documented numbers."""
+    from .maps import inventory
+    from .oracle import SIGMA, acting_group, burnside_count, enumerate_embeddings
+    from .rotations import build_dart_structure, realize
+
     fx = fixture(name)
     checks: list[tuple[str, bool, str]] = []
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
 
+from . import perm
 from .autaction import product_group, right_regular
 from .cayley import CayleySet
 from .errors import (
@@ -41,6 +40,9 @@ from .perm import (
     conjugacy_classes_of,
     element_stats,
 )
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 THETA = "Theta"
 DELTA = "Delta"
@@ -93,6 +95,8 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
 
 def log2_of_int(n: int) -> mp.mpf:
     """log2(n) at 60 digits: the log of n rounded to 60 digits."""
+    import mpmath as mp
+
     if n < 0:
         raise BadParameter("log2 of negative count")
     if n == 0:
@@ -107,6 +111,9 @@ def mpf_of_int(n: int) -> mp.mpf:
     lowest one set when any dropped bit is, gives the same mpf as rounding
     all of n.  ``mp.mpf(n)`` itself first converts the whole integer
     exactly."""
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp, round_nearest
+
     prec = mp.mp.prec
     shift = n.bit_length() - (prec + 8)
     if shift <= 0:
@@ -223,6 +230,8 @@ def _log2_sum(terms: Sequence[Term], divisor: int, base: int) -> mp.mpf:
     unchanged under correctly rounded addition, so it is skipped; the result
     is the same mpf as summing every term.
     """
+    import mpmath as mp
+
     live = [t for t in terms if t[2]]
     b_lo = base.bit_length() - 1
     b_hi = b_lo if base & (base - 1) == 0 else b_lo + 1
@@ -299,7 +308,13 @@ def class_stats(G: FiniteGroup, S: CayleySet, acting: PermGroup) -> list[ClassSt
     delta = (o % 2 == 0) & (l_rep > 0)
     num = eps + l_rep - nu
     table = acting.table
-    centralizer = np.count_nonzero(table[:, reps] == table[reps, :].T, axis=0)
+    # a block of representatives at a time: two |A| x block gathers of at
+    # most perm.CONJUGATE_BLOCK entries, not two of |A| x |classes|
+    step = max(1, perm.CONJUGATE_BLOCK // len(acting))
+    centralizer = np.concatenate([
+        np.count_nonzero(table[:, block] == table[block, :].T, axis=0)
+        for block in (reps[i:i + step] for i in range(0, len(reps), step))
+    ])
     varies = np.zeros(len(classes), dtype=bool)
     varies[np.searchsorted(reps, label[~same])] = True
     failures = np.stack([

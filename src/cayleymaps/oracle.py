@@ -336,6 +336,12 @@ class OrbitCensus:
 def ground_set_bound(F: FlagSpace, semantics: str) -> int:
     """Size of the locally orientable ground set for the cap pre-check."""
     D = build_dart_structure(F)
+    return _key_bound(D, build_twist_classes(D) if semantics == SIGMA else None, semantics)
+
+
+def _key_bound(D: DartStructure, T: TwistClasses | None, semantics: str) -> int:
+    """``ground_set_bound`` from the dart structure and, for SIGMA, the
+    twist classes."""
     k = D.degree
     per_rot = 1
     for i in range(1, k):
@@ -343,7 +349,6 @@ def ground_set_bound(F: FlagSpace, semantics: str) -> int:
     if semantics == RAW:
         return (per_rot << (k - 1)) ** D.vertex_count
     if semantics == SIGMA:
-        T = build_twist_classes(D)
         return per_rot ** D.vertex_count * T.class_count
     if semantics == DART:
         return per_rot ** D.vertex_count
@@ -364,11 +369,16 @@ def enumerate_embeddings(
         raise BadParameter(f"unknown surface {surface!r}")
     if semantics not in SEMANTICS:
         raise BadParameter(f"unknown semantics {semantics!r}")
-    bound = ground_set_bound(F, semantics)
+    # the dart structure and the twist classes are built once, the classes
+    # before the cap check only where the bound reads them
+    D = build_dart_structure(F)
+    T = build_twist_classes(D) if semantics == SIGMA else None
+    bound = _key_bound(D, T, semantics)
     if bound > cap:
         raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
-    D = build_dart_structure(F)
-    space = KeySpace(D, build_twist_classes(D), semantics, surface)
+    if T is None:
+        T = build_twist_classes(D)
+    space = KeySpace(D, T, semantics, surface)
 
     codes, chi, orientable = [], [], []
     want = surface == "O"

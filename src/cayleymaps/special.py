@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-import mpmath as mp
 import numpy as np
 
 from .autaction import right_regular
@@ -465,6 +464,8 @@ def _fractional_power_report(terms, divisor: int, mode: str) -> CountReport:
             f"displayed exponent {fractional[0]} is not an integer"
         )
     if kind == "log2":
+        import mpmath as mp
+
         with mp.workdps(60):
             acc = mp.mpf(0)
             for e, size in terms:

@@ -616,3 +616,26 @@ def test_cli_reuses_one_parser_with_fresh_run_output(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+def test_cli_r_g_class_labels_equal_the_generic_labels(capsys, tmp_path):
+    # with H = 1 each class is labelled by its representative's name; an H
+    # file holding only the identity takes the generic path, which finds
+    # the same rows to be translations
+    from cayleymaps.groups import direct_product
+
+    G = direct_product(named_group("cyclic", 2), named_group("dihedral", 6))
+    names = list(G.names)
+    S = validate_cayley_set(G, tuple(sorted(names.index(n) for n in ("(g1,r0)", "(g0,s0)", "(g0,s1)"))))
+    group, cayset, h = (str(tmp_path / n) for n in ("g.group", "g.cayset", "id.h"))
+    save_group(G, group)
+    save_cayset(S, cayset)
+    save_automorphisms([tuple(range(G.order))], h)
+    for command, extra in [
+        (["census", "formula"], []), (["census", "formula"], ["--kv", "--surface", "L"]),
+        (["verify"], []), (["verify"], ["--kv"]),
+    ]:
+        argv = [*command, group, cayset, *extra]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "(g1,r0)" in out, argv
+        assert run_cli(capsys, *argv, "--h-file", h) == (code, out, ""), argv

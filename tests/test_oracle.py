@@ -321,3 +321,34 @@ def test_oracle_refuses_a_lift_over_the_table_cap_before_building_it(monkeypatch
         out = capsys.readouterr().out
         assert "acting group of order 1000 on 4000 points" in out
         assert "error-token: CapExceeded" in out
+
+
+def test_enumeration_builds_darts_and_twist_classes_once(monkeypatch):
+    # the cap check reads the twist classes the key space is built from; a
+    # RAW or DART bound reads none, so a refusal there builds none
+    import cayleymaps.oracle as oracle
+
+    calls = []
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(oracle, name, call)
+
+    counted("build_dart_structure")
+    counted("build_twist_classes")
+    both = ["build_dart_structure", "build_twist_classes"]
+    for semantics in (RAW, SIGMA, DART):
+        calls.clear()
+        enumerate_embeddings(fixture("K3").flag_space, semantics, "L")
+        assert calls == both, semantics
+    calls.clear()
+    enumerate_embeddings(fixture("CUBE").flag_space, SIGMA, "O")
+    assert calls == both
+    calls.clear()
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        enumerate_embeddings(fixture("CUBE").flag_space, RAW, "L")
+    assert calls == ["build_dart_structure"]

@@ -524,6 +524,29 @@ def test_conjugacy_classes_match_the_per_element_loop(monkeypatch, block):
         assert all(c.dtype.kind == "i" for c in got)
 
 
+def test_class_stats_are_the_same_a_block_of_representatives_at_a_time(monkeypatch):
+    # a block of 1 counts one representative's centralizer per gather, a
+    # block of 64 a few; R(G)H with a nontrivial H refuses
+    rng = random.Random(73)
+    cases = []
+    for family in ("cyclic", "dihedral", "product") * 3:
+        G = _random_group(rng, family)
+        S = _random_cayset(rng, G)
+        cases.append((G, S, right_regular(G)))
+        H = _semi_regular_complement(rng, G, S)
+        if H is not None:
+            cases.append((G, S, product_group(G, H)))
+
+    def outcomes():
+        return [outcome(lambda: formulas.class_stats(G, S, acting)) for G, S, acting in cases]
+
+    whole = outcomes()
+    assert {type(o) for o in whole} == {list, tuple}  # counts and refusals
+    for block in (1, 64):
+        monkeypatch.setattr(perm, "CONJUGATE_BLOCK", block)
+        assert outcomes() == whole
+
+
 def _doctored(monkeypatch, **changes):
     """Makes ``class_stats`` see element statistics with the given entries
     replaced: ``field=[(element, value), ...]``."""
