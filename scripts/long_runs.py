@@ -4,11 +4,13 @@
     python3 scripts/long_runs.py "sym-grr 60 --surface O --mode log2" "sym-grr 50 --surface O --mode log2"
     python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
     python3 scripts/long_runs.py --repeat 15 --src ../parent/src --src src "sym-grr 9"  # two, alternating
+    python3 scripts/long_runs.py --check                           # the default list, outputs checked
 
 Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
 stands for a temporary directory of input files, each written only when
 a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
-group Z_18 and the connection set {1, 9, 17}), ``d800.group``,
+group Z_18 and the connection set {1, 9, 17}), ``z22.group`` and
+``z22.cayset`` (Z_22 and {1, 11, 21}), ``d800.group``,
 ``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
 2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
 29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
@@ -21,8 +23,8 @@ under ``--src``, unnamed, and
 ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per run: exit code, wall seconds
 from start to exit, the child's own peak resident set (``ru_maxrss``),
-and the stdout byte count and SHA-256.  These runs take seconds each and
-are not a workload of ``perfbench/``.
+and the stdout byte count and SHA-256.  These runs take seconds each (the
+Z_22 oracle over a minute) and are not a workload of ``perfbench/``.
 
 ``--repeat N`` runs the command list N times, round-robin, and ``--src``
 may be given more than once: every command then runs under each checkout
@@ -30,6 +32,11 @@ in turn, the first of them alternating from round to round, so that host
 drift falls on all of them alike.  After the last round one summary line
 per command and checkout gives the median and quartiles of its wall
 seconds next to the fields of its last run.
+
+``--check`` compares every run's exit code and stdout SHA-256 with those
+recorded for it in ``DEFAULT_RUNS`` (a command line with no record is
+refused before anything runs), and after the last run names each run that
+differs and exits 1.
 """
 
 from __future__ import annotations
@@ -100,6 +107,9 @@ INPUTS = {
     # checks and labels every one of them
     "z18.group": write_cyclic(18),
     "z18.cayset": write_text("cayset 3\n1 9 17\n"),
+    # Cay(Z_22 : {1, 11, 21}): 2^22 rotation systems, the default oracle cap
+    "z22.group": write_cyclic(22),
+    "z22.cayset": write_text("cayset 3\n1 11 21\n"),
     # per-class statistics of R(G) on 800 vertices
     "d800.group": write_dihedral(800),
     "d800.cayset": write_text("cayset 3\n1 399 400\n"),
@@ -115,21 +125,32 @@ INPUTS = {
     "s7.group": write_named("symmetric", 7),
     "s7.cayset": write_text("cayset 3\n843 1444 2861\n"),
 }
-DEFAULT_RUNS = [
-    "sym-grr 60 --surface O --mode log2",
-    "sym-grr 55 --surface L --mode log2",
-    "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg",
-    "group check {inputs}/d2520.group",
-    "census formula {inputs}/d800.group {inputs}/d800.cayset --surface L",
-    "census formula {inputs}/d5040.group {inputs}/d5040.cayset --surface O",
-    "census formula {inputs}/z5040.group {inputs}/z5040.cayset --surface O",
-]
+# The default command lines, each with the exit code and stdout SHA-256
+# that ``--check`` expects of it (recorded at commit 40600c6).
+DEFAULT_RUNS = {
+    "sym-grr 60 --surface O --mode log2":
+        (0, "321cef2eef94be1ca89a3cb99db2064ae9845d329da60f7aa0dbc5f453af4ecd"),
+    "sym-grr 55 --surface L --mode log2":
+        (0, "598964b894e0a82498ba7689688b909333d6abba440fce403a26cd448f88a77d"),
+    "census oracle {inputs}/z18.group {inputs}/z18.cayset --semantics dart --surface L --acting rg":
+        (0, "621628788d36560c1a40f1f21d52ee2c1e157144b1401b9a20954b35da023dc7"),
+    "census oracle {inputs}/z22.group {inputs}/z22.cayset --semantics dart --surface L --acting rg":
+        (0, "5abffa33dac76f6bc7a396386f06aae80e65d539f274012e309328d01b81bf2e"),
+    "group check {inputs}/d2520.group":
+        (0, "f164a53b1187fc7437f8271ce71b9cdd5ee4a631dc9b75626e7ee4652a763215"),
+    "census formula {inputs}/d800.group {inputs}/d800.cayset --surface L":
+        (0, "dda3e04ff0e6182850e525ecb768d3590b006705681404db5c16e15c90c64627"),
+    "census formula {inputs}/d5040.group {inputs}/d5040.cayset --surface O":
+        (0, "4052757677b97ceb4a29a84ced8db4df06d74d80b83673394fbd950b46acaa40"),
+    "census formula {inputs}/z5040.group {inputs}/z5040.cayset --surface O":
+        (0, "1bc97df499e7b3a33a2445eb6fc11bb2fc9222140b703de3f088f18910ff6b6c"),
+}
 READ_BYTES = 1 << 20
 
 
-def run(line: str, inputs: str, src: str) -> tuple[float, str]:
+def run(line: str, inputs: str, src: str) -> tuple[float, tuple[int, str], str]:
     """Runs one command line with the package under ``src``; its wall
-    seconds and its report line."""
+    seconds, its exit code and stdout SHA-256, and its report line."""
     argv = [arg.replace("{inputs}", inputs) for arg in shlex.split(line)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     digest, size = hashlib.sha256(), 0
@@ -143,9 +164,9 @@ def run(line: str, inputs: str, src: str) -> tuple[float, str]:
     # wait4 reports this child's own rusage, not the sum over all children
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return wall, (f"exit={proc.returncode} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
-                  f"stdout_bytes={size} sha256={digest.hexdigest()} argv={line}")
+    code, sha = os.waitstatus_to_exitcode(status), digest.hexdigest()
+    return wall, (code, sha), (f"exit={code} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
+                               f"stdout_bytes={size} sha256={sha} argv={line}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -157,16 +178,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("runs", nargs="*", default=DEFAULT_RUNS, metavar="COMMAND",
+    p.add_argument("runs", nargs="*", default=list(DEFAULT_RUNS), metavar="COMMAND",
                    help="one cayleymaps command line, quoted")
     p.add_argument("--src", type=Path, action="append",
                    help="the directory holding the cayleymaps package (default: this "
                         "checkout's src); given twice or more, the checkouts alternate")
     p.add_argument("--repeat", type=int, default=1, metavar="N",
                    help="run the command list N times, round-robin")
+    p.add_argument("--check", action="store_true",
+                   help="compare each run's exit code and stdout SHA-256 with DEFAULT_RUNS; "
+                        "exit 1 if any differs")
     args = p.parse_args()
     if args.repeat < 1:
         raise SystemExit("long_runs.py: --repeat must be at least 1")
+    if args.check:
+        for line in args.runs:
+            if line not in DEFAULT_RUNS:
+                raise SystemExit(f"long_runs.py: --check: no expected output recorded for {line!r}")
     srcs = args.src or [Path(__file__).resolve().parent.parent / "src"]
     for src in srcs:
         if not (src / "cayleymaps" / "cli.py").is_file():
@@ -174,7 +202,7 @@ def main() -> None:
     srcs = [str(src.resolve()) for src in srcs]
     tag = {src: f"src={src} " if len(srcs) > 1 else "" for src in srcs}
     walls = {(line, src): [] for line in args.runs for src in srcs}
-    last = {}
+    last, differ = {}, []
     # the group files are written by the first checkout's package
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [srcs[0], os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as inputs:
@@ -184,14 +212,22 @@ def main() -> None:
         for r in range(args.repeat):
             for line in args.runs:
                 for src in srcs[r % len(srcs):] + srcs[:r % len(srcs)]:
-                    wall, last[line, src] = run(line, inputs, src)
+                    wall, outcome, last[line, src] = run(line, inputs, src)
                     walls[line, src].append(wall)
                     print(tag[src] + last[line, src], flush=True)
+                    if args.check and outcome != DEFAULT_RUNS[line]:
+                        differ.append(tag[src] + last[line, src])
     if args.repeat > 1:
         for (line, src), values in walls.items():
             q1, median, q3 = quartiles(values)
             print(f"{tag[src]}runs={len(values)} wall_s_median={median:.3f} "
                   f"wall_s_q1={q1:.3f} wall_s_q3={q3:.3f} last: {last[line, src]}", flush=True)
+    if args.check:
+        for line in differ:
+            print(f"differs: {line}", flush=True)
+        print(f"check: {len(differ)} of {len(args.runs) * len(srcs) * args.repeat} runs differ", flush=True)
+        if differ:
+            raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .errors import (
     BadParameter,
     CaySetInvalid,
     InternalInconsistency,
-    NotCayleyLabeled,
 )
 from .groups import FiniteGroup, subgroup_closure
 
@@ -169,26 +168,3 @@ def quadricells(F: FlagSpace) -> list[tuple[int, int, int, int]]:
             seen[f] = True
         out.append(cell)
     return out
-
-
-def flag_id(F: FlagSpace, g: int, s: int, sign: int) -> int:
-    if F.group is None or F.cayset is None:
-        raise NotCayleyLabeled("flag space has no Cayley labeling")
-    if not 0 <= g < F.group.order:
-        raise BadParameter(f"vertex {g} out of range")
-    if s not in F.cayset.members:
-        raise BadParameter(f"{s} is not in the connection set")
-    if sign not in (PLUS, MINUS):
-        raise BadParameter(f"sign must be {PLUS} or {MINUS}, got {sign}")
-    return 2 * (g * len(F.cayset) + F.cayset.rank(s)) + sign
-
-
-def flag_decode(F: FlagSpace, fid: int) -> tuple[int, int, int]:
-    if F.group is None or F.cayset is None:
-        raise NotCayleyLabeled("flag space has no Cayley labeling")
-    if not 0 <= fid < F.flag_count:
-        raise BadParameter(f"flag id {fid} out of range [0,{F.flag_count})")
-    sign = fid & 1
-    dart = fid >> 1
-    k = len(F.cayset)
-    return dart // k, F.cayset.members[dart % k], sign

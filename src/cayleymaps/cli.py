@@ -401,9 +401,10 @@ def cmd_census_oracle(args) -> Report:
         dump.mkdir(parents=True, exist_ok=True)
         width = len(str(max(oc.orbit_count - 1, 0)))
     # one pass feeds the table and the dump: every iteration of oc.orbits
-    # decodes the representatives anew
+    # decodes the representatives anew; only the dump needs their maps
+    listed = oc.orbits if dump is not None else ((None, inv) for inv in oc.orbit_inventories)
     orows = []
-    for i, (size, (M, inv)) in enumerate(zip(oc.orbit_sizes, oc.orbits)):
+    for i, (size, (M, inv)) in enumerate(zip(oc.orbit_sizes, listed)):
         if dump is not None:
             save_map(M, str(dump / f"rep_{i:0{width}d}.map"))
         orows.append((i, size, inv.vertex_count, inv.edge_count, inv.face_count,

@@ -21,13 +21,21 @@ every row (permutation, axioms i-iii) and returns the rows' surfaces, all
 from one labelling of the chunk (see ``maps``).  RAW keeps the codes on the
 requested surface, a sorted array searched to find a transported key.
 
-Compiled action.  An automorphism acts on a vertex's local choices, so it
-compiles once into a ``(V, choices)`` table of weighted image digits, by
-conjugating each local choice's flag block (not each key) under every
-semantics, and, for SIGMA, into a table of twist-class images built from
-the images of the free twist bits.  The
-image of a whole chunk of codes is then a few gathers and one sum, and a
-fixed count is one array comparison.
+Compiled action.  Codes are decoded a block of g consecutive vertices at a
+time: one floor-divide and one modulo per block give its block code, and a
+``(C^g, g)`` digit table gives the vertices' digits where a key is
+realized.  g is the largest width (at most V) with C^g, for C local
+choices, at most the number of codes and at most one sweep chunk, so no
+table outgrows the keys it serves.  An automorphism acts on a vertex's
+local choices, so it compiles once: each local choice's flag block (not
+each key) is conjugated under every semantics and found among the choices
+by one ``searchsorted`` over flag blocks as integers, which gives a
+``(V, C)`` table of weighted image digits; outer sums of its rows, one
+vertex at a time, give each block of vertices a table of the summed image
+weight of every block code; for SIGMA a table of twist-class images is
+built from the images of the free twist bits.  The image of a whole chunk
+of codes is then one gather per block (and one for the twist) and one
+sum, and a fixed count is one array comparison.
 
 Min-image orbits.  The acting set is checked to be a group, so the least
 image of a key over the group is the least member of its orbit: a running
@@ -93,6 +101,17 @@ IMAGE_CHUNK = 1 << 14
 # Key codes
 # ---------------------------------------------------------------------------
 
+def _block_width(choices: int, codes: int, vertices: int) -> int:
+    """Vertices per block: the largest g <= ``vertices`` with
+    ``choices ** g <= min(codes, IMAGE_CHUNK)``, at least 1.  With one
+    choice every width gives one-entry tables, and width 1 needs no sums."""
+    limit = min(codes, IMAGE_CHUNK)
+    g = 1
+    while g < vertices and 1 < choices ** (g + 1) <= limit:
+        g += 1
+    return g
+
+
 class KeySpace:
     """The key codes of one semantics and surface on a Cayley flag space."""
 
@@ -106,70 +125,100 @@ class KeySpace:
         # Flag images of vertex 0's 2k flags for every rotation and sign
         # pattern (bit i is the sign of dart i); realize_signed only reads
         # the darts of the cycles it is given.  Vertex v's block is the same
-        # plus 2*k*v.
+        # plus 2*k*v: for R rotations, row (v * R + rotation) * 2^k + signs
+        # of vertex_local.
         dtype = row_dtype(self.flag_count)
-        self.local = np.array([
+        local = np.array([
             [realize_signed(D, (rot,), [(s >> i) & 1 for i in range(k)]).P[:2 * k]
              for s in range(1 << k)]
             for rot in rotations
         ], dtype=dtype)
-        self.block_offset = (2 * k * np.arange(V, dtype=dtype))[:, None]
+        self.vertex_local = (local + (2 * k * np.arange(V, dtype=dtype))[:, None, None, None]).reshape(-1, 2 * k)
+        self.vertex_row = (len(rotations) << k) * np.arange(V)
 
         # The untwisted sign pattern at each vertex: the upper end dart of
         # every edge is minus.  A twisted free edge turns its upper end plus.
         upper = [d2 for _d1, d2 in D.edge_ends]
-        self.base_signs = np.zeros(V, dtype=np.int64)
+        base_signs = np.zeros(V, dtype=np.int64)
         for d in upper:
-            self.base_signs[d // k] |= 1 << (d % k)
+            base_signs[d // k] |= 1 << (d % k)
         pivots = set(T.pivots)
         self.free = [e for e in range(D.edge_count) if e not in pivots]
-        self.twist_flips = np.zeros((len(self.free), V), dtype=np.int64)
+        twist_flips = np.zeros((len(self.free), V), dtype=np.int64)
         for j, e in enumerate(self.free):
             d = upper[e]
-            self.twist_flips[j, d // k] = 1 << (d % k)
+            twist_flips[j, d // k] = 1 << (d % k)
 
         if semantics == RAW:
             anchored = 1 << (k - 1)
             c = np.arange(len(rotations) * anchored)
-            self.raw_rotation = c // anchored
+            rotation = c // anchored
             # product order over darts 1..k-1: dart 1's bit is the highest
             bits = c % anchored
-            self.raw_signs = sum(((bits >> (k - 1 - i)) & 1) << i for i in range(1, k))
-            self.blocks = self.local[self.raw_rotation, self.raw_signs]
+            signs = sum(((bits >> (k - 1 - i)) & 1) << i for i in range(1, k))
+            choice_blocks = local[rotation, signs]
         else:
             # an all-plus block per rotation: the lift of a graph map keeps
             # signs, so the transported blocks are all-plus again
-            self.blocks = self.local[:, 0]
-        self.choices = len(self.blocks)
-        self.choice_index = {block.tobytes(): c for c, block in enumerate(self.blocks)}
+            rotation, signs = np.arange(len(rotations)), 0
+            choice_blocks = local[:, 0]
+        # each choice's row of vertex_local at vertex 0
+        self.choice_row = (rotation << k) + signs
+        C = self.choices = len(choice_blocks)
+        # every choice's flag images at every vertex, (V, C, 2k)
+        self.choice_flags = choice_blocks + 2 * k * np.arange(V)[:, None, None]
+        # a flag block as one integer, its flag images the digits in base 2k
+        self.place = (2 * k) ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
+        choice_codes = choice_blocks.astype(np.int64) @ self.place
+        self.choice_order = np.argsort(choice_codes)
+        self.choice_codes = choice_codes[self.choice_order]
         if semantics != SIGMA or surface == "O":
             self.twists, self.twist_offset = 1, 0
         elif surface == "N":
             self.twists, self.twist_offset = T.class_count - 1, 1
         else:
             self.twists, self.twist_offset = T.class_count, 0
-        self.size = 0 if semantics == DART and surface == "N" else self.choices ** V * self.twists
-        self.weights = np.array([self.choices ** (V - 1 - v) for v in range(V)], dtype=np.int64)
+        # the sign pattern at every vertex of each twist position; a RAW
+        # key's signs are part of its choices
+        if semantics == RAW:
+            self.twist_signs = np.zeros((1, V), dtype=np.int64)
+        else:
+            nf = len(self.free)
+            bits = ((np.arange(self.twists) + self.twist_offset)[:, None] >> np.arange(nf - 1, -1, -1)) & 1
+            self.twist_signs = base_signs ^ (bits @ twist_flips)
+        self.size = 0 if semantics == DART and surface == "N" else C ** V * self.twists
+        self.weights = np.array([C ** (V - 1 - v) for v in range(V)], dtype=np.int64)
+
+        # Codes are read a block of g consecutive vertices at a time (the
+        # last block may be shorter): a block's code is its vertices' digits,
+        # the first most significant.  Block codes index a (C^g, g) digit
+        # table, whose rows below C^r have g - r leading zeros, so a last
+        # block of r vertices reads its last r columns.
+        g = self.width = _block_width(C, self.size, V)
+        self.bounds = [(lo, min(lo + g, V)) for lo in range(0, V, g)]
+        self.block_weight = np.array(
+            [self.twists * C ** (V - hi) for _lo, hi in self.bounds], dtype=np.int64)[:, None]
+        self.block_radix = np.array([C ** (hi - lo) for lo, hi in self.bounds], dtype=np.int64)[:, None]
+        self.digit_table = np.arange(C ** g)[:, None] // C ** np.arange(g - 1, -1, -1) % C
+        # block b's table starts at b * C^g in the flat table of an action
+        self.table_offset = (C ** g * np.arange(len(self.bounds), dtype=np.int64))[:, None]
 
     def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex digits ``(m, V)`` and twist positions of codes."""
-        rot, twist = np.divmod(codes, self.twists)
-        return (rot[:, None] // self.weights) % self.choices, twist
+        """Block codes ``(blocks, m)`` and twist positions of codes."""
+        return codes // self.block_weight % self.block_radix, codes % self.twists
 
-    def signs(self, digits: np.ndarray, twist: np.ndarray) -> np.ndarray:
-        """Sign pattern at every vertex of every key, ``(m, V)``."""
-        if self.semantics == RAW:
-            return self.raw_signs[digits]
-        nf = len(self.free)
-        bits = ((twist + self.twist_offset)[:, None] >> np.arange(nf - 1, -1, -1)) & 1
-        return self.base_signs ^ (bits @ self.twist_flips)
+    def digits(self, blocks: np.ndarray) -> np.ndarray:
+        """Per-vertex digits ``(m, V)`` of block codes ``(blocks, m)``."""
+        out = np.empty((blocks.shape[1], self.D.vertex_count), dtype=np.int64)
+        for b, (lo, hi) in enumerate(self.bounds):
+            out[:, lo:hi] = self.digit_table[blocks[b], self.width - (hi - lo):]
+        return out
 
     def realize(self, codes: np.ndarray) -> np.ndarray:
         """The flag permutation of every code, as ``(m, flags)`` rows."""
-        digits, twist = self.split(codes)
-        rot = self.raw_rotation[digits] if self.semantics == RAW else digits
-        blocks = self.local[rot, self.signs(digits, twist)] + self.block_offset
-        return blocks.reshape(len(codes), self.flag_count)
+        blocks, twist = self.split(codes)
+        rows = self.vertex_row + self.choice_row[self.digits(blocks)] + self.twist_signs[twist]
+        return self.vertex_local[rows].reshape(len(codes), self.flag_count)
 
     def twist_mask(self, cls: int) -> int:
         """The reduced twist mask of class ``cls``, whose bits are the free
@@ -183,11 +232,11 @@ class KeySpace:
         codes = np.array([code], dtype=np.int64)
         if self.semantics == RAW:
             return tuple(self.realize(codes)[0].tolist())
-        digits, twist = self.split(codes)
+        blocks, twist = self.split(codes)
         k = self.D.degree
         rho = tuple(
             tuple(v * k + d for d in self.patterns[r])
-            for v, r in enumerate(digits[0].tolist())
+            for v, r in enumerate(self.digits(blocks)[0].tolist())
         )
         if self.semantics == DART:
             return rho
@@ -197,22 +246,18 @@ class KeySpace:
         """The action of a sign-preserving flag bijection on codes."""
         D, k, V = self.D, self.D.degree, self.D.vertex_count
         dart_map = dart_map_of_flag_map(D, flag_map)
-        target = [dart_map[v * k] // k for v in range(V)]
-        # conjugate every local choice at every vertex v, onto its target
-        # vertex w: image[fm[f]] = fm[P[f]], on flags local to v and w
+        # conjugate every local choice P at every vertex v onto its target
+        # vertex w, image[fm[f]] = fm[P[f]] on flags local to v and w, and
+        # take the image's code at once: fm[P[f]] is its digit at place fm[f]
         fm = np.asarray(flag_map)
-        shift = 2 * k * np.array(target)[:, None, None]
-        conj = np.empty((V, *self.blocks.shape), dtype=self.blocks.dtype)
-        np.put_along_axis(
-            conj,
-            np.broadcast_to(fm.reshape(V, 1, 2 * k) - shift, conj.shape),
-            fm[self.blocks + 2 * k * np.arange(V)[:, None, None]] - shift,
-            axis=2,
-        )
-        image = [self.choice_index.get(block.tobytes()) for block in conj.reshape(-1, 2 * k)]
-        if None in image:
+        target = fm[::2 * k] // (2 * k)
+        start = 2 * k * target[:, None]
+        places = self.place[fm.reshape(V, 2 * k) - start]
+        codes = ((fm[self.choice_flags] - start[:, :, None]) * places[:, None, :]).sum(axis=2)
+        pos = np.minimum(np.searchsorted(self.choice_codes, codes), self.choices - 1)
+        if (self.choice_codes[pos] != codes).any():
             raise InternalInconsistency("transported local choice is not a choice")
-        digit_values = np.array(image).reshape(V, -1) * self.weights[target][:, None]
+        digit_values = self.choice_order[pos] * self.weights[target][:, None]
 
         twist_image = np.zeros(1, dtype=np.int64)
         if self.twists > 1:
@@ -227,22 +272,34 @@ class KeySpace:
             if np.bincount(twist_image, minlength=len(twist_image)).min() != 1:
                 raise InternalInconsistency("twist-class transport is not a bijection")
             twist_image = twist_image[self.twist_offset:] - self.twist_offset
-        return CompiledAction(digit_values, twist_image, self.twists)
+
+        # each block's table by outer sums, one vertex at a time
+        tables = []
+        for lo, hi in self.bounds:
+            table = digit_values[lo]
+            for row in digit_values[lo + 1:hi]:
+                table = (table[:, None] + row).ravel()
+            tables.append(table)
+        return CompiledAction(digit_values, np.concatenate(tables) * self.twists, twist_image)
 
 
 @dataclass(frozen=True)
 class CompiledAction:
-    """``digit_values[v, c]``: the code weight, at its image vertex, of the
-    image of choice ``c`` at vertex ``v``; ``twist_image``: the image of
-    every twist position."""
+    """``digit_values[v, c]``: the rotation-code weight, at its image
+    vertex, of the image of choice ``c`` at vertex ``v``; ``table``: every
+    block's table in turn, the image code, less its twist position, of each
+    block code (its digit values summed, times the number of twists);
+    ``twist_image``: the image of every twist position."""
 
     digit_values: np.ndarray
+    table: np.ndarray
     twist_image: np.ndarray
-    twists: int
 
-    def image(self, digits: np.ndarray, twist: np.ndarray) -> np.ndarray:
-        rot = self.digit_values[np.arange(len(self.digit_values)), digits].sum(axis=1)
-        return rot * self.twists + self.twist_image[twist]
+    def image(self, cells: np.ndarray, twist: np.ndarray) -> np.ndarray:
+        """Images of codes given as their block codes plus each block's
+        table offset, ``(blocks, m)``, and their twist positions."""
+        rot = self.table[cells].sum(axis=0)
+        return rot if len(self.twist_image) == 1 else rot + self.twist_image[twist]
 
 
 class _Decoded(SequenceABC):
@@ -323,10 +380,19 @@ class OrbitCensus:
         gs = self.ground_set
 
         def decode(pos):
-            rows = gs.space.realize(gs.codes[self.leads[pos]])
+            rows = self._realize(pos)
             return list(zip(gs.representatives_of(rows), inventories(gs.flag_space, rows)))
 
         return _Decoded(len(self.leads), decode)
+
+    @property
+    def orbit_inventories(self) -> Sequence[MapInventory]:
+        """Each orbit representative's inventory, with no map built."""
+        return _Decoded(len(self.leads), lambda pos: inventories(self.ground_set.flag_space, self._realize(pos)))
+
+    def _realize(self, pos: np.ndarray) -> np.ndarray:
+        gs = self.ground_set
+        return gs.space.realize(gs.codes[self.leads[pos]])
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +482,10 @@ def _image_sweep(gs: GroundSet, actions: Sequence[CompiledAction]):
     positions of their images under each action, in turn."""
     for lo in range(0, len(gs.codes), IMAGE_CHUNK):
         codes = gs.codes[lo:lo + IMAGE_CHUNK]
-        digits, twist = gs.space.split(codes)
+        blocks, twist = gs.space.split(codes)
+        cells = blocks + gs.space.table_offset
         index = np.arange(lo, lo + len(codes))
-        yield index, (gs.index_of(act.image(digits, twist)) for act in actions)
+        yield index, (gs.index_of(act.image(cells, twist)) for act in actions)
 
 
 def fixed_count(flag_map: Sequence[int], gs: GroundSet) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 
 import numpy as np
 
@@ -86,31 +86,6 @@ def centralizer_order(part: Partition) -> int:
     for i, k in enumerate(part, start=1):
         out *= i**k * factorial(k)
     return out
-
-
-def lcm_of_partition(part: Partition) -> int:
-    return lcm(*[i for i, k in enumerate(part, start=1) if k])
-
-
-def power_type(part: Partition, j: int) -> Partition:
-    """Cycle type of g^j for g of cycle type ``part``: an i-cycle splits
-    into gcd(i, j) cycles of length i/gcd(i, j)."""
-    out = [0] * len(part)
-    for i, k in enumerate(part, start=1):
-        g = gcd(i, j)
-        out[i // g - 1] += k * g
-    return tuple(out)
-
-
-def representative_of_type(part: Partition) -> tuple[int, ...]:
-    """One permutation of the given cycle type, cycles laid out consecutively."""
-    vm = []
-    base = 0
-    for i, k in enumerate(part, start=1):
-        for _ in range(k):
-            vm.extend(base + (j + 1) % i for j in range(i))
-            base += i
-    return tuple(vm)
 
 
 def double_factorial(m: int) -> int:

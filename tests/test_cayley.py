@@ -5,8 +5,6 @@ from cayleymaps.cayley import (
     PLUS,
     build_cayley_graph,
     build_flag_space,
-    flag_decode,
-    flag_id,
     generic_flag_space,
     quadricells,
     validate_cayley_set,
@@ -21,6 +19,33 @@ from cayleymaps.errors import (
     NotCayleyLabeled,
 )
 from cayleymaps.groups import named_group
+from cayleymaps.rotations import build_dart_structure
+
+
+# Flag ids by the convention of ``cayleymaps.cayley``, one flag at a time:
+# the reference the array-built flag spaces are checked against.
+
+def flag_id(F, g, s, sign):
+    if F.group is None or F.cayset is None:
+        raise NotCayleyLabeled("flag space has no Cayley labeling")
+    if not 0 <= g < F.group.order:
+        raise BadParameter(f"vertex {g} out of range")
+    if s not in F.cayset.members:
+        raise BadParameter(f"{s} is not in the connection set")
+    if sign not in (PLUS, MINUS):
+        raise BadParameter(f"sign must be {PLUS} or {MINUS}, got {sign}")
+    return 2 * (g * len(F.cayset) + F.cayset.rank(s)) + sign
+
+
+def flag_decode(F, fid):
+    if F.group is None or F.cayset is None:
+        raise NotCayleyLabeled("flag space has no Cayley labeling")
+    if not 0 <= fid < F.flag_count:
+        raise BadParameter(f"flag id {fid} out of range [0,{F.flag_count})")
+    sign = fid & 1
+    dart = fid >> 1
+    k = len(F.cayset)
+    return dart // k, F.cayset.members[dart % k], sign
 
 
 def cube():
@@ -147,3 +172,5 @@ def test_generic_space_has_no_cayley_labels():
         flag_id(F, 0, 0, PLUS)
     with pytest.raises(NotCayleyLabeled):
         flag_decode(F, 0)
+    with pytest.raises(NotCayleyLabeled):
+        build_dart_structure(F)

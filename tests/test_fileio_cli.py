@@ -450,6 +450,27 @@ def test_cli_dump_decodes_each_representative_once(capsys, tmp_path, monkeypatch
     )
 
 
+def test_cli_census_oracle_builds_maps_only_to_dump(capsys, tmp_path, monkeypatch):
+    # the orbit table needs only the inventories; a map per orbit is built
+    # only for the files of --dump
+    from cayleymaps import oracle
+
+    built = []
+    maps_of = oracle.GroundSet.representatives_of
+
+    def counted(self, rows):
+        built.extend(rows)
+        return maps_of(self, rows)
+
+    monkeypatch.setattr(oracle.GroundSet, "representatives_of", counted)
+    argv = ("census", "oracle", "fixtures:CUBE", "--surface", "O", "--acting", "rg")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and built == []
+    code, dumped, _ = run_cli(capsys, *argv, "--dump", str(tmp_path))
+    assert code == 0 and len(built) == len(list(tmp_path.iterdir())) > 0
+    assert dumped.startswith(plain.rsplit("\n\n", 1)[0])
+
+
 @pytest.mark.parametrize("text,message", [
     ("0 1 2\n0 1 2\n", "H lists an automorphism twice"),
     ("0 1 2\n1 2 0\n2 0 1\n",

@@ -292,6 +292,7 @@ def test_oracle_matches_tuple_reference(seed):
         assert oc.orbit_sizes == sizes, case
         assert tuple(M.P for M, _ in oc.orbits) == reps, case
         assert tuple(inv for _, inv in oc.orbits) == invs, case
+        assert tuple(oc.orbit_inventories) == invs, case
         assert [fixed_count(fm, gs) for fm in flag_maps[:3]] == list(fixed[:3]), case
 
 

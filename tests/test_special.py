@@ -6,7 +6,7 @@ import re
 import tracemalloc
 import weakref
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import mpmath as mp
 import numpy as np
@@ -30,10 +30,7 @@ from cayleymaps.special import (
     class_size,
     double_factorial,
     elementary_abelian_census,
-    lcm_of_partition,
     partitions,
-    power_type,
-    representative_of_type,
     special_involution_type,
     sym_l_table,
     sym_locally_census,
@@ -59,6 +56,34 @@ def test_class_sizes_partition_the_group():
         assert sum(sizes) == factorial(n)
         for part, size in zip(partitions(n), sizes):
             assert size * centralizer_order(part) == factorial(n)
+
+
+# Cycle-type helpers, one partition at a time: references for the columns
+# of ``cycletypes``.
+
+def lcm_of_partition(part):
+    return lcm(*[i for i, k in enumerate(part, start=1) if k])
+
+
+def power_type(part, j):
+    """Cycle type of g^j for g of cycle type ``part``: an i-cycle splits
+    into gcd(i, j) cycles of length i/gcd(i, j)."""
+    out = [0] * len(part)
+    for i, k in enumerate(part, start=1):
+        g = gcd(i, j)
+        out[i // g - 1] += k * g
+    return tuple(out)
+
+
+def representative_of_type(part):
+    """One permutation of the given cycle type, cycles laid out consecutively."""
+    vm = []
+    base = 0
+    for i, k in enumerate(part, start=1):
+        for _ in range(k):
+            vm.extend(base + (j + 1) % i for j in range(i))
+            base += i
+    return tuple(vm)
 
 
 def _power(perm, k):
