@@ -14,8 +14,8 @@ group Z_18 and the connection set {1, 9, 17}), ``z22.group`` and
 ``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
 2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
 29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
-({r, r^-1, s}), ``z5040.group`` and ``z5040.cayset`` (Z_5040 and
-{1, 2, 5038, 5039}), and ``s7.group`` and ``s7.cayset`` (S_7 as
+({r, r^-1, s}), ``z5040.group``, ``z5040.cayset`` and ``z5040c.cayset``
+(Z_5040, {1, 2, 5038, 5039} and {1, 5039}), and ``s7.group`` and ``s7.cayset`` (S_7 as
 ``save_group(named_group("symmetric", 7))`` writes it with the package
 under ``--src``, unnamed, and
 {(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}).  The command runs as
@@ -121,6 +121,8 @@ INPUTS = {
     # 5040 classes of one element each
     "z5040.group": write_cyclic(5040),
     "z5040.cayset": write_text("cayset 4\n1 2 5038 5039\n"),
+    # a cycle: 2 keys, but the lift of R(G) to its flags is over the table cap
+    "z5040c.cayset": write_text("cayset 2\n1 5039\n"),
     # S_7 is searched as permutations of 7 points: about 20 s to build
     "s7.group": write_named("symmetric", 7),
     "s7.cayset": write_text("cayset 3\n843 1444 2861\n"),
@@ -144,6 +146,12 @@ DEFAULT_RUNS = {
         (0, "4052757677b97ceb4a29a84ced8db4df06d74d80b83673394fbd950b46acaa40"),
     "census formula {inputs}/z5040.group {inputs}/z5040.cayset --surface O":
         (0, "1bc97df499e7b3a33a2445eb6fc11bb2fc9222140b703de3f088f18910ff6b6c"),
+    # refused by the ground-set cap (6^5040 rotation systems) and by the
+    # table cap on the lift of R(G) (recorded at commit c73a1aa)
+    "verify {inputs}/z5040.group {inputs}/z5040.cayset":
+        (2, "b1d7f877c68bdd44f1a263d9c3833d095b42693250cd66a744912103e581faf4"),
+    "verify {inputs}/z5040.group {inputs}/z5040c.cayset":
+        (2, "0201bcf338ff1ac655946f1d1fedda31d8edbfdbb0c089f997146f3649223133"),
 }
 READ_BYTES = 1 << 20
 

@@ -142,8 +142,7 @@ class KeySpace:
         base_signs = np.zeros(V, dtype=np.int64)
         for d in upper:
             base_signs[d // k] |= 1 << (d % k)
-        pivots = set(T.pivots)
-        self.free = [e for e in range(D.edge_count) if e not in pivots]
+        self.free = T.free
         twist_flips = np.zeros((len(self.free), V), dtype=np.int64)
         for j, e in enumerate(self.free):
             d = upper[e]
@@ -401,13 +400,11 @@ class OrbitCensus:
 
 def ground_set_bound(F: FlagSpace, semantics: str) -> int:
     """Size of the locally orientable ground set for the cap pre-check."""
-    D = build_dart_structure(F)
-    return _key_bound(D, build_twist_classes(D) if semantics == SIGMA else None, semantics)
+    return _key_bound(build_dart_structure(F), semantics)
 
 
-def _key_bound(D: DartStructure, T: TwistClasses | None, semantics: str) -> int:
-    """``ground_set_bound`` from the dart structure and, for SIGMA, the
-    twist classes."""
+def _key_bound(D: DartStructure, semantics: str) -> int:
+    """``ground_set_bound`` from the dart structure alone."""
     k = D.degree
     per_rot = 1
     for i in range(1, k):
@@ -415,7 +412,8 @@ def _key_bound(D: DartStructure, T: TwistClasses | None, semantics: str) -> int:
     if semantics == RAW:
         return (per_rot << (k - 1)) ** D.vertex_count
     if semantics == SIGMA:
-        return per_rot ** D.vertex_count * T.class_count
+        # a validated connection set generates G: the graph is connected
+        return per_rot ** D.vertex_count << (D.edge_count - D.vertex_count + 1)
     if semantics == DART:
         return per_rot ** D.vertex_count
     raise BadParameter(f"unknown semantics {semantics!r}")
@@ -435,15 +433,13 @@ def enumerate_embeddings(
         raise BadParameter(f"unknown surface {surface!r}")
     if semantics not in SEMANTICS:
         raise BadParameter(f"unknown semantics {semantics!r}")
-    # the dart structure and the twist classes are built once, the classes
-    # before the cap check only where the bound reads them
     D = build_dart_structure(F)
-    T = build_twist_classes(D) if semantics == SIGMA else None
-    bound = _key_bound(D, T, semantics)
+    bound = _key_bound(D, semantics)
     if bound > cap:
         raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
-    if T is None:
-        T = build_twist_classes(D)
+    T = build_twist_classes(D)
+    if T.rank != D.vertex_count - 1:
+        raise InternalInconsistency(f"{T.class_count} twist classes, not the bound's 2^(E - V + 1)")
     space = KeySpace(D, T, semantics, surface)
 
     codes, chi, orientable = [], [], []

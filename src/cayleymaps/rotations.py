@@ -7,6 +7,11 @@ makes alpha-conjugation invert it by construction.  Two sign assignments
 give the same map exactly when they differ by flipping every sign at some
 set of vertices, so the per-edge twist bit (set when the two end signs
 agree) matters only through its class modulo the vertex-flip coboundary.
+Each class is read off a spanning forest, Kruskal's in edge-id order, as
+its one member untwisted on the forest.  This is GF(2) row reduction with
+lowest-bit pivots and back-substitution: a pivot is an edge whose incidence
+column lower-numbered edges do not span, which is a Kruskal forest edge,
+and a reduced mask is the coset member clear on every pivot.
 """
 
 from __future__ import annotations
@@ -150,73 +155,72 @@ def realize(D: DartStructure, rho: RotationSystem, twists: int) -> MapPermutatio
 
 @dataclass(frozen=True)
 class TwistClasses:
-    """GF(2) reduction of twist masks modulo the vertex-flip subspace.
+    """Twist masks modulo vertex switching, read off a spanning forest.
 
-    Flipping all signs at a vertex toggles the twist bit of each incident
-    edge; the span of these vertex vectors (rank vertex_count - 1 on a
-    connected graph) is the kernel of the map from sign data to maps.
+    The classes are the cosets of the cut space, one per element of the
+    cycle space (Gross and Tucker, 1987); a spanning forest gives them
+    directly (Diestel, Graph Theory, 1.9).  ``pivots`` is Kruskal's forest
+    in edge-id order and ``reduce`` gives a class's one member untwisted on
+    it.  These are the pivots and reduced masks of GF(2) row reduction with
+    lowest-bit pivots and back-substitution: a pivot there is an edge whose
+    incidence column lower-numbered edges do not span, exactly a Kruskal
+    forest edge, and a reduced mask is the coset member clear on every pivot.
     """
 
     edge_count: int
-    basis: tuple[int, ...]   # row-reduced, one row per pivot
-    pivots: tuple[int, ...]  # bit position of each row's leading 1
+    pivots: tuple[int, ...]  # the forest edges, ascending
+    free: tuple[int, ...]    # the other edges, ascending
+    walk: tuple[tuple[int, int], ...]  # forest edge, edges at its child end; parents first
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def class_count(self) -> int:
         return 1 << (self.edge_count - self.rank)
 
     def reduce(self, twists: int) -> int:
-        """Canonical class representative: the unique coset member with all
-        pivot bits clear."""
-        for row, p in zip(self.basis, self.pivots):
-            if (twists >> p) & 1:
-                twists ^= row
+        """Canonical class representative: switch vertices along the forest,
+        each after its parent, until every forest edge is untwisted."""
+        for e, star in self.walk:
+            if (twists >> e) & 1:
+                twists ^= star
         return twists
-
-    def representatives(self) -> Iterator[int]:
-        """All canonical representatives, i.e. masks clear on every pivot."""
-        free = [b for b in range(self.edge_count) if b not in set(self.pivots)]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            mask = 0
-            for pos, bit in zip(free, bits):
-                if bit:
-                    mask |= 1 << pos
-            yield mask
 
 
 def build_twist_classes(D: DartStructure) -> TwistClasses:
-    rows = []
-    for v in range(D.vertex_count):
-        vec = 0
-        for d in D.darts_at(v):
-            vec |= 1 << D.dart_edge[d]
-        rows.append(vec)
-    # Gaussian elimination over GF(2), lowest bit as pivot.
-    basis: list[int] = []
-    pivots: list[int] = []
-    for vec in rows:
-        for row, p in zip(basis, pivots):
-            if (vec >> p) & 1:
-                vec ^= row
-        if vec:
-            p = (vec & -vec).bit_length() - 1
-            basis.append(vec)
-            pivots.append(p)
-    # Back-substitute so each pivot appears in exactly one row.
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j and (basis[j] >> pivots[i]) & 1:
-                basis[j] ^= basis[i]
-    order = sorted(range(len(basis)), key=pivots.__getitem__)
-    return TwistClasses(
-        edge_count=D.edge_count,
-        basis=tuple(basis[i] for i in order),
-        pivots=tuple(pivots[i] for i in order),
-    )
+    V = D.vertex_count
+    # Kruskal's forest in edge-id order, by union-find with path halving
+    root = list(range(V))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    pivots, free = [], []
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+    for e, (d1, d2) in enumerate(D.edge_ends):
+        u, w = D.vertex_of(d1), D.vertex_of(d2)
+        ru, rw = find(u), find(w)
+        if ru == rw:
+            free.append(e)
+        else:
+            root[ru] = rw
+            pivots.append(e)
+            forest[u].append((e, w))
+            forest[w].append((e, u))
+    # each tree walked from its union-find root; a Cayley graph has no loops,
+    # so the edges at a vertex are distinct bits of the mask summed for it
+    walk, stack = [], [(v, -1) for v in range(V) if root[v] == v]
+    while stack:
+        u, via = stack.pop()
+        for e, w in forest[u]:
+            if e != via:
+                walk.append((e, sum(1 << D.dart_edge[d] for d in D.darts_at(w))))
+                stack.append((w, e))
+    return TwistClasses(D.edge_count, tuple(pivots), tuple(free), tuple(walk))
 
 
 # ---------------------------------------------------------------------------

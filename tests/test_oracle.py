@@ -324,8 +324,8 @@ def test_oracle_refuses_a_lift_over_the_table_cap_before_building_it(monkeypatch
 
 
 def test_enumeration_builds_darts_and_twist_classes_once(monkeypatch):
-    # the cap check reads the twist classes the key space is built from; a
-    # RAW or DART bound reads none, so a refusal there builds none
+    # the cap check reads counts alone, so a refusal under any semantics
+    # builds no twist classes
     import cayleymaps.oracle as oracle
 
     calls = []
@@ -351,4 +351,8 @@ def test_enumeration_builds_darts_and_twist_classes_once(monkeypatch):
     calls.clear()
     with pytest.raises(CapExceeded, match="exceeds cap"):
         enumerate_embeddings(fixture("CUBE").flag_space, RAW, "L")
+    assert calls == ["build_dart_structure"]
+    calls.clear()
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        enumerate_embeddings(fixture("CUBE").flag_space, SIGMA, "L", cap=100)
     assert calls == ["build_dart_structure"]

@@ -118,6 +118,13 @@ def reference_inventory(F, P):
     )
 
 
+def representatives(T):
+    """Every twist class's reduced mask: the sets of free edges, in
+    ``itertools.product`` order over the free edges ascending."""
+    for bits in itertools.product((0, 1), repeat=len(T.free)):
+        yield sum(1 << e for e, bit in zip(T.free, bits) if bit)
+
+
 def reference_ground_set(F, semantics, surface):
     """(keys, flag permutations) in enumeration order."""
     D = build_dart_structure(F)
@@ -142,8 +149,8 @@ def reference_ground_set(F, semantics, surface):
                 keys.append(P)
                 perms.append(P)
     elif semantics == SIGMA:
-        reps = {"O": [0], "N": [t for t in T.representatives() if t]}.get(
-            surface, list(T.representatives()))
+        reps = {"O": [0], "N": [t for t in representatives(T) if t]}.get(
+            surface, list(representatives(T)))
         for rho in itertools.product(*rotations):
             for t in reps:
                 keys.append((rho, t))
