@@ -146,6 +146,13 @@ DEFAULT_RUNS = {
         (0, "4052757677b97ceb4a29a84ced8db4df06d74d80b83673394fbd950b46acaa40"),
     "census formula {inputs}/z5040.group {inputs}/z5040.cayset --surface O":
         (0, "1bc97df499e7b3a33a2445eb6fc11bb2fc9222140b703de3f088f18910ff6b6c"),
+    # the remaining censuses at the order cap (recorded at commit 8543a45)
+    "census formula {inputs}/d5040.group {inputs}/d5040.cayset --surface L":
+        (0, "eed0571051a5c56fbd8837a589e1a439d77a9398ba418ada5cbf461d36b4f57d"),
+    "census formula {inputs}/s7.group {inputs}/s7.cayset --surface O":
+        (0, "104195e096e7626aff09a5ecb1fe93d2822a1c4627fda720402b688987d3ef43"),
+    "census formula {inputs}/s7.group {inputs}/s7.cayset --surface L":
+        (0, "7229d11fe5a73fcf9ebde3e001f056899d2863f7977b6c31fc06291a342d699e"),
     # refused by the ground-set cap (6^5040 rotation systems) and by the
     # table cap on the lift of R(G) (recorded at commit c73a1aa)
     "verify {inputs}/z5040.group {inputs}/z5040.cayset":

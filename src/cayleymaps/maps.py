@@ -12,8 +12,21 @@ the sides.  Axioms (i) and (iii), the counts, the pairings and the surface
 are all read off these three labellings, with no cycle walked except a
 failing row's, to name its witness flag.  Axiom (iii) needs no pass of its
 own: given (ii), alpha normalizes <P, alpha beta>, so <alpha, beta, P> is
-transitive iff every flag lies in the side of flag 0 or of alpha(0).  The
-composition order of F is fixed by the K4-on-torus fixture (faces of
+transitive iff every flag lies in the side of flag 0 or of alpha(0).  One
+gather of the P labels' alpha-images serves axiom (i), which fails where a
+label meets its image, and the vertex pairing, which needs them apart.
+
+A ``CheckContext`` holds what a check reuses on one flag space: alpha,
+beta and alpha beta as index arrays, the points in the rows' dtype, and
+the intp index buffers the labellings write into (the flat indices of P and
+of the face permutation, the doubling steps and the orbit shortcuts).  The
+oracle checks every chunk of an enumeration through one context, so no
+chunk allocates an index array of rows x flags entries, and a chunk's cost
+does not depend on which blocks the process freed before it; an
+``inventories`` call, and a ``validate_map`` call given none, builds its
+own.
+
+The composition order of F is fixed by the K4-on-torus fixture (faces of
 lengths 4 and 8); the opposite order is a conjugate permutation, so either
 satisfies the fixture, and this one is frozen as the convention.
 """
@@ -75,19 +88,39 @@ class SurfaceRows:
         return self.sides == 2
 
 
-def _paired(labels: np.ndarray, at: np.ndarray, conj: np.ndarray) -> np.ndarray:
+def _paired(mate: np.ndarray, at: np.ndarray, met: np.ndarray) -> np.ndarray:
     """Whether conj carries every cycle of each row onto one other cycle;
-    ``at`` is the ``perm.flat_index`` of the rows' permutations."""
-    mate = labels[:, conj]
-    return ((mate == mate.ravel()[at].reshape(mate.shape)) & (mate != labels)).all(axis=1)
+    ``mate`` is ``labels[:, conj]``, ``met`` is ``mate == labels`` and ``at``
+    is the ``perm.flat_index`` of the rows' permutations."""
+    return ((mate == mate.ravel()[at].reshape(mate.shape)) & ~met).all(axis=1)
 
 
-def _check(F: FlagSpace, rows: np.ndarray) -> tuple[np.ndarray, SurfaceRows, np.ndarray]:
+class CheckContext:
+    """What ``_check`` reuses on one flag space (see the module docstring)
+    for stacks of up to ``rows`` rows of ``dtype``: the points are in that
+    dtype unless it cannot hold them, and ``index`` holds four intp buffers
+    of ``rows * flags`` entries, of which a stack uses the leading ones --
+    the flat indices of P and of the face permutation, then two for the
+    doubling steps and orbit shortcuts of ``perm``."""
+
+    def __init__(self, F: FlagSpace, dtype, rows: int):
+        n = F.flag_count
+        self.alpha = np.array(F.alpha, dtype=np.intp)
+        self.beta = np.array(F.beta, dtype=np.intp)
+        self.alpha_beta = self.alpha[self.beta]
+        self.points = np.arange(n, dtype=np.result_type(dtype, perm.row_dtype(n)))
+        self.index = np.empty((4, rows * n), dtype=np.intp)
+
+
+def _check(
+    F: FlagSpace, rows: np.ndarray, context: CheckContext | None = None,
+) -> tuple[np.ndarray, SurfaceRows, np.ndarray]:
     """One labelling of an ``(m, flags)`` stack: the first check each row
     fails (0 for a valid map, else ``NOT_A_PERMUTATION``, ``AXIOM_II``,
     ``AXIOM_I`` or ``AXIOM_III``), the surfaces of every row, and whether
     each row keeps the inventory invariants (both mean nothing on a
-    failing row).
+    failing row).  ``context`` is a ``CheckContext`` for F and at least m
+    rows (by default one is built for this stack).
 
     P and the face permutation F are labelled once each, and the sides
     once, as the orbits of <P, F> = <P, alpha beta> seeded with the lesser
@@ -99,21 +132,25 @@ def _check(F: FlagSpace, rows: np.ndarray) -> tuple[np.ndarray, SurfaceRows, np.
     first, so its reading of (iii) is never used.
     """
     m, n = rows.shape
-    alpha, beta = np.array(F.alpha), np.array(F.beta)
-    points = np.arange(n)
+    c = CheckContext(F, rows.dtype, m) if context is None else context
+    alpha, beta, points = c.alpha, c.beta, c.points
+    at_p, at_f, *scratch = c.index[:, :m * n]
     is_perm = (np.sort(rows, axis=1) == points).all(axis=1)
     if not is_perm.all():
         rows = np.where(is_perm[:, None], rows, points)  # the rest are gathered
 
-    faces = rows[:, alpha[beta]]
-    at_p, at_f = perm.flat_index(rows), perm.flat_index(faces)
-    vl, fl = perm.cycle_labels(rows, at_p), perm.cycle_labels(faces, at_f)
-    side = perm.orbit_labels([rows, faces], np.minimum(vl, fl), [at_p, at_f])
+    faces = rows[:, c.alpha_beta]
+    at_p, at_f = perm.flat_index(rows, at_p), perm.flat_index(faces, at_f)
+    vl, fl = perm.cycle_labels(rows, at_p, scratch), perm.cycle_labels(faces, at_f, scratch)
+    side = perm.orbit_labels([rows, faces], np.minimum(vl, fl), [at_p, at_f], scratch[0])
 
     # (ii) alpha P = P^{-1} alpha, i.e. P(alpha(P(f))) = alpha(f).
     ii = ~(rows[:, alpha].ravel()[at_p].reshape(m, n) == alpha).all(axis=1)
-    # (i) no P-cycle meets its own alpha-image.
-    i = (vl == vl[:, alpha]).any(axis=1)
+    # (i) no P-cycle meets its own alpha-image; the vertex pairing below
+    # needs the same labels apart.
+    vl_alpha = vl[:, alpha]
+    meets = vl == vl_alpha
+    i = meets.any(axis=1)
     # (iii) every flag lies in the side of flag 0 or of alpha(0).
     iii = ((side != 0) & (side != side[:, alpha[:1]])).any(axis=1)
     fail = np.where(is_perm, 0, NOT_A_PERMUTATION).astype(np.int8)
@@ -124,21 +161,22 @@ def _check(F: FlagSpace, rows: np.ndarray) -> tuple[np.ndarray, SurfaceRows, np.
     nu = np.count_nonzero(vl == points, axis=1) // 2
     phi = np.count_nonzero(fl == points, axis=1) // 2
     chi = nu - n // 4 + phi
+    fl_beta = fl[:, beta]
     consistent = (
-        _paired(vl, at_p, alpha) & _paired(fl, at_f, beta)
+        _paired(vl_alpha, at_p, meets) & _paired(fl_beta, at_f, fl_beta == fl)
         & ((sides == 1) | (sides == 2))
         & np.where(sides == 2, chi % 2 == 0, 2 - chi >= 1)
     )
     return fail, SurfaceRows(nu, phi, fl, sides, chi), consistent
 
 
-def _surfaces(F: FlagSpace, rows) -> SurfaceRows:
+def _surfaces(F: FlagSpace, rows, context: CheckContext | None = None) -> SurfaceRows:
     """The surfaces of every row of a stack, from one ``_check``; raises
     for the first row that fails an axiom (see ``validate_map``), then where
     a row breaks an inventory invariant (unpaired cycles, other than 1 or 2
     sides, odd orientable chi, crosscap below 1)."""
     rows = _rows(F, rows)
-    fail, surfaces, consistent = _check(F, rows)
+    fail, surfaces, consistent = _check(F, rows, context)
     bad = np.flatnonzero(fail)
     if len(bad):
         _raise_failure(F, fail[bad[0]], rows[bad[0]].tolist())
@@ -164,18 +202,20 @@ def _raise_failure(F: FlagSpace, code: int, P: list[int]) -> None:
     raise AxiomViolation("iii", 0, "group <alpha,beta,P> is not transitive")
 
 
-def validate_map(F: FlagSpace, P) -> MapPermutation | SurfaceRows:
+def validate_map(F: FlagSpace, P, context: CheckContext | None = None) -> MapPermutation | SurfaceRows:
     """Check the three axioms on one flag row, or on every row of an
     ``(m, flags)`` stack; raise AxiomViolation with a witness flag.
 
     The whole stack is checked in one labelling; the first failing row
     alone is walked to name the witness.  Returns the map of a single row,
-    and the ``SurfaceRows`` of a stack, read off the same labelling.
+    and the ``SurfaceRows`` of a stack, read off the same labelling.  A
+    caller that validates many stacks passes one ``CheckContext`` for all
+    of them (by default each call builds its own).
     """
     rows = np.asarray(P)
     if rows.shape[-1:] != (F.flag_count,):
         raise BadParameter("P is not a permutation of the flags")
-    surfaces = _surfaces(F, rows)
+    surfaces = _surfaces(F, rows, context)
     if rows.ndim == 1:
         return MapPermutation(flag_space=F, P=tuple(rows.tolist()))
     return surfaces

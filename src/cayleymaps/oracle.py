@@ -18,7 +18,8 @@ member and the output are those of plain enumeration.  Every code is
 realized as a flag row (a gather from a table of local flag images), in
 chunks of int16 rows; one ``maps.validate_map`` call per chunk validates
 every row (permutation, axioms i-iii) and returns the rows' surfaces, all
-from one labelling of the chunk (see ``maps``).  RAW keeps the codes on the
+from one labelling of the chunk (see ``maps``), in the index buffers of one
+``maps.CheckContext`` that every chunk reuses.  RAW keeps the codes on the
 requested surface, a sorted array searched to find a transported key.
 
 Compiled action.  Codes are decoded a block of g consecutive vertices at a
@@ -71,7 +72,7 @@ from .errors import (
 )
 from .formulas import CensusResult, ClassStats, census
 from .groups import FiniteGroup
-from .maps import MapInventory, MapPermutation, inventories, validate_map
+from .maps import CheckContext, MapInventory, MapPermutation, inventories, validate_map
 from .perm import PermGroup, check_table_size, row_dtype
 from .rotations import (
     DartStructure,
@@ -419,6 +420,13 @@ def _key_bound(D: DartStructure, semantics: str) -> int:
     raise BadParameter(f"unknown semantics {semantics!r}")
 
 
+def _check_key_bound(D: DartStructure, semantics: str, cap: int) -> None:
+    """Refuses a ground set whose ``_key_bound`` exceeds the cap."""
+    bound = _key_bound(D, semantics)
+    if bound > cap:
+        raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
+
+
 def enumerate_embeddings(
     F: FlagSpace,
     semantics: str = SIGMA,
@@ -434,9 +442,7 @@ def enumerate_embeddings(
     if semantics not in SEMANTICS:
         raise BadParameter(f"unknown semantics {semantics!r}")
     D = build_dart_structure(F)
-    bound = _key_bound(D, semantics)
-    if bound > cap:
-        raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
+    _check_key_bound(D, semantics, cap)
     T = build_twist_classes(D)
     if T.rank != D.vertex_count - 1:
         raise InternalInconsistency(f"{T.class_count} twist classes, not the bound's 2^(E - V + 1)")
@@ -444,10 +450,11 @@ def enumerate_embeddings(
 
     codes, chi, orientable = [], [], []
     want = surface == "O"
+    context = CheckContext(F, row_dtype(F.flag_count), min(ROW_CHUNK, space.size))
     for lo in range(0, space.size, ROW_CHUNK):
         chunk = np.arange(lo, min(lo + ROW_CHUNK, space.size), dtype=np.int64)
         rows = space.realize(chunk)
-        surfaces = validate_map(F, rows)
+        surfaces = validate_map(F, rows, context)
         keep = slice(None)
         if surface != "L":
             on_surface = surfaces.orientable == want
@@ -608,8 +615,16 @@ def compare_with_formula(
     semantics: str = SIGMA,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> ComparisonReport:
-    """Side-by-side per-class fixed counts and totals, with exact ratios."""
+    """Side-by-side per-class fixed counts and totals, with exact ratios.
+
+    The oracle's caps are checked before the census, so a run they refuse
+    pays for no class statistic: first the ground-set bound, then the
+    table cap on the lift of the |G||H| elements of R(G)H to flags.  Where
+    a cap and the census would both refuse, the cap's ``CapExceeded`` is
+    raised."""
     F = build_flag_space(G, S)
+    _check_key_bound(build_dart_structure(F), semantics, cap)
+    check_table_size(G.order * (1 if H is None else len(H)), F.flag_count)
     cres = census(G, S, H, surface, "exact")
     gs = enumerate_embeddings(F, semantics, surface, cap)
 

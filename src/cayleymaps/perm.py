@@ -63,17 +63,22 @@ def check_table_size(size: int, degree: int) -> None:
         )
 
 
-def flat_index(perms: np.ndarray) -> np.ndarray:
+def flat_index(perms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Indices into the flattened ``(m, n)`` stack: row ``r``, point ``v``
     becomes ``r*n + perms[r, v]``, so one gather ``x.ravel()[index]`` reads
-    ``x[r, perms[r, v]]`` on every row at once."""
+    ``x[r, perms[r, v]]`` on every row at once.  ``out``, if given, is an
+    intp array of ``m*n`` entries that receives them."""
     m, n = perms.shape
-    return (perms.astype(np.intp) + n * np.arange(m, dtype=np.intp)[:, None]).ravel()
+    out = np.empty(m * n, dtype=np.intp) if out is None else out
+    np.add(perms, n * np.arange(m, dtype=np.intp)[:, None], out=out.reshape(m, n))
+    return out
 
 
-def cycle_labels(perms, index=None) -> np.ndarray:
+def cycle_labels(perms, index=None, buffers=None) -> np.ndarray:
     """The least point of the cycle through every point, row by row.
-    ``index``, if given, is the ``flat_index`` of the ``(m, n)`` stack.
+    ``index``, if given, is the ``flat_index`` of the ``(m, n)`` stack;
+    ``buffers``, if given, are two intp arrays of ``m*n`` entries that the
+    rounds write their steps into, in turn (``index`` is only read).
 
     Before the round that uses ``step = p^span``, ``label[v]`` is the least
     of the ``span`` points from ``v`` on.  A round that lowers no label ends
@@ -92,18 +97,30 @@ def cycle_labels(perms, index=None) -> np.ndarray:
         label = lower
         span *= 2
         if span < n:
-            step = step[step]
+            step = _square(step, buffers)
     return label.reshape(perms.shape)
 
 
-def orbit_labels(gens, labels=None, indices=None) -> np.ndarray:
+def _square(step: np.ndarray, buffers) -> np.ndarray:
+    """``step[step]``, written into whichever of ``buffers`` (if given) is
+    not ``step`` itself.  Every entry indexes ``step``, so ``mode="clip"``
+    clips nothing; it spares ``np.take`` the copy of ``out`` that its
+    default mode makes."""
+    if buffers is None:
+        return step[step]
+    out = buffers[1] if step is buffers[0] else buffers[0]
+    return np.take(step, step, out=out, mode="clip")
+
+
+def orbit_labels(gens, labels=None, indices=None, buffer=None) -> np.ndarray:
     """The least point of the orbit through every point under the group
     generated by ``gens``, row by row.  The first generator is a stack
     ``(m, n)``; the others are shared ``(n,)`` permutations or stacks.
     ``labels``, if given, send every point to a point of its orbit no
     greater than itself, such as the first generator's ``cycle_labels``
     (the default).  ``indices``, if given, are the ``flat_index`` of every
-    stacked generator, in order.
+    stacked generator, in order; ``buffer``, if given, is an intp array of
+    ``m*n`` entries that receives each round's shortcut index.
 
     Each round lowers every label to the least label one generator step
     away, then shortcuts it through the label of its label (itself a point
@@ -122,7 +139,8 @@ def orbit_labels(gens, labels=None, indices=None) -> np.ndarray:
             new = np.minimum(new, new[:, g])
         for g in indices:
             new = np.minimum(new, new.ravel()[g].reshape(m, n))
-        new = new.ravel()[(new + offset).ravel()].reshape(m, n)
+        shortcut = np.add(new, offset, out=None if buffer is None else buffer.reshape(m, n))
+        new = new.ravel()[shortcut.ravel()].reshape(m, n)
         if np.array_equal(new, label):
             return label
         label = new

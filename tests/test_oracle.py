@@ -323,6 +323,38 @@ def test_oracle_refuses_a_lift_over_the_table_cap_before_building_it(monkeypatch
         assert "error-token: CapExceeded" in out
 
 
+def test_a_cap_refused_verify_runs_no_census(monkeypatch, tmp_path, capsys):
+    # both oracle caps are checked before the formula census: the ground-set
+    # bound (the cube's 2^24 RAW keys) and the lift of R(Z_1000) to flags
+    import cayleymaps.oracle as oracle
+    from cayleymaps.cli import main
+
+    def census(*args):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(oracle, "census", census)
+    G = named_group("cyclic", 1000)
+    group, cayset = str(tmp_path / "z1000.group"), str(tmp_path / "z1000.cayset")
+    save_group(G, group)
+    save_cayset(validate_cayley_set(G, (1, 999)), cayset)
+    for argv, message in (
+        (["verify", "fixtures:CUBE", "--semantics", "raw"], "ground set bound 16777216 exceeds cap"),
+        (["verify", "fixtures:CUBE", "--cap", "100", "--surface", "L"], "ground set bound 8192 exceeds cap 100"),
+        (["verify", group, cayset], "acting group of order 1000 on 4000 points"),
+    ):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr().out
+        assert message in out and "error-token: CapExceeded" in out, argv
+    # H counts in the lift, |R(G)H| = |G||H|, and the cap wins over the
+    # census's own refusal of an H that lists a map twice
+    from cayleymaps import perm
+
+    cube = fixture("CUBE")
+    monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 16 * 16 * 48 - 1)
+    with pytest.raises(CapExceeded, match="acting group of order 16 on 48 points"):
+        compare_with_formula(cube.group, cube.cayset, [list(range(8))] * 2)
+
+
 def test_enumeration_builds_darts_and_twist_classes_once(monkeypatch):
     # the cap check reads counts alone, so a refusal under any semantics
     # builds no twist classes
