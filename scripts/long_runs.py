@@ -15,10 +15,11 @@ group Z_18 and the connection set {1, 9, 17}), ``z22.group`` and
 2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
 29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
 ({r, r^-1, s}), ``z5040.group``, ``z5040.cayset`` and ``z5040c.cayset``
-(Z_5040, {1, 2, 5038, 5039} and {1, 5039}), and ``s7.group`` and ``s7.cayset`` (S_7 as
+(Z_5040, {1, 2, 5038, 5039} and {1, 5039}), ``s7.group`` and ``s7.cayset`` (S_7 as
 ``save_group(named_group("symmetric", 7))`` writes it with the package
 under ``--src``, unnamed, and
-{(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}).  The command runs as
+{(0 1 2)(4 5 6), its inverse, (0 3)(1 6)(2 5)}), and ``e16.cayset`` (a
+spanning set of (Z_2)^16: the 16 unit vectors and their sum).  The command runs as
 ``python -m cayleymaps.cli`` with ``--src`` (default: this checkout's
 ``src``) first on ``PYTHONPATH``.  Its stdout is hashed as it streams and
 never held, and one line is printed per run: exit code, wall seconds
@@ -126,6 +127,8 @@ INPUTS = {
     # S_7 is searched as permutations of 7 points: about 20 s to build
     "s7.group": write_named("symmetric", 7),
     "s7.cayset": write_text("cayset 3\n843 1444 2861\n"),
+    # a fixed spanning set of (Z_2)^16: the 16 unit vectors and their sum
+    "e16.cayset": write_text("cayset 17\n" + " ".join(str(1 << i) for i in range(16)) + " 65535\n"),
 }
 # The default command lines, each with the exit code and stdout SHA-256
 # that ``--check`` expects of it (recorded at commit 40600c6).
@@ -159,6 +162,12 @@ DEFAULT_RUNS = {
         (2, "b1d7f877c68bdd44f1a263d9c3833d095b42693250cd66a744912103e581faf4"),
     "verify {inputs}/z5040.group {inputs}/z5040c.cayset":
         (2, "0201bcf338ff1ac655946f1d1fedda31d8edbfdbb0c089f997146f3649223133"),
+    # the exact-mode caps of the closed forms: about a million digits each
+    # (recorded at commit 3c00adb)
+    "sym-grr 10 --surface O --mode exact":
+        (0, "cda4092c34b4f46b4963917c8a554ed99aa37363d48d23b2dfa7c57d6573c5b7"),
+    "elem2 16 {inputs}/e16.cayset --surface L --mode exact":
+        (0, "175f9eeb4d52470c7e8a9ecb2fc92cd3bdd2d3a3f98e7e5fb4387068735cd971"),
 }
 READ_BYTES = 1 << 20
 

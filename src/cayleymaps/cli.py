@@ -184,14 +184,16 @@ def _fmt_log2(v) -> str:
 
 
 def decimal_string(n: int) -> str:
-    """``str(n)`` in subquadratic time.
+    """``str(n)`` in subquadratic time, for the binary totals that
+    ``census formula`` and ``verify`` print (the closed forms of
+    ``special`` form their exact-mode totals in decimal and print them with
+    ``str``).
 
-    CPython's int-to-str is quadratic in the digit count (19 s for the
-    1.09M digits of ``sym-grr 10``).  Here n is split at a middle bit, both
-    halves are converted recursively to exact ``Decimal`` values and joined
-    as hi * 2^w + lo by decimal arithmetic, whose multiplication is
-    subquadratic, with the powers 2^w cached; CPython 3.12's ``_pylong``
-    does the same.
+    CPython's int-to-str is quadratic in the digit count.  Here n is split
+    at a middle bit, both halves are converted recursively to exact
+    ``Decimal`` values and joined as hi * 2^w + lo by decimal arithmetic,
+    whose multiplication is subquadratic, with the powers 2^w cached;
+    CPython 3.12's ``_pylong`` does the same.
     """
     if n.bit_length() <= 8192:
         return str(n)
@@ -219,10 +221,9 @@ def decimal_string(n: int) -> str:
         hi = x >> half
         return convert(x - (hi << half), half) + convert(hi, w - half) * two_to(half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    from .formulas import exact_context
+
+    with decimal.localcontext(exact_context()):
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
 
@@ -230,7 +231,9 @@ def decimal_string(n: int) -> str:
 def _count_fields(R: Report, prefix: str, rep: CountReport) -> None:
     R.field(f"{prefix}-mode", rep.mode)
     if rep.mode == "exact":
-        R.field(prefix, decimal_string(rep.exact_value))
+        # a closed form's total is already a decimal; a census's is an int
+        exact = rep.exact_value
+        R.field(prefix, decimal_string(exact) if isinstance(exact, int) else str(exact))
         R.field(f"{prefix}-log2", _fmt_log2(rep.log2_value))
     elif rep.mode == "log2":
         R.field(f"{prefix}-log2", _fmt_log2(rep.log2_value))
@@ -707,8 +710,8 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # exact-mode totals reach ~1.1M digits at the n=10 cap; the default
-    # int-to-str guard (4300 digits) would refuse to print them
+    # a refused sum's message prints the binary sum with str, at any size;
+    # the default int-to-str guard (4300 digits) would refuse to print it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(4_000_000)
     parser = _parser()

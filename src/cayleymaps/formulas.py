@@ -16,7 +16,6 @@ over the class representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,6 +41,9 @@ from .perm import (
 )
 
 if TYPE_CHECKING:
+    import decimal
+    from decimal import Decimal
+
     import mpmath as mp
 
 THETA = "Theta"
@@ -63,7 +65,7 @@ class ClassStats:
 @dataclass(frozen=True)
 class CountReport:
     mode: str
-    exact_value: int | None = None
+    exact_value: int | Decimal | None = None  # a closed form's exact mode gives a Decimal
     log2_value: object | None = None  # mpmath float
     residue: int | None = None
     prime: int | None = None
@@ -93,8 +95,9 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
     raise BadParameter(f"unknown mode {mode!r}")
 
 
-def log2_of_int(n: int) -> mp.mpf:
-    """log2(n) at 60 digits: the log of n rounded to 60 digits."""
+def log2_of_int(n: int | Decimal) -> mp.mpf:
+    """log2(n) at 60 digits: the log of n rounded to 60 digits.  n is an
+    int or an integral ``Decimal``; both give the same mpf."""
     import mpmath as mp
 
     if n < 0:
@@ -105,15 +108,18 @@ def log2_of_int(n: int) -> mp.mpf:
         return mp.log(mpf_of_int(n), 2)
 
 
-def mpf_of_int(n: int) -> mp.mpf:
+def mpf_of_int(n: int | Decimal) -> mp.mpf:
     """``mp.mpf(n)`` for n >= 0, n rounded to the working precision, read
     from the top bits of n only: rounding the top prec+8 bits, with the
     lowest one set when any dropped bit is, gives the same mpf as rounding
     all of n.  ``mp.mpf(n)`` itself first converts the whole integer
-    exactly."""
+    exactly.  An integral ``Decimal`` is read from its leading digits
+    (``_mpf_of_decimal``)."""
     import mpmath as mp
     from mpmath.libmp import from_man_exp, round_nearest
 
+    if not isinstance(n, int):
+        return _mpf_of_decimal(n)
     prec = mp.mp.prec
     shift = n.bit_length() - (prec + 8)
     if shift <= 0:
@@ -124,7 +130,37 @@ def mpf_of_int(n: int) -> mp.mpf:
     return mp.mp.make_mpf(from_man_exp(man, shift, prec, round_nearest))
 
 
-def make_report(exact: int, mode: str) -> CountReport:
+def _mpf_of_decimal(n: Decimal) -> mp.mpf:
+    """``mpf_of_int(int(n))`` for an integral ``Decimal`` n >= 0, read from
+    its leading prec/3 + 12 digits m, so that m 10^s <= n < (m + 1) 10^s.
+    Both ends are bounded outward at twice the working precision (10^s by
+    directed rounding), and round-to-nearest is monotone: where the two
+    bounds round to the same mpf, so does n.  They differ only if a
+    rounding boundary lies within 10^-(prec/3 + 11) of n relative; such an
+    n is converted to an int."""
+    import decimal
+
+    import mpmath as mp
+    from mpmath.libmp import (
+        from_int, mpf_mul, mpf_pos, mpf_pow_int, round_ceiling, round_floor, round_nearest,
+    )
+
+    prec = mp.mp.prec
+    digits = prec // 3 + 12
+    if n.adjusted() < digits:
+        return mpf_of_int(int(n))
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX)
+    _, lead, s = ctx.plus(n).as_tuple()
+    m = int("".join(map(str, lead)))
+    wp = 2 * prec
+    lo = mpf_mul(from_int(m), mpf_pow_int(from_int(10), s, wp, round_floor), wp, round_floor)
+    hi = mpf_mul(from_int(m + bool(ctx.flags[decimal.Inexact])),
+                 mpf_pow_int(from_int(10), s, wp, round_ceiling), wp, round_ceiling)
+    lo, hi = mpf_pos(lo, prec, round_nearest), mpf_pos(hi, prec, round_nearest)
+    return mp.mp.make_mpf(lo) if lo == hi else mpf_of_int(int(n))
+
+
+def make_report(exact: int | Decimal, mode: str) -> CountReport:
     """The report of a known exact count in ``mode``."""
     kind, p = parse_mode(mode)
     if kind == "exact":
@@ -145,23 +181,54 @@ def make_report(exact: int, mode: str) -> CountReport:
 Term = tuple[int, int, int, int]
 
 
-def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1) -> int:
+def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1,
+                   in_decimal: bool = False) -> int | Decimal:
     """The exact sum of ``terms`` divided by ``divisor``; a sum that is not an
     integer multiple of ``divisor`` is refused.
 
     ``base`` (at least 1) is split as 2^t * odd: each term shifts by its own
     t*b more, and the powers odd^b are formed in ascending order of b, each
-    from the one before (by squaring when b doubles it)."""
+    from the one before (by squaring when b doubles it).
+
+    The quotient is an int, or with ``in_decimal`` an integral ``Decimal``
+    formed in ``exact_context``, which prints with no radix conversion:
+    exact mode, which prints the total, forms it in decimal, and log2 and
+    modular mode, which never print it, in binary.  The terms are summed in
+    ascending order of their shift s = e + t*b, and scaling by 2^s is the
+    only step that depends on the radix: a binary shift, or a product with
+    one running decimal power of two, carried from shift to shift and
+    squared when the shift doubles."""
+    if not in_decimal:
+        return _quotient(terms, divisor, base, 1)
+    import decimal
+
+    with decimal.localcontext(exact_context()):
+        return _quotient(terms, divisor, base, decimal.Decimal(1))
+
+
+def _quotient(terms: Sequence[Term], divisor: int, base: int, one: int | Decimal):
+    """``exact_quotient`` in the radix of ``one``, an int or a ``Decimal``."""
     den = lcm(*(t[3] for t in terms))
     twos = (base & -base).bit_length() - 1
-    odd = base >> twos
-    powers, power, prev = {}, 1, 0
+    odd = one * (base >> twos)
+    powers, power, prev = {}, one, 0
     for b in sorted({t[1] for t in terms}):
         power = power * power if b == 2 * prev else power * odd ** (b - prev)
         powers[b], prev = power, b
-    total = sum(num * powers[b] * (den // d) << e + twos * b for e, b, num, d in terms)
-    if total % den:
-        raise NonIntegralSum(f"census sum {Fraction(total, den)} is not an integer")
+    total, pow2, shift = 0 * one, one, 0  # pow2 = 2^shift
+    for s, b, num, d in sorted((e + twos * b, b, num, d) for e, b, num, d in terms):
+        term = num * powers[b] * (den // d)
+        if isinstance(term, int):  # a binary shift is free
+            total += term << s
+            continue
+        if s != shift:
+            pow2 = pow2 * pow2 if s == 2 * shift else pow2 * (2 * one) ** (s - shift)
+            shift = s
+        total += term * pow2
+    r = total % den
+    if r:  # the text of Fraction(total, den)
+        g = gcd(int(r), den)
+        raise NonIntegralSum(f"census sum {total // g}/{den // g} is not an integer")
     total //= den
     q, r = divmod(total, divisor)
     if r:
@@ -169,14 +236,26 @@ def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1) -> int:
     return q
 
 
+def exact_context() -> decimal.Context:
+    """A decimal context in which integer arithmetic is exact: the largest
+    precision and exponent, with ``Inexact`` trapped."""
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    return ctx
+
+
 def term_report(
-    terms: Sequence[Term], divisor: int, mode: str, *, base: int = 1, exact: int | None = None
+    terms: Sequence[Term], divisor: int, mode: str, *, base: int = 1,
+    exact: int | Decimal | None = None,
 ) -> CountReport:
     """The count sum(terms) / divisor in ``mode``.
 
     ``exact`` is the exact count where the caller has formed it
-    (``exact_quotient``).  Exact and log2 mode then report it, and modular
-    mode, which always sums the terms mod p, is cross-checked against it.
+    (``exact_quotient``, in decimal for exact mode and in binary for the
+    others).  Exact and log2 mode then report it, and modular mode, which
+    always sums the terms mod p, is cross-checked against it.
     Without it exact mode is refused and log2 mode sums the terms' logs.
     """
     kind, p = parse_mode(mode)

@@ -299,7 +299,9 @@ def _sym_report(rows: SymRows, nf: int, mode: str, kind: str, p: int | None) -> 
     terms = rows.terms()
     # 2^22 bits per term is still cheap; beyond that the exact sum is not
     # formed and exact mode is refused
-    exact = exact_quotient(terms, nf) if max(t[0] for t in terms) <= 1 << 22 else None
+    exact = None
+    if max(t[0] for t in terms) <= 1 << 22:
+        exact = exact_quotient(terms, nf, in_decimal=kind == "exact")
     return term_report(terms, nf, mode, exact=exact)
 
 
@@ -452,7 +454,7 @@ def _fractional_power_report(terms, divisor: int, mode: str) -> CountReport:
     # The displayed exponents need not give an integral sum, so the exact
     # sum is formed (and refused if fractional) in exact mode only; modular
     # mode reports the residue of the displayed expression as it stands.
-    exact = exact_quotient(int_terms, divisor) if kind == "exact" else None
+    exact = exact_quotient(int_terms, divisor, in_decimal=True) if kind == "exact" else None
     return term_report(int_terms, divisor, mode, exact=exact)
 
 
@@ -522,8 +524,8 @@ def elementary_abelian_census(
         # the orientable sum 1 + 1 over |G| = 2, in any mode and modulus
         if surface != "O":
             raise BadParameter("only the orientable count is defined at n = 1")
-        report = make_report(exact_quotient(o_terms, order, fact), mode)
-        return Elem2Result(1, k, "O", report, grr_valid, label)
+        exact = exact_quotient(o_terms, order, fact, in_decimal=kind == "exact")
+        return Elem2Result(1, k, "O", make_report(exact, mode), grr_valid, label)
     if k < 2:
         raise CaySetInvalid([(TOO_SMALL, f"|S| = {k} < 2")])
     if surface == "O":
@@ -534,7 +536,9 @@ def elementary_abelian_census(
         terms = l_terms + [(a, b, -m, 1) for a, b, m, _ in o_terms]
     if kind == "modp" and (p < 3 or p <= k):
         raise BadParameter(f"modulus {p} must be an odd prime above k = {k}")
-    exact = exact_quotient(terms, order, fact) if n <= ELEM2_EXACT_CAP else None
+    exact = None
+    if n <= ELEM2_EXACT_CAP:
+        exact = exact_quotient(terms, order, fact, in_decimal=kind == "exact")
     report = term_report(terms, order, mode, base=fact, exact=exact)
     return Elem2Result(n, k, surface, report, grr_valid, label)
 

@@ -3,6 +3,7 @@ residues and decimal output, each against a plain reference."""
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -307,8 +308,14 @@ def test_decimal_string_matches_str():
         values += [10**k - 1, 10**k, 10**k + 1, -(10**k)]
     rng = random.Random(2)
     values += [rng.getrandbits(rng.randint(8000, 14000)) for _ in range(10)]
-    for v in values:
-        assert cli.decimal_string(v) == str(v)
+    values += [-1, -(rng.getrandbits(166_100) | 1 << 166_099)]  # 50,001 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for v in values:
+            assert cli.decimal_string(v) == str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_decimal_string_of_big_integers():

@@ -141,7 +141,7 @@ def test_sym_orientable_small_values():
         for vm in itertools.permutations(range(3))
     )
     assert brute % 6 == 0
-    assert res.total.exact_value == brute // 6 == 16
+    assert res.total.exact_value == int(brute) // 6 == 16
     assert len(res.rows) == 3
     assert not any(res.rows.buckets) and res.rows.alphas is None
     assert sym_orientable_census(4).total.exact_value == 700688
@@ -156,7 +156,7 @@ def test_sym_orientable_modes_consistent():
         assert float(log2.log2_value) == pytest.approx(float(exact.log2_value), rel=1e-9)
         for p in (2**31 - 1, 10**9 + 7):
             modp = sym_orientable_census(n, f"modp:{p}").total
-            assert modp.residue == exact.exact_value % p
+            assert modp.residue == int(exact.exact_value) % p
 
 
 def test_sym_orientable_large_log2():
@@ -289,7 +289,7 @@ def test_sym_l_table_documents_the_mismatch():
 
 
 def test_sym_locally_modes_and_big_values():
-    exact = sym_locally_census(7).total.exact_value
+    exact = int(sym_locally_census(7).total.exact_value)
     for p in (2**31 - 1, 10**9 + 7):
         assert sym_locally_census(7, f"modp:{p}").total.residue == exact % p
     res = sym_locally_census(13, "log2")
@@ -433,7 +433,7 @@ def test_elem2_edges_and_big_values():
 def test_elem2_modp():
     S = (1, 2, 4, 8, 16)
     p = 10**9 + 7
-    exact = elementary_abelian_census(5, S, "L").total.exact_value
+    exact = int(elementary_abelian_census(5, S, "L").total.exact_value)
     assert elementary_abelian_census(5, S, "L", f"modp:{p}").total.residue == exact % p
     basis20 = tuple(1 << i for i in range(20))
     res = elementary_abelian_census(20, basis20, "L", f"modp:{p}")
