@@ -5,6 +5,7 @@
     python3 scripts/long_runs.py --src ../other-checkout/src       # another checkout's code
     python3 scripts/long_runs.py --repeat 15 --src ../parent/src --src src "sym-grr 9"  # two, alternating
     python3 scripts/long_runs.py --check                           # the default list, outputs checked
+    python3 scripts/long_runs.py --json runs.json "sym-grr 60 --surface O --mode log2"  # records kept
 
 Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
 stands for a temporary directory of input files, each written only when
@@ -34,6 +35,13 @@ drift falls on all of them alike.  After the last round one summary line
 per command and checkout gives the median and quartiles of its wall
 seconds next to the fields of its last run.
 
+``--json PATH`` writes every run as one JSON record to PATH (a list,
+rewritten after each run): the command line, the checkout's ``src``
+directory and source commit (``git describe --always --dirty`` there,
+null outside a git checkout), the host (Python and numpy versions, CPU
+count), and the run's exit code, wall seconds, ``ru_maxrss`` in KiB, and
+stdout byte count and SHA-256.
+
 ``--check`` compares every run's exit code and stdout SHA-256 with those
 recorded for it in ``DEFAULT_RUNS`` (a command line with no record is
 refused before anything runs), and after the last run names each run that
@@ -44,7 +52,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import platform
 import shlex
 import statistics
 import subprocess
@@ -172,9 +182,9 @@ DEFAULT_RUNS = {
 READ_BYTES = 1 << 20
 
 
-def run(line: str, inputs: str, src: str) -> tuple[float, tuple[int, str], str]:
-    """Runs one command line with the package under ``src``; its wall
-    seconds, its exit code and stdout SHA-256, and its report line."""
+def run(line: str, inputs: str, src: str) -> tuple[dict, str]:
+    """Runs one command line with the package under ``src``; its record
+    (without the source commit and host) and its report line."""
     argv = [arg.replace("{inputs}", inputs) for arg in shlex.split(line)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     digest, size = hashlib.sha256(), 0
@@ -189,8 +199,28 @@ def run(line: str, inputs: str, src: str) -> tuple[float, tuple[int, str], str]:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     code, sha = os.waitstatus_to_exitcode(status), digest.hexdigest()
-    return wall, (code, sha), (f"exit={code} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
-                               f"stdout_bytes={size} sha256={sha} argv={line}")
+    record = {"argv": line, "src": src, "exit": code, "wall_s": wall,
+              "ru_maxrss_kb": usage.ru_maxrss, "stdout_bytes": size, "sha256": sha}
+    return record, (f"exit={code} wall_s={wall:.3f} maxrss_mb={usage.ru_maxrss / 1024:.1f} "
+                    f"stdout_bytes={size} sha256={sha} argv={line}")
+
+
+def source_commit(src: str) -> str | None:
+    """``git describe --always --dirty`` in ``src``, or None outside a git
+    checkout or without git."""
+    try:
+        proc = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def host() -> dict:
+    """The versions the commands run under, read without importing numpy."""
+    from importlib.metadata import version
+
+    return {"python": platform.python_version(), "numpy": version("numpy"), "cpu_count": os.cpu_count()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -212,6 +242,8 @@ def main() -> None:
     p.add_argument("--check", action="store_true",
                    help="compare each run's exit code and stdout SHA-256 with DEFAULT_RUNS; "
                         "exit 1 if any differs")
+    p.add_argument("--json", type=Path, metavar="PATH",
+                   help="write one JSON record per run to PATH")
     args = p.parse_args()
     if args.repeat < 1:
         raise SystemExit("long_runs.py: --repeat must be at least 1")
@@ -226,7 +258,9 @@ def main() -> None:
     srcs = [str(src.resolve()) for src in srcs]
     tag = {src: f"src={src} " if len(srcs) > 1 else "" for src in srcs}
     walls = {(line, src): [] for line in args.runs for src in srcs}
-    last, differ = {}, []
+    last, differ, records = {}, [], []
+    commits = {src: source_commit(src) for src in srcs}
+    machine = host()
     # the group files are written by the first checkout's package
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [srcs[0], os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as inputs:
@@ -236,11 +270,14 @@ def main() -> None:
         for r in range(args.repeat):
             for line in args.runs:
                 for src in srcs[r % len(srcs):] + srcs[:r % len(srcs)]:
-                    wall, outcome, last[line, src] = run(line, inputs, src)
-                    walls[line, src].append(wall)
+                    record, last[line, src] = run(line, inputs, src)
+                    walls[line, src].append(record["wall_s"])
                     print(tag[src] + last[line, src], flush=True)
-                    if args.check and outcome != DEFAULT_RUNS[line]:
+                    if args.check and (record["exit"], record["sha256"]) != DEFAULT_RUNS[line]:
                         differ.append(tag[src] + last[line, src])
+                    if args.json is not None:
+                        records.append(dict(record, commit=commits[src], host=machine))
+                        args.json.write_text(json.dumps(records, indent=1) + "\n")
     if args.repeat > 1:
         for (line, src), values in walls.items():
             q1, median, q3 = quartiles(values)

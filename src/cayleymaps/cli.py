@@ -2,8 +2,9 @@
 
 Every subcommand computes its whole report first, with tables held as
 columns, and only then is the report rendered and written to stdout in
-chunks, so identical inputs give byte-identical output and a refusal has
-happened before the first byte: a failure prints only its message and
+chunks of rows, each joined from pieces gathered off small tables of
+strings (``Report``), so identical inputs give byte-identical output and
+a refusal has happened before the first byte: a failure prints only its message and
 ends with ``error-token: <Token>``.  ``--kv`` switches the same data to
 line-oriented ``key=value`` form for scripting.  Exit codes are 0 (ok),
 1 (validation), 2 (cap exceeded), 3 (internal invariant broke), 64
@@ -21,8 +22,10 @@ import argparse
 import functools
 import os
 import sys
+from itertools import compress, repeat
+from operator import not_
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,24 +50,35 @@ class Indexed(NamedTuple):
     index: np.ndarray
 
 
-class Chunked(NamedTuple):
-    """A table column of ``rows`` cells that are made a chunk at a time:
-    ``cells(start, stop)`` gives the strings of rows start:stop, none of
-    them wider than ``width``."""
+class Joined(NamedTuple):
+    """A table column whose cell i is cell i of each of its ``parts``
+    (``Indexed`` columns) in turn, ``length[i]`` characters in all: a
+    cycle-type label is a memo label followed by its run's prefix."""
 
-    rows: int
-    width: int
-    cells: Callable[[int, int], list[str]]
+    parts: Sequence[Indexed]
+    length: np.ndarray
 
 
 class Report:
     """A report kept as items (fields, blank lines, tables with their cells
     held as columns) and rendered only once the command has returned, as
-    aligned plain text or as ``key=value`` lines."""
+    aligned plain text or as ``key=value`` lines.
 
-    # a 512-row chunk of a sym-grr class table is about 75 KB, under glibc's
-    # default 128 KiB mmap threshold; on the closed-form benchmark it peaks
-    # about 0.4 MB lower than 4096-row chunks
+    A table row is rendered as a few pieces, each gathered by a per-row
+    index from a table of strings that is formed once: an ``Indexed``
+    column's distinct values with its padding, the column separator and
+    (``--kv``) its key folded in, adjacent ``Indexed`` columns over one
+    index array as one piece, a ``Joined`` column's parts and a pad of
+    width less length spaces, and a plain column's cells, converted and
+    padded a chunk at a time by ``map``.  A chunk of rows fills one
+    reused (rows, pieces) object array whose constant pieces are written
+    once, and is one join of it.  No Python code runs per row, except on
+    a row whose last cell strips to nothing: that row is joined alone and
+    stripped of all its trailing whitespace."""
+
+    # a 512-row chunk of the sym-grr class table is 74 KB of text, and its
+    # array of pieces 29 KB, both under glibc's default 128 KiB mmap
+    # threshold; sym-grr 40 peaks 2.2 MB lower than with 4096-row chunks
     ROWS_PER_CHUNK = 512
 
     def __init__(self, kv: bool):
@@ -80,7 +94,7 @@ class Report:
 
     def table(self, name: str, headers: list[str], columns: list) -> None:
         """``columns`` holds one column per header, all of one length: a
-        sequence of cells, an ``Indexed`` column or a ``Chunked`` one; a
+        sequence of cells, an ``Indexed`` column or a ``Joined`` one; a
         cell prints as its ``str``."""
         self.items.append(("table", name, headers, columns))
 
@@ -96,81 +110,207 @@ class Report:
                 yield from self._table_chunks(*item[1:], after_text=i > 0)
 
     def _table_chunks(self, name: str, headers: list[str], cols: list, after_text: bool):
-        printed = [_printed(c) for c in cols]
+        cols = [
+            c if isinstance(c, (Indexed, Joined)) else _Cells(c, not set(map(type, c)) <= {str})
+            for c in cols
+        ]
         nrows = _length(cols[0]) if cols else 0
+        last = len(cols) - 1
+        pieces = []
         if self.kv:
-            pads = [0] * len(cols)
-            keys = [f".{h}=" for h in headers]
+            pieces.append(f"{name}.")
+            for j, (h, col) in enumerate(zip(headers, cols)):
+                pieces += [_ROW, f".{h}=", *_pieces(col, 0), "\n" if j == last else f"\n{name}."]
+            pieces = _folded(pieces)
         else:
-            widths = [max(len(h), _width(*p)) for h, p in zip(headers, printed)]
-            pads = widths[:-1] + [0]  # the last column is not padded
+            widths = [max(len(h), _width(c)) for h, c in zip(headers, cols)]
             if after_text:
                 yield "\n"
-            yield "  ".join([h.ljust(w) for h, w in zip(headers, pads)]).rstrip() + "\n"
-        # an indexed column's distinct values are padded once, in place
-        for (strings, index, _), w in zip(printed, pads):
-            if index is not None and w:
-                for k, s in enumerate(strings):
-                    strings[k] = s.ljust(w)
-        for start in range(0, nrows, self.ROWS_PER_CHUNK):
-            stop = start + self.ROWS_PER_CHUNK
-            block = [_cells(*p, start, stop, w) for p, w in zip(printed, pads)]
-            if self.kv:
-                yield "".join([
-                    f"{name}.{r}{key}{cell}\n"
-                    for r, row in enumerate(zip(*block), start)
-                    for key, cell in zip(keys, row)
-                ])
-            else:
-                yield "\n".join(["  ".join(row).rstrip() for row in zip(*block)]) + "\n"
+            yield "  ".join([h.ljust(w) for h, w in zip(headers, widths[:-1] + [0])]).rstrip() + "\n"
+            # every column but the last is padded to its width plus the
+            # two-space separator, so a row is its pieces joined
+            for j, (col, w) in enumerate(zip(cols, widths)):
+                pieces += _pieces(col, w + 2 if j < last else 0)
+            pieces = _folded(pieces)
+            if pieces:
+                pieces = _folded(pieces[:-1] + [_stripped(pieces[-1]), "\n"])
+        yield from _rendered(pieces, nrows, self.ROWS_PER_CHUNK)
+
+
+# the row number of a --kv table line
+_ROW = object()
+
+
+class _Take(NamedTuple):
+    """A piece gathered by a per-row ``index`` from a table of strings
+    formed once, when rendering starts: entry k is
+    ``fmt.format(*(values[k] for values in columns))``.  ``blank``, where
+    set, marks the entries that leave nothing of a row's last cell once its
+    trailing whitespace is stripped."""
+
+    fmt: str
+    columns: tuple
+    index: np.ndarray
+    blank: np.ndarray | None = None
+
+
+class _Cells(NamedTuple):
+    """A plain column's strings, made a chunk at a time (with ``str``
+    where ``convert``), padded to ``width`` where it is not 0, and stripped
+    of trailing whitespace where ``strip``."""
+
+    cells: Sequence
+    convert: bool
+    width: int = 0
+    strip: bool = False
+
+
+class _Pad(NamedTuple):
+    """A pad of spaces: entry k of ``table`` is k spaces, gathered by
+    ``width`` less each row's ``length``."""
+
+    table: np.ndarray
+    width: int
+    length: np.ndarray
 
 
 def _length(column) -> int:
     if isinstance(column, Indexed):
         return len(column.index)
-    return column.rows if isinstance(column, Chunked) else len(column)
+    return len(column.length) if isinstance(column, Joined) else len(column.cells)
 
 
-def _printed(column) -> tuple:
-    """A column as (cells, index, convert): an ``Indexed`` column's distinct
-    values as an object array of strings, and its index; a ``Chunked``
-    column, None and False; or the column itself, None, and whether its
-    cells are not all ``str`` yet.  A plain column is converted a chunk at
-    a time and never held as strings."""
-    if isinstance(column, Indexed):
-        return np.array([str(v) for v in column.values], dtype=object), column.index, False
-    if isinstance(column, Chunked):
-        return column, None, False
-    return column, None, not set(map(type, column)) <= {str}
-
-
-def _width(cells, index: np.ndarray | None, convert: bool) -> int:
+def _width(column) -> int:
     """The widest string that some row prints: values the index never
     uses do not count."""
-    if isinstance(cells, Chunked):
-        return cells.width
-    if index is not None:
-        used = np.zeros(len(cells), dtype=bool)
-        used[index] = True  # no intp copy of the index, unlike a bincount
-        cells = cells[used]
-    elif convert:
-        if set(map(type, cells)) == {int}:
-            # an int's decimal widens with its magnitude, so the widest is
-            # the largest's or the least's: each cell is converted once
-            cells = [max(cells), min(cells)]
-        cells = map(str, cells)
-    return max(map(len, cells), default=0)
+    if isinstance(column, Joined):
+        return int(column.length.max(initial=0))
+    if isinstance(column, Indexed):
+        used = np.zeros(len(column.values), dtype=bool)
+        used[column.index] = True  # no intp copy of the index, unlike a bincount
+        cells = list(compress(column.values, used.tolist()))
+    else:
+        cells = column.cells
+    if set(map(type, cells)) == {int}:
+        # an int's decimal widens with its magnitude, so the widest is the
+        # largest's or the least's: each cell is converted once
+        cells = [max(cells), min(cells)]
+    return max(map(len, map(str, cells)), default=0)
 
 
-def _cells(cells, index: np.ndarray | None, convert: bool, start: int, stop: int,
-           pad: int) -> list[str]:
-    """The strings of rows start:stop, a plain column's padded to ``pad``."""
-    if index is not None:
-        return cells[index[start:stop]].tolist()
-    cells = cells.cells(start, stop) if isinstance(cells, Chunked) else cells[start:stop]
-    if convert:
-        cells = map(str, cells)
-    return [c.ljust(pad) for c in cells] if pad else list(cells)
+def _pieces(column, width: int) -> list:
+    """The pieces of a column, padded to ``width`` when not 0."""
+    if isinstance(column, Indexed):
+        return [_Take(f"{{!s:<{width}}}" if width else "{!s}", (column.values,), column.index)]
+    if isinstance(column, Joined):
+        parts = [_Take("{!s}", (p.values,), p.index) for p in column.parts]
+        if width:
+            pads = np.array([" " * k for k in range(width + 1)], dtype=object)
+            parts.append(_Pad(pads, width, column.length))
+        return parts
+    return [column._replace(width=width)]
+
+
+def _folded(pieces: list) -> list:
+    """The pieces with every constant string joined to the gathered piece
+    next to it (to the one before, else the one after), and adjacent
+    gathered pieces over one index array merged into one."""
+    out: list = []
+    for p in pieces:
+        prev = out[-1] if out else None
+        if isinstance(p, str):
+            if isinstance(prev, _Take):
+                out[-1] = prev._replace(fmt=prev.fmt + _literal(p))
+            elif isinstance(prev, str):
+                out[-1] = prev + p
+            else:
+                out.append(p)
+        elif isinstance(p, _Take) and isinstance(prev, str):
+            out[-1] = p._replace(fmt=_literal(prev) + p.fmt)
+        elif isinstance(p, _Take) and isinstance(prev, _Take) and p.index is prev.index:
+            out[-1] = p._replace(fmt=prev.fmt + p.fmt, columns=prev.columns + p.columns)
+        else:
+            out.append(p)
+    return out
+
+
+def _literal(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _table(piece: _Take) -> np.ndarray:
+    """A gathered piece's table as an object array: each string formed once,
+    in one pass, and an array of strings used as it is."""
+    values = piece.columns[0]
+    if piece.fmt in ("{}", "{!s}"):
+        if isinstance(values, np.ndarray) and set(map(type, values)) <= {str}:
+            return values
+        piece = piece._replace(fmt="{!s}")
+    count = min(map(len, piece.columns))
+    return np.fromiter(map(piece.fmt.format, *piece.columns), dtype=object, count=count)
+
+
+def _stripped(piece):
+    """The last piece of a plain row with its trailing whitespace stripped,
+    as the row's ``rstrip`` strips it; a row whose last piece is left empty
+    is stripped whole when its chunk is joined."""
+    if isinstance(piece, _Cells):
+        return piece._replace(strip=True)
+    table = list(map(str.rstrip, _table(piece)))
+    blank = np.fromiter(map(not_, table), dtype=bool, count=len(table))
+    return _Take("{}", (table,), piece.index, blank if blank.any() else None)
+
+
+def _rendered(pieces: list, nrows: int, per_chunk: int):
+    """The rows of a table in chunks of ``per_chunk``, each one join of an
+    object array holding its rows' pieces."""
+    if not nrows:
+        return
+    width = len(pieces)
+    buf = np.empty((min(nrows, per_chunk), width), dtype=object)
+    gathered = []
+    for j, p in enumerate(pieces):
+        if isinstance(p, str):
+            buf[:, j] = p  # written once, for every chunk
+        else:
+            if isinstance(p, _Take):  # as (table, index, blank)
+                p = (_table(p), p.index, p.blank)
+            gathered.append((j, p))
+    for start in range(0, nrows, per_chunk):
+        stop = min(start + per_chunk, nrows)
+        m = stop - start
+        numbers = None
+        strip: list[int] = []
+        for j, p in gathered:
+            if p is _ROW:
+                if numbers is None:
+                    numbers = np.fromiter(map(str, range(start, stop)), dtype=object, count=m)
+                buf[:m, j] = numbers
+            elif isinstance(p, _Cells):
+                cells = p.cells[start:stop]
+                if p.convert:
+                    cells = map(str, cells)
+                if p.width:
+                    cells = map(str.ljust, cells, repeat(p.width))
+                if p.strip:
+                    cells = list(map(str.rstrip, cells))
+                    if "" in cells:
+                        strip = [r for r, c in enumerate(cells) if not c]
+                buf[:m, j] = list(cells)
+            elif isinstance(p, _Pad):
+                lengths = p.length[start:stop].astype(np.intp)
+                buf[:m, j] = p.table.take(p.width - lengths, mode="clip")
+            else:
+                table, index, blank = p
+                index = index[start:stop]
+                buf[:m, j] = table.take(index, mode="clip")  # every index is in range
+                if blank is not None:
+                    strip = np.flatnonzero(blank[index]).tolist()
+        text = buf[:m].ravel().tolist()
+        for r in strip:  # rows whose last cell strips to nothing
+            row = slice(r * width, (r + 1) * width)
+            text[row] = ["".join(text[row]).rstrip() + "\n"] + [""] * (width - 1)
+        yield "".join(text)
 
 
 def _b(x: bool) -> str:
@@ -474,14 +614,15 @@ def cmd_sym_grr(args) -> Report:
     R.field("surface", res.surface)
     if res.special_type is not None:
         R.field("special-involution-type", cycle_type_label(res.special_type))
-    rows = res.rows
+    rows, labels = res.rows, res.rows.labels
     l_index = np.zeros(len(rows), dtype=np.uint8)
     l_index[list(rows.l_printed)] = np.arange(1, len(rows.l_printed) + 1)
     R.table(
         "class",
         ["partition", "size", "order", "bucket", "l", "alpha", "exponent"],
         [
-            Chunked(len(rows), rows.labels.width(), rows.labels.rows),
+            Joined([Indexed(labels.memo, labels.memo_row), Indexed(labels.prefix, labels.prefix_id)],
+                   labels.length),
             Indexed(rows.sizes, rows.size_id),
             Indexed(rows.orders, rows.term_id),
             Indexed(["B" if b else "A" for b in rows.buckets], rows.term_id),

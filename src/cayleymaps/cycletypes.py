@@ -8,9 +8,10 @@ a memo table with larger parts.  A row's class data (``ClassColumns``:
 centralizer code, order, 1- and 2-cycles, the 2-adic data that decides
 the fixed points of the half-order power, label length) is its memo row's
 combined with its run's, each column in the narrowest dtype that holds it
-at n <= 60.  Labels are held as references (``CycleTypeLabels``) and built
-a chunk of rows at a time; distinct centralizer codes become big class
-sizes once (``CentralizerCode``).
+at n <= 60.  Labels are held as references (``CycleTypeLabels``), a memo
+label and a run's prefix per row, which a report gathers a chunk of rows
+at a time; distinct centralizer codes become big class sizes once
+(``CentralizerCode``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class CycleTypeLabels:
     strings: row r reads ``memo[memo_row[r]] + prefix[prefix_id[r]]``, the
     label of its parts up to n/2 (a row of the memo tables, with a trailing
     space unless empty) followed by that of its larger parts, which a run
-    of rows shares; it is ``length[r]`` characters long."""
+    of rows shares; it is ``length[r]`` characters long.  A report gathers
+    the memo labels and prefixes a chunk of rows at a time, and forms no
+    label string per row."""
 
     memo: np.ndarray  # object array of str
     prefix: np.ndarray  # object array of str
@@ -60,9 +63,6 @@ class CycleTypeLabels:
 
     def __len__(self) -> int:
         return len(self.length)
-
-    def width(self) -> int:
-        return int(self.length.max(initial=0))
 
     def rows(self, start: int, stop: int) -> list[str]:
         """The labels of rows start:stop, each built on the call."""

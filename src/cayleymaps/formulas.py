@@ -64,6 +64,17 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class CountReport:
+    """A count in one mode: its exact value, its log2, or its residue
+    modulo a prime.
+
+    The exact value of a census (``census``, ``verify``) is an int.  That
+    of a closed form of ``special`` in exact mode is an integral
+    ``Decimal``: it compares equal to the int and prints with ``str``, but
+    arithmetic on it runs under ``exact_context()`` (``decimal.localcontext``),
+    since the default 28-digit context raises ``InvalidOperation`` on a
+    longer result, and ``int()`` of it, like comparing it with a large int,
+    takes time quadratic in its digits."""
+
     mode: str
     exact_value: int | Decimal | None = None  # a closed form's exact mode gives a Decimal
     log2_value: object | None = None  # mpmath float

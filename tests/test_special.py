@@ -5,6 +5,7 @@ import itertools
 import re
 import tracemalloc
 import weakref
+from decimal import localcontext
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -21,7 +22,7 @@ from cayleymaps.errors import (
     NonIntegralExponent,
     NotInvolutions,
 )
-from cayleymaps.formulas import exact_quotient, parse_mode, term_report
+from cayleymaps.formulas import exact_context, exact_quotient, parse_mode, term_report
 from cayleymaps.perm import cycle_type, order
 from cayleymaps.special import (
     SymRows,
@@ -134,6 +135,37 @@ def test_b1_b2_constructions():
         build_b1_b2(7)
 
 
+def _odd(perm):
+    """Whether a 0-based permutation is odd, by counting its inversions."""
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 1
+
+
+def _of_type(part):
+    """A 0-based permutation of the given cycle type."""
+    out, point = [], 0
+    for i, k in enumerate(part, start=1):
+        for _ in range(k):
+            out += [point + (j + 1) % i for j in range(i)]
+            point += i
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(7, 62, 6))
+def test_the_cubic_generators_of_sym_are_even(n):
+    # x has the special involution type and y order 3, and both are even
+    # permutations, so <x, y> lies in A_n (ROADMAP item 4); of b1 and b2,
+    # exactly the involution of the other type is odd
+    special = special_involution_type(n)
+    assert cycle_type(_of_type(special)) == special and not _odd(_of_type(special))
+    for threes in range(1, n // 3 + 1):
+        y = _of_type((n - 3 * threes, 0, threes) + (0,) * (n - 3))
+        assert order(y) == 3 and not _odd(y)
+    if n >= 13:
+        involutions = build_b1_b2(n)
+        assert [_odd(b) for b in involutions] == [cycle_type(b) != special for b in involutions]
+        assert sum(map(_odd, involutions)) == 1
+
+
 def test_sym_orientable_small_values():
     res = sym_orientable_census(3)
     brute = sum(
@@ -156,7 +188,8 @@ def test_sym_orientable_modes_consistent():
         assert float(log2.log2_value) == pytest.approx(float(exact.log2_value), rel=1e-9)
         for p in (2**31 - 1, 10**9 + 7):
             modp = sym_orientable_census(n, f"modp:{p}").total
-            assert modp.residue == int(exact.exact_value) % p
+            with localcontext(exact_context()):
+                assert modp.residue == exact.exact_value % p
 
 
 def test_sym_orientable_large_log2():
@@ -212,10 +245,12 @@ def test_sym_columns_match_the_per_partition_functions(n, surface):
     assert len(rows) == len(parts) == len(partitions(n))
     special = special_involution_type(n) if surface == "L" else None
     labels = rows.labels.rows(0, len(rows))
+    memo, memo_row, prefix, prefix_id = (rows.labels.memo, rows.labels.memo_row,
+                                         rows.labels.prefix, rows.labels.prefix_id)
     for r, part in enumerate(parts):
         assert rows.partition(r) == part
         label = " ".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(part, start=1) if k)
-        assert rows.label(r) == labels[r] == label
+        assert rows.label(r) == labels[r] == label == memo[memo_row[r]] + prefix[prefix_id[r]]
         assert rows.labels.length[r] == len(label)
         size = rows.sizes[rows.size_id[r]]
         assert size == class_size(n, part)
@@ -289,9 +324,11 @@ def test_sym_l_table_documents_the_mismatch():
 
 
 def test_sym_locally_modes_and_big_values():
-    exact = int(sym_locally_census(7).total.exact_value)
+    exact = sym_locally_census(7).total.exact_value
     for p in (2**31 - 1, 10**9 + 7):
-        assert sym_locally_census(7, f"modp:{p}").total.residue == exact % p
+        with localcontext(exact_context()):
+            residue = exact % p
+        assert sym_locally_census(7, f"modp:{p}").total.residue == residue
     res = sym_locally_census(13, "log2")
     assert float(res.total.log2_value) == pytest.approx(9340531167.46411, abs=1e-3)
     assert sym_locally_census(13, "modp:2147483647").total.residue == 700024692
@@ -433,8 +470,10 @@ def test_elem2_edges_and_big_values():
 def test_elem2_modp():
     S = (1, 2, 4, 8, 16)
     p = 10**9 + 7
-    exact = int(elementary_abelian_census(5, S, "L").total.exact_value)
-    assert elementary_abelian_census(5, S, "L", f"modp:{p}").total.residue == exact % p
+    exact = elementary_abelian_census(5, S, "L").total.exact_value
+    with localcontext(exact_context()):
+        residue = exact % p
+    assert elementary_abelian_census(5, S, "L", f"modp:{p}").total.residue == residue
     basis20 = tuple(1 << i for i in range(20))
     res = elementary_abelian_census(20, basis20, "L", f"modp:{p}")
     assert res.total.mode == "modp" and res.total.prime == p
