@@ -1,12 +1,14 @@
 """Exhaustive ground-truth enumeration of embeddings and orbit counting.
 
-Ground sets are keyed, not stored as raw permutations:
+Ground sets are keyed, not stored as raw permutations, in two key spaces:
 
   RAW    distinct valid flag permutations, keyed by the permutation itself;
   SIGMA  rotation system plus twist class modulo vertex flips (the default;
-         its orientable slice is exactly the classical rotation systems);
-  DART   rotation system alone (single-dart side exchanges reach every
-         twist pattern, so only the cyclic orders survive).
+         its orientable slice is exactly the classical rotation systems).
+
+DART, the rotation systems alone (single-dart side exchanges reach every
+twist pattern), names SIGMA's orientable space on every surface, empty on
+N.  ``ground_set_bound`` is the size of a space, checked against the cap.
 
 Key codes.  A key is stored as one integer: a mixed-radix number over the
 vertices (vertex 0 most significant) whose digit is the vertex's local
@@ -52,6 +54,7 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -69,6 +72,7 @@ from .errors import (
     CapExceeded,
     InternalInconsistency,
     NonIntegralBurnside,
+    NotCayleyLabeled,
 )
 from .formulas import CensusResult, ClassStats, census
 from .groups import FiniteGroup
@@ -113,12 +117,38 @@ def _block_width(choices: int, codes: int, vertices: int) -> int:
     return g
 
 
+def _resolve(semantics: str, surface: str) -> tuple[str, str]:
+    """The key space of a semantics' ground set on a surface: its semantics,
+    RAW or SIGMA, and the surface it enumerates."""
+    if surface not in ("O", "N", "L"):
+        raise BadParameter(f"unknown surface {surface!r}")
+    if semantics not in SEMANTICS:
+        raise BadParameter(f"unknown semantics {semantics!r}")
+    return {RAW: (RAW, "L"), SIGMA: (SIGMA, surface), DART: (SIGMA, "O")}[semantics]
+
+
+def _radices(F: FlagSpace, semantics: str, surface: str) -> tuple[int, int, int]:
+    """A key space's local choices per vertex, its twist positions and the
+    twist class of the first position, from the flag space's counts."""
+    k, V = len(F.cayset.members), F.group.order
+    if semantics == RAW:  # a key's signs are part of its choices
+        return factorial(k - 1) << (k - 1), 1, 0
+    # a validated connection set generates G: the graph is connected, with
+    # 2^(E - V + 1) twist classes, every one but the untwisted one on N
+    classes = 1 << (F.edge_count - V + 1)
+    return (factorial(k - 1), *{"O": (1, 0), "N": (classes - 1, 1), "L": (classes, 0)}[surface])
+
+
 class KeySpace:
-    """The key codes of one semantics and surface on a Cayley flag space."""
+    """The key codes of one semantics and surface on a Cayley flag space,
+    those of the key space ``_resolve`` names."""
 
     def __init__(self, D: DartStructure, T: TwistClasses, semantics: str, surface: str):
-        self.D, self.T, self.semantics = D, T, semantics
+        self.D, self.T = D, T
+        self.semantics, self.surface = _resolve(semantics, surface)
         k, V = D.degree, D.vertex_count
+        C, self.twists, self.twist_offset = _radices(D.flag_space, self.semantics, self.surface)
+        self.size = ground_set_bound(D.flag_space, semantics, surface)
         self.flag_count = D.flag_space.flag_count
         rotations = [tuple(rot) for rot in vertex_rotations(D, 0)]
         self.patterns = rotations  # at vertex v, add v*k to every dart
@@ -149,12 +179,9 @@ class KeySpace:
             d = upper[e]
             twist_flips[j, d // k] = 1 << (d % k)
 
-        if semantics == RAW:
-            anchored = 1 << (k - 1)
-            c = np.arange(len(rotations) * anchored)
-            rotation = c // anchored
+        if self.semantics == RAW:
+            rotation, bits = np.divmod(np.arange(C), 1 << (k - 1))
             # product order over darts 1..k-1: dart 1's bit is the highest
-            bits = c % anchored
             signs = sum(((bits >> (k - 1 - i)) & 1) << i for i in range(1, k))
             choice_blocks = local[rotation, signs]
         else:
@@ -164,7 +191,7 @@ class KeySpace:
             choice_blocks = local[:, 0]
         # each choice's row of vertex_local at vertex 0
         self.choice_row = (rotation << k) + signs
-        C = self.choices = len(choice_blocks)
+        self.choices = C
         # every choice's flag images at every vertex, (V, C, 2k)
         self.choice_flags = choice_blocks + 2 * k * np.arange(V)[:, None, None]
         # a flag block as one integer, its flag images the digits in base 2k
@@ -172,21 +199,14 @@ class KeySpace:
         choice_codes = choice_blocks.astype(np.int64) @ self.place
         self.choice_order = np.argsort(choice_codes)
         self.choice_codes = choice_codes[self.choice_order]
-        if semantics != SIGMA or surface == "O":
-            self.twists, self.twist_offset = 1, 0
-        elif surface == "N":
-            self.twists, self.twist_offset = T.class_count - 1, 1
-        else:
-            self.twists, self.twist_offset = T.class_count, 0
         # the sign pattern at every vertex of each twist position; a RAW
         # key's signs are part of its choices
-        if semantics == RAW:
+        if self.semantics == RAW:
             self.twist_signs = np.zeros((1, V), dtype=np.int64)
         else:
             nf = len(self.free)
             bits = ((np.arange(self.twists) + self.twist_offset)[:, None] >> np.arange(nf - 1, -1, -1)) & 1
             self.twist_signs = base_signs ^ (bits @ twist_flips)
-        self.size = 0 if semantics == DART and surface == "N" else C ** V * self.twists
         self.weights = np.array([C ** (V - 1 - v) for v in range(V)], dtype=np.int64)
 
         # Codes are read a block of g consecutive vertices at a time (the
@@ -220,15 +240,10 @@ class KeySpace:
         rows = self.vertex_row + self.choice_row[self.digits(blocks)] + self.twist_signs[twist]
         return self.vertex_local[rows].reshape(len(codes), self.flag_count)
 
-    def twist_mask(self, cls: int) -> int:
-        """The reduced twist mask of class ``cls``, whose bits are the free
-        edges in ascending order, the first one highest."""
-        nf = len(self.free)
-        return sum(1 << e for j, e in enumerate(self.free) if (cls >> (nf - 1 - j)) & 1)
-
     def key(self, code: int) -> Hashable:
-        """The key of a code: the flag permutation (RAW), the rotation
-        system and twist mask (SIGMA), or the rotation system (DART)."""
+        """The key of a code: the flag permutation (RAW), or the rotation
+        system and the reduced twist mask of its class, whose bits are the
+        free edges in ascending order, the first one highest (SIGMA)."""
         codes = np.array([code], dtype=np.int64)
         if self.semantics == RAW:
             return tuple(self.realize(codes)[0].tolist())
@@ -238,9 +253,8 @@ class KeySpace:
             tuple(v * k + d for d in self.patterns[r])
             for v, r in enumerate(self.digits(blocks)[0].tolist())
         )
-        if self.semantics == DART:
-            return rho
-        return rho, self.twist_mask(int(twist[0]) + self.twist_offset)
+        cls, nf = int(twist[0]) + self.twist_offset, len(self.free)
+        return rho, sum(1 << e for j, e in enumerate(self.free) if (cls >> (nf - 1 - j)) & 1)
 
     def compile(self, flag_map: Sequence[int]) -> "CompiledAction":
         """The action of a sign-preserving flag bijection on codes."""
@@ -325,12 +339,10 @@ class _Decoded(SequenceABC):
 
 @dataclass(frozen=True, eq=False)
 class GroundSet:
-    """The keys of one semantics and surface, as ascending codes, with the
+    """The keys on one surface, as ascending codes of a key space, with the
     Euler characteristic and orientability of each realized key."""
 
     flag_space: FlagSpace
-    semantics: str
-    surface: str
     space: KeySpace
     codes: np.ndarray
     euler_characteristic: np.ndarray
@@ -399,30 +411,19 @@ class OrbitCensus:
 # Ground-set enumeration
 # ---------------------------------------------------------------------------
 
-def ground_set_bound(F: FlagSpace, semantics: str) -> int:
-    """Size of the locally orientable ground set for the cap pre-check."""
-    return _key_bound(build_dart_structure(F), semantics)
+def ground_set_bound(F: FlagSpace, semantics: str, surface: str) -> int:
+    """The size of the key space of a semantics on a surface, read off
+    counts before anything is built: (k-1)!^V on O and for DART, times
+    2^(E-V+1) - 1 on N and 2^(E-V+1) on L; ((k-1)! 2^(k-1))^V for RAW."""
+    if F.source != "cayley":
+        raise NotCayleyLabeled("a key space needs a Cayley-labelled flag space")
+    choices, twists, _first = _radices(F, *_resolve(semantics, surface))
+    return choices ** F.group.order * twists
 
 
-def _key_bound(D: DartStructure, semantics: str) -> int:
-    """``ground_set_bound`` from the dart structure alone."""
-    k = D.degree
-    per_rot = 1
-    for i in range(1, k):
-        per_rot *= i
-    if semantics == RAW:
-        return (per_rot << (k - 1)) ** D.vertex_count
-    if semantics == SIGMA:
-        # a validated connection set generates G: the graph is connected
-        return per_rot ** D.vertex_count << (D.edge_count - D.vertex_count + 1)
-    if semantics == DART:
-        return per_rot ** D.vertex_count
-    raise BadParameter(f"unknown semantics {semantics!r}")
-
-
-def _check_key_bound(D: DartStructure, semantics: str, cap: int) -> None:
-    """Refuses a ground set whose ``_key_bound`` exceeds the cap."""
-    bound = _key_bound(D, semantics)
+def _check_cap(F: FlagSpace, semantics: str, surface: str, cap: int) -> None:
+    """Refuses a key space larger than the cap."""
+    bound = ground_set_bound(F, semantics, surface)
     if bound > cap:
         raise CapExceeded(f"ground set bound {bound} exceeds cap {cap}")
 
@@ -437,12 +438,8 @@ def enumerate_embeddings(
 
     Refuses (rather than samples) ground sets larger than the cap.
     """
-    if surface not in ("O", "N", "L"):
-        raise BadParameter(f"unknown surface {surface!r}")
-    if semantics not in SEMANTICS:
-        raise BadParameter(f"unknown semantics {semantics!r}")
     D = build_dart_structure(F)
-    _check_key_bound(D, semantics, cap)
+    _check_cap(F, semantics, surface, cap)
     T = build_twist_classes(D)
     if T.rank != D.vertex_count - 1:
         raise InternalInconsistency(f"{T.class_count} twist classes, not the bound's 2^(E - V + 1)")
@@ -450,15 +447,17 @@ def enumerate_embeddings(
 
     codes, chi, orientable = [], [], []
     want = surface == "O"
-    context = CheckContext(F, row_dtype(F.flag_count), min(ROW_CHUNK, space.size))
-    for lo in range(0, space.size, ROW_CHUNK):
-        chunk = np.arange(lo, min(lo + ROW_CHUNK, space.size), dtype=np.int64)
+    # a RAW space is filtered to the surface; DART's orientable one meets N nowhere
+    size = 0 if (space.surface, surface) == ("O", "N") else space.size
+    context = CheckContext(F, row_dtype(F.flag_count), min(ROW_CHUNK, size))
+    for lo in range(0, size, ROW_CHUNK):
+        chunk = np.arange(lo, min(lo + ROW_CHUNK, size), dtype=np.int64)
         rows = space.realize(chunk)
         surfaces = validate_map(F, rows, context)
         keep = slice(None)
         if surface != "L":
             on_surface = surfaces.orientable == want
-            if semantics == RAW:
+            if space.surface == "L":
                 keep = on_surface
             elif not on_surface.all():
                 raise InternalInconsistency("surface filter violated by a representative")
@@ -467,8 +466,6 @@ def enumerate_embeddings(
         orientable.append(surfaces.orientable[keep])
     return GroundSet(
         flag_space=F,
-        semantics=semantics,
-        surface=surface,
         space=space,
         codes=np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64),
         euler_characteristic=np.concatenate(chi) if chi else np.zeros(0, dtype=np.int32),
@@ -545,7 +542,7 @@ def burnside_count(acting: PermGroup, gs: GroundSet) -> OrbitCensus:
     # different faces.
     mixed_sides = gs.orientable != gs.orientable[lead]
     check_chi = np.ones(len(lead), dtype=bool)
-    if gs.semantics == SIGMA and gs.space.D.degree > 2:
+    if gs.space.D.degree > 2 and gs.space.twists + gs.space.twist_offset > 1:
         twisted = (gs.codes % gs.space.twists) + gs.space.twist_offset != 0
         check_chi = np.bincount(lead, weights=twisted, minlength=len(lead))[lead] == 0
     mixed_chi = check_chi & (gs.euler_characteristic != gs.euler_characteristic[lead])
@@ -623,7 +620,7 @@ def compare_with_formula(
     a cap and the census would both refuse, the cap's ``CapExceeded`` is
     raised."""
     F = build_flag_space(G, S)
-    _check_key_bound(build_dart_structure(F), semantics, cap)
+    _check_cap(F, semantics, surface, cap)
     check_table_size(G.order * (1 if H is None else len(H)), F.flag_count)
     cres = census(G, S, H, surface, "exact")
     gs = enumerate_embeddings(F, semantics, surface, cap)

@@ -15,7 +15,13 @@ from cayleymaps import (
     validate_cayley_set,
 )
 from cayleymaps.autaction import extend_to_flags, right_regular
-from cayleymaps.errors import BadParameter, CapExceeded, CayleymapsError, InternalInconsistency
+from cayleymaps.errors import (
+    BadParameter,
+    CapExceeded,
+    CayleymapsError,
+    InternalInconsistency,
+    NotCayleyLabeled,
+)
 from cayleymaps.fileio import save_cayset, save_group
 from cayleymaps.oracle import (
     DART,
@@ -30,15 +36,50 @@ from cayleymaps.oracle import (
 
 def test_ground_set_bound_frozen():
     k3 = fixture("K3").flag_space
-    assert ground_set_bound(k3, RAW) == 8
-    assert ground_set_bound(k3, SIGMA) == 2
-    assert ground_set_bound(k3, DART) == 1
+    assert ground_set_bound(k3, RAW, "L") == 8
+    assert ground_set_bound(k3, SIGMA, "L") == 2
+    assert ground_set_bound(k3, DART, "L") == 1
     cube = fixture("CUBE").flag_space
-    assert ground_set_bound(cube, RAW) == 2**24
-    assert ground_set_bound(cube, SIGMA) == 8192
-    assert ground_set_bound(cube, DART) == 256
+    assert ground_set_bound(cube, RAW, "L") == 2**24
+    assert ground_set_bound(cube, SIGMA, "L") == 8192
+    assert ground_set_bound(cube, DART, "L") == 256
+    # the bound follows the surface's own key space: SIGMA's C^V rotation
+    # systems times its twist positions, RAW's and DART's one space
+    for surface in "ON":
+        assert ground_set_bound(k3, RAW, surface) == 8
+        assert ground_set_bound(k3, SIGMA, surface) == 1
+        assert ground_set_bound(k3, DART, surface) == 1
+        assert ground_set_bound(cube, RAW, surface) == 2**24
+        assert ground_set_bound(cube, DART, surface) == 256
+    assert ground_set_bound(cube, SIGMA, "O") == 256
+    assert ground_set_bound(cube, SIGMA, "N") == 256 * 31 == 7936
     with pytest.raises(BadParameter):
-        ground_set_bound(k3, "signed")
+        ground_set_bound(k3, "signed", "L")
+    with pytest.raises(BadParameter):
+        ground_set_bound(k3, SIGMA, "Q")
+    with pytest.raises(NotCayleyLabeled):
+        ground_set_bound(fixture("FIG1").flag_space, SIGMA, "O")
+
+
+@pytest.mark.parametrize("name", ["K3", "C4", "C5", "CUBE"])
+def test_dart_is_the_orientable_sigma_space(name):
+    fx = fixture(name)
+    sigma = enumerate_embeddings(fx.flag_space, SIGMA, "O")
+    acting = {"rg": right_regular(fx.group), "full": acting_group(fx.group, fx.cayset, "full")}
+    for surface in "OL":
+        gs = enumerate_embeddings(fx.flag_space, DART, surface)
+        assert np.array_equal(gs.codes, sigma.codes)
+        assert tuple(gs.keys) == tuple(sigma.keys)
+        assert all(t == 0 for _rho, t in gs.keys)
+        for group in acting.values():
+            ours, theirs = burnside_count(group, gs), burnside_count(group, sigma)
+            assert ours.fixed_counts == theirs.fixed_counts
+            assert (ours.orbit_count, ours.orbit_sizes) == (theirs.orbit_count, theirs.orbit_sizes)
+            assert tuple(ours.orbit_inventories) == tuple(theirs.orbit_inventories)
+    gs = enumerate_embeddings(fx.flag_space, DART, "N")
+    assert len(gs.keys) == 0 and gs.space.size == len(sigma.keys)
+    oc = burnside_count(acting["rg"], gs)
+    assert oc.fixed_counts == (0,) * fx.group.order and oc.orbit_count == 0
 
 
 def test_k3_ground_set_sizes():
@@ -76,7 +117,7 @@ def test_caps_and_bad_arguments():
     cube = fixture("CUBE").flag_space
     with pytest.raises(CapExceeded, match="exceeds cap"):
         enumerate_embeddings(cube, RAW, "L")
-    assert ground_set_bound(cube, RAW) > DEFAULT_ORACLE_CAP
+    assert ground_set_bound(cube, RAW, "L") > DEFAULT_ORACLE_CAP
     k3 = fixture("K3").flag_space
     with pytest.raises(BadParameter):
         enumerate_embeddings(k3, "signed", "L")
@@ -353,6 +394,23 @@ def test_a_cap_refused_verify_runs_no_census(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(perm, "DEFAULT_TABLE_CAP", 16 * 16 * 48 - 1)
     with pytest.raises(CapExceeded, match="acting group of order 16 on 48 points"):
         compare_with_formula(cube.group, cube.cayset, [list(range(8))] * 2)
+
+
+def test_the_cap_bounds_the_surface_s_own_ground_set(capsys):
+    # the cube's SIGMA key spaces: 2^8 rotation systems on O, times 31
+    # twisted classes on N and all 32 on L
+    from cayleymaps.cli import main
+
+    def run(*argv):
+        rc = main(["census", "oracle", "fixtures:CUBE", *argv])
+        return rc, capsys.readouterr().out
+
+    plain = run("--surface", "O")
+    assert plain[0] == 0 and "ground-set: 256\n" in plain[1]
+    assert run("--surface", "O", "--cap", "256") == plain
+    for argv, bound, cap in ((("O",), 256, 255), (("N",), 7936, 256), (("L",), 8192, 100)):
+        assert run("--surface", *argv, "--cap", str(cap)) == (
+            2, f"ground set bound {bound} exceeds cap {cap}\nerror-token: CapExceeded\n")
 
 
 def test_enumeration_builds_darts_and_twist_classes_once(monkeypatch):

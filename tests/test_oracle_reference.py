@@ -21,9 +21,11 @@ from cayleymaps.groups import direct_product
 from cayleymaps.maps import MapInventory
 from cayleymaps.oracle import (
     DART,
+    DEFAULT_ORACLE_CAP,
     RAW,
     SEMANTICS,
     SIGMA,
+    KeySpace,
     acting_group,
     burnside_count,
     enumerate_embeddings,
@@ -273,7 +275,7 @@ def _cases(seed):
             for semantics in SEMANTICS
             for surface in "ONL"
             for which in acting
-            if ground_set_bound(F, semantics) * len(acting[which]) <= REFERENCE_BUDGET
+            if ground_set_bound(F, semantics, "L") * len(acting[which]) <= REFERENCE_BUDGET
         ]
         if cases:
             return F, acting, cases
@@ -287,7 +289,8 @@ def test_oracle_matches_tuple_reference(seed):
         keys, perms = reference_ground_set(F, semantics, surface)
         gs = enumerate_embeddings(F, semantics, surface)
         assert len(gs.keys) == len(keys)
-        assert tuple(gs.keys) == tuple(keys)
+        # a DART ground set is keyed in SIGMA's orientable space
+        assert tuple(gs.keys) == tuple((rho, 0) for rho in keys) if semantics == DART else tuple(keys)
         assert tuple(M.P for M in gs.representatives) == tuple(perms)
 
         flag_maps = extend_to_flags(acting.rows, F).tolist()
@@ -313,6 +316,26 @@ def test_seeded_cases_cover_every_semantics_and_degree():
     assert {c[1] for c in seen} == set("ONL")
     assert {c[2] for c in seen} == {"rg", "full"}
     assert {c[3] for c in seen} == {3, 4}
+
+
+@pytest.mark.parametrize("source", ["K3", "C4", "C5", "CUBE", *range(10)])
+def test_ground_set_bound_is_the_key_space_size(source):
+    # the bound the cap is checked against is the size of the key space
+    # enumerated, on every fixture and seeded graph; larger spaces are
+    # built without the sweep
+    F = fixture(source).flag_space if isinstance(source, str) else _cases(source)[0]
+    D = build_dart_structure(F)
+    T = build_twist_classes(D)
+    for semantics in SEMANTICS:
+        for surface in "ONL":
+            bound = ground_set_bound(F, semantics, surface)
+            if bound > DEFAULT_ORACLE_CAP:
+                with pytest.raises(CapExceeded, match=f"ground set bound {bound} exceeds"):
+                    enumerate_embeddings(F, semantics, surface)
+            elif bound <= REFERENCE_BUDGET:
+                assert enumerate_embeddings(F, semantics, surface).space.size == bound
+            else:
+                assert KeySpace(D, T, semantics, surface).size == bound
 
 
 def test_empty_dart_ground_set():
