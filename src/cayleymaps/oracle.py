@@ -119,7 +119,8 @@ def _block_width(choices: int, codes: int, vertices: int) -> int:
 
 def _resolve(semantics: str, surface: str) -> tuple[str, str]:
     """The key space of a semantics' ground set on a surface: its semantics,
-    RAW or SIGMA, and the surface it enumerates."""
+    RAW or SIGMA, and the surface it enumerates.  DART is SIGMA's O space on
+    every surface, left unswept on N by ``KeySpace.swept``: it is empty."""
     if surface not in ("O", "N", "L"):
         raise BadParameter(f"unknown surface {surface!r}")
     if semantics not in SEMANTICS:
@@ -149,6 +150,8 @@ class KeySpace:
         k, V = D.degree, D.vertex_count
         C, self.twists, self.twist_offset = _radices(D.flag_space, self.semantics, self.surface)
         self.size = ground_set_bound(D.flag_space, semantics, surface)
+        # the codes swept: every one, or none where O and N meet nowhere
+        self.swept = 0 if {self.surface, surface} == {"O", "N"} else self.size
         self.flag_count = D.flag_space.flag_count
         rotations = [tuple(rot) for rot in vertex_rotations(D, 0)]
         self.patterns = rotations  # at vertex v, add v*k to every dart
@@ -214,7 +217,7 @@ class KeySpace:
         # the first most significant.  Block codes index a (C^g, g) digit
         # table, whose rows below C^r have g - r leading zeros, so a last
         # block of r vertices reads its last r columns.
-        g = self.width = _block_width(C, self.size, V)
+        g = self.width = _block_width(C, self.swept, V)
         self.bounds = [(lo, min(lo + g, V)) for lo in range(0, V, g)]
         self.block_weight = np.array(
             [self.twists * C ** (V - hi) for _lo, hi in self.bounds], dtype=np.int64)[:, None]
@@ -447,8 +450,7 @@ def enumerate_embeddings(
 
     codes, chi, orientable = [], [], []
     want = surface == "O"
-    # a RAW space is filtered to the surface; DART's orientable one meets N nowhere
-    size = 0 if (space.surface, surface) == ("O", "N") else space.size
+    size = space.swept
     context = CheckContext(F, row_dtype(F.flag_count), min(ROW_CHUNK, size))
     for lo in range(0, size, ROW_CHUNK):
         chunk = np.arange(lo, min(lo + ROW_CHUNK, size), dtype=np.int64)

@@ -290,7 +290,7 @@ def test_oracle_matches_tuple_reference(seed):
         gs = enumerate_embeddings(F, semantics, surface)
         assert len(gs.keys) == len(keys)
         # a DART ground set is keyed in SIGMA's orientable space
-        assert tuple(gs.keys) == tuple((rho, 0) for rho in keys) if semantics == DART else tuple(keys)
+        assert tuple(gs.keys) == (tuple((rho, 0) for rho in keys) if semantics == DART else tuple(keys))
         assert tuple(M.P for M in gs.representatives) == tuple(perms)
 
         flag_maps = extend_to_flags(acting.rows, F).tolist()
@@ -321,21 +321,43 @@ def test_seeded_cases_cover_every_semantics_and_degree():
 @pytest.mark.parametrize("source", ["K3", "C4", "C5", "CUBE", *range(10)])
 def test_ground_set_bound_is_the_key_space_size(source):
     # the bound the cap is checked against is the size of the key space
-    # enumerated, on every fixture and seeded graph; larger spaces are
+    # enumerated, counted here from the built rotations and twist classes
+    # and, where the space is swept, from its keys; larger spaces are
     # built without the sweep
     F = fixture(source).flag_space if isinstance(source, str) else _cases(source)[0]
     D = build_dart_structure(F)
     T = build_twist_classes(D)
+    k, V = D.degree, D.vertex_count
+    rotations = sum(1 for _ in vertex_rotations(D, 0))
+    expected = {
+        (RAW, surface): (rotations << (k - 1)) ** V for surface in "ONL"
+    } | {
+        (SIGMA, "O"): rotations ** V,
+        (SIGMA, "N"): rotations ** V * (T.class_count - 1),
+        (SIGMA, "L"): rotations ** V * T.class_count,
+    } | {(DART, surface): rotations ** V for surface in "ONL"}
     for semantics in SEMANTICS:
+        swept = {}
         for surface in "ONL":
             bound = ground_set_bound(F, semantics, surface)
+            case = (source, semantics, surface)
+            assert bound == expected[semantics, surface], case
             if bound > DEFAULT_ORACLE_CAP:
                 with pytest.raises(CapExceeded, match=f"ground set bound {bound} exceeds"):
                     enumerate_embeddings(F, semantics, surface)
             elif bound <= REFERENCE_BUDGET:
-                assert enumerate_embeddings(F, semantics, surface).space.size == bound
+                gs = enumerate_embeddings(F, semantics, surface)
+                assert gs.space.size == bound, case
+                swept[surface] = len(gs.keys)
             else:
-                assert KeySpace(D, T, semantics, surface).size == bound
+                assert KeySpace(D, T, semantics, surface).size == bound, case
+        if semantics == SIGMA:
+            assert all(swept[s] == expected[SIGMA, s] for s in swept), source
+        elif semantics == DART:
+            assert all(swept[s] == (0 if s == "N" else rotations ** V) for s in swept), source
+        elif swept:
+            # every signed rotation system is a map, on O or on N
+            assert swept["O"] + swept["N"] == swept["L"] == expected[RAW, "L"], source
 
 
 def test_empty_dart_ground_set():
