@@ -11,7 +11,8 @@ Each argument is one ``cayleymaps`` command line.  ``{inputs}`` in it
 stands for a temporary directory of input files, each written only when
 a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
 group Z_18 and the connection set {1, 9, 17}), ``z22.group`` and
-``z22.cayset`` (Z_22 and {1, 11, 21}), ``d800.group``,
+``z22.cayset`` (Z_22 and {1, 11, 21}), ``z1000.group`` and
+``z1000.cayset`` (Z_1000 and {1, 999}), ``d800.group``,
 ``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
 2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
 29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
@@ -121,6 +122,9 @@ INPUTS = {
     # Cay(Z_22 : {1, 11, 21}): 2^22 rotation systems, the default oracle cap
     "z22.group": write_cyclic(22),
     "z22.cayset": write_text("cayset 3\n1 11 21\n"),
+    # the 1000-cycle: its automorphism search assigns 1000 vertices in turn
+    "z1000.group": write_cyclic(1000),
+    "z1000.cayset": write_text("cayset 2\n1 999\n"),
     # per-class statistics of R(G) on 800 vertices
     "d800.group": write_dihedral(800),
     "d800.cayset": write_text("cayset 3\n1 399 400\n"),
@@ -184,6 +188,11 @@ DEFAULT_RUNS = {
         (0, "cda4092c34b4f46b4963917c8a554ed99aa37363d48d23b2dfa7c57d6573c5b7"),
     "elem2 16 {inputs}/e16.cayset --surface L --mode exact":
         (0, "175f9eeb4d52470c7e8a9ecb2fc92cd3bdd2d3a3f98e7e5fb4387068735cd971"),
+    # the automorphism search 1000 vertices deep and the decomposition of
+    # its 2000 maps; the search recursed once per vertex and crashed on the
+    # recursion limit (exit 1, no error token) before it kept its own stack
+    "cayley check {inputs}/z1000.group {inputs}/z1000.cayset --aut-cap 1000":
+        (0, "215a3a67c12d2d813654600f4e638d8cf86b689f0657038261483edc6da7db8e"),
 }
 READ_BYTES = 1 << 20
 

@@ -7,17 +7,19 @@ The package is organized bottom-up:
   table is the left-regular permutation ``t -> g t`` read by ``perm``;
 * :mod:`cayleymaps.perm` -- the one permutation kernel: permutations,
   permutation groups and group tables as integer arrays, with cycles,
-  orders, powers, conjugacy classes, and the per-element statistics the
-  census formulas read;
+  conjugacy classes, and one power table per group (``divisor_powers``),
+  the only source of element orders, from which the per-element
+  statistics the census formulas read are taken;
 * :mod:`cayleymaps.cayley` -- connection-set validation, Cayley graphs,
   and the flag space with its two fixed involutions;
 * :mod:`cayleymaps.maps` -- flag permutations as maps: validation,
   surface inventory, automorphisms;
 * :mod:`cayleymaps.rotations` -- rotation systems, edge twists, and the
-  bridge between signed flags and dart data;
+  bridge between signed flags and dart data (keys are moved only by the
+  oracle's compiled action);
 * :mod:`cayleymaps.autaction` -- graph automorphisms as vertex maps, the
-  acting group R(G) x H as one ``perm.PermGroup``, its lift to flags in
-  one gather, and the stable-map construction;
+  acting group R(G) x H as one ``perm.PermGroup``, and its lift to flags
+  in one gather;
 * :mod:`cayleymaps.formulas` -- the class-sum census formulas with
   exact, log2, and mod-p arithmetic;
 * :mod:`cayleymaps.oracle` -- exhaustive enumeration of embedding
@@ -49,7 +51,6 @@ _EXPORTS = {
     "census": "formulas",
     "compare_with_formula": "oracle",
     "conjugacy_classes_of": "perm",
-    "construct_stable_map": "autaction",
     "decompose": "autaction",
     "elementary_abelian_census": "special",
     "enumerate_embeddings": "oracle",
@@ -97,7 +98,6 @@ __all__ = [
     "census",
     "compare_with_formula",
     "conjugacy_classes_of",
-    "construct_stable_map",
     "decompose",
     "elementary_abelian_census",
     "enumerate_embeddings",

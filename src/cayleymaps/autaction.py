@@ -1,4 +1,4 @@
-"""Graph automorphisms, their lift to flags, and equivariant map construction.
+"""Graph automorphisms and their lift to flags.
 
 A vertex permutation preserving adjacency lifts canonically to the flag
 space: (g, s, sign) goes to (image of g, conjugated generator, same sign).
@@ -7,31 +7,21 @@ group acts on maps by flag conjugation.
 
 An automorphism is a tuple of vertex images, and an acting group is one
 ``perm.PermGroup`` of them, built where it is formed; ``extend_to_flags``
-lifts all its rows at once, in row order.  Only the stable-map
-construction reads ``rotations`` (and through it ``maps``), which it imports
-when it runs.
+lifts all its rows at once, in row order.  The module reads only
+``cayley``, ``groups`` and ``perm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cayley import FlagSpace, Graph
-from .errors import (
-    BadParameter,
-    CapExceeded,
-    InternalInconsistency,
-    NotSemiRegular,
-)
+from .errors import BadParameter, CapExceeded, InternalInconsistency
 from .groups import FiniteGroup, subgroup_closure
-from .perm import PermGroup, cycle_labels, semi_regular
-
-if TYPE_CHECKING:
-    from .maps import MapPermutation
-    from .rotations import RotationSystem
+from .perm import PermGroup
 
 DEFAULT_GRAPH_AUT_CAP = 64
 
@@ -41,22 +31,6 @@ class AutDecomposition:
     complement: tuple[tuple[int, ...], ...] | None
     is_direct_product: bool
     is_grr: bool
-
-
-@dataclass(frozen=True)
-class StableMap:
-    """A map stabilized by a semi-regular graph automorphism.
-
-    commutes records whether conjugation by the lifted automorphism fixes
-    the flag permutation exactly; the rotation system is stabilized in
-    either case.
-    """
-
-    map: MapPermutation
-    rotation_system: RotationSystem
-    signs: tuple[int, ...]
-    twists: int
-    commutes: bool
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +68,42 @@ def graph_automorphism_group(
     image = [-1] * n
     used = [False] * n
 
-    def extend(pos: int) -> None:
-        if pos == len(order):
-            results.append(tuple(image))
-            return
-        v = order[pos]
-        # Images must match degree and be adjacent to every mapped neighbor.
-        candidates = None
+    def candidates(v: int):
+        """Images must match degree and be adjacent to every mapped neighbor;
+        the pool is the common neighborhood of the mapped neighbors' images."""
+        pool = None
         for u in graph.adjacency[v]:
             if image[u] != -1:
                 cand = adj[image[u]]
-                candidates = cand if candidates is None else candidates & cand
-        pool = candidates if candidates is not None else range(n)
-        for w in pool:
+                pool = cand if pool is None else pool & cand
+        return iter(pool if pool is not None else range(n))
+
+    # one candidate iterator per assigned position, deepest last, so the
+    # search depth is not bounded by the interpreter's recursion limit
+    stack = [candidates(order[0])]
+    while stack:
+        pos = len(stack) - 1
+        v = order[pos]
+        if image[v] != -1:  # undo this position's previous choice
+            used[image[v]] = False
+            image[v] = -1
+        for w in stack[pos]:
             if used[w] or deg[w] != deg[v]:
                 continue
-            ok = True
             for u in graph.adjacency[v]:
                 if image[u] != -1 and image[u] not in adj[w]:
-                    ok = False
                     break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(pos + 1)
-                image[v] = -1
-                used[w] = False
-
-    extend(0)
+            else:  # w is adjacent to every mapped neighbor's image
+                break
+        else:  # no candidate left: backtrack
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if pos + 1 == n:
+            results.append(tuple(image))
+        else:
+            stack.append(candidates(order[pos + 1]))
     results.sort()
     return results
 
@@ -234,104 +216,3 @@ def extend_to_flags(rows, F: FlagSpace) -> np.ndarray:
         )
     darts = vm[:, :, None] * len(members) + image_rank  # flag id = 2*dart + sign
     return (2 * darts[..., None] + np.arange(2)).reshape(len(vm), -1)
-
-
-def vertex_orbits(theta: Sequence[int]) -> list[list[int]]:
-    """Orbits of theta on the vertices, each sorted, ordered by least vertex."""
-    orbits: dict[int, list[int]] = {}
-    for v, least in enumerate(cycle_labels(theta).tolist()):
-        orbits.setdefault(least, []).append(v)
-    return list(orbits.values())
-
-
-def conjugate_flag_permutation(
-    P: Sequence[int], flag_map: Sequence[int]
-) -> tuple[int, ...]:
-    out = [0] * len(P)
-    for f in range(len(P)):
-        out[flag_map[f]] = flag_map[P[f]]
-    return tuple(out)
-
-
-def construct_stable_map(
-    theta: Sequence[int],
-    F: FlagSpace,
-    orientable: bool = False,
-) -> StableMap:
-    """Map stabilized by theta: rotations chosen on orbit representatives and
-    pushed around each vertex orbit by the lifted automorphism.
-
-    The default construction uses the plus side of every dart, which the
-    sign-preserving lift fixes pointwise, so conjugation fixes P exactly.
-    The orientable variant forces every edge untwisted; exact fixing then
-    needs an equivariant splitting of the edge sides, which an edge orbit
-    whose ends are swapped rules out — in that case only the rotation
-    system (hence the embedding class) is stabilized, and commutes reports
-    it.
-    """
-    from .rotations import (
-        build_dart_structure,
-        canonical_rotation,
-        dart_map_of_flag_map,
-        realize_signed,
-        transport_rotation_system,
-        twists_of_signs,
-    )
-
-    if not semi_regular(theta):
-        raise NotSemiRegular("automorphism has unequal vertex orbit lengths")
-    D = build_dart_structure(F)
-    flag_map = extend_to_flags([theta], F)[0].tolist()
-    dart_map = dart_map_of_flag_map(D, flag_map)
-
-    rho: list[tuple[int, ...] | None] = [None] * D.vertex_count
-    for orbit in vertex_orbits(theta):
-        rep = min(orbit)
-        rho[rep] = canonical_rotation(tuple(D.darts_at(rep)))
-        v, current = rep, rho[rep]
-        for _ in range(len(orbit) - 1):
-            current = tuple(dart_map[d] for d in current)
-            v = theta[v]
-            rho[v] = canonical_rotation(current)
-    rotation_system: RotationSystem = tuple(rho)  # type: ignore[arg-type]
-
-    if not orientable:
-        signs = tuple([0] * (2 * D.edge_count))
-        commutes = True
-    else:
-        # Equivariant proper signs per edge orbit when the action permits.
-        signs_l = [-1] * (2 * D.edge_count)
-        commutes = True
-        for e in range(D.edge_count):
-            if signs_l[D.edge_ends[e][0]] != -1:
-                continue
-            d1, d2 = D.edge_ends[e]
-            signs_l[d1], signs_l[d2] = 0, 1
-            a, b = dart_map[d1], dart_map[d2]
-            while signs_l[a] == -1:
-                signs_l[a], signs_l[b] = 0, 1
-                a, b = dart_map[a], dart_map[b]
-            if signs_l[a] != 0:
-                commutes = False
-                break
-        if not commutes:
-            # Fall back to any proper splitting; the class is still fixed.
-            signs_l = [-1] * (2 * D.edge_count)
-            for d1, d2 in D.edge_ends:
-                signs_l[d1], signs_l[d2] = 0, 1
-        signs = tuple(signs_l)
-
-    M = realize_signed(D, rotation_system, signs)
-    conj = conjugate_flag_permutation(M.P, flag_map)
-    exact = conj == M.P
-    if commutes and not exact:
-        raise InternalInconsistency("stable map construction failed to commute")
-    if transport_rotation_system(D, dart_map, rotation_system) != rotation_system:
-        raise InternalInconsistency("stable map rotation system not stabilized")
-    return StableMap(
-        map=M,
-        rotation_system=rotation_system,
-        signs=signs,
-        twists=twists_of_signs(D, signs),
-        commutes=exact,
-    )

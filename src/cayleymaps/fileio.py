@@ -222,11 +222,6 @@ def load_cayset(G: FiniteGroup, path: str) -> CayleySet:
     return validate_cayley_set(G, load_cayset_members(path))
 
 
-def save_cayset(S: CayleySet, path: str) -> None:
-    line = f"cayset {len(S.members)}\n" + " ".join(str(s) for s in S.members)
-    Path(path).write_text(line + "\n")
-
-
 def load_map(path: str, flag_space: FlagSpace | None = None) -> MapPermutation:
     from .maps import validate_map
 
@@ -288,8 +283,3 @@ def load_automorphisms(path: str, vertex_count: int | None = None) -> list[tuple
     if not out:
         raise BadParameter(f"{path}: no automorphisms found")
     return out
-
-
-def save_automorphisms(auts, path: str) -> None:
-    lines = [" ".join(str(x) for x in vm) for vm in auts]
-    Path(path).write_text("\n".join(lines) + "\n")

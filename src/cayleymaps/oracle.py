@@ -355,13 +355,6 @@ class GroundSet:
     def keys(self) -> Sequence[Hashable]:
         return _Decoded(len(self.codes), lambda pos: [self.space.key(c) for c in self.codes[pos].tolist()])
 
-    @property
-    def representatives(self) -> Sequence[MapPermutation]:
-        def decode(pos):
-            return self.representatives_of(self.space.realize(self.codes[pos]))
-
-        return _Decoded(len(self.codes), decode)
-
     def representatives_of(self, rows: np.ndarray) -> list[MapPermutation]:
         """The maps of some realized rows, validated when enumerated."""
         return [MapPermutation(flag_space=self.flag_space, P=tuple(row)) for row in rows.tolist()]

@@ -17,15 +17,16 @@ already known (``PermGroup.of_table``) is taken as it is.
 
 An abstract group is read the same way: row ``g`` of a multiplication
 table (``table[g, t] = g t``) is the left-regular permutation
-``t -> g t``, whose order, powers and cycles are those of ``g``, and
+``t -> g t``, whose powers and cycles are those of ``g``, and
 :func:`conjugacy_classes_of` takes any group table with its inverses and
 labels every element by its least conjugate in one gather.
 
-:func:`divisor_powers` works on element indices too: one power table holds
-``a^d`` for every element a and every divisor d of the group order, so the
-order is the least d with ``a^d = 1``; :func:`element_stats` reads from it
-that ``a`` is semi-regular iff ``a^(o/p)`` fixes no point for every prime
-p dividing its order o, and the edge orbits of ``<a>`` by Burnside's sum
+:func:`divisor_powers` works on element indices too, and is the one place
+orders are computed: one power table holds ``a^d`` for every element a and
+every divisor d of the group order, so the order is the least d with
+``a^d = 1``; :func:`element_stats` reads from it that ``a`` is
+semi-regular iff ``a^(o/p)`` fixes no point for every prime p dividing its
+order o, and the edge orbits of ``<a>`` by Burnside's sum
 ``(1/o) sum over d | o of phi(o/d) fix_E(a^d)``; no row is labelled.
 """
 
@@ -158,34 +159,6 @@ def cycles(p: Sequence[int], labels: np.ndarray) -> list[tuple[int, ...]]:
             j = p[j]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_lengths(perms) -> np.ndarray:
-    """The length of the cycle through every point, row by row."""
-    labels = cycle_labels(perms)
-    n = labels.shape[-1]
-    flat = labels.reshape(-1, n).astype(np.int64)
-    flat += n * np.arange(len(flat))[:, None]
-    return np.bincount(flat.ravel(), minlength=flat.size)[flat].reshape(labels.shape)
-
-
-def order(perms):
-    """Order of each permutation, the lcm of its cycle lengths (as int64,
-    exact for elements of any group small enough for a PermGroup)."""
-    return np.lcm.reduce(cycle_lengths(perms), axis=-1)
-
-
-def semi_regular(perms):
-    """Whether all cycles of each permutation have the same length."""
-    lengths = cycle_lengths(perms)
-    return (lengths == lengths[..., :1]).all(axis=-1)
-
-
-def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
-    """Entry ``i-1`` counts the ``i``-cycles of one permutation."""
-    lengths = cycle_lengths(perm)
-    n = len(lengths)
-    return tuple((np.bincount(lengths, minlength=n + 1)[1:] // np.arange(1, n + 1)).tolist())
 
 
 def row_dtype(n: int):

@@ -12,6 +12,10 @@ its one member untwisted on the forest.  This is GF(2) row reduction with
 lowest-bit pivots and back-substitution: a pivot is an edge whose incidence
 column lower-numbered edges do not span, which is a Kruskal forest edge,
 and a reduced mask is the coset member clear on every pivot.
+
+Nothing here moves a key: ``oracle.KeySpace.compile`` takes an
+automorphism's action on codes from the dart and edge bijections it
+induces, read off its flag bijection below.
 """
 
 from __future__ import annotations
@@ -82,12 +86,6 @@ def build_dart_structure(F: FlagSpace) -> DartStructure:
     )
 
 
-def canonical_rotation(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a cyclic dart sequence so its least entry comes first."""
-    i = min(range(len(cycle)), key=cycle.__getitem__)
-    return tuple(cycle[i:]) + tuple(cycle[:i])
-
-
 def vertex_rotations(D: DartStructure, vertex: int) -> Iterator[tuple[int, ...]]:
     """All (degree-1)! canonical cyclic orders of the darts at a vertex."""
     darts = list(D.darts_at(vertex))
@@ -121,19 +119,6 @@ def realize_signed(
             P[with_d] = with_dn
             P[against_dn] = against_d
     return MapPermutation(flag_space=D.flag_space, P=tuple(P))
-
-
-def twists_of_signs(D: DartStructure, signs: Sequence[int]) -> int:
-    """Twist mask of a sign assignment: bit e set iff the end signs agree.
-
-    The double cover glued by beta separates exactly when the formal signs
-    across an edge point opposite ways, so agreement marks a twisted edge.
-    """
-    mask = 0
-    for e, (d1, d2) in enumerate(D.edge_ends):
-        if signs[d1] == signs[d2]:
-            mask |= 1 << e
-    return mask
 
 
 def signs_of_twists(D: DartStructure, twists: int) -> tuple[int, ...]:
@@ -224,7 +209,7 @@ def build_twist_classes(D: DartStructure) -> TwistClasses:
 
 
 # ---------------------------------------------------------------------------
-# Transport along dart bijections
+# Dart and edge bijections induced by a flag bijection
 # ---------------------------------------------------------------------------
 
 def dart_map_of_flag_map(D: DartStructure, flag_map: Sequence[int]) -> tuple[int, ...]:
@@ -244,21 +229,3 @@ def edge_map_of_dart_map(D: DartStructure, dart_map: Sequence[int]) -> tuple[int
     for e, (d1, _d2) in enumerate(D.edge_ends):
         out[e] = D.dart_edge[dart_map[d1]]
     return tuple(out)
-
-
-def transport_rotation_system(
-    D: DartStructure, dart_map: Sequence[int], rho: RotationSystem
-) -> RotationSystem:
-    out: list[tuple[int, ...] | None] = [None] * D.vertex_count
-    for cycle in rho:
-        image = tuple(dart_map[d] for d in cycle)
-        out[D.vertex_of(image[0])] = canonical_rotation(image)
-    return tuple(out)  # type: ignore[arg-type]
-
-
-def transport_twists(D: DartStructure, edge_map: Sequence[int], twists: int) -> int:
-    out = 0
-    for e in range(D.edge_count):
-        if (twists >> e) & 1:
-            out |= 1 << edge_map[e]
-    return out

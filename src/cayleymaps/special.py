@@ -57,7 +57,7 @@ from .formulas import (
     term_report,
 )
 from .groups import FiniteGroup, subgroup_closure
-from .perm import conjugacy_classes_of, cycle_type, divisor_powers
+from .perm import conjugacy_classes_of, divisor_powers
 
 SYM_EXACT_CAP = 10
 SYM_BIG_CAP = 60
@@ -65,16 +65,6 @@ ELEM2_EXACT_CAP = 16
 ELEM2_BIG_CAP = 64
 # (term, size) pairs per block of big products in ``SymRows.terms``
 _BIG_BLOCK = 1024
-
-
-def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n as multiplicity vectors, largest first part first."""
-    if n < 1:
-        raise BadParameter(f"partitions of {n} undefined; need n >= 1")
-    if n > SYM_BIG_CAP:
-        raise CapExceeded(f"n = {n} exceeds the partition cap {SYM_BIG_CAP}")
-    labels = class_table(n, CentralizerCode(n))[1]
-    return tuple(map(partition_of_label, labels.rows(0, len(labels))))
 
 
 def class_size(n: int, part: Partition) -> int:
@@ -308,45 +298,6 @@ def _sym_report(rows: SymRows, nf: int, mode: str, kind: str, p: int | None) -> 
 def _check_odd_modulus(kind: str, p: int | None) -> None:
     if kind == "modp" and p < 3:
         raise BadParameter(f"modulus {p} must be an odd prime")
-
-
-def build_b1_b2(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two explicit involutions generating a cubic connection set of
-    Sigma_n for n = 6m+1, m >= 2, as 0-based permutations."""
-    m = _m_of(n)
-    if m < 2:
-        raise BadParameter(f"n = {n} gives m = {m}; the construction needs m >= 2")
-    pairs = [(1, 4), (2, n), (3, n - 1), (n - 6, n - 3), (n - 5, n - 2)]
-    for r in range(1, m - 1):
-        pairs += [(6 * r, 6 * r + 3), (6 * r + 1, 6 * r + 4), (6 * r + 2, 6 * r + 5)]
-    b1 = _perm_of_transpositions(n, pairs)
-    dropped = (n - 12, n - 9)
-    if dropped not in pairs:
-        raise InternalInconsistency(f"factor {dropped} missing from b_1's support")
-    b2 = _perm_of_transpositions(n, [q for q in pairs if q != dropped])
-
-    m_ = [0] * n
-    m_[0], m_[1] = 3, 3 * m - 1
-    if cycle_type(b1) != tuple(m_):
-        raise InternalInconsistency("b_1 does not have cycle type [1^3 2^{3m-1}]")
-    m_[0], m_[1] = 5, 3 * m - 2
-    if cycle_type(b2) != tuple(m_):
-        raise InternalInconsistency("b_2 does not have cycle type [1^5 2^{3m-2}]")
-    return b1, b2
-
-
-def _perm_of_transpositions(n: int, pairs) -> tuple[int, ...]:
-    vm = list(range(n))
-    seen = set()
-    for a, b in pairs:
-        for x in (a, b):
-            if not 1 <= x <= n:
-                raise InternalInconsistency(f"index {x} outside 1..{n}")
-            if x in seen:
-                raise InternalInconsistency(f"transpositions not disjoint at {x}")
-            seen.add(x)
-        vm[a - 1], vm[b - 1] = b - 1, a - 1
-    return tuple(vm)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ criterion itself, so `pytest -v tests/test_acceptance.py` reads as a
 pass/fail checklist of the package's headline guarantees.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -15,7 +16,6 @@ from cayleymaps import (
     burnside_count,
     census,
     compare_with_formula,
-    construct_stable_map,
     elementary_abelian_census,
     enumerate_embeddings,
     fixture,
@@ -27,29 +27,20 @@ from cayleymaps import (
     validate_cayley_set,
     validate_map,
 )
-from cayleymaps.autaction import (
-    conjugate_flag_permutation,
-    extend_to_flags,
-    right_regular,
-)
+from cayleymaps.autaction import extend_to_flags, right_regular
 from cayleymaps.errors import CapExceeded
 from cayleymaps.formulas import phi_exact
 from cayleymaps.oracle import DART, RAW, SIGMA, fixed_count
-from cayleymaps.perm import cycle_type, order
+from cayleymaps.maps import is_orientable
+from cayleymaps.perm import divisor_powers
 from cayleymaps.rotations import (
     build_dart_structure,
     build_twist_classes,
     dart_map_of_flag_map,
     edge_map_of_dart_map,
-    transport_rotation_system,
-    transport_twists,
+    realize_signed,
 )
-from cayleymaps.special import (
-    build_b1_b2,
-    class_size,
-    partitions,
-    sym_locally_census,
-)
+from cayleymaps.special import class_size, sym_locally_census
 
 CAYLEY_FIXTURES = ("K3", "C4", "C5", "CUBE")
 
@@ -87,8 +78,8 @@ def test_criterion_03_per_class_orientable_fixed_counts():
         k = len(fx.cayset.members)
         gs = enumerate_embeddings(fx.flag_space, SIGMA, "O")
         acting = right_regular(fx.group)
-        for theta, flag_map in zip(acting.rows, extend_to_flags(acting.rows, fx.flag_space)):
-            o = order(theta)
+        orders = divisor_powers(fx.group.table).order  # row h translates by h
+        for o, flag_map in zip(orders.tolist(), extend_to_flags(acting.rows, fx.flag_space)):
             assert fixed_count(flag_map, gs) == factorial(k - 1) ** (fx.group.order // o)
 
 
@@ -129,10 +120,98 @@ def test_criterion_05_additivity():
         assert orbits["O"] + orbits["N"] == orbits["L"], name
 
 
+# ---------------------------------------------------------------------------
+# Criterion 06's witness: a map stabilized by a translation, on tuples
+# ---------------------------------------------------------------------------
+
+def _canonical(cycle):
+    """A cyclic dart sequence rotated so its least entry comes first."""
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:]) + tuple(cycle[:i])
+
+
+def _transport_rotations(D, dart_map, rho):
+    """A rotation system moved along a dart bijection."""
+    out = [None] * D.vertex_count
+    for cycle in rho:
+        image = [dart_map[d] for d in cycle]
+        out[D.vertex_of(image[0])] = _canonical(image)
+    return tuple(out)
+
+
+def _transport_twists(edge_map, twists):
+    return sum(1 << f for e, f in enumerate(edge_map) if (twists >> e) & 1)
+
+
+def _twists_of_signs(D, signs):
+    """Bit e is set where the two end signs of edge e agree."""
+    return sum(1 << e for e, (d1, d2) in enumerate(D.edge_ends) if signs[d1] == signs[d2])
+
+
+def _conjugate(P, flag_map):
+    out = [0] * len(P)
+    for f in range(len(P)):
+        out[flag_map[f]] = flag_map[P[f]]
+    return tuple(out)
+
+
+@dataclasses.dataclass(frozen=True)
+class StableMap:
+    P: tuple
+    rotation_system: tuple
+    signs: tuple
+    twists: int
+    commutes: bool  # conjugation by the lift fixes P exactly
+
+
+def stable_map(theta, D, flag_map, orientable=False):
+    """A map stabilized by the translation theta: the rotation at each
+    vertex-orbit representative (its least vertex) is its darts in order,
+    pushed around the orbit by the lifted translation.
+
+    The default uses the plus side of every dart, which the sign-preserving
+    lift fixes pointwise, so conjugation fixes P exactly.  The orientable
+    variant leaves every edge untwisted; exact fixing then needs an
+    equivariant splitting of the edge sides, which an edge orbit whose ends
+    are swapped rules out, and then only the rotation system (hence the
+    embedding class) is stabilized."""
+    dart_map = dart_map_of_flag_map(D, flag_map)
+    rho = [None] * D.vertex_count
+    for rep in range(D.vertex_count):
+        current, v = tuple(D.darts_at(rep)), rep
+        while rho[v] is None:
+            rho[v] = current
+            current, v = _canonical([dart_map[d] for d in current]), theta[v]
+    rho = tuple(rho)
+
+    signs, equivariant = [0] * (2 * D.edge_count), True
+    if orientable:
+        # equivariant proper signs per edge orbit where the action permits
+        signs = [-1] * (2 * D.edge_count)
+        for a, b in D.edge_ends:
+            if signs[a] != -1:  # on an orbit already split
+                continue
+            while signs[a] == -1:
+                signs[a], signs[b] = 0, 1
+                a, b = dart_map[a], dart_map[b]
+            if signs[a] != 0:
+                equivariant = False
+                break
+        if not equivariant:  # any proper splitting; the class is still fixed
+            for d1, d2 in D.edge_ends:
+                signs[d1], signs[d2] = 0, 1
+    P = realize_signed(D, rho, signs).P
+    exact = _conjugate(P, flag_map) == P
+    assert exact or not equivariant, "an equivariant splitting failed to commute"
+    return StableMap(P, rho, tuple(signs), _twists_of_signs(D, signs), exact)
+
+
 def test_criterion_06_stable_map_witnesses():
     """For every extended translation a stabilized map exists: the generic
     construction is fixed exactly by the lift and its class lies in the
-    fixed set; the orientable variant stabilizes a rotation system."""
+    fixed set; the orientable variant stabilizes a rotation system, and is
+    fixed exactly unless the translation swaps the ends of an edge orbit,
+    which on the cube happens exactly for the translations by S."""
     for name in CAYLEY_FIXTURES:
         fx = fixture(name)
         F = fx.flag_space
@@ -147,24 +226,32 @@ def test_criterion_06_stable_map_witnesses():
             dart_map = dart_map_of_flag_map(D, flag_map)
             edge_map = edge_map_of_dart_map(D, dart_map)
 
-            sm = construct_stable_map(theta, F)
-            validate_map(F, sm.map.P)
+            sm = stable_map(theta, D, flag_map)
+            validate_map(F, sm.P)
             assert sm.commutes
-            assert conjugate_flag_permutation(sm.map.P, flag_map) == sm.map.P
+            assert _conjugate(sm.P, flag_map) == sm.P
             key = (sm.rotation_system, T.reduce(sm.twists))
             assert key in keys_l
             moved = (
-                transport_rotation_system(D, dart_map, key[0]),
-                T.reduce(transport_twists(D, edge_map, key[1])),
+                _transport_rotations(D, dart_map, key[0]),
+                T.reduce(_transport_twists(edge_map, key[1])),
             )
             assert moved == key
 
-            sm = construct_stable_map(theta, F, orientable=True)
-            validate_map(F, sm.map.P)
+            sm = stable_map(theta, D, flag_map, orientable=True)
+            assert is_orientable(validate_map(F, sm.P))
             assert sm.twists == 0
             assert (sm.rotation_system, 0) in keys_o
-            assert transport_rotation_system(D, dart_map, sm.rotation_system) == \
+            assert _transport_rotations(D, dart_map, sm.rotation_system) == \
                 sm.rotation_system
+            assert sm.commutes == (name != "CUBE" or theta[0] not in fx.cayset.members)
+            # the conjugate is the map of the transported signs, whose twist
+            # class is 0, so its SIGMA key is unchanged
+            signs = [0] * len(sm.signs)
+            for d, sign in enumerate(sm.signs):
+                signs[dart_map[d]] = sign
+            assert realize_signed(D, sm.rotation_system, signs).P == _conjugate(sm.P, flag_map)
+            assert T.reduce(_twists_of_signs(D, signs)) == 0
 
 
 def test_criterion_07_identity_class_factor_two():
@@ -221,17 +308,17 @@ def test_criterion_09_elementary_abelian_specialization():
 
 
 def test_criterion_10_symmetric_group_machinery():
-    """Partition machinery and the symmetric-group censuses: 22 partitions
-    of 8, class sizes partition n! for n <= 8, the n = 3 census equals a
-    brute-force sum over all six permutations, exact and log2 modes agree
-    to 1e-9 relative for n <= 8, and the two published involutions have the
-    documented cycle types for n in {13, 19, 25}."""
-    assert len(partitions(8)) == 22
+    """Partition machinery and the symmetric-group censuses: the class
+    table of Sigma_8 has 22 partitions, class sizes partition n! for n <= 8,
+    the n = 3 census equals a brute-force sum over all six permutations, and
+    exact and log2 modes agree to 1e-9 relative for n <= 8."""
+    assert len(sym_orientable_census(8).rows) == 22
     for n in range(1, 9):
-        assert sum(class_size(n, p) for p in partitions(n)) == factorial(n)
+        rows = sym_orientable_census(n).rows
+        assert sum(class_size(n, rows.partition(r)) for r in range(len(rows))) == factorial(n)
 
     brute = sum(
-        1 << (6 // order(vm))
+        1 << (6 // _order(vm))
         for vm in itertools.permutations(range(3))
     ) // 6
     assert sym_orientable_census(3).total.exact_value == int(brute)
@@ -244,12 +331,13 @@ def test_criterion_10_symmetric_group_machinery():
     log2 = float(sym_locally_census(7, "log2").total.log2_value)
     assert log2 == pytest.approx(exact, rel=1e-9)
 
-    for n in (13, 19, 25):
-        m = (n - 1) // 6
-        b1, b2 = build_b1_b2(n)
-        p1, p2 = cycle_type(b1), cycle_type(b2)
-        assert (p1[0], p1[1], sum(p1)) == (3, 3 * m - 1, 3 * m + 2)
-        assert (p2[0], p2[1], sum(p2)) == (5, 3 * m - 2, 3 * m + 3)
+
+def _order(vm):
+    """The least k >= 1 with vm^k the identity, one product at a time."""
+    k, power = 1, tuple(vm)
+    while power != tuple(range(len(vm))):
+        k, power = k + 1, tuple(vm[v] for v in power)
+    return k
 
 
 def test_criterion_11_three_involution_consistency():

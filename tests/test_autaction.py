@@ -1,33 +1,24 @@
+import inspect
 import itertools
 import random
+import sys
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from cayleymaps.autaction import (
-    construct_stable_map,
     decompose,
     extend_to_flags,
     graph_automorphism_group,
     product_group,
     right_regular,
-    vertex_orbits,
 )
 from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cayley_set
-from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency, NotSemiRegular
+from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
 from cayleymaps.groups import direct_product, named_group
-from cayleymaps.maps import is_orientable, validate_map
-from cayleymaps.perm import PermGroup, order, semi_regular
-from cayleymaps.rotations import (
-    build_dart_structure,
-    build_twist_classes,
-    dart_map_of_flag_map,
-    realize_signed,
-    transport_rotation_system,
-    twists_of_signs,
-)
+from cayleymaps.perm import PermGroup, cycle_labels, divisor_powers
 
 CAYLEY_FIXTURES = tuple(n for n in FIXTURE_NAMES if n != "FIG1")
 
@@ -40,6 +31,12 @@ def after(a, b):
 def translations(G):
     """The rows of R(G) as vertex-map tuples; row h is the translation by h."""
     return [tuple(r) for r in right_regular(G).rows.tolist()]
+
+
+def orbit_sizes(vm):
+    """The sizes of the vertex orbits of one vertex map, ascending."""
+    sizes = np.bincount(cycle_labels(vm))
+    return sorted(sizes[sizes > 0].tolist())
 
 
 def is_graph_automorphism(graph, vm) -> bool:
@@ -71,7 +68,7 @@ def test_right_regular_is_a_semiregular_automorphism_group():
     maps = set(reg)
     for a in reg:
         assert is_graph_automorphism(graph, a)
-        assert semi_regular(a)
+        assert len(set(orbit_sizes(a))) == 1  # semi-regular
         for b in reg:
             assert after(a, b) in maps
     # R(h) sends the identity vertex to h
@@ -100,6 +97,23 @@ def test_automorphism_cap():
     graph = build_cayley_graph(fx.group, fx.cayset)
     with pytest.raises(CapExceeded):
         graph_automorphism_group(graph, cap=4)
+
+
+def test_automorphism_search_is_not_bounded_by_the_recursion_limit():
+    # the search goes one vertex deeper per assigned vertex: Cay(Z_200 :
+    # {1, 199}) takes it 200 levels down, under a limit that leaves it
+    # fewer than 100 frames
+    G = named_group("cyclic", 200)
+    graph = build_cayley_graph(G, validate_cayley_set(G, (1, 199)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        full = graph_automorphism_group(graph, cap=200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(full) == 400  # the dihedral group of the 200-cycle
+    assert full == sorted(full) and full[0] == tuple(range(200))
+    assert all(is_graph_automorphism(graph, a) for a in full[::37])
 
 
 def test_decompose_on_fixtures_finds_no_complement():
@@ -219,81 +233,9 @@ def test_extension_is_a_homomorphism():
 
 
 def test_vertex_orbits_of_translations():
-    G = named_group("elementary_abelian_2", 3)
-    for g in range(1, G.order):
-        theta = right_regular(G).element(g)
-        orbits = vertex_orbits(theta)
-        o = int(order(G.table[g]))  # row g is t -> gt
-        assert all(len(orb) == o for orb in orbits)
-        assert len(orbits) == G.order // o
-
-
-# ---------------------------------------------------------------------------
-# Stable maps
-# ---------------------------------------------------------------------------
-
-def test_general_stable_map_commutes_everywhere():
-    for name in CAYLEY_FIXTURES:
-        fx = fixture(name)
-        F = fx.flag_space
-        for theta in translations(fx.group):
-            sm = construct_stable_map(theta, F)
-            assert sm.commutes
-            validate_map(F, sm.map.P)
-            fm = extend_to_flags([theta], F)[0].tolist()
-            conj = tuple(0 for _ in fm)
-            conj = list(conj)
-            for f in range(len(fm)):
-                conj[fm[f]] = fm[sm.map.P[f]]
-            assert tuple(conj) == sm.map.P
-
-
-def test_orientable_stable_map_flags_swapped_edge_orbits():
-    # an edge orbit whose ends get exchanged blocks the equivariant choice of
-    # sides; on the cube that happens exactly for the translations by S
-    fx = fixture("CUBE")
-    F = fx.flag_space
-    D = build_dart_structure(F)
-    T = build_twist_classes(D)
-    for g in range(fx.group.order):
-        theta = right_regular(fx.group).element(g)
-        sm = construct_stable_map(theta, F, orientable=True)
-        assert sm.twists == 0
-        assert is_orientable(sm.map)
-        if g in fx.cayset.members:
-            assert not sm.commutes
-        else:
-            assert sm.commutes
-        # the embedding class is fixed either way: the conjugate is the map
-        # of the transported signs on a rotation system that transports to
-        # itself, and its twist class is 0, so its SIGMA key is unchanged
-        fm = extend_to_flags([theta], F)[0].tolist()
-        conj = [0] * len(fm)
-        for f in range(len(fm)):
-            conj[fm[f]] = fm[sm.map.P[f]]
-        dart_map = dart_map_of_flag_map(D, fm)
-        signs = [0] * len(sm.signs)
-        for d, sign in enumerate(sm.signs):
-            signs[dart_map[d]] = sign
-        assert realize_signed(D, sm.rotation_system, signs).P == tuple(conj)
-        assert transport_rotation_system(D, dart_map, sm.rotation_system) == sm.rotation_system
-        assert T.reduce(twists_of_signs(D, signs)) == 0
-
-
-def test_orientable_stable_map_commutes_on_cycles():
-    for name in ("K3", "C4", "C5"):
-        fx = fixture(name)
-        for theta in translations(fx.group):
-            sm = construct_stable_map(theta, fx.flag_space, orientable=True)
-            assert sm.commutes and is_orientable(sm.map)
-
-
-def test_stable_map_requires_semi_regularity():
-    fx = fixture("CUBE")
-    # coordinate swap fixes 000 but not 001: orbit lengths differ
-    swap = tuple(((v & 1) << 1) | ((v >> 1) & 1) | (v & 4) for v in range(8))
-    graph = build_cayley_graph(fx.group, fx.cayset)
-    assert is_graph_automorphism(graph, swap)
-    assert not semi_regular(swap)
-    with pytest.raises(NotSemiRegular):
-        construct_stable_map(swap, fx.flag_space)
+    # every vertex orbit of the translation by g has g's order as its size
+    for G in (named_group("elementary_abelian_2", 3), named_group("dihedral", 12)):
+        orders = divisor_powers(G.table).order
+        for g in range(1, G.order):
+            o = int(orders[g])
+            assert orbit_sizes(right_regular(G).element(g)) == [o] * (G.order // o)

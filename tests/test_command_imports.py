@@ -62,5 +62,5 @@ def test_every_re_export_is_its_modules_object():
         "print(json.dumps([names, sorted(cayleymaps._EXPORTS), same, sorted(set(star) - {'__builtins__'})]))\n"
     )
     names, exported, same, star = fresh(code)
-    assert len(names) == 29 and names == exported == star
+    assert len(names) == 28 and names == exported == star
     assert all(same)

@@ -20,8 +20,6 @@ from cayleymaps.fileio import (
     load_group,
     load_map,
     resolve_fixture,
-    save_automorphisms,
-    save_cayset,
     save_group,
     save_map,
 )
@@ -140,10 +138,8 @@ def test_cli_group_header_over_the_cap_is_refused_before_its_table(capsys, tmp_p
 
 def test_cayset_round_trip_and_rejections(tmp_path):
     G = named_group("dihedral", 12)
-    S = validate_cayley_set(G, (6, 7, 8))
     path = tmp_path / "s.cayset"
-    save_cayset(S, str(path))
-    assert path.read_text() == "cayset 3\n6 7 8\n"
+    path.write_text("cayset 3\n6 7 8\n")
     assert load_cayset_members(str(path)) == (6, 7, 8)
     assert load_cayset(G, str(path)).members == (6, 7, 8)
 
@@ -158,7 +154,8 @@ def test_cayset_round_trip_and_rejections(tmp_path):
 
 def test_map_round_trip_on_cayley_flag_space(tmp_path):
     fx = fixture("K3")
-    M = enumerate_embeddings(fx.flag_space, "sigma", "O").representatives[0]
+    gs = enumerate_embeddings(fx.flag_space, "sigma", "O")
+    M = gs.representatives_of(gs.space.realize(gs.codes[:1]))[0]
     path = tmp_path / "m.map"
     save_map(M, str(path))
     assert path.read_text() == "map 12\n2 3 0 1 7 6 5 4 10 11 8 9\n"
@@ -196,8 +193,7 @@ def test_map_loader_rejections(tmp_path):
 def test_automorphism_round_trip_and_rejections(tmp_path):
     auts = right_regular(fixture("K3").group).rows.tolist()
     path = tmp_path / "a.auts"
-    save_automorphisms(auts, str(path))
-    assert path.read_text() == "0 1 2\n1 2 0\n2 0 1\n"
+    path.write_text("0 1 2\n1 2 0\n2 0 1\n")
     back = load_automorphisms(str(path), vertex_count=3)
     assert back == [tuple(a) for a in auts]
 
@@ -298,10 +294,11 @@ def test_cli_map_check_fig1(capsys):
 def test_cli_map_check_with_group_and_cayset(capsys, tmp_path):
     fx = fixture("K3")
     m, g, s = tmp_path / "k3.map", tmp_path / "k3.group", tmp_path / "k3.cayset"
-    M = enumerate_embeddings(fx.flag_space, "sigma", "O").representatives[0]
+    gs = enumerate_embeddings(fx.flag_space, "sigma", "O")
+    M = gs.representatives_of(gs.space.realize(gs.codes[:1]))[0]
     save_map(M, str(m))
     save_group(fx.group, str(g))
-    save_cayset(fx.cayset, str(s))
+    s.write_text("cayset 2\n1 2\n")
     code, out, _ = run_cli(
         capsys, "map", "check", str(m), "--group", str(g), "--cayset", str(s)
     )
@@ -365,7 +362,7 @@ def test_cli_three_inv_compare_frozen(capsys, tmp_path):
     g, s = tmp_path / "d6.group", tmp_path / "d6.cayset"
     G = named_group("dihedral", 12)
     save_group(G, str(g))
-    save_cayset(validate_cayley_set(G, (6, 7, 8)), str(s))
+    s.write_text("cayset 3\n6 7 8\n")
     code, out, _ = run_cli(
         capsys, "three-inv", str(g), str(s), "--surface", "L", "--compare"
     )
@@ -650,8 +647,8 @@ def test_cli_r_g_class_labels_equal_the_generic_labels(capsys, tmp_path):
     S = validate_cayley_set(G, tuple(sorted(names.index(n) for n in ("(g1,r0)", "(g0,s0)", "(g0,s1)"))))
     group, cayset, h = (str(tmp_path / n) for n in ("g.group", "g.cayset", "id.h"))
     save_group(G, group)
-    save_cayset(S, cayset)
-    save_automorphisms([tuple(range(G.order))], h)
+    Path(cayset).write_text(f"cayset 3\n{' '.join(map(str, S.members))}\n")
+    Path(h).write_text(" ".join(map(str, range(G.order))) + "\n")
     for command, extra in [
         (["census", "formula"], []), (["census", "formula"], ["--kv", "--surface", "L"]),
         (["verify"], []), (["verify"], ["--kv"]),

@@ -24,7 +24,7 @@ from cayleymaps.formulas import (
     parse_mode,
     phi_exact,
 )
-from cayleymaps.perm import PermGroup, conjugacy_classes_of, order
+from cayleymaps.perm import PermGroup, conjugacy_classes_of, divisor_powers
 
 import mpmath as mp
 
@@ -84,17 +84,26 @@ def _brute_order(vm):
 
 
 def test_permutation_order_and_power_match_brute_force():
+    # each permutation's cyclic group as a searched PermGroup: the orders
+    # and powers divisor_powers reads off its table against products taken
+    # one point at a time
     rng = random.Random(7)
     for _ in range(20):
         vm = list(range(8))
         rng.shuffle(vm)
         vm = tuple(vm)
-        assert order(vm) == _brute_order(vm)
+        o = _brute_order(vm)
+        group = PermGroup([_power(vm, k) for k in range(o)])
+        got = divisor_powers(group.table)
+        a = int(group.find(np.array([vm]))[0])
+        assert got.order[a] == o
+        for d, row in zip(got.divisors.tolist(), got.powers[:, a].tolist()):
+            assert group.element(row) == tuple(_power(vm, d))
         acc = tuple(range(8))
         for k in range(12):
             assert tuple(_power(vm, k)) == acc
             acc = _after(vm, acc)
-    assert order(tuple(range(6))) == 1
+    assert divisor_powers(PermGroup([tuple(range(6))]).table).order.tolist() == [1]
     assert tuple(_power((1, 0, 2), 0)) == (0, 1, 2)
 
 
@@ -218,7 +227,7 @@ def test_sym3_transpositions_have_half_integer_alpha():
     # Conjugates of a transposition stay in S, so l = 6 and
     # alpha = (9 + 6 - 6)/2 is not an integer on any surface.
     G = named_group("symmetric", 3)
-    members = tuple(g for g in range(6) if order(G.table[g]) == 2)
+    members = tuple(np.flatnonzero(divisor_powers(G.table).order == 2).tolist())
     S = validate_cayley_set(G, members)
     for surface in ("O", "N", "L"):
         with pytest.raises(NonIntegralExponent, match="not a non-negative integer"):

@@ -1,13 +1,20 @@
 """Every name a module imports is used in that module, and every name a
-module defines is read somewhere.
+module defines is reached by something other than the tests.
 
 Each module of ``src/cayleymaps`` is parsed with ``ast``; an imported name
 counts as used when it is read anywhere in the module (annotations
 included) or listed in ``__all__``, which covers the package's
 re-exports.  ``from __future__`` imports are exempt.  A function, class
-or variable defined at module level counts as read when some file of
-``src/``, ``tests/`` or ``perfbench/`` loads it as a name or an attribute;
-dunders are exempt.
+or variable defined at module level counts as reached when some file of
+``src/``, ``scripts/`` or ``perfbench/`` loads it as a name or an
+attribute; dunders are exempt, and so is each name of ``REACHED_BY_NAME``.
+A name only the tests read is code that no command runs.
+
+The scan works by name, not by binding: a definition counts as reached
+when any reader loads any attribute of that name.  So it cannot see a
+function whose name is also a common attribute: a ``perm.order`` or
+``perm.semi_regular`` function would pass, since ``.order`` and
+``.semi_regular`` are read all over the package.
 """
 
 import ast
@@ -19,8 +26,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cayleymaps"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 READERS = sorted(
-    p for d in (ROOT / "src", ROOT / "tests", ROOT / "perfbench") for p in d.rglob("*.py")
+    p for d in (ROOT / "src", ROOT / "scripts", ROOT / "perfbench") for p in d.rglob("*.py")
 )
+# Names reached in a way the scan cannot see, each with how.
+REACHED_BY_NAME = {
+    # scripts/long_runs.py imports it in SAVE_NAMED, code run by a child
+    # interpreter from a string
+    "fileio.save_group",
+    # perfbench/test_harness.py deletes it with monkeypatch.delattr, which
+    # raises if the name is missing
+    "oracle.fixed_count",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,19 +106,28 @@ def read_names(source: str) -> set[str]:
     return out
 
 
-def unread_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+def unread_names(modules: dict[str, str], readers: list[str], exempt=frozenset()) -> list[str]:
     read = set().union(*map(read_names, readers))
     return [
         f"{module}.{name} (line {line})"
         for module, source in sorted(modules.items())
         for name, line in defined_names(source).items()
-        if name not in read
+        if name not in read and f"{module}.{name}" not in exempt
     ]
 
 
 def test_every_module_level_name_is_read():
     modules = {m[:-3]: (SRC / m).read_text() for m in MODULES}
-    assert unread_names(modules, [p.read_text() for p in READERS]) == []
+    assert unread_names(modules, [p.read_text() for p in READERS], REACHED_BY_NAME) == []
+
+
+def test_the_scan_flags_a_name_only_a_test_reads():
+    module = "def run():\n    return 1\ndef helper():\n    return 2\ndef kept():\n    return 3\n"
+    command = "from m import run\nrun()\n"
+    test = "from m import helper, run\nassert helper() + run() == 3\n"
+    assert unread_names({"m": module}, [module, command]) == ["m.helper (line 3)", "m.kept (line 5)"]
+    assert unread_names({"m": module}, [module, command], {"m.kept"}) == ["m.helper (line 3)"]
+    assert unread_names({"m": module}, [module, command, test], {"m.kept"}) == []
 
 
 def test_the_scan_finds_an_unread_name():

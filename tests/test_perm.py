@@ -24,10 +24,9 @@ from cayleymaps.perm import (
     PermGroup,
     conjugacy_classes_of,
     cycle_labels,
-    cycle_lengths,
+    cycles,
     divisor_powers,
     element_stats,
-    order,
 )
 
 
@@ -242,7 +241,7 @@ def test_refusals_keep_their_type_and_message():
         "BadParameter", "acting set is not closed under composition")
 
     s3 = named_group("symmetric", 3)
-    S = validate_cayley_set(s3, tuple(g for g in range(6) if order(s3.table[g]) == 2))
+    S = validate_cayley_set(s3, tuple(np.flatnonzero(divisor_powers(s3.table).order == 2).tolist()))
     for surface in "ONL":
         assert outcome(lambda: census(s3, S, surface=surface)) == (
             "NonIntegralExponent", "alpha = (9+6-6)/2 is not a non-negative integer")
@@ -289,9 +288,10 @@ def test_cycle_labels_and_lengths_match_walks():
             rng.shuffle(p)
             perms.append(tuple(p))
     for p in perms:
-        labels, lengths = cycle_labels(p), cycle_lengths(p)
+        labels = cycle_labels(p)
         for cycle in _cycles(p):
-            assert all(labels[v] == min(cycle) and lengths[v] == len(cycle) for v in cycle)
+            assert all(labels[v] == min(cycle) for v in cycle)
+        assert cycles(p, labels) == [tuple(c) for c in _cycles(p)]
 
 
 @st.composite
@@ -411,12 +411,12 @@ def test_element_stats_match_walks_at_orders_with_many_divisors(build, members):
 def test_divisor_powers_match_repeated_products_on_either_table(build):
     # G's own table (row g is t -> gt) and R(G)'s (G's transposed): each
     # power row against a^k built one factor at a time, and each order
-    # against perm.order of G's rows
+    # against the lcm of the cycle lengths of G's rows, walked
     G = build()
     element = np.arange(G.order)
     for table in (G.table, right_regular(G).table):
         got = divisor_powers(table)
-        assert got.order.tolist() == order(G.table).tolist()
+        assert got.order.tolist() == [lcm(*map(len, _cycles(row))) for row in G.table.tolist()]
         power = element
         for k in range(1, G.order + 1):
             if G.order % k == 0:

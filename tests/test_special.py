@@ -23,15 +23,13 @@ from cayleymaps.errors import (
     NotInvolutions,
 )
 from cayleymaps.formulas import exact_context, exact_quotient, parse_mode, term_report
-from cayleymaps.perm import cycle_type, order
+from cayleymaps.perm import divisor_powers
 from cayleymaps.special import (
     SymRows,
-    build_b1_b2,
     centralizer_order,
     class_size,
     double_factorial,
     elementary_abelian_census,
-    partitions,
     special_involution_type,
     sym_l_table,
     sym_locally_census,
@@ -40,27 +38,68 @@ from cayleymaps.special import (
 )
 
 
+# Partitions and cycle types, one at a time: references for the columns of
+# ``cycletypes``.
+
+def _descending_partitions(n, largest):
+    """Partitions of n as descending part lists, reverse lexicographic."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _descending_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _partitions(n):
+    """Partitions of n as multiplicity vectors, reverse lexicographic."""
+    return [tuple(desc.count(i) for i in range(1, n + 1)) for desc in _descending_partitions(n, n)]
+
+
 def test_partition_counts():
-    assert [len(partitions(n)) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
-    for part in partitions(6):
+    # the census class table of Sigma_n has one row per partition of n
+    assert [len(sym_orientable_census(n, "log2").rows) for n in range(1, 9)] == \
+        [1, 2, 3, 5, 7, 11, 15, 22]
+    rows = sym_orientable_census(6, "log2").rows
+    for part in map(rows.partition, range(len(rows))):
         assert len(part) == 6
         assert sum(i * k for i, k in enumerate(part, start=1)) == 6
     with pytest.raises(BadParameter):
-        partitions(0)
+        sym_orientable_census(0, "log2")
     with pytest.raises(CapExceeded):
-        partitions(61)
+        sym_orientable_census(61, "log2")
 
 
 def test_class_sizes_partition_the_group():
     for n in range(1, 9):
-        sizes = [class_size(n, part) for part in partitions(n)]
+        sizes = [class_size(n, part) for part in _partitions(n)]
         assert sum(sizes) == factorial(n)
-        for part, size in zip(partitions(n), sizes):
+        for part, size in zip(_partitions(n), sizes):
             assert size * centralizer_order(part) == factorial(n)
 
 
-# Cycle-type helpers, one partition at a time: references for the columns
-# of ``cycletypes``.
+def _cycle_lengths(perm):
+    """The length of every cycle of a permutation, walked."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            length, v = length + 1, perm[v]
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def cycle_type(perm):
+    """Entry ``i-1`` counts the ``i``-cycles of a permutation."""
+    lengths = _cycle_lengths(perm)
+    return tuple(lengths.count(i) for i in range(1, len(perm) + 1))
+
+
+def order(perm):
+    return lcm(*_cycle_lengths(perm))
+
 
 def lcm_of_partition(part):
     return lcm(*[i for i, k in enumerate(part, start=1) if k])
@@ -97,7 +136,7 @@ def _power(perm, k):
 
 def test_power_type_matches_actual_powers():
     for n in range(1, 8):
-        for part in partitions(n):
+        for part in _partitions(n):
             rep = representative_of_type(part)
             assert cycle_type(rep) == part
             assert order(rep) == lcm_of_partition(part)
@@ -118,6 +157,30 @@ def test_special_involution_type():
             special_involution_type(bad)
 
 
+def build_b1_b2(n):
+    """The two published involutions generating a cubic connection set of
+    Sigma_n for n = 6m+1, m >= 2, as 0-based permutations: b1 is a product
+    of disjoint transpositions, b2 is b1 without (n-12, n-9)."""
+    m = (n - 1) // 6
+    assert n == 6 * m + 1 and m >= 2, n
+    pairs = [(1, 4), (2, n), (3, n - 1), (n - 6, n - 3), (n - 5, n - 2)]
+    for r in range(1, m - 1):
+        pairs += [(6 * r, 6 * r + 3), (6 * r + 1, 6 * r + 4), (6 * r + 2, 6 * r + 5)]
+    dropped = (n - 12, n - 9)
+    assert dropped in pairs
+    return tuple(_perm_of_transpositions(n, q) for q in (pairs, [q for q in pairs if q != dropped]))
+
+
+def _perm_of_transpositions(n, pairs):
+    """The product of disjoint transpositions of 1..n, 0-based."""
+    points = [x for pair in pairs for x in pair]
+    assert len(set(points)) == len(points) and all(1 <= x <= n for x in points)
+    vm = list(range(n))
+    for a, b in pairs:
+        vm[a - 1], vm[b - 1] = b - 1, a - 1
+    return tuple(vm)
+
+
 def test_b1_b2_constructions():
     for n in (13, 19, 25, 31, 37, 43):
         m = (n - 1) // 6
@@ -125,29 +188,17 @@ def test_b1_b2_constructions():
         for vm in (b1, b2):
             assert all(vm[vm[i]] == i for i in range(n))
         p1 = cycle_type(b1)
-        assert (p1[0], p1[1]) == (3, 3 * m - 1)
+        assert (p1[0], p1[1], sum(p1)) == (3, 3 * m - 1, 3 * m + 2)
         p2 = cycle_type(b2)
-        assert (p2[0], p2[1]) == (5, 3 * m - 2)
+        assert (p2[0], p2[1], sum(p2)) == (5, 3 * m - 2, 3 * m + 3)
         # b2 is b1 with one transposition dropped
         diff = [i for i in range(n) if b1[i] != b2[i]]
         assert diff == sorted((n - 13, n - 10))
-    with pytest.raises(BadParameter):
-        build_b1_b2(7)
 
 
 def _odd(perm):
     """Whether a 0-based permutation is odd, by counting its inversions."""
     return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 1
-
-
-def _of_type(part):
-    """A 0-based permutation of the given cycle type."""
-    out, point = [], 0
-    for i, k in enumerate(part, start=1):
-        for _ in range(k):
-            out += [point + (j + 1) % i for j in range(i)]
-            point += i
-    return tuple(out)
 
 
 @pytest.mark.parametrize("n", range(7, 62, 6))
@@ -156,9 +207,10 @@ def test_the_cubic_generators_of_sym_are_even(n):
     # permutations, so <x, y> lies in A_n (ROADMAP item 4); of b1 and b2,
     # exactly the involution of the other type is odd
     special = special_involution_type(n)
-    assert cycle_type(_of_type(special)) == special and not _odd(_of_type(special))
+    x = representative_of_type(special)
+    assert cycle_type(x) == special and not _odd(x)
     for threes in range(1, n // 3 + 1):
-        y = _of_type((n - 3 * threes, 0, threes) + (0,) * (n - 3))
+        y = representative_of_type((n - 3 * threes, 0, threes) + (0,) * (n - 3))
         assert order(y) == 3 and not _odd(y)
     if n >= 13:
         involutions = build_b1_b2(n)
@@ -221,16 +273,6 @@ def test_sym_locally_n7_frozen():
     assert res.label == "formula value only"
 
 
-def _descending_partitions(n, largest):
-    """Partitions of n as descending part lists, reverse lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _descending_partitions(n - first, first):
-            yield (first,) + rest
-
-
 SYM_COLUMN_CASES = [(n, "O") for n in range(1, 31)] + [(n, "L") for n in (7, 13, 19, 25)]
 
 
@@ -239,10 +281,8 @@ def test_sym_columns_match_the_per_partition_functions(n, surface):
     census_fn = sym_orientable_census if surface == "O" else sym_locally_census
     rows = census_fn(n, "log2").rows
     nf = factorial(n)
-    parts = [
-        tuple(desc.count(i) for i in range(1, n + 1)) for desc in _descending_partitions(n, n)
-    ]
-    assert len(rows) == len(parts) == len(partitions(n))
+    parts = _partitions(n)
+    assert len(rows) == len(parts)
     special = special_involution_type(n) if surface == "L" else None
     labels = rows.labels.rows(0, len(rows))
     memo, memo_row, prefix, prefix_id = (rows.labels.memo, rows.labels.memo_row,
@@ -374,10 +414,8 @@ def test_three_involution_d6_frozen():
 
 
 def test_three_involution_s3_fractional_exponents():
-    from cayleymaps.perm import order
-
     G = named_group("symmetric", 3)
-    S = tuple(g for g in range(6) if order(G.table[g]) == 2)
+    S = tuple(np.flatnonzero(divisor_powers(G.table).order == 2).tolist())
     assert three_involution_census(G, S, "O").total.exact_value == 16
     for surface in ("L", "N"):
         with pytest.raises(NonIntegralExponent, match="displayed exponent"):
