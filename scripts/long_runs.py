@@ -188,6 +188,12 @@ DEFAULT_RUNS = {
         (0, "cda4092c34b4f46b4963917c8a554ed99aa37363d48d23b2dfa7c57d6573c5b7"),
     "elem2 16 {inputs}/e16.cayset --surface L --mode exact":
         (0, "175f9eeb4d52470c7e8a9ecb2fc92cd3bdd2d3a3f98e7e5fb4387068735cd971"),
+    # the same caps in log2 mode, which checks integrality modularly and
+    # reads the log-sum (recorded at commit 88ac170)
+    "elem2 16 {inputs}/e16.cayset --surface L --mode log2":
+        (0, "670ca546617f595fd5a53bf6c1ee0a0620035709cb5834eda6811b7d1f2d9621"),
+    "sym-grr 10 --surface O --mode log2":
+        (0, "d1027c4a695b92c071a12f0bd62fdf71ba8cb40f7aed7eb8acf6280fc45d2cbc"),
     # the automorphism search 1000 vertices deep and the decomposition of
     # its 2000 maps; the search recursed once per vertex and crashed on the
     # recursion limit (exit 1, no error token) before it kept its own stack

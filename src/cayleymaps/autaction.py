@@ -21,7 +21,7 @@ import numpy as np
 from .cayley import FlagSpace, Graph
 from .errors import BadParameter, CapExceeded, InternalInconsistency
 from .groups import FiniteGroup, subgroup_closure
-from .perm import PermGroup
+from .perm import PermGroup, divisor_powers
 
 DEFAULT_GRAPH_AUT_CAP = 64
 
@@ -129,8 +129,11 @@ def _subgroups_of_order(
 ) -> list[frozenset]:
     """All subgroups of exact order m inside a (small) group of left
     translations t ↦ xt.  A translation is known by its image x of the
-    identity, and x after y is the translation by xy."""
+    identity, and x after y is the translation by xy, so it has the order
+    of x in G; a subgroup of order m holds only elements whose order
+    divides m, and no other element is tried."""
     maps = {vm[0]: vm for vm in elements}
+    order = divisor_powers(G.table).order.tolist()
     found: set[frozenset] = set()
 
     def grow(current: frozenset, pool: list[int]) -> None:
@@ -146,7 +149,7 @@ def _subgroups_of_order(
             grow(frozenset(closed), pool[i + 1:])
 
     # the map of x starts with x, so sorting the x sorts the maps
-    grow(frozenset({0}), sorted(set(maps) - {0}))
+    grow(frozenset({0}), sorted(x for x in set(maps) - {0} if m % order[x] == 0))
     return list(found)
 
 

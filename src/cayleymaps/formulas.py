@@ -197,18 +197,19 @@ def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1,
     """The exact sum of ``terms`` divided by ``divisor``; a sum that is not an
     integer multiple of ``divisor`` is refused.
 
-    ``base`` (at least 1) is split as 2^t * odd: each term shifts by its own
-    t*b more, and the powers odd^b are formed in ascending order of b, each
-    from the one before (by squaring when b doubles it).
+    ``base`` (at least 1) is split as 2^t * odd, so a term is its coefficient
+    num * (den/d) times the factor odd^b * 2^s, with s = e + t*b.  Terms with
+    the same (b, s) share one coefficient, summed first.
 
     The quotient is an int, or with ``in_decimal`` an integral ``Decimal``
     formed in ``exact_context``, which prints with no radix conversion:
-    exact mode, which prints the total, forms it in decimal, and log2 and
-    modular mode, which never print it, in binary.  The terms are summed in
-    ascending order of their shift s = e + t*b, and scaling by 2^s is the
-    only step that depends on the radix: a binary shift, or a product with
-    one running decimal power of two, carried from shift to shift and
-    squared when the shift doubles."""
+    exact mode, which prints the total, forms it in decimal; modular mode,
+    which cross-checks its residue, in binary.  In binary a shift by 2^s is
+    free, so the factors are the powers odd^b.  In decimal the whole factors
+    X(b, s) = odd^b * 2^s are kept in one memo, filled in ascending (b, s)
+    order: X(b, s) is the square of X(b/2, s/2) where that is in the memo,
+    else the last factor with the same b times 2^(s - its s), else
+    odd^b * 2^s."""
     if not in_decimal:
         return _quotient(terms, divisor, base, 1)
     import decimal
@@ -221,21 +222,30 @@ def _quotient(terms: Sequence[Term], divisor: int, base: int, one: int | Decimal
     """``exact_quotient`` in the radix of ``one``, an int or a ``Decimal``."""
     den = lcm(*(t[3] for t in terms))
     twos = (base & -base).bit_length() - 1
-    odd = one * (base >> twos)
-    powers, power, prev = {}, one, 0
-    for b in sorted({t[1] for t in terms}):
-        power = power * power if b == 2 * prev else power * odd ** (b - prev)
-        powers[b], prev = power, b
-    total, pow2, shift = 0 * one, one, 0  # pow2 = 2^shift
-    for s, b, num, d in sorted((e + twos * b, b, num, d) for e, b, num, d in terms):
-        term = num * powers[b] * (den // d)
-        if isinstance(term, int):  # a binary shift is free
-            total += term << s
+    odd, two = one * (base >> twos), 2 * one
+    binary = isinstance(one, int)
+    coefficients: dict[tuple[int, int], int] = {}
+    for e, b, num, d in terms:
+        key = (b, e + twos * b)
+        coefficients[key] = coefficients.get(key, 0) + num * (den // d)
+    memo: dict[tuple[int, int], int | Decimal] = {}  # (b, f) -> odd^b * 2^f
+    last: dict[int, int] = {}  # b -> the largest f of a factor in the memo
+    total = 0 * one
+    for (b, s), c in sorted(coefficients.items()):
+        if not c:
             continue
-        if s != shift:
-            pow2 = pow2 * pow2 if s == 2 * shift else pow2 * (2 * one) ** (s - shift)
-            shift = s
-        total += term * pow2
+        f = 0 if binary else s  # a binary shift is free
+        x = memo.get((b, f))
+        if x is None:
+            if not (b | f) & 1 and (b >> 1, f >> 1) in memo:
+                x = memo[b >> 1, f >> 1]
+                x = x * x
+            elif b in last:
+                x = memo[b, last[b]] * two ** (f - last[b])
+            else:
+                x = odd ** b * two ** f
+            memo[b, f], last[b] = x, f
+        total += (c * x) << s if binary else c * x
     r = total % den
     if r:  # the text of Fraction(total, den)
         g = gcd(int(r), den)
@@ -245,6 +255,20 @@ def _quotient(terms: Sequence[Term], divisor: int, base: int, one: int | Decimal
     if r:
         raise NonIntegralSum(f"census sum {total} not divisible by {divisor}")
     return q
+
+
+def check_integral(terms: Sequence[Term], divisor: int, base: int = 1) -> None:
+    """Refuses, as ``exact_quotient`` does, a sum of ``terms`` that is not
+    an integer multiple of ``divisor``, without forming the sum: with den
+    the lcm of the terms' denominators, the quotient is an integer exactly
+    when den * sum is 0 mod den * divisor.  Only a refused sum is formed,
+    in binary, to word the refusal."""
+    den = lcm(*(t[3] for t in terms))
+    m = den * divisor
+    residue = sum(num * (den // d) * pow(base, b, m) * pow(2, e, m) for e, b, num, d in terms)
+    if residue % m:
+        exact_quotient(terms, divisor, base)
+        raise InternalInconsistency("modular integrality check disagrees with the exact sum")
 
 
 def exact_context() -> decimal.Context:
@@ -264,10 +288,14 @@ def term_report(
     """The count sum(terms) / divisor in ``mode``.
 
     ``exact`` is the exact count where the caller has formed it
-    (``exact_quotient``, in decimal for exact mode and in binary for the
-    others).  Exact and log2 mode then report it, and modular mode, which
-    always sums the terms mod p, is cross-checked against it.
-    Without it exact mode is refused and log2 mode sums the terms' logs.
+    (``exact_quotient``, in decimal for exact mode and in binary for
+    modular mode).  Exact mode reports it, and modular mode, which always
+    sums the terms mod p, is cross-checked against it; without it exact
+    mode is refused.  log2 mode reports log2 of ``exact`` where it is
+    given (``grr_census``) and otherwise sums the terms' logs
+    (``_log2_sum``); the closed forms of ``special`` give none in log2
+    mode, and check integrality with ``check_integral`` where the sum is
+    small.
     """
     kind, p = parse_mode(mode)
     if kind == "modp":

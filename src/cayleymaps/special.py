@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .formulas import (
     CountReport,
+    check_integral,
     class_stats,
     exact_quotient,
     make_report,
@@ -58,6 +60,9 @@ from .formulas import (
 )
 from .groups import FiniteGroup, subgroup_closure
 from .perm import conjugacy_classes_of, divisor_powers
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 SYM_EXACT_CAP = 10
 SYM_BIG_CAP = 60
@@ -288,11 +293,24 @@ def _sym_report(rows: SymRows, nf: int, mode: str, kind: str, p: int | None) -> 
     _check_odd_modulus(kind, p)
     terms = rows.terms()
     # 2^22 bits per term is still cheap; beyond that the exact sum is not
-    # formed and exact mode is refused
+    # formed, exact mode is refused and log2 mode's integrality is unchecked
     exact = None
     if max(t[0] for t in terms) <= 1 << 22:
-        exact = exact_quotient(terms, nf, in_decimal=kind == "exact")
+        exact = _small_exact(terms, nf, kind)
     return term_report(terms, nf, mode, exact=exact)
+
+
+def _small_exact(
+    terms: list[Term], divisor: int, kind: str, base: int = 1
+) -> int | Decimal | None:
+    """The exact quotient where ``kind`` reads it: exact mode prints it,
+    formed in decimal, and modular mode cross-checks its residue against
+    it, in binary.  log2 mode reads the log-sum, so its quotient is only
+    checked to be integral, modularly, and None is returned."""
+    if kind == "log2":
+        check_integral(terms, divisor, base)
+        return None
+    return exact_quotient(terms, divisor, base, in_decimal=kind == "exact")
 
 
 def _check_odd_modulus(kind: str, p: int | None) -> None:
@@ -487,9 +505,7 @@ def elementary_abelian_census(
         terms = l_terms + [(a, b, -m, 1) for a, b, m, _ in o_terms]
     if kind == "modp" and (p < 3 or p <= k):
         raise BadParameter(f"modulus {p} must be an odd prime above k = {k}")
-    exact = None
-    if n <= ELEM2_EXACT_CAP:
-        exact = exact_quotient(terms, order, fact, in_decimal=kind == "exact")
+    exact = _small_exact(terms, order, kind, fact) if n <= ELEM2_EXACT_CAP else None
     report = term_report(terms, order, mode, base=fact, exact=exact)
     return Elem2Result(n, k, surface, report, grr_valid, label)
 

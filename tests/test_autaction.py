@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cayleymaps.autaction import (
+    _subgroups_of_order,
     decompose,
     extend_to_flags,
     graph_automorphism_group,
@@ -17,7 +18,7 @@ from cayleymaps.autaction import (
 from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cayley_set
 from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
-from cayleymaps.groups import direct_product, named_group
+from cayleymaps.groups import direct_product, named_group, subgroup_closure
 from cayleymaps.perm import PermGroup, cycle_labels, divisor_powers
 
 CAYLEY_FIXTURES = tuple(n for n in FIXTURE_NAMES if n != "FIG1")
@@ -160,6 +161,48 @@ def test_decompose_keeps_its_choice_among_complements(G, members, expected):
     graph = build_cayley_graph(G, validate_cayley_set(G, members))
     dec = decompose(graph_automorphism_group(graph), G)
     assert list(dec.complement) == [tuple(range(12)), expected]
+
+
+def unpruned_subgroups_of_order(G, elements, m):
+    """``_subgroups_of_order`` trying every element, whatever its order."""
+    maps = {vm[0]: vm for vm in elements}
+    found = set()
+
+    def grow(current, pool):
+        if len(current) == m:
+            found.add(frozenset(maps[x] for x in current))
+            return
+        for i, g in enumerate(pool):
+            if g in current:
+                continue
+            closed = subgroup_closure(G, [*current, g])
+            if len(closed) > m or m % len(closed):
+                continue
+            grow(frozenset(closed), pool[i + 1:])
+
+    grow(frozenset({0}), sorted(set(maps) - {0}))
+    return list(found)
+
+
+def prism(m):
+    """Cay(D_2m : {r, r^-1, s}), with r^i numbered i and r^i s numbered m + i."""
+    return named_group("dihedral", 2 * m), (1, m - 1, m)
+
+
+@pytest.mark.parametrize("G,members", [
+    *((named_group("cyclic", n), (1, n - 1)) for n in random.Random(70).sample(range(3, 61), 8)),
+    *(prism(m) for m in (3, 4, 5, 6, 7, 9)),
+    (direct_product(named_group("cyclic", 2), named_group("dihedral", 6)), (3, 7, 8)),
+])
+def test_complement_search_skips_elements_whose_order_does_not_divide_m(G, members):
+    graph = build_cayley_graph(G, validate_cayley_set(G, members))
+    full = graph_automorphism_group(graph, cap=8 * G.order)
+    m = len(full) // G.order
+    rows = G.table.tolist()
+    centralizer = [a for a in full if list(a) == rows[a[0]]]
+    found = _subgroups_of_order(G, centralizer, m)
+    assert found == unpruned_subgroups_of_order(G, centralizer, m)
+    assert all(len(sub) == m for sub in found)
 
 
 def test_product_group_generates_the_dihedral_action():

@@ -1,5 +1,7 @@
 """Exact-mode totals of the closed forms, formed in decimal: each against
-the binary sum of the same terms, which log2 and modular mode still form.
+the binary sum of the same terms, which modular mode still forms.  log2
+mode forms no exact sum: it checks integrality modularly and reads the
+log-sum.
 
 Every total is printed by ``str``; here it must equal the binary total's
 digits, carry no exponent, and give the same ``total-log2`` as log2 mode.
@@ -16,7 +18,7 @@ import pytest
 
 from cayleymaps import cli, formulas, named_group, special
 from cayleymaps.errors import NonIntegralSum
-from cayleymaps.formulas import exact_quotient, log2_of_int
+from cayleymaps.formulas import check_integral, exact_quotient, log2_of_int
 from cayleymaps.groups import subgroup_closure
 from cayleymaps.perm import divisor_powers
 
@@ -129,6 +131,94 @@ def test_log2_and_modular_modes_sum_in_binary(pairs):
         special.sym_orientable_census(9, mode)
         special.elementary_abelian_census(14, tuple(1 << i for i in range(14)), "L", mode)
     assert pairs == []
+
+
+def test_log2_mode_forms_an_exact_sum_only_to_word_a_refusal(monkeypatch):
+    calls = []
+
+    def recorded(f):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(special, "exact_quotient", recorded(special.exact_quotient))
+    monkeypatch.setattr(formulas, "exact_quotient", recorded(formulas.exact_quotient))
+    refused = []
+    for case, run in CASES.items():
+        if not case.startswith(("sym-", "elem2-")) or case == "elem2-O-1":
+            continue  # n = 1 reports its count (1 + 1)/2 in every mode
+        del calls[:]
+        report = outcome(run, "log2")
+        if isinstance(report, NonIntegralSum):
+            assert len(calls) == 1, case
+            refused.append(case)
+        else:
+            assert calls == [] and report.mode == "log2", case
+    assert refused == ["elem2-N-2", "elem2-L-2"]
+
+
+@pytest.mark.parametrize("surface, text", [
+    ("L", "census sum 10 not divisible by 4"),
+    ("N", "census sum 6 not divisible by 4"),
+])
+def test_elem2_on_the_4_cycle_refuses_in_log2_mode(surface, text, capsys):
+    # Cay((Z_2)^2 : {e_1, e_2}) is the 4-cycle; off the orientable side its
+    # published sum is not a multiple of |G| = 4
+    with pytest.raises(NonIntegralSum) as info:
+        special.elementary_abelian_census(2, (1, 2), surface, "log2")
+    assert str(info.value) == text and info.value.token == "NonIntegralSum"
+    assert str(outcome(special.elementary_abelian_census, 2, (1, 2), surface, "exact")) == text
+
+
+def random_terms(rng: random.Random, count: int, dens: int):
+    return [(rng.randint(0, 300), rng.randint(0, 40), rng.randint(-50, 50), rng.randint(1, dens))
+            for _ in range(count)]
+
+
+def test_the_modular_integrality_check_refuses_as_the_exact_sum_does():
+    rng = random.Random(11)
+    outcomes = {"integral": 0, "not an integer": 0, "not divisible": 0}
+    for i in range(300):
+        base = rng.choice([1, 2, 6, 24, 120, rng.randint(1, 5040)])
+        terms = random_terms(rng, rng.randint(1, 6), 12 if i % 3 else 1)
+        whole = reference_sum(terms, base)
+        if i % 2 and whole.denominator == 1:  # half of the integral sums divide evenly
+            divisor = rng.choice([d for d in range(1, 30) if whole % d == 0])
+        else:
+            divisor = rng.randint(1, 30)
+        expected = outcome(exact_quotient, terms, divisor, base)
+        checked = outcome(check_integral, terms, divisor, base)
+        if isinstance(expected, NonIntegralSum):
+            assert type(checked) is NonIntegralSum and str(checked) == str(expected)
+            outcomes["not an integer" if "integer" in str(expected) else "not divisible"] += 1
+        else:
+            assert checked is None and expected == whole / divisor
+            outcomes["integral"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_the_factor_memo_equals_the_binary_sum():
+    # (b, s) pairs whose halves lie several factors back, pairs that share
+    # b, the same (b, s) given more than once, and coefficients of both signs
+    rng = random.Random(12)
+    for _ in range(40):
+        base = rng.choice([1, 2, 3, 12, 5040, rng.randint(1, 720)])
+        twos = (base & -base).bit_length() - 1
+        b0, s0 = rng.randint(1, 9), rng.randint(twos * 9, 60)
+        pairs = [(b0 << j, s0 << j) for j in range(rng.randint(2, 5))]
+        pairs += [(b + rng.randint(1, 3), s + rng.randint(1, 40)) for b, s in pairs]
+        pairs += [(b, s + rng.randint(1, 40)) for b, s in pairs[::2]]
+        pairs += rng.sample(pairs, 3)
+        terms = [(s - twos * b, b, rng.choice([-1, 1]) * rng.randint(1, 99), rng.choice([1, 1, 3]))
+                 for b, s in pairs if s >= twos * b]
+        whole = reference_sum(terms, base)
+        divisor = rng.choice([d for d in range(1, 12) if whole % d == 0] or [1])
+        binary = outcome(exact_quotient, terms, divisor, base)
+        total = outcome(exact_quotient, terms, divisor, base, True)
+        assert str(total) == str(binary) and type(total) in (Decimal, NonIntegralSum)
+        if whole.denominator == 1:
+            assert binary == whole / divisor
 
 
 def test_the_cli_prints_a_decimal_total_as_digits():
