@@ -13,10 +13,12 @@ a command line names it: ``z18.group`` and ``z18.cayset`` (the cyclic
 group Z_18 and the connection set {1, 9, 17}), ``z22.group`` and
 ``z22.cayset`` (Z_22 and {1, 11, 21}), ``z1000.group`` and
 ``z1000.cayset`` (Z_1000 and {1, 999}), ``d800.group``,
-``d2520.group`` and ``d5040.group`` (the dihedral groups of order 800,
-2520 and 5040, numbered as ``named_group("dihedral", n)`` numbers them;
-29 MB and 121 MB for the two larger), ``d800.cayset`` and ``d5040.cayset``
-({r, r^-1, s}), ``z5040.group``, ``z5040.cayset`` and ``z5040c.cayset``
+``d2520.group``, ``d5038.group`` and ``d5040.group`` (the dihedral groups
+of order 800, 2520, 5038 and 5040, numbered as ``named_group("dihedral",
+n)`` numbers them; 29 MB for the order 2520 and 121 MB for each of the
+two largest), ``d800.cayset`` and ``d5040.cayset`` ({r, r^-1, s}),
+``d5040i.cayset`` and ``d5038i.cayset`` (the three involutions s, rs and
+r^2 s), ``z5040.group``, ``z5040.cayset`` and ``z5040c.cayset``
 (Z_5040, {1, 2, 5038, 5039} and {1, 5039}), ``s7.group`` and ``s7.cayset`` (S_7 as
 ``save_group(named_group("symmetric", 7))`` writes it with the package
 under ``--src``, unnamed, and
@@ -133,6 +135,12 @@ INPUTS = {
     "d2520.group": write_dihedral(2520),
     "d5040.group": write_dihedral(5040),
     "d5040.cayset": write_text("cayset 3\n1 2519 2520\n"),
+    # three involutions generating D_5040 and D_5038: the three-involution
+    # census at the order cap, with integral exponents (order 5040) and
+    # with fractional ones off the orientable side (order 5038)
+    "d5040i.cayset": write_text("cayset 3\n2520 2521 2522\n"),
+    "d5038.group": write_dihedral(5038),
+    "d5038i.cayset": write_text("cayset 3\n2519 2520 2521\n"),
     # 5040 classes of one element each
     "z5040.group": write_cyclic(5040),
     "z5040.cayset": write_text("cayset 4\n1 2 5038 5039\n"),
@@ -194,6 +202,13 @@ DEFAULT_RUNS = {
         (0, "670ca546617f595fd5a53bf6c1ee0a0620035709cb5834eda6811b7d1f2d9621"),
     "sym-grr 10 --surface O --mode log2":
         (0, "d1027c4a695b92c071a12f0bd62fdf71ba8cb40f7aed7eb8acf6280fc45d2cbc"),
+    # the three-involution census at the order cap: integral exponents
+    # summed mod p, and fractional ones summed by its own log2 loop
+    # (recorded at commit c5a8f3d)
+    "three-inv {inputs}/d5040.group {inputs}/d5040i.cayset --surface L --mode modp:1000003":
+        (0, "7c92d5056a7ac754a6fcbce29ece2bbd7a3de8633f5d2c07ffb28191394d4c42"),
+    "three-inv {inputs}/d5038.group {inputs}/d5038i.cayset --surface L --mode log2":
+        (0, "4f7d197b4ef272dbe13da3eb857f81516aa43861ce73df63db75b2006edad7c7"),
     # the automorphism search 1000 vertices deep and the decomposition of
     # its 2000 maps; the search recursed once per vertex and crashed on the
     # recursion limit (exit 1, no error token) before it kept its own stack

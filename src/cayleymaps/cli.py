@@ -323,57 +323,10 @@ def _fmt_log2(v) -> str:
     return mp.nstr(v, 15)
 
 
-def decimal_string(n: int) -> str:
-    """``str(n)`` in subquadratic time, for the binary totals that
-    ``census formula`` and ``verify`` print (the closed forms of
-    ``special`` form their exact-mode totals in decimal and print them with
-    ``str``).
-
-    CPython's int-to-str is quadratic in the digit count.  Here n is split
-    at a middle bit, both halves are converted recursively to exact
-    ``Decimal`` values and joined as hi * 2^w + lo by decimal arithmetic,
-    whose multiplication is subquadratic, with the powers 2^w cached;
-    CPython 3.12's ``_pylong`` does the same.
-    """
-    if n.bit_length() <= 8192:
-        return str(n)
-    import decimal
-
-    D = decimal.Decimal
-    pow2: dict[int, decimal.Decimal] = {}
-
-    def two_to(w: int) -> decimal.Decimal:
-        v = pow2.get(w)
-        if v is None:
-            if w <= 128:
-                v = D(2) ** w
-            elif w - 1 in pow2:
-                v = pow2[w - 1] * 2
-            else:
-                v = two_to(w >> 1) * two_to(w - (w >> 1))
-            pow2[w] = v
-        return v
-
-    def convert(x: int, w: int) -> decimal.Decimal:
-        if w <= 128:
-            return D(x)
-        half = w >> 1
-        hi = x >> half
-        return convert(x - (hi << half), half) + convert(hi, w - half) * two_to(half)
-
-    from .formulas import exact_context
-
-    with decimal.localcontext(exact_context()):
-        text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
-
-
 def _count_fields(R: Report, prefix: str, rep: CountReport) -> None:
     R.field(f"{prefix}-mode", rep.mode)
     if rep.mode == "exact":
-        # a closed form's total is already a decimal; a census's is an int
-        exact = rep.exact_value
-        R.field(prefix, decimal_string(exact) if isinstance(exact, int) else str(exact))
+        R.field(prefix, rep.exact_value)  # an int or an integral Decimal
         R.field(f"{prefix}-log2", _fmt_log2(rep.log2_value))
     elif rep.mode == "log2":
         R.field(f"{prefix}-log2", _fmt_log2(rep.log2_value))
@@ -595,7 +548,7 @@ def cmd_verify(args) -> Report:
         _columns(rows, 8),
     )
     R.blank()
-    R.field("formula-total", decimal_string(rep.formula_total))
+    R.field("formula-total", rep.formula_total)
     R.field("oracle-orbits", rep.oracle_orbits)
     R.field("total-ratio", _fmt_ratio(rep.total_ratio))
     return R
@@ -851,8 +804,9 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # a refused sum's message prints the binary sum with str, at any size;
-    # the default int-to-str guard (4300 digits) would refuse to print it
+    # census totals, phi cells and a refused sum's message print binary
+    # integers with str, at any size; the default int-to-str guard (4300
+    # digits) would refuse to print them
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(4_000_000)
     parser = _parser()

@@ -26,7 +26,6 @@ from .autaction import product_group, right_regular
 from .cayley import CayleySet
 from .errors import (
     BadParameter,
-    CapExceeded,
     InternalInconsistency,
     NonIntegralExponent,
     NonIntegralSum,
@@ -67,13 +66,14 @@ class CountReport:
     """A count in one mode: its exact value, its log2, or its residue
     modulo a prime.
 
-    The exact value of a census (``census``, ``verify``) is an int.  That
-    of a closed form of ``special`` in exact mode is an integral
-    ``Decimal``: it compares equal to the int and prints with ``str``, but
-    arithmetic on it runs under ``exact_context()`` (``decimal.localcontext``),
-    since the default 28-digit context raises ``InvalidOperation`` on a
-    longer result, and ``int()`` of it, like comparing it with a large int,
-    takes time quadratic in its digits."""
+    An exact value formed in binary (a census's, ``census`` and
+    ``verify``) is an int.  One that ``term_report`` forms for exact mode,
+    a closed form's, is an integral ``Decimal``: it compares equal to the
+    int and prints with ``str``, but arithmetic on it runs under
+    ``exact_context()`` (``decimal.localcontext``), since the default
+    28-digit context raises ``InvalidOperation`` on a longer result, and
+    ``int()`` of it, like comparing it with a large int, takes time
+    quadratic in its digits."""
 
     mode: str
     exact_value: int | Decimal | None = None  # a closed form's exact mode gives a Decimal
@@ -202,9 +202,9 @@ def exact_quotient(terms: Sequence[Term], divisor: int, base: int = 1,
     the same (b, s) share one coefficient, summed first.
 
     The quotient is an int, or with ``in_decimal`` an integral ``Decimal``
-    formed in ``exact_context``, which prints with no radix conversion:
-    exact mode, which prints the total, forms it in decimal; modular mode,
-    which cross-checks its residue, in binary.  In binary a shift by 2^s is
+    formed in ``exact_context``, which prints with no radix conversion;
+    ``term_report`` picks the radix: decimal for exact mode, which prints
+    the total, binary for a cross-check.  In binary a shift by 2^s is
     free, so the factors are the powers odd^b.  In decimal the whole factors
     X(b, s) = odd^b * 2^s are kept in one memo, filled in ascending (b, s)
     order: X(b, s) is the square of X(b/2, s/2) where that is in the memo,
@@ -283,22 +283,30 @@ def exact_context() -> decimal.Context:
 
 def term_report(
     terms: Sequence[Term], divisor: int, mode: str, *, base: int = 1,
-    exact: int | Decimal | None = None,
+    exact: int | None = None, check: bool = False,
 ) -> CountReport:
-    """The count sum(terms) / divisor in ``mode``.
+    """The count sum(terms) / divisor in ``mode``: the one place that
+    decides what each mode forms, and in which radix.
 
-    ``exact`` is the exact count where the caller has formed it
-    (``exact_quotient``, in decimal for exact mode and in binary for
-    modular mode).  Exact mode reports it, and modular mode, which always
-    sums the terms mod p, is cross-checked against it; without it exact
-    mode is refused.  log2 mode reports log2 of ``exact`` where it is
-    given (``grr_census``) and otherwise sums the terms' logs
-    (``_log2_sum``); the closed forms of ``special`` give none in log2
-    mode, and check integrality with ``check_integral`` where the sum is
-    small.
+    ``exact`` is the binary total where the caller already holds it
+    (``census``).  Exact mode reports it; without it the total is formed
+    here, in decimal (``exact_quotient``), since exact mode prints it.
+    Modular mode always sums the terms mod p; with ``check`` and no
+    ``exact`` it first forms the binary total, so that a sum that is not
+    integral is refused before any modulus is, and either total
+    cross-checks the residue.  log2 mode reports log2 of ``exact`` where it
+    is given, and otherwise sums the terms' logs (``_log2_sum``), after
+    ``check_integral`` with ``check``.  ``check`` is the closed forms' own
+    bound on the sums worth forming.
     """
     kind, p = parse_mode(mode)
+    if kind == "exact":
+        if exact is None:
+            exact = exact_quotient(terms, divisor, base, in_decimal=True)
+        return make_report(exact, kind)
     if kind == "modp":
+        if exact is None and check:
+            exact = exact_quotient(terms, divisor, base)
         residue = _residue(terms, divisor, p, base)
         if exact is not None and residue != exact % p:
             raise InternalInconsistency(
@@ -307,8 +315,8 @@ def term_report(
         return CountReport(mode="modp", residue=residue, prime=p)
     if exact is not None:
         return make_report(exact, kind)
-    if kind == "exact":
-        raise CapExceeded("exact mode unavailable at this size")
+    if check:
+        check_integral(terms, divisor, base)
     return CountReport(mode="log2", log2_value=_log2_sum(terms, divisor, base))
 
 

@@ -32,6 +32,7 @@ order o, and the edge orbits of ``<a>`` by Burnside's sum
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -172,12 +173,11 @@ class PermGroup:
     ``table[a, b]`` is the row index of ``rows[a]`` after ``rows[b]``;
     ``inverse[a]`` is the row index of the inverse of ``rows[a]``.
 
-    Rows are looked up one point at a time, without hashing: since the rows
-    are sorted, the rows sharing a prefix are a run, and level ``j`` of the
-    index keys each row by (first row of its run through point ``j-1``,
-    point ``j``), a sorted integer column to binary-search.  The levels stop
-    where every run is a single row, and a hit is then checked against the
-    full row.
+    Rows are looked up without hashing: each row is read as one key, an
+    ``np.void`` of its bytes, the keys are sorted once, on the first
+    lookup (bytewise, not in the rows' order), and a stack of permutations
+    is looked up by one binary search of its keys.  A hit is then checked
+    against the full row.
     """
 
     def __init__(self, maps: Sequence[Sequence[int]]):
@@ -187,7 +187,7 @@ class PermGroup:
         rows = np.array(pool, dtype=row_dtype(n))
         if not (rows[0] == np.arange(n)).all():  # the identity sorts first
             raise BadParameter("acting set lacks the identity")
-        self._index(rows)
+        self.rows = rows
 
         self.table = np.empty((m, m), dtype=np.int32)
         for b in range(m):
@@ -202,21 +202,15 @@ class PermGroup:
         """The group whose sorted ``rows``, ``table`` and ``inverse`` are
         already known, taken as they are: no search."""
         group = cls.__new__(cls)
-        group._index(rows)
-        group.table, group.inverse = table, inverse
+        group.rows, group.table, group.inverse = rows, table, inverse
         return group
 
-    def _index(self, rows: np.ndarray) -> None:
-        m, n = rows.shape
-        self.rows = rows
-        self._levels = []
-        run_start = np.zeros(m, dtype=np.int64)
-        for j in range(n):
-            key = run_start * n + rows[:, j]
-            self._levels.append(key)
-            run_start = np.searchsorted(key, key)
-            if (run_start == np.arange(m)).all():
-                break
+    @functools.cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' keys in ascending order, and the row of each."""
+        keys = _row_keys(self.rows)
+        order = np.argsort(keys)
+        return keys[order], order
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -224,15 +218,21 @@ class PermGroup:
     def find(self, perms) -> np.ndarray:
         """Row index of each permutation in ``perms``, or -1 if absent."""
         perms = np.asarray(perms)
-        n = perms.shape[1]
-        pos = np.zeros(len(perms), dtype=np.int64)
-        for j, key in enumerate(self._levels):
-            pos = np.minimum(np.searchsorted(key, pos * n + perms[:, j]), len(key) - 1)
+        keys, order = self._sorted_keys
+        # a point that wraps in the rows' dtype fails the check below
+        rank = np.searchsorted(keys, _row_keys(perms.astype(self.rows.dtype, copy=False)))
+        pos = order[np.minimum(rank, len(keys) - 1)]
         hit = (self.rows[pos] == perms).all(axis=1)
         return np.where(hit, pos, -1)
 
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.rows[i].tolist())
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one ``np.void`` scalar of its bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def conjugacy_classes_of(table: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:

@@ -14,6 +14,11 @@ The other two families (groups generated by three involutions, elementary
 abelian 2-groups) have closed forms per conjugacy class; both are evaluated
 as published, with the published inverted-edge counts recomputable from
 first principles so discrepancies surface instead of hiding.
+
+Every family hands its terms to ``formulas.term_report``, which decides
+what each counting mode forms and in which radix; a family only says, by
+its exact-mode cap, up to which size modular and log2 modes check the sum
+as well.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,7 +53,6 @@ from .errors import (
 )
 from .formulas import (
     CountReport,
-    check_integral,
     class_stats,
     exact_quotient,
     make_report,
@@ -61,19 +64,12 @@ from .formulas import (
 from .groups import FiniteGroup, subgroup_closure
 from .perm import conjugacy_classes_of, divisor_powers
 
-if TYPE_CHECKING:
-    from decimal import Decimal
-
 SYM_EXACT_CAP = 10
 SYM_BIG_CAP = 60
 ELEM2_EXACT_CAP = 16
 ELEM2_BIG_CAP = 64
 # (term, size) pairs per block of big products in ``SymRows.terms``
 _BIG_BLOCK = 1024
-
-
-def class_size(n: int, part: Partition) -> int:
-    return factorial(n) // centralizer_order(part)
 
 
 def centralizer_order(part: Partition) -> int:
@@ -271,7 +267,7 @@ def sym_orientable_census(n: int, mode: str = "exact") -> SymCensusResult:
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
     rows = _sym_rows(n, None)
-    total = _sym_report(rows, factorial(n), mode, kind, p)
+    total = _sym_report(rows, n, mode, kind, p)
     return SymCensusResult(n, "O", None, rows, None, total, _sym_label(n))
 
 
@@ -283,34 +279,17 @@ def sym_locally_census(n: int, mode: str = "exact") -> SymCensusResult:
     kind, p = parse_mode(mode)
     _sym_caps(n, kind)
     rows = _sym_rows(n, _m_of(n))
-    total = _sym_report(rows, factorial(n), mode, kind, p)
+    total = _sym_report(rows, n, mode, kind, p)
     return SymCensusResult(
         n, "L", special_involution_type(n), rows, sym_l_table(n), total, _sym_label(n)
     )
 
 
-def _sym_report(rows: SymRows, nf: int, mode: str, kind: str, p: int | None) -> CountReport:
+def _sym_report(rows: SymRows, n: int, mode: str, kind: str, p: int | None) -> CountReport:
     _check_odd_modulus(kind, p)
-    terms = rows.terms()
-    # 2^22 bits per term is still cheap; beyond that the exact sum is not
-    # formed, exact mode is refused and log2 mode's integrality is unchecked
-    exact = None
-    if max(t[0] for t in terms) <= 1 << 22:
-        exact = _small_exact(terms, nf, kind)
-    return term_report(terms, nf, mode, exact=exact)
-
-
-def _small_exact(
-    terms: list[Term], divisor: int, kind: str, base: int = 1
-) -> int | Decimal | None:
-    """The exact quotient where ``kind`` reads it: exact mode prints it,
-    formed in decimal, and modular mode cross-checks its residue against
-    it, in binary.  log2 mode reads the log-sum, so its quotient is only
-    checked to be integral, modularly, and None is returned."""
-    if kind == "log2":
-        check_integral(terms, divisor, base)
-        return None
-    return exact_quotient(terms, divisor, base, in_decimal=kind == "exact")
+    # up to the exact-mode cap, where no exponent passes 10!, modular and
+    # log2 modes check the sum too; beyond it the sum is never formed
+    return term_report(rows.terms(), factorial(n), mode, check=n <= SYM_EXACT_CAP)
 
 
 def _check_odd_modulus(kind: str, p: int | None) -> None:
@@ -420,11 +399,10 @@ def _fractional_power_report(terms, divisor: int, mode: str) -> CountReport:
             return CountReport(mode="log2", log2_value=mp.log(acc, 2) - mp.log(divisor, 2))
     int_terms = [(int(e), 0, size, 1) for e, size in terms]
     _check_odd_modulus(kind, p)
-    # The displayed exponents need not give an integral sum, so the exact
-    # sum is formed (and refused if fractional) in exact mode only; modular
-    # mode reports the residue of the displayed expression as it stands.
-    exact = exact_quotient(int_terms, divisor, in_decimal=True) if kind == "exact" else None
-    return term_report(int_terms, divisor, mode, exact=exact)
+    # The displayed exponents need not give an integral sum: exact mode
+    # forms it (and refuses it if fractional); modular mode reports the
+    # residue of the displayed expression as it stands, unchecked.
+    return term_report(int_terms, divisor, mode)
 
 
 def three_involution_comparison(G: FiniteGroup, S, surface: str = "L"):
@@ -493,7 +471,7 @@ def elementary_abelian_census(
         # the orientable sum 1 + 1 over |G| = 2, in any mode and modulus
         if surface != "O":
             raise BadParameter("only the orientable count is defined at n = 1")
-        exact = exact_quotient(o_terms, order, fact, in_decimal=kind == "exact")
+        exact = exact_quotient(o_terms, order, fact)
         return Elem2Result(1, k, "O", make_report(exact, mode), grr_valid, label)
     if k < 2:
         raise CaySetInvalid([(TOO_SMALL, f"|S| = {k} < 2")])
@@ -505,8 +483,7 @@ def elementary_abelian_census(
         terms = l_terms + [(a, b, -m, 1) for a, b, m, _ in o_terms]
     if kind == "modp" and (p < 3 or p <= k):
         raise BadParameter(f"modulus {p} must be an odd prime above k = {k}")
-    exact = _small_exact(terms, order, kind, fact) if n <= ELEM2_EXACT_CAP else None
-    report = term_report(terms, order, mode, base=fact, exact=exact)
+    report = term_report(terms, order, mode, base=fact, check=n <= ELEM2_EXACT_CAP)
     return Elem2Result(n, k, surface, report, grr_valid, label)
 
 

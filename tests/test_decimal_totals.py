@@ -5,6 +5,10 @@ log-sum.
 
 Every total is printed by ``str``; here it must equal the binary total's
 digits, carry no exponent, and give the same ``total-log2`` as log2 mode.
+
+``formulas.term_report`` alone decides what each mode forms; the last
+tests pin, family by family and mode by mode, which totals it forms, in
+which radix, and where it checks integrality instead.
 """
 
 import contextlib
@@ -17,7 +21,7 @@ import mpmath as mp
 import pytest
 
 from cayleymaps import cli, formulas, named_group, special
-from cayleymaps.errors import NonIntegralSum
+from cayleymaps.errors import CapExceeded, NonIntegralExponent, NonIntegralSum
 from cayleymaps.formulas import check_integral, exact_quotient, log2_of_int
 from cayleymaps.groups import subgroup_closure
 from cayleymaps.perm import divisor_powers
@@ -87,7 +91,9 @@ def outcome(f, *args):
 @pytest.fixture
 def pairs(monkeypatch):
     """Each decimal sum the closed forms form, next to the binary sum of
-    the same terms; either may be a refusal."""
+    the same terms; either may be a refusal.  ``exact_quotient`` is
+    wrapped in ``formulas``, where ``term_report`` forms the sums, and in
+    ``special``, which forms (1 + 1)/2 for ``elem2`` at n = 1."""
     out = []
 
     def recorded(terms, divisor, base=1, in_decimal=False):
@@ -98,13 +104,34 @@ def pairs(monkeypatch):
             raise total
         return total
 
+    monkeypatch.setattr(formulas, "exact_quotient", recorded)
     monkeypatch.setattr(special, "exact_quotient", recorded)
     return out
+
+
+def parse_digits(s: str) -> int:
+    """Digits to int by halves, subquadratic: ``str`` of a binary total of
+    a million digits takes seconds, and ``int`` of a string as long."""
+    pow10 = {}
+
+    def rec(lo, hi):
+        if hi - lo <= 3000:
+            return int(s[lo:hi])
+        mid = (lo + hi) // 2
+        k = hi - mid
+        if k not in pow10:
+            pow10[k] = 10**k
+        return rec(lo, mid) * pow10[k] + rec(mid, hi)
+
+    return rec(0, len(s))
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_decimal_total_prints_the_binary_total(case, pairs):
     report = outcome(CASES[case], "exact")
+    if case == "elem2-O-1":  # (1 + 1)/2, formed in binary in every mode
+        assert pairs == [] and report.exact_value == 1 and type(report.exact_value) is int
+        return
     [(total, binary)] = pairs
     if isinstance(binary, NonIntegralSum):  # elem2 at n = 2 off the orientable side
         assert report is total and str(total) == str(binary) and total.token == binary.token
@@ -112,14 +139,15 @@ def test_decimal_total_prints_the_binary_total(case, pairs):
     assert isinstance(total, Decimal) and isinstance(binary, int)
     assert report.exact_value is total
     text = str(total)
-    assert text == cli.decimal_string(binary)
+    assert text.isdigit() and parse_digits(text) == binary
     assert "E" not in text and total.as_tuple().exponent == 0
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_total_log2_is_the_same_in_exact_and_log2_mode(case, pairs):
     exact, log2 = outcome(CASES[case], "exact"), outcome(CASES[case], "log2")
-    assert len(pairs) == 1  # log2 mode forms no decimal sum
+    # log2 mode forms no decimal sum, exact mode one but at n = 1
+    assert len(pairs) == (case != "elem2-O-1")
     if isinstance(exact, NonIntegralSum):
         assert str(log2) == str(exact)
         return
@@ -307,3 +335,120 @@ def test_log2_of_a_decimal_total_is_the_log2_of_its_int():
     total = special.sym_orientable_census(9, "exact").total.exact_value
     assert log2_of_int(total) == log2_of_int(int(total))
     assert log2_of_int(Decimal(0)) == mp.ninf
+
+
+# What each mode forms.  ``exact_quotient`` and ``check_integral`` are
+# wrapped wherever a module holds them, so a closed form that formed or
+# checked a total itself would be recorded too.
+
+DECIMAL, BINARY, CHECK = "decimal total", "binary total", "integrality check"
+
+
+@pytest.fixture
+def forms(monkeypatch):
+    """Every total formed, by the radix asked for, and every modular
+    integrality check, in order.  A total is formed in binary here, whatever
+    radix is recorded: the radix changes no value, and a binary sum of a
+    million digits costs a fraction of a decimal one."""
+    events = []
+    quotient, check = formulas.exact_quotient, formulas.check_integral
+
+    def recorded_quotient(terms, divisor, base=1, in_decimal=False):
+        events.append(DECIMAL if in_decimal else BINARY)
+        return quotient(terms, divisor, base)
+
+    def recorded_check(terms, divisor, base=1):
+        events.append(CHECK)
+        return check(terms, divisor, base)  # forms a binary total on a refusal
+
+    for module in (formulas, special):
+        for name, wrapper in (("exact_quotient", recorded_quotient),
+                              ("check_integral", recorded_check)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return events
+
+
+def _form_cases():
+    """(name, run, checked): ``checked`` holds where the family's sum is
+    checked in modular and log2 modes, at or below its exact-mode cap;
+    ``three-inv`` never checks it."""
+    cases = []
+    for n in range(1, 13):
+        cases.append((f"sym-O-{n}", lambda mode, n=n: special.sym_orientable_census(n, mode),
+                      n <= special.SYM_EXACT_CAP))
+    for n in (7, 13):
+        cases.append((f"sym-L-{n}", lambda mode, n=n: special.sym_locally_census(n, mode),
+                      n <= special.SYM_EXACT_CAP))
+    cases.append(("elem2-O-1", lambda mode: special.elementary_abelian_census(1, (1,), "O", mode),
+                  None))
+    for n in [*range(2, 17), 17, 24]:
+        rng = random.Random(100 + n)
+        ks = (2, 3) if n == 2 else range(n + 1, n + 4)  # k = 2: the 4-cycle, refused off O
+        for k in ks:
+            S = spanning_set(rng, n, k)
+            for surface in "ONL":
+                cases.append((
+                    f"elem2-{surface}-{n}-{k}",
+                    lambda mode, n=n, S=S, surface=surface:
+                    special.elementary_abelian_census(n, S, surface, mode),
+                    n <= special.ELEM2_EXACT_CAP,
+                ))
+    rng = random.Random(29)
+    for m in (3, 4, 5, 6, 7, 9, 10, 12, 15, 18):  # odd m: fractional exponents off O
+        G = named_group("dihedral", 2 * m)
+        S = involution_triple(rng, G)
+        for surface in "ONL":
+            cases.append((
+                f"dih-{surface}-{2 * m}",
+                lambda mode, G=G, S=S, surface=surface:
+                special.three_involution_census(G, S, surface, mode),
+                False,
+            ))
+    return cases
+
+
+FORM_CASES = _form_cases()
+
+
+def expected_forms(mode: str, checked: bool | None, result) -> list[str]:
+    """What the closed forms form in ``mode``: exact mode a decimal total;
+    modular mode a binary total to cross-check, and log2 mode a modular
+    integrality check, only where ``checked``.  A refusal before the sum
+    (a cap, a fractional exponent) forms nothing, and a refused check
+    forms the binary total that words it.  ``checked`` None is ``elem2``
+    at n = 1, whose (1 + 1)/2 is formed in binary in every mode."""
+    if checked is None:
+        return [BINARY]
+    if isinstance(result, (CapExceeded, NonIntegralExponent)):
+        return []
+    if mode == "exact":
+        return [DECIMAL]
+    if not checked:
+        return []
+    if mode == "log2":
+        return [CHECK, BINARY] if isinstance(result, NonIntegralSum) else [CHECK]
+    return [BINARY]
+
+
+@pytest.mark.parametrize("mode", ["exact", "log2", "modp:1000003"])
+def test_each_mode_forms_what_term_report_decides(mode, forms):
+    tally = {DECIMAL: 0, BINARY: 0, CHECK: 0, "refused": 0}
+    for name, run, checked in FORM_CASES:
+        del forms[:]
+        try:
+            result = run(mode)
+        except (CapExceeded, NonIntegralExponent, NonIntegralSum) as e:
+            result = e
+            tally["refused"] += 1
+        assert forms == expected_forms(mode, checked, result), name
+        for event in forms:
+            tally[event] += 1
+    # every branch above is taken: the refusals are the caps (sym n = 11,
+    # 12 and 13, elem2 n = 17 and 24), the fractional exponents of odd m
+    # and the 4-cycle's sum
+    assert tally == {
+        "exact": {DECIMAL: 163, BINARY: 1, CHECK: 0, "refused": 33},
+        "log2": {DECIMAL: 0, BINARY: 3, CHECK: 143, "refused": 2},
+        "modp:1000003": {DECIMAL: 0, BINARY: 144, CHECK: 0, "refused": 12},
+    }[mode]

@@ -6,15 +6,17 @@ counts as used when it is read anywhere in the module (annotations
 included) or listed in ``__all__``, which covers the package's
 re-exports.  ``from __future__`` imports are exempt.  A function, class
 or variable defined at module level counts as reached when some file of
-``src/``, ``scripts/`` or ``perfbench/`` loads it as a name or an
-attribute; dunders are exempt, and so is each name of ``REACHED_BY_NAME``.
-A name only the tests read is code that no command runs.
+``src/``, ``scripts/`` or ``perfbench/`` loads it as a name, or as an
+attribute of a bare name that the same file bound by an import
+(``perm.find`` after ``from . import perm``); dunders are exempt, and so
+is each name of ``REACHED_BY_NAME``.  A name only the tests read is code
+that no command runs.
 
-The scan works by name, not by binding: a definition counts as reached
-when any reader loads any attribute of that name.  So it cannot see a
-function whose name is also a common attribute: a ``perm.order`` or
-``perm.semi_regular`` function would pass, since ``.order`` and
-``.semi_regular`` are read all over the package.
+The scan works by name, not by binding: an attribute counts whatever
+module its imported name holds.  So it cannot see a function whose name
+is also an attribute read off some other import: a ``perm.sort``
+function would pass, since ``np.sort`` is read.  An attribute of any
+other object (``G.order``, ``st.class_size``) counts for nothing.
 """
 
 import ast
@@ -96,12 +98,20 @@ def defined_names(source: str) -> dict[str, int]:
 
 
 def read_names(source: str) -> set[str]:
-    """Every name a source loads, bare or as an attribute."""
+    """Every name a source loads, bare or as an attribute of a name it
+    bound by an import."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in imported):
             out.add(node.attr)
     return out
 
@@ -143,4 +153,21 @@ def test_the_scan_finds_an_unread_name():
     reader = "from m import area, MINUS\narea(MINUS)\nx.Shape = 1\n"
     assert unread_names({"m": module}, [module, reader]) == [
         "m.SIGNS (line 2)", "m.Shape (line 4)",
+    ]
+
+
+def test_the_scan_reads_an_attribute_only_off_an_imported_name():
+    # an attribute of a parameter or a local is not a read of a module's
+    # name, even where the names agree
+    module = "def size(n):\n    return n\ndef order(n):\n    return n\n"
+    reader = (
+        "import m as mm\n"
+        "from . import other\n"
+        "def f(st, g):\n"
+        "    x = st.size + g.order.size\n"
+        "    return mm.order(x) + other.size(x)\n"
+    )
+    assert read_names(reader) >= {"order", "size"}
+    assert unread_names({"m": module}, [reader.replace("other.size", "x.size")]) == [
+        "m.size (line 1)",
     ]

@@ -27,7 +27,6 @@ from cayleymaps.perm import divisor_powers
 from cayleymaps.special import (
     SymRows,
     centralizer_order,
-    class_size,
     double_factorial,
     elementary_abelian_census,
     special_involution_type,
@@ -68,6 +67,11 @@ def test_partition_counts():
         sym_orientable_census(0, "log2")
     with pytest.raises(CapExceeded):
         sym_orientable_census(61, "log2")
+
+
+def class_size(n, part):
+    """The size n!/prod(i^{k_i} k_i!) of the class of cycle type ``part``."""
+    return factorial(n) // centralizer_order(part)
 
 
 def test_class_sizes_partition_the_group():
