@@ -209,11 +209,16 @@ DEFAULT_RUNS = {
         (0, "7c92d5056a7ac754a6fcbce29ece2bbd7a3de8633f5d2c07ffb28191394d4c42"),
     "three-inv {inputs}/d5038.group {inputs}/d5038i.cayset --surface L --mode log2":
         (0, "4f7d197b4ef272dbe13da3eb857f81516aa43861ce73df63db75b2006edad7c7"),
-    # the automorphism search 1000 vertices deep and the decomposition of
-    # its 2000 maps; the search recursed once per vertex and crashed on the
-    # recursion limit (exit 1, no error token) before it kept its own stack
+    # the automorphism search 1000 vertices deep; it recursed once per
+    # vertex and crashed on the recursion limit (exit 1, no error token)
+    # before it kept its own stack
     "cayley check {inputs}/z1000.group {inputs}/z1000.cayset --aut-cap 1000":
         (0, "215a3a67c12d2d813654600f4e638d8cf86b689f0657038261483edc6da7db8e"),
+    # GRR or not on the order-5040 prism, whose Aut Γ has 10080 elements:
+    # listing them all took about 100 s at a 2.3 GB peak, searching the
+    # stabilizer of one vertex a few seconds (recorded at commit 189be50)
+    "cayley check {inputs}/d5040.group {inputs}/d5040.cayset --aut-cap 5040":
+        (0, "0b24f103dfbedf9d9c0ea55eaea7bb93a0b3c646880e42f7eca0caaf2678df9b"),
 }
 READ_BYTES = 1 << 20
 

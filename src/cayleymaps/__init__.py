@@ -17,9 +17,10 @@ The package is organized bottom-up:
 * :mod:`cayleymaps.rotations` -- rotation systems, edge twists, and the
   bridge between signed flags and dart data (keys are moved only by the
   oracle's compiled action);
-* :mod:`cayleymaps.autaction` -- graph automorphisms as vertex maps, the
-  acting group R(G) x H as one ``perm.PermGroup``, and its lift to flags
-  in one gather;
+* :mod:`cayleymaps.autaction` -- graph automorphisms as vertex maps: the
+  stabilizer of vertex 0 is the only search, and R(G), R(G) x H and the
+  full group R(G)·Aut(Γ)_0 are each one ``perm.PermGroup`` formed from G's
+  table; the acting group's lift to flags is one gather;
 * :mod:`cayleymaps.formulas` -- the class-sum census formulas with
   exact, log2, and mod-p arithmetic;
 * :mod:`cayleymaps.oracle` -- exhaustive enumeration of embedding
@@ -56,7 +57,6 @@ _EXPORTS = {
     "enumerate_embeddings": "oracle",
     "fixture": "fixtures",
     "generic_flag_space": "cayley",
-    "graph_automorphism_group": "autaction",
     "inventory": "maps",
     "make_report": "formulas",
     "map_automorphisms": "maps",
@@ -70,6 +70,7 @@ _EXPORTS = {
     "three_involution_census": "special",
     "validate_cayley_set": "cayley",
     "validate_map": "maps",
+    "vertex_stabilizer": "autaction",
 }
 
 
@@ -103,7 +104,6 @@ __all__ = [
     "enumerate_embeddings",
     "fixture",
     "generic_flag_space",
-    "graph_automorphism_group",
     "inventory",
     "make_report",
     "map_automorphisms",
@@ -117,4 +117,5 @@ __all__ = [
     "three_involution_census",
     "validate_cayley_set",
     "validate_map",
+    "vertex_stabilizer",
 ]

@@ -9,6 +9,12 @@ An automorphism is a tuple of vertex images, and an acting group is one
 ``perm.PermGroup`` of them, built where it is formed; ``extend_to_flags``
 lifts all its rows at once, in row order.  The module reads only
 ``cayley``, ``groups`` and ``perm``.
+
+R(G) is regular on the vertices, so Aut Γ = R(G)·Aut(Γ)_0, and Γ is a GRR
+iff the stabilizer Aut(Γ)_0 of vertex 0 is trivial (Sabidussi 1958; Godsil
+1981).  Only that stabilizer is searched; the order of Aut Γ, a complement
+H of R(G) × H and the products R(G)·Aut(Γ)_0 are read off G's table, and
+no code lists Aut Γ by search.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cayley import FlagSpace, Graph
+from .cayley import CayleySet, FlagSpace, Graph
 from .errors import BadParameter, CapExceeded, InternalInconsistency
 from .groups import FiniteGroup, subgroup_closure
-from .perm import PermGroup, divisor_powers
+from .perm import PermGroup, _row_keys, divisor_powers
 
 DEFAULT_GRAPH_AUT_CAP = 64
 
@@ -37,21 +43,22 @@ class AutDecomposition:
 # Automorphism group search
 # ---------------------------------------------------------------------------
 
-def graph_automorphism_group(
+def vertex_stabilizer(
     graph: Graph, cap: int = DEFAULT_GRAPH_AUT_CAP
 ) -> list[tuple[int, ...]]:
-    """Full automorphism group by backtracking over vertex images, as sorted
-    vertex maps (a list, so groups beyond the ``PermGroup`` table cap can be
-    counted and decomposed).
+    """Aut(Γ)_0, the automorphisms fixing vertex 0, by backtracking over
+    vertex images, as sorted vertex maps.  On a Cayley graph R(G) is
+    regular, so Aut Γ = R(G)·Aut(Γ)_0 and |Aut Γ| = |G|·|Aut(Γ)_0|: the
+    rest of the group is read off G's table, never searched.
 
-    Vertices are assigned in BFS order so each new vertex has a mapped
-    neighbor constraining its image; degree mismatch prunes immediately.
+    Vertex 0 is sent to itself and the others are assigned in BFS order, so
+    each has a mapped parent, and its candidates are the common neighbours
+    of its mapped neighbours' images.
     """
     n = graph.vertex_count
     if n > cap:
         raise CapExceeded(f"graph has {n} vertices, automorphism cap is {cap}")
     adj = [set(nb) for nb in graph.adjacency]
-    deg = [len(nb) for nb in graph.adjacency]
 
     # BFS order from vertex 0; connectivity is a precondition.
     order = [0]
@@ -69,18 +76,19 @@ def graph_automorphism_group(
     used = [False] * n
 
     def candidates(v: int):
-        """Images must match degree and be adjacent to every mapped neighbor;
-        the pool is the common neighborhood of the mapped neighbors' images."""
+        """The common neighbourhood of the mapped neighbours' images."""
         pool = None
         for u in graph.adjacency[v]:
             if image[u] != -1:
                 cand = adj[image[u]]
                 pool = cand if pool is None else pool & cand
-        return iter(pool if pool is not None else range(n))
+        return iter(pool)
 
     # one candidate iterator per assigned position, deepest last, so the
-    # search depth is not bounded by the interpreter's recursion limit
-    stack = [candidates(order[0])]
+    # search depth is not bounded by the interpreter's recursion limit; the
+    # positions before one stay mapped while its iterator lives, so every
+    # candidate it yields is adjacent to the images of its mapped neighbours
+    stack = [iter((0,))]
     while stack:
         pos = len(stack) - 1
         v = order[pos]
@@ -88,12 +96,7 @@ def graph_automorphism_group(
             used[image[v]] = False
             image[v] = -1
         for w in stack[pos]:
-            if used[w] or deg[w] != deg[v]:
-                continue
-            for u in graph.adjacency[v]:
-                if image[u] != -1 and image[u] not in adj[w]:
-                    break
-            else:  # w is adjacent to every mapped neighbor's image
+            if not used[w]:
                 break
         else:  # no candidate left: backtrack
             stack.pop()
@@ -124,21 +127,17 @@ def right_regular(G: FiniteGroup) -> PermGroup:
 # The R(G) x H decomposition
 # ---------------------------------------------------------------------------
 
-def _subgroups_of_order(
-    G: FiniteGroup, elements: list[tuple[int, ...]], m: int
-) -> list[frozenset]:
-    """All subgroups of exact order m inside a (small) group of left
-    translations t ↦ xt.  A translation is known by its image x of the
-    identity, and x after y is the translation by xy, so it has the order
-    of x in G; a subgroup of order m holds only elements whose order
-    divides m, and no other element is tried."""
-    maps = {vm[0]: vm for vm in elements}
+def _subgroups_of_order(G: FiniteGroup, elements: list[int], m: int) -> list[frozenset]:
+    """All subgroups of exact order m of G inside ``elements``, as sets of
+    element ids, in the order the search first meets them.  A subgroup of
+    order m holds only elements whose order divides m, and no other element
+    is tried."""
     order = divisor_powers(G.table).order.tolist()
-    found: set[frozenset] = set()
+    found: dict[frozenset, None] = {}
 
     def grow(current: frozenset, pool: list[int]) -> None:
         if len(current) == m:
-            found.add(frozenset(maps[x] for x in current))
+            found[current] = None
             return
         for i, g in enumerate(pool):
             if g in current:
@@ -148,36 +147,35 @@ def _subgroups_of_order(
                 continue
             grow(frozenset(closed), pool[i + 1:])
 
-    # the map of x starts with x, so sorting the x sorts the maps
-    grow(frozenset({0}), sorted(x for x in set(maps) - {0} if m % order[x] == 0))
+    grow(frozenset({0}), sorted(x for x in set(elements) - {0} if m % order[x] == 0))
     return list(found)
 
 
-def decompose(full: Sequence[tuple[int, ...]], G: FiniteGroup) -> AutDecomposition:
-    """Search for a complement H with full = R(G) × H (commuting, trivial
-    intersection); H is sought inside the centralizer of R(G), where the
-    direct-product hypothesis forces it to live.  A map commuting with every
-    right translation is the left translation t ↦ xt by its image x of the
-    identity, so the centralizer is read off the rows of the table."""
-    full_set = set(full)
-    reg_set = set(map(tuple, G.table.T.tolist()))
-    if not reg_set <= full_set:
-        raise BadParameter("supplied group does not contain the right translations")
-    if len(full_set) % G.order:
-        raise InternalInconsistency("group order not divisible by |R(G)|")
-
-    is_grr = len(full_set) == G.order
+def decompose(G: FiniteGroup, S: CayleySet, m: int) -> AutDecomposition:
+    """Search for a complement H with Aut Γ = R(G) × H (commuting, trivial
+    intersection), given m = |Aut(Γ)_0| = |Aut Γ| / |G|.  H centralizes
+    R(G), and a map commuting with every right translation is the left
+    translation λ_x: t ↦ xt by its image x of the identity.  Edges join t
+    to s·t, so λ_x is an automorphism iff x S x⁻¹ = S, and it lies in R(G)
+    iff x is central: both are read off the table, whose rows and columns
+    are read only for the members of the subgroups of order m.  H's members
+    are rows of the table."""
     identity = tuple(range(G.order))
-    if is_grr:
+    if m == 1:
         return AutDecomposition(complement=(identity,), is_direct_product=True, is_grr=True)
 
-    m = len(full_set) // G.order
-    rows = G.table.tolist()
-    centralizer = [a for a in full if list(a) == rows[a[0]]]
+    T, members = G.table, np.array(S.members)
+    conjugates = np.sort(T[T[:, members], G.inverses[:, None]], axis=1)  # row x: x S x⁻¹
+    kept = np.flatnonzero((conjugates == members).all(axis=1))
     complement = None
-    if len(centralizer) % m == 0:
-        for sub in _subgroups_of_order(G, centralizer, m):
-            if len(sub & reg_set) == 1:  # only the identity
+    if len(kept) % m == 0:
+        # of several complements, the first in the iteration order of the
+        # set of subgroups held as frozensets of their rows is returned
+        subgroups = {frozenset(map(tuple, T[list(sub)].tolist()))
+                     for sub in _subgroups_of_order(G, kept.tolist(), m)}
+        for sub in subgroups:
+            # x is central iff its row is its column: only the identity's is
+            if sum((T[:, row[0]] == row).all() for row in sub) == 1:
                 complement = tuple(sorted(sub))
                 break
     return AutDecomposition(
@@ -190,7 +188,10 @@ def product_group(G: FiniteGroup, complement: Sequence[Sequence[int]]) -> PermGr
     the complement, distinct when the intersection is trivial."""
     H = np.asarray(complement)
     products = G.table.T[:, H].reshape(-1, G.order)  # (r, h): r[h[v]]
-    if len(np.unique(products, axis=0)) != len(products):
+    # equal rows sort next to each other; a sort of the rows' byte keys,
+    # unlike np.unique(axis=0), does not import numpy.ma
+    keys = np.sort(_row_keys(products))
+    if (keys[1:] == keys[:-1]).any():
         raise InternalInconsistency("regular part and complement overlap")
     return PermGroup(products.tolist())
 

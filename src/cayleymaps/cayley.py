@@ -46,13 +46,6 @@ class Graph:
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]  # sorted neighbor lists
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
-
 
 @dataclass(frozen=True)
 class FlagSpace:

@@ -400,18 +400,18 @@ def cmd_group(args) -> Report:
 
 
 def cmd_cayley(args) -> Report:
-    from .autaction import DEFAULT_GRAPH_AUT_CAP, decompose, graph_automorphism_group
+    from .autaction import DEFAULT_GRAPH_AUT_CAP, decompose, vertex_stabilizer
     from .cayley import build_cayley_graph
 
     G, S = _load_pair(args.source)
     graph = build_cayley_graph(G, S)
     cap = DEFAULT_GRAPH_AUT_CAP if args.aut_cap is None else args.aut_cap
-    full = graph_automorphism_group(graph, cap)
-    dec = decompose(full, G)
+    stab = vertex_stabilizer(graph, cap)
+    dec = decompose(G, S, len(stab))
     R = Report(args.kv)
     R.field("group-order", G.order)
     R.field("degree", len(S.members))
-    R.field("aut-order", len(full))
+    R.field("aut-order", G.order * len(stab))  # orbit-stabilizer
     R.field("is-grr", _b(dec.is_grr))
     R.field("is-direct-product", _b(dec.is_direct_product))
     R.field("h-order", len(dec.complement) if dec.is_direct_product else 0)

@@ -62,9 +62,9 @@ import numpy as np
 from .autaction import (
     decompose,
     extend_to_flags,
-    graph_automorphism_group,
     product_group,
     right_regular,
+    vertex_stabilizer,
 )
 from .cayley import FlagSpace, build_cayley_graph, build_flag_space
 from .errors import (
@@ -565,15 +565,17 @@ def burnside_count(acting: PermGroup, gs: GroundSet) -> OrbitCensus:
 
 def acting_group(G: FiniteGroup, S, which: str = "rgxh") -> PermGroup:
     """Vertex group for the census: translations, their product with a found
-    complement, or the full graph automorphism group."""
+    complement, or the full graph automorphism group R(G)·Aut(Γ)_0, whose
+    |G|·|Aut(Γ)_0| products are distinct since the stabilizer meets R(G)
+    only in the identity."""
     if which == "rg":
         return right_regular(G)
-    full = graph_automorphism_group(build_cayley_graph(G, S))
+    stab = vertex_stabilizer(build_cayley_graph(G, S))
     if which == "full":
-        return PermGroup(full)
+        return product_group(G, stab)
     if which == "rgxh":
-        dec = decompose(full, G)
-        if dec.is_direct_product:
+        dec = decompose(G, S, len(stab))
+        if dec.is_direct_product and not dec.is_grr:
             return product_group(G, dec.complement)
         return right_regular(G)
     raise BadParameter(f"unknown acting group choice {which!r}")

@@ -11,14 +11,15 @@ from cayleymaps.autaction import (
     _subgroups_of_order,
     decompose,
     extend_to_flags,
-    graph_automorphism_group,
     product_group,
     right_regular,
+    vertex_stabilizer,
 )
 from cayleymaps.cayley import build_cayley_graph, build_flag_space, validate_cayley_set
 from cayleymaps.errors import CapExceeded, CayleymapsError, InternalInconsistency
 from cayleymaps.fixtures import FIXTURE_NAMES, fixture
 from cayleymaps.groups import direct_product, named_group, subgroup_closure
+from cayleymaps.oracle import acting_group
 from cayleymaps.perm import PermGroup, cycle_labels, divisor_powers
 
 CAYLEY_FIXTURES = tuple(n for n in FIXTURE_NAMES if n != "FIG1")
@@ -52,9 +53,108 @@ def nx_automorphism_count(graph) -> int:
     """Independent count via VF2."""
     H = nx.Graph()
     H.add_nodes_from(range(graph.vertex_count))
-    H.add_edges_from(graph.edges())
+    H.add_edges_from((u, v) for u, nb in enumerate(graph.adjacency) for v in nb if u < v)
     matcher = nx.algorithms.isomorphism.GraphMatcher(H, H)
     return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def reference_automorphisms(graph) -> list[tuple[int, ...]]:
+    """The whole of Aut Γ by backtracking over vertex images in BFS order,
+    as sorted vertex maps: every vertex, 0 included, tries every image of
+    its degree that is adjacent to its mapped neighbours' images.  The
+    reference for ``vertex_stabilizer`` and the products R(G)·Aut(Γ)_0."""
+    n = graph.vertex_count
+    adj = [set(nb) for nb in graph.adjacency]
+    deg = [len(nb) for nb in graph.adjacency]
+    order, seen = [0], {0}
+    for v in order:
+        for u in graph.adjacency[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    assert len(order) == n
+    results, image, used = [], [-1] * n, [False] * n
+
+    def candidates(v):
+        pool = None
+        for u in graph.adjacency[v]:
+            if image[u] != -1:
+                pool = adj[image[u]] if pool is None else pool & adj[image[u]]
+        return iter(pool if pool is not None else range(n))
+
+    stack = [candidates(order[0])]
+    while stack:
+        pos = len(stack) - 1
+        v = order[pos]
+        if image[v] != -1:
+            used[image[v]] = False
+            image[v] = -1
+        for w in stack[pos]:
+            if used[w] or deg[w] != deg[v]:
+                continue
+            if all(image[u] == -1 or image[u] in adj[w] for u in graph.adjacency[v]):
+                break
+        else:
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if pos + 1 == n:
+            results.append(tuple(image))
+        else:
+            stack.append(candidates(order[pos + 1]))
+    return sorted(results)
+
+
+def reference_decompose(full, G):
+    """(is_grr, is_direct_product, complement) of a listed Aut Γ: the
+    complement is sought among its maps that commute with R(G), as tuples,
+    the first in the iteration order of the set of subgroups found that
+    meets R(G) only in the identity."""
+    full_set = set(full)
+    reg_set = set(map(tuple, G.table.T.tolist()))
+    assert reg_set <= full_set and len(full_set) % G.order == 0
+    if len(full_set) == G.order:
+        return True, True, (tuple(range(G.order)),)
+    m = len(full_set) // G.order
+    rows = G.table.tolist()
+    centralizer = [a for a in full if list(a) == rows[a[0]]]
+    if len(centralizer) % m == 0:
+        for sub in unpruned_subgroups_of_order(G, centralizer, m):
+            if len(sub & reg_set) == 1:
+                return False, True, tuple(sorted(sub))
+    return False, False, None
+
+
+def unpruned_subgroups_of_order(G, elements, m):
+    """The subgroups of order m among left translations given as tuples,
+    trying every element, whatever its order."""
+    maps = {vm[0]: vm for vm in elements}
+    found = set()
+
+    def grow(current, pool):
+        if len(current) == m:
+            found.add(frozenset(maps[x] for x in current))
+            return
+        for i, g in enumerate(pool):
+            if g in current:
+                continue
+            closed = subgroup_closure(G, [*current, g])
+            if len(closed) > m or m % len(closed):
+                continue
+            grow(frozenset(closed), pool[i + 1:])
+
+    grow(frozenset({0}), sorted(set(maps) - {0}))
+    return list(found)
+
+
+def products(G, stab) -> list[tuple[int, ...]]:
+    """R(G)·stab: every r∘h, as sorted vertex maps."""
+    return sorted(map(tuple, G.table.T[:, np.array(stab)].reshape(-1, G.order).tolist()))
+
+
+def as_tuple(dec):
+    return dec.is_grr, dec.is_direct_product, dec.complement
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +183,23 @@ def test_right_regular_is_a_semiregular_automorphism_group():
 def test_automorphism_group_sizes_match_networkx(name, expect):
     fx = fixture(name)
     graph = build_cayley_graph(fx.group, fx.cayset)
-    full = graph_automorphism_group(graph)
-    assert len(full) == expect
+    stab = vertex_stabilizer(graph)
+    assert fx.group.order * len(stab) == expect
     assert nx_automorphism_count(graph) == expect
-    maps = set(full)
-    assert len(maps) == len(full)
-    for a in full:
+    maps = set(stab)
+    assert len(maps) == len(stab)
+    for a in stab:
+        assert a[0] == 0
         assert is_graph_automorphism(graph, a)
         assert tuple(np.argsort(a).tolist()) in maps  # the inverse
+    assert products(fx.group, stab) == reference_automorphisms(graph)
 
 
 def test_automorphism_cap():
     fx = fixture("CUBE")
     graph = build_cayley_graph(fx.group, fx.cayset)
     with pytest.raises(CapExceeded):
-        graph_automorphism_group(graph, cap=4)
+        vertex_stabilizer(graph, cap=4)
 
 
 def test_automorphism_search_is_not_bounded_by_the_recursion_limit():
@@ -109,29 +211,29 @@ def test_automorphism_search_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        full = graph_automorphism_group(graph, cap=200)
+        stab = vertex_stabilizer(graph, cap=200)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(full) == 400  # the dihedral group of the 200-cycle
-    assert full == sorted(full) and full[0] == tuple(range(200))
-    assert all(is_graph_automorphism(graph, a) for a in full[::37])
+    # the identity and the reflection t -> -t of the 200-cycle
+    assert stab == [tuple(range(200)), tuple((-t) % 200 for t in range(200))]
+    assert len(products(G, stab)) == 400  # the dihedral group of the 200-cycle
 
 
 def test_decompose_on_fixtures_finds_no_complement():
     for name in CAYLEY_FIXTURES:
         fx = fixture(name)
         graph = build_cayley_graph(fx.group, fx.cayset)
-        dec = decompose(graph_automorphism_group(graph), fx.group)
+        dec = decompose(fx.group, fx.cayset, len(vertex_stabilizer(graph)))
         assert not dec.is_grr
         assert not dec.is_direct_product
         assert dec.complement is None
 
 
 def test_decompose_grr_branch():
-    # when the search returns only the translations the instance is a GRR
-    # and the complement is the trivial group
+    # a trivial stabilizer makes the instance a GRR, and the complement is
+    # the trivial group
     G = named_group("cyclic", 5)
-    dec = decompose(translations(G), G)
+    dec = decompose(G, validate_cayley_set(G, (1, 4)), 1)
     assert dec.is_grr and dec.is_direct_product
     assert len(dec.complement) == 1
 
@@ -143,9 +245,10 @@ def test_decompose_on_a_genuine_grr():
     G = named_group("dihedral", 12)
     S = validate_cayley_set(G, (1, 5, 6, 7, 9))
     graph = build_cayley_graph(G, S)
-    full = graph_automorphism_group(graph)
-    assert len(full) == 12
-    dec = decompose(full, G)
+    stab = vertex_stabilizer(graph)
+    assert stab == [tuple(range(12))]
+    assert len(reference_automorphisms(graph)) == 12
+    dec = decompose(G, S, len(stab))
     assert dec.is_grr and dec.is_direct_product
     assert len(dec.complement) == 1
 
@@ -158,30 +261,9 @@ def test_decompose_on_a_genuine_grr():
 def test_decompose_keeps_its_choice_among_complements(G, members, expected):
     # two order-2 subgroups of the centralizer of R(G) meet R(G) trivially
     # here; the one returned is pinned from the tuple implementation
-    graph = build_cayley_graph(G, validate_cayley_set(G, members))
-    dec = decompose(graph_automorphism_group(graph), G)
+    S = validate_cayley_set(G, members)
+    dec = decompose(G, S, len(vertex_stabilizer(build_cayley_graph(G, S))))
     assert list(dec.complement) == [tuple(range(12)), expected]
-
-
-def unpruned_subgroups_of_order(G, elements, m):
-    """``_subgroups_of_order`` trying every element, whatever its order."""
-    maps = {vm[0]: vm for vm in elements}
-    found = set()
-
-    def grow(current, pool):
-        if len(current) == m:
-            found.add(frozenset(maps[x] for x in current))
-            return
-        for i, g in enumerate(pool):
-            if g in current:
-                continue
-            closed = subgroup_closure(G, [*current, g])
-            if len(closed) > m or m % len(closed):
-                continue
-            grow(frozenset(closed), pool[i + 1:])
-
-    grow(frozenset({0}), sorted(set(maps) - {0}))
-    return list(found)
 
 
 def prism(m):
@@ -196,13 +278,95 @@ def prism(m):
 ])
 def test_complement_search_skips_elements_whose_order_does_not_divide_m(G, members):
     graph = build_cayley_graph(G, validate_cayley_set(G, members))
-    full = graph_automorphism_group(graph, cap=8 * G.order)
+    full = reference_automorphisms(graph)
     m = len(full) // G.order
     rows = G.table.tolist()
     centralizer = [a for a in full if list(a) == rows[a[0]]]
-    found = _subgroups_of_order(G, centralizer, m)
-    assert found == unpruned_subgroups_of_order(G, centralizer, m)
+    found = _subgroups_of_order(G, [a[0] for a in centralizer], m)
+    assert len(set(found)) == len(found)
+    assert {frozenset(map(tuple, G.table[sorted(sub)].tolist())) for sub in found} == set(
+        unpruned_subgroups_of_order(G, centralizer, m))
     assert all(len(sub) == m for sub in found)
+
+
+def hypercube(k):
+    """Q_k = Cay((Z_2)^k : the unit vectors)."""
+    return named_group("elementary_abelian_2", k), tuple(1 << i for i in range(k))
+
+
+def seeded_cayley_sets(G, degree, count, seed):
+    """Up to ``count`` distinct inverse-closed generating sets of G of size
+    ``degree``, from 200 seeded draws."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(200):
+        if len(found) == count:
+            break
+        members = set()
+        while len(members) < degree:
+            g = rng.randrange(1, G.order)
+            members |= {g, int(G.inverses[g])}
+        if len(members) != degree or tuple(sorted(members)) in found:
+            continue
+        try:
+            found.append(validate_cayley_set(G, tuple(sorted(members))).members)
+        except CayleymapsError:
+            pass
+    return [(G, members) for members in found]
+
+
+SMALL_GROUPS = (
+    *(named_group("cyclic", n) for n in (8, 10, 12)),
+    *(named_group("dihedral", n) for n in (8, 10, 12)),
+    direct_product(named_group("cyclic", 2), named_group("cyclic", 4)),
+    direct_product(named_group("cyclic", 2), named_group("dihedral", 6)),
+)
+CROSS_CHECKED = (
+    *((fixture(name).group, fixture(name).cayset.members) for name in CAYLEY_FIXTURES),
+    *(prism(m) for m in range(3, 13)),
+    *(hypercube(k) for k in (3, 4, 5)),
+    *((named_group("cyclic", n), (1, n - 1)) for n in random.Random(71).sample(range(3, 61), 8)),
+    *(case for i, G in enumerate(SMALL_GROUPS) for degree in (3, 4)
+      for case in seeded_cayley_sets(G, degree, 3, 10 * i + degree)),
+)
+
+
+@pytest.mark.parametrize("G,members", CROSS_CHECKED)
+def test_stabilizer_and_decomposition_match_the_whole_group_search(G, members):
+    # R(G)·Aut(Γ)_0 is the whole searched group, of networkx's order, and
+    # the decomposition read off the table is the listed group's
+    S = validate_cayley_set(G, members)
+    graph = build_cayley_graph(G, S)
+    stab = vertex_stabilizer(graph)
+    full = reference_automorphisms(graph)
+    assert stab == [a for a in full if a[0] == 0]
+    assert products(G, stab) == full
+    assert len(full) == nx_automorphism_count(graph)
+    assert as_tuple(decompose(G, S, len(stab))) == reference_decompose(full, G)
+
+
+@pytest.mark.parametrize("G,members", [
+    *((fixture(name).group, fixture(name).cayset.members) for name in CAYLEY_FIXTURES),
+    *(prism(m) for m in (3, 5, 6)),
+    (direct_product(named_group("cyclic", 2), named_group("dihedral", 6)), (3, 7, 8)),
+    (named_group("dihedral", 12), (1, 5, 6, 7, 9)),
+])
+def test_acting_groups_match_the_searched_group(G, members):
+    # the full group is the listed one; R(G) x H is the product with the
+    # listed group's complement, searched into a table even when H = 1 (the
+    # D_12 GRR), where the acting group is R(G) read off G's table
+    S = validate_cayley_set(G, members)
+    full = reference_automorphisms(build_cayley_graph(G, S))
+    _, is_direct_product, complement = reference_decompose(full, G)
+    expected = {
+        "full": PermGroup(full),
+        "rgxh": product_group(G, complement) if is_direct_product else right_regular(G),
+    }
+    for which, group in expected.items():
+        acting = acting_group(G, S, which)
+        assert (acting.rows == group.rows).all()
+        assert (acting.table == group.table).all()
+        assert (acting.inverse == group.inverse).all()
 
 
 def test_product_group_generates_the_dihedral_action():
@@ -211,7 +375,8 @@ def test_product_group_generates_the_dihedral_action():
     prod = product_group(G, [tuple(range(4)), negation])
     assert len(prod) == 8
     graph = build_cayley_graph(G, validate_cayley_set(G, (1, 3)))
-    assert {tuple(a) for a in prod.rows.tolist()} == set(graph_automorphism_group(graph))
+    assert [tuple(a) for a in prod.rows.tolist()] == reference_automorphisms(graph)
+    assert vertex_stabilizer(graph) == [tuple(range(4)), negation]
 
 
 def test_product_group_refuses_a_repeated_product():
@@ -263,7 +428,7 @@ def test_extension_is_a_homomorphism():
     cube = fixture("CUBE")
     for G, S in ((cube.group, cube.cayset), _seeded_dihedral_degree3(1)):
         F = build_flag_space(G, S)
-        full = graph_automorphism_group(build_cayley_graph(G, S))
+        full = products(G, vertex_stabilizer(build_cayley_graph(G, S)))
         lifts = extend_to_flags(full, F)
         for a, b in itertools.product(range(len(full)), repeat=2):
             ab = extend_to_flags([after(full[a], full[b])], F)[0]

@@ -7,7 +7,10 @@ ones from the row-at-a-time partition sum that the columnar one replaced,
 so they pin that each replacement prints byte-identical text (plain and
 ``--kv``) and exit codes.  The orbit listings and the FIG1 map check were
 recorded from the one-row validation and Python cycle walk that the batch
-inventory replaced.  No output may
+inventory replaced.  The D_12 GRR's ``cayley check`` and the C_2 x D_6
+``--acting rgxh|full`` oracles were recorded from the search that listed
+the whole of Aut Γ, which the search of the vertex stabilizer replaced.
+No output may
 carry a numpy scalar repr (``np.int16(3)``), which a stray array entry in
 a tuple or an f-string repr would print.
 """
@@ -28,6 +31,8 @@ from cayleymaps.groups import direct_product
 C2D6_SET = "cayset 3\n3 7 8\n"
 C2D6_H = "0 1 2 3 4 5 6 7 8 9 10 11\n9 11 10 6 8 7 3 5 4 0 2 1\n"
 C2D6_H1 = "0 1 2 3 4 5 6 7 8 9 10 11\n"
+# {r1, r5, s0, s1, s3} in D_12: a GRR, whose vertex stabilizer is trivial
+D12_GRR_SET = "cayset 5\n1 5 6 7 9\n"
 # the Coxeter transpositions (2 3), (1 2), (0 1) of S_4
 S4_SET = "cayset 3\n1 2 6\n"
 # a Latin square with two-sided identity 0 that is not associative
@@ -38,6 +43,14 @@ CASES = {
     "group-s4": ["group", "check", "{s4}"],
     "group-nonassoc": ["group", "check", "{nonassoc}"],
     "cayley-c2d6": ["cayley", "check", "{c2d6}", "{c2d6_set}"],
+    "cayley-d12-grr": ["cayley", "check", "{d12}", "{d12_grr_set}"],
+    # the product path R(G) x H and the full group, on a graph with H of order 2
+    "oracle-c2d6-O-rgxh": [
+        "census", "oracle", "{c2d6}", "{c2d6_set}", "--surface", "O", "--acting", "rgxh",
+    ],
+    "oracle-c2d6-O-full": [
+        "census", "oracle", "{c2d6}", "{c2d6_set}", "--surface", "O", "--acting", "full",
+    ],
     "formula-c2d6-h": ["census", "formula", "{c2d6}", "{c2d6_set}", "--h-file", "{c2d6_h}"],
     "formula-c2d6-h1-L": [
         "census", "formula", "{c2d6}", "{c2d6_set}", "--h-file", "{c2d6_h1}", "--surface", "L",
@@ -67,6 +80,11 @@ PINS = {
         0,
         "2d9b5b4bc9c22847d6586c8e02a7b20260fad515957b11db52b5e63a74076ca2",
         "00ac3d77cafd8d112e323c6abc52917f13b787ca1343a189c0db28817485b47f",
+    ),
+    "cayley-d12-grr": (
+        0,
+        "77cdd60f4eac9248b8e82962e0ffac604c31694551f98dde697aa47b1aabd025",
+        "9ab5fcd34fe4c848b0a8a5ed25aa02a45e757bcbb5c74116be4dd49980d0f5fd",
     ),
     "formula-c2d6-h": (
         1,
@@ -113,6 +131,17 @@ PINS = {
         "3ac64ae37ab337140364e1a277b6a2001d2e72f8f400bbda30e006d0700f15aa",
         "3dae0ff299e988ba810769bdf54a44b1b76051314949beb9ddb3efbd4dbab9a3",
     ),
+    # R(G) x H is the whole of Aut Γ here, so both acting groups print the same
+    "oracle-c2d6-O-full": (
+        0,
+        "c2572c2f728bb99758c423ee9f4369db75ebafde44c6d775c6dd20c789269b8c",
+        "ca68cad88a6c5be4c0c777e4b18e8d090e360da2c5cb805dca468ff5dce5ac7f",
+    ),
+    "oracle-c2d6-O-rgxh": (
+        0,
+        "c2572c2f728bb99758c423ee9f4369db75ebafde44c6d775c6dd20c789269b8c",
+        "ca68cad88a6c5be4c0c777e4b18e8d090e360da2c5cb805dca468ff5dce5ac7f",
+    ),
     "oracle-cube-L-dart": (
         0,
         "2907b26414a136aa3b49ae1041cbe6159d1c85229764aac564bbe12c9f5750ae",
@@ -146,7 +175,7 @@ def write_inputs(tmp_path) -> dict[str, str]:
     for key, G in files.items():
         paths[key] = str(tmp_path / f"{key}.group")
         save_group(G, paths[key])
-    texts = {"c2d6_set": C2D6_SET, "c2d6_h": C2D6_H, "c2d6_h1": C2D6_H1, "s4_set": S4_SET,
+    texts = {"c2d6_set": C2D6_SET, "d12_grr_set": D12_GRR_SET, "c2d6_h": C2D6_H, "c2d6_h1": C2D6_H1, "s4_set": S4_SET,
              "nonassoc": NONASSOC}
     for key, text in texts.items():
         paths[key] = str(tmp_path / key)
